@@ -11,7 +11,14 @@
 # fig9 numbers and real-thread wallclock_ctt numbers moved between
 # checkpoints.  Scales are fixed here so the files stay comparable; the
 # wallclock numbers still move with the host, which is why the snapshot
-# records the machine alongside them.
+# records the machine alongside them, with the UTC time of the run and the
+# commit and dirty flag of the tree that produced it.
+#
+# The modeled simulators key their cache and HBM models on real heap
+# addresses, so address-space randomization moves the modeled series a
+# little between two runs of one binary.  The modeled bench therefore runs
+# with ASLR off (setarch -R) when a probe shows the host allows it, and
+# normally otherwise; "aslr_disabled" in the snapshot records which.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -26,8 +33,13 @@ FIG9_SCALE="--keys=20000 --ops=60000"
 WALLCLOCK_SCALE="--keys=20000 --ops=60000 --threads=4 --reps=3"
 CLUSTER_SCALE="--keys=20000 --ops=60000 --cluster=3"
 
+NO_ASLR=()
+if setarch "$(uname -m)" -R true 2> /dev/null; then
+  NO_ASLR=(setarch "$(uname -m)" -R)
+fi
+
 echo "== fig9_performance (modeled, all engines x all workloads) =="
-"${BUILD_DIR}/bench/fig9_performance" ${FIG9_SCALE} \
+"${NO_ASLR[@]}" "${BUILD_DIR}/bench/fig9_performance" ${FIG9_SCALE} \
     --metrics-json="${TMP_DIR}/fig9.json" > /dev/null
 
 echo "== wallclock_ctt (real threads) =="
@@ -50,13 +62,16 @@ python3 "${REPO_DIR}/scripts/check_metrics_json.py" "${TMP_DIR}/cluster.json"
 
 echo "== merging -> ${OUT_FILE} =="
 python3 - "${TMP_DIR}/fig9.json" "${TMP_DIR}/wallclock.json" \
-    "${TMP_DIR}/cluster.json" "${OUT_FILE}" <<'PY'
+    "${TMP_DIR}/cluster.json" "${OUT_FILE}" "${REPO_DIR}" \
+    "${#NO_ASLR[@]}" <<'PY'
+import datetime
 import json
 import platform
 import subprocess
 import sys
 
-fig9_path, wallclock_path, cluster_path, out_path = sys.argv[1:5]
+fig9_path, wallclock_path, cluster_path, out_path, repo_dir = sys.argv[1:6]
+aslr_disabled = sys.argv[6] != "0"
 
 
 def load(path):
@@ -66,9 +81,11 @@ def load(path):
 
 def git(*args):
     try:
-        return subprocess.check_output(("git", *args), text=True).strip()
+        return subprocess.check_output(("git", "-C", repo_dir, *args),
+                                       text=True,
+                                       stderr=subprocess.DEVNULL).strip()
     except Exception:  # not a checkout / git missing: still emit a baseline
-        return ""
+        return None
 
 
 cluster = load(cluster_path)
@@ -80,10 +97,14 @@ cluster["runs"] = [r for r in cluster.get("runs", [])
 snapshots = {"fig9_performance": load(fig9_path),
              "wallclock_ctt": load(wallclock_path),
              "ipgeo_cluster": cluster}
+status = git("status", "--porcelain", "--untracked-files=no")
 merged = {
     "baseline_version": 1,
-    "date": snapshots["fig9_performance"].get("timestamp", ""),
-    "commit": git("rev-parse", "HEAD"),
+    "date": datetime.datetime.now(datetime.timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ"),
+    "commit": git("rev-parse", "HEAD") or "",
+    "dirty": None if status is None else status != "",
+    "aslr_disabled": aslr_disabled,
     "machine": {
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),

@@ -66,7 +66,7 @@ std::uint8_t PrefixByte(NodeRef ref, const Node* node, std::uint32_t i,
                         std::size_t pos, const Leaf*& min_leaf) {
   if (i < node->stored_prefix_len) return node->prefix[i];
   if (min_leaf == nullptr) min_leaf = Minimum(ref);
-  return min_leaf->key[pos];
+  return min_leaf->key()[pos];
 }
 
 }  // namespace
@@ -82,7 +82,7 @@ void Iterator::Seek(KeyView target) {
       [&](NodeRef ref, std::size_t depth, bool lo_edge) -> bool {
     if (ref.IsLeaf()) {
       const Leaf* leaf = ref.AsLeaf();
-      if (CompareKeys(leaf->key, target) >= 0) {
+      if (CompareKeys(leaf->key(), target) >= 0) {
         current_ = leaf;
         return true;
       }

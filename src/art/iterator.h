@@ -38,7 +38,7 @@ class Iterator {
   void Next();
 
   /// Precondition: Valid().
-  KeyView key() const { return current_->key; }
+  KeyView key() const { return current_->key(); }
   Value value() const { return current_->value; }
 
  private:

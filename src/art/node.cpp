@@ -474,10 +474,6 @@ std::size_t NodeSizeBytes(NodeType type) {
   return 0;
 }
 
-std::size_t LeafSizeBytes(std::size_t key_len) {
-  return sizeof(Leaf) + key_len;
-}
-
 void DeleteNode(Node* node) {
   switch (node->type) {
     case NodeType::kN4:
@@ -501,7 +497,7 @@ void DeleteNode(Node* node) {
 void DestroySubtree(NodeRef ref) {
   if (ref.IsNull()) return;
   if (ref.IsLeaf()) {
-    delete ref.AsLeaf();
+    ref.AsLeaf()->Delete();
     return;
   }
   Node* node = ref.AsNode();

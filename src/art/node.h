@@ -5,9 +5,10 @@
 // of single-child nodes.  N32 extends the paper's ladder with a node sized
 // for one 256-bit vector: its key search is a single AVX2
 // compare-and-movemask (two SSE2 halves otherwise), so fanouts 17..32 pay
-// one probe where an N48 indirection or a scalar scan used to sit.  Values live in single-value leaves that store the
-// complete key, which lets lookups verify optimistically-skipped prefix
-// bytes at the end of the descent.
+// one probe where an N48 indirection or a scalar scan used to sit.  Values
+// live in single-value leaves (art/leaf.h) that store the complete key,
+// which lets lookups verify optimistically-skipped prefix bytes at the end
+// of the descent.
 //
 // Child references are tagged pointers (`NodeRef`): bit 0 set means the
 // reference addresses a `Leaf`, clear means an internal `Node`.  These
@@ -20,22 +21,16 @@
 #include <cstdint>
 #include <functional>
 
+#include "art/leaf.h"
 #include "common/bytes.h"
 
 namespace dcart::art {
-
-using Value = std::uint64_t;
 
 /// Bytes of the compressed path kept inline in the node header.  Longer
 /// prefixes keep only their first kMaxStoredPrefix bytes inline; the rest is
 /// recovered from the minimum leaf of the subtree when needed (hybrid
 /// pessimistic/optimistic path compression from the ART paper).
 inline constexpr std::size_t kMaxStoredPrefix = 12;
-
-struct Leaf {
-  Key key;  // complete binary-comparable key
-  Value value;
-};
 
 enum class NodeType : std::uint8_t {
   kN4 = 0,
@@ -182,9 +177,6 @@ void SetPrefixFromKey(Node* node, KeyView full_key, std::size_t offset,
 
 /// In-memory size of a node of the given type (used by the memory model).
 std::size_t NodeSizeBytes(NodeType type);
-
-/// Size of a leaf holding `key_len` key bytes.
-std::size_t LeafSizeBytes(std::size_t key_len);
 
 /// Free one internal node (not its children) with the right derived type.
 void DeleteNode(Node* node);

@@ -6,14 +6,6 @@
 
 namespace dcart::art {
 
-namespace {
-
-Leaf* NewLeaf(KeyView key, Value value) {
-  return new Leaf{Key(key.begin(), key.end()), value};
-}
-
-}  // namespace
-
 std::string MemoryStats::ToString() const {
   std::ostringstream os;
   os << "N4=" << n4 << " N16=" << n16 << " N32=" << n32 << " N48=" << n48
@@ -62,7 +54,7 @@ std::uint32_t Tree::PrefixMismatch(const Node* node, KeyView key,
     // minimum leaf, whose key contains the full path bytes at [depth, ...).
     const Leaf* min_leaf = Minimum(NodeRef::FromNode(const_cast<Node*>(node)));
     for (; i < max_cmp; ++i) {
-      if (min_leaf->key[depth + i] != key[depth + i]) return i;
+      if (min_leaf->key()[depth + i] != key[depth + i]) return i;
     }
   }
   return i;
@@ -71,7 +63,7 @@ std::uint32_t Tree::PrefixMismatch(const Node* node, KeyView key,
 bool Tree::Insert(KeyView key, Value value) {
   assert(!key.empty() && "keys must be non-empty (see key_codec.h)");
   if (root_.IsNull()) {
-    root_ = NodeRef::FromLeaf(NewLeaf(key, value));
+    root_ = NodeRef::FromLeaf(Leaf::New(key, value));
     size_ = 1;
     if (stats_) ++stats_->operations;
     return true;
@@ -92,20 +84,20 @@ bool Tree::InsertInSubtree(NodeRef* slot, std::size_t depth, KeyView key,
     if (cur.IsLeaf()) {
       Leaf* leaf = cur.AsLeaf();
       if (stats_) ++stats_->leaf_accesses;
-      if (KeysEqual(leaf->key, key)) {
+      const KeyView leaf_key = leaf->key();
+      if (KeysEqual(leaf_key, key)) {
         leaf->value = value;
         if (out_leaf) *out_leaf = leaf;
         return false;
       }
       // Split this leaf: a new N4 holds the common prefix and both leaves.
-      const KeyView leaf_key{leaf->key};
       const std::size_t lcp = CommonPrefixLength(leaf_key.subspan(depth),
                                                  key.subspan(depth));
       assert(depth + lcp < key.size() && depth + lcp < leaf_key.size() &&
              "stored keys must be prefix-free");
       auto* branch = new Node4;
       SetPrefixFromKey(branch, key, depth, static_cast<std::uint32_t>(lcp));
-      Leaf* new_leaf = NewLeaf(key, value);
+      Leaf* new_leaf = Leaf::New(key, value);
       AddChild(branch, key[depth + lcp], NodeRef::FromLeaf(new_leaf));
       AddChild(branch, leaf_key[depth + lcp], cur);
       *slot = NodeRef::FromNode(branch);
@@ -122,11 +114,11 @@ bool Tree::InsertInSubtree(NodeRef* slot, std::size_t depth, KeyView key,
              "stored keys must be prefix-free");
       const Leaf* min_leaf = Minimum(cur);  // full path bytes live here
       auto* branch = new Node4;
-      SetPrefixFromKey(branch, min_leaf->key, depth, mismatch);
-      const std::uint8_t node_byte = min_leaf->key[depth + mismatch];
-      SetPrefixFromKey(node, min_leaf->key, depth + mismatch + 1,
+      SetPrefixFromKey(branch, min_leaf->key(), depth, mismatch);
+      const std::uint8_t node_byte = min_leaf->key()[depth + mismatch];
+      SetPrefixFromKey(node, min_leaf->key(), depth + mismatch + 1,
                        node->prefix_len - mismatch - 1);
-      Leaf* new_leaf = NewLeaf(key, value);
+      Leaf* new_leaf = Leaf::New(key, value);
       AddChild(branch, key[depth + mismatch], NodeRef::FromLeaf(new_leaf));
       AddChild(branch, node_byte, cur);
       *slot = NodeRef::FromNode(branch);
@@ -148,7 +140,7 @@ bool Tree::InsertInSubtree(NodeRef* slot, std::size_t depth, KeyView key,
         DeleteNode(node);
         node = grown;
       }
-      Leaf* new_leaf = NewLeaf(key, value);
+      Leaf* new_leaf = Leaf::New(key, value);
       AddChild(node, b, NodeRef::FromLeaf(new_leaf));
       if (out_leaf) *out_leaf = new_leaf;
       return true;
@@ -176,7 +168,7 @@ Leaf* Tree::FindLeafInSubtree(NodeRef ref, std::size_t depth,
     if (ref.IsLeaf()) {
       Leaf* leaf = ref.AsLeaf();
       if (stats_) ++stats_->leaf_accesses;
-      if (KeysEqual(leaf->key, key)) return leaf;
+      if (KeysEqual(leaf->key(), key)) return leaf;
       return nullptr;
     }
     const Node* node = ref.AsNode();
@@ -203,8 +195,8 @@ bool Tree::Remove(KeyView key) {
   if (root_.IsLeaf()) {
     Leaf* leaf = root_.AsLeaf();
     NoteVisit(root_);
-    if (!KeysEqual(leaf->key, key)) return false;
-    delete leaf;
+    if (!KeysEqual(leaf->key(), key)) return false;
+    leaf->Delete();
     root_ = {};
     size_ = 0;
     return true;
@@ -236,8 +228,8 @@ bool Tree::RemoveInSubtree(NodeRef* slot, std::size_t depth, KeyView key) {
       Leaf* leaf = child_slot->AsLeaf();
       NoteVisit(*child_slot);
       if (stats_) ++stats_->leaf_accesses;
-      if (!KeysEqual(leaf->key, key)) return false;
-      delete leaf;
+      if (!KeysEqual(leaf->key(), key)) return false;
+      leaf->Delete();
       RemoveChild(node, b);
 
       if (node->type == NodeType::kN4 && node->count == 1) {
@@ -254,7 +246,7 @@ bool Tree::RemoveInSubtree(NodeRef* slot, std::size_t depth, KeyView key) {
               node->prefix_len + 1 + child->prefix_len;
           const Leaf* min_leaf = Minimum(remaining);
           const std::size_t node_start = depth - node->prefix_len;
-          SetPrefixFromKey(child, min_leaf->key, node_start, total);
+          SetPrefixFromKey(child, min_leaf->key(), node_start, total);
         }
         if (observer_) {
           observer_->OnNodeReplaced(NodeRef::FromNode(node), remaining);
@@ -282,12 +274,13 @@ bool Tree::ScanRec(NodeRef ref, std::size_t depth, KeyView lo, KeyView hi,
                    const std::function<bool(KeyView, Value)>& callback) const {
   if (ref.IsLeaf()) {
     const Leaf* leaf = ref.AsLeaf();
+    const KeyView key = leaf->key();
     // An empty hi with hi_edge off means "unbounded above" (ScanFrom).
     if (hi_edge || !hi.empty()) {
-      if (CompareKeys(leaf->key, hi) > 0) return false;  // past the range
+      if (CompareKeys(key, hi) > 0) return false;  // past the range
     }
-    if (CompareKeys(leaf->key, lo) < 0) return true;  // before it: skip
-    return callback(leaf->key, leaf->value);
+    if (CompareKeys(key, lo) < 0) return true;  // before it: skip
+    return callback(key, leaf->value);
   }
 
   const Node* node = ref.AsNode();
@@ -303,7 +296,7 @@ bool Tree::ScanRec(NodeRef ref, std::size_t depth, KeyView lo, KeyView hi,
         p = node->prefix[i];
       } else {
         if (min_leaf == nullptr) min_leaf = Minimum(ref);
-        p = min_leaf->key[pos];
+        p = min_leaf->key()[pos];
       }
       if (lo_edge) {
         if (pos >= lo.size() || p > lo[pos]) {
@@ -364,9 +357,10 @@ bool EmitSubtree(NodeRef ref, KeyView prefix,
                  const std::function<bool(KeyView, Value)>& callback) {
   if (ref.IsLeaf()) {
     const Leaf* leaf = ref.AsLeaf();
-    if (leaf->key.size() >= prefix.size() &&
-        CommonPrefixLength(leaf->key, prefix) == prefix.size()) {
-      return callback(leaf->key, leaf->value);
+    const KeyView key = leaf->key();
+    if (key.size() >= prefix.size() &&
+        CommonPrefixLength(key, prefix) == prefix.size()) {
+      return callback(key, leaf->value);
     }
     return true;
   }
@@ -408,7 +402,7 @@ NodeRef BuildSorted(std::span<const std::pair<Key, Value>> items,
   if (items.size() == 1) {
     ++count;
     return NodeRef::FromLeaf(
-        new Leaf{items.front().first, items.front().second});
+        Leaf::New(items.front().first, items.front().second));
   }
   // All keys in `items` agree on bytes [0, depth).  The common prefix of
   // the sorted range is the common prefix of its first and last keys.
@@ -466,12 +460,14 @@ void Tree::BulkLoadSorted(std::span<const std::pair<Key, Value>> items) {
 
 std::optional<Key> Tree::MinKey() const {
   if (root_.IsNull()) return std::nullopt;
-  return Minimum(root_)->key;
+  const KeyView key = Minimum(root_)->key();
+  return Key(key.begin(), key.end());
 }
 
 std::optional<Key> Tree::MaxKey() const {
   if (root_.IsNull()) return std::nullopt;
-  return Maximum(root_)->key;
+  const KeyView key = Maximum(root_)->key();
+  return Key(key.begin(), key.end());
 }
 
 namespace {
@@ -491,7 +487,7 @@ void AccumulateMemory(NodeRef ref, MemoryStats& stats) {
   if (ref.IsNull()) return;
   if (ref.IsLeaf()) {
     ++stats.leaves;
-    stats.leaf_bytes += LeafSizeBytes(ref.AsLeaf()->key.size());
+    stats.leaf_bytes += Leaf::BlockBytes(ref.AsLeaf()->key().size());
     return;
   }
   const Node* node = ref.AsNode();

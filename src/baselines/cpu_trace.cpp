@@ -63,14 +63,11 @@ void OpTracer::VisitInternalRaw(std::uintptr_t addr, unsigned stored_prefix,
 }
 
 void OpTracer::VisitLeaf(const CLeaf* leaf) {
-  VisitLeafRaw(reinterpret_cast<std::uintptr_t>(leaf), leaf->key.size());
-}
-
-void OpTracer::VisitLeafRaw(std::uintptr_t addr, std::size_t key_len) {
   ++stats_.nodes_visited;
   ++stats_.leaf_accesses;
-  const std::size_t bytes = sizeof(CLeaf) + key_len;
-  const auto r = cache_.Access(addr, bytes);
+  const std::size_t key_len = leaf->key().size();
+  const auto r = cache_.Access(reinterpret_cast<std::uintptr_t>(leaf),
+                               art::ModeledLeafBytes(key_len));
   op_lines_ += r.lines;
   op_misses_ += r.misses;
   stats_.useful_bytes += key_len + sizeof(art::Value);

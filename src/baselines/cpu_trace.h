@@ -40,11 +40,9 @@ class OpTracer {
   void VisitInternalRaw(std::uintptr_t addr, unsigned stored_prefix,
                         unsigned keys_scanned, bool compact_layout);
 
-  /// The terminal leaf (or candidate leaf) was read.
+  /// The terminal leaf (or candidate leaf) was read; charged at its
+  /// modeled size (art::ModeledLeafBytes), not the host block.
   void VisitLeaf(const sync::CLeaf* leaf);
-
-  /// Layout-agnostic leaf visit.
-  void VisitLeafRaw(std::uintptr_t addr, std::size_t key_len);
 
   /// A synchronization point: node/leaf `id` locked or CAS-ed (write) or
   /// optimistically validated (read).

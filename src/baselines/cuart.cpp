@@ -40,17 +40,18 @@ CLeaf* GpuTraverse(const OlcTree& tree, KeyView key, simhw::CacheModel& l2,
   while (!ref.IsNull()) {
     if (ref.IsLeaf()) {
       CLeaf* leaf = ref.AsLeaf();
+      const KeyView leaf_key = leaf->key();
       ++stats.nodes_visited;
       ++stats.leaf_accesses;
       const auto r = l2.Access(reinterpret_cast<std::uintptr_t>(leaf),
-                               sizeof(CLeaf) + leaf->key.size());
+                               art::ModeledLeafBytes(leaf_key.size()));
       mem_transactions += r.misses;
       l2_hits += r.lines - r.misses;
       stats.offchip_accesses += r.misses;
       stats.offchip_bytes += static_cast<std::uint64_t>(r.lines) * 32;
       stats.onchip_hits += r.lines - r.misses;
-      stats.useful_bytes += leaf->key.size() + sizeof(art::Value);
-      return KeysEqual(leaf->key, key) ? leaf : nullptr;
+      stats.useful_bytes += leaf_key.size() + sizeof(art::Value);
+      return KeysEqual(leaf_key, key) ? leaf : nullptr;
     }
     const CNode* node = ref.AsNode();
     if (last_internal) *last_internal = node;

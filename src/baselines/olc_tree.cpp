@@ -116,35 +116,36 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
   CRef root_ref = CRef::FromRaw(root_raw);
 
   if (root_ref.IsNull()) {
-    auto* leaf = new CLeaf(key, value);
+    CLeaf* leaf = CLeaf::New(key, value);
     ++stats.atomic_ops;
     if (root_.compare_exchange_strong(root_raw, CRef::FromLeaf(leaf).raw(),
                                       std::memory_order_acq_rel)) {
       size_.fetch_add(1, std::memory_order_relaxed);
       return WriteOutcome::kInserted;
     }
-    delete leaf;  // dcart-lint: disable(DL011) CAS lost; node was never published, no reader can hold it
+    leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
     ++stats.lock_contentions;
     return WriteOutcome::kRestart;
   }
 
   if (root_ref.IsLeaf()) {
     CLeaf* leaf = root_ref.AsLeaf();
+    const KeyView leaf_key = leaf->key();
     if (tracer) tracer->VisitLeaf(leaf);
-    if (KeysEqual(leaf->key, key)) {
+    if (KeysEqual(leaf_key, key)) {
       if (tracer) tracer->SyncPoint(root_ref.raw(), true);
       ++stats.atomic_ops;
       leaf->value.store(value, std::memory_order_release);
       return WriteOutcome::kUpdated;
     }
     // Grow the root leaf into an N4 via CAS on the root slot.
-    const std::size_t lcp = CommonPrefixLength(leaf->key, key);
-    assert(lcp < key.size() && lcp < leaf->key.size());
+    const std::size_t lcp = CommonPrefixLength(leaf_key, key);
+    assert(lcp < key.size() && lcp < leaf_key.size());
     auto* branch = new CNode4;
     CSetPrefixFromKey(branch, key, 0, static_cast<std::uint32_t>(lcp));
-    auto* new_leaf = new CLeaf(key, value);
+    CLeaf* new_leaf = CLeaf::New(key, value);
     CAddChild(branch, key[lcp], CRef::FromLeaf(new_leaf));
-    CAddChild(branch, leaf->key[lcp], root_ref);
+    CAddChild(branch, leaf_key[lcp], root_ref);
     ++stats.atomic_ops;
     if (tracer) tracer->SyncPoint(root_ref.raw(), true);
     if (root_.compare_exchange_strong(root_raw, CRef::FromNode(branch).raw(),
@@ -153,7 +154,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       size_.fetch_add(1, std::memory_order_relaxed);
       return WriteOutcome::kInserted;
     }
-    delete new_leaf;  // dcart-lint: disable(DL011) CAS lost; node was never published, no reader can hold it
+    new_leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
     CDeleteNode(branch);
     ++stats.lock_contentions;
     return WriteOutcome::kRestart;
@@ -163,7 +164,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
   CNode* parent = nullptr;
   std::uint8_t parent_key = 0;
   std::uint64_t v = node->lock.ReadLockOrRestart(rs, stats);
-  if (rs) return WriteOutcome::kRestart;
+  if (rs || RootMoved(root_raw)) return WriteOutcome::kRestart;
   std::uint64_t pv = 0;
   std::size_t depth = 0;
 
@@ -184,8 +185,9 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
         // Recover the non-stored tail from the subtree's minimum leaf.
         CLeaf* min_leaf = CMinimumOrRestart(CRef::FromNode(node), rs);
         if (rs) return WriteOutcome::kRestart;
+        const KeyView min_key = min_leaf->key();
         while (mismatch < max_cmp &&
-               min_leaf->key[depth + mismatch] == key[depth + mismatch]) {
+               min_key[depth + mismatch] == key[depth + mismatch]) {
           ++mismatch;
         }
       }
@@ -215,14 +217,14 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       // successful upgrades.
       assert(depth + mismatch < key.size() && "keys must be prefix-free");
       bool unused = false;
-      CLeaf* min_leaf = CMinimumOrRestart(CRef::FromNode(node), unused);
+      const KeyView min_key =
+          CMinimumOrRestart(CRef::FromNode(node), unused)->key();
       auto* branch = new CNode4;
-      CSetPrefixFromKey(branch, min_leaf->key, depth, mismatch);
-      auto* new_leaf = new CLeaf(key, value);
-      CAddChild(branch, key[depth + mismatch], CRef::FromLeaf(new_leaf));
-      CAddChild(branch, min_leaf->key[depth + mismatch],
-                CRef::FromNode(node));
-      CSetPrefixFromKey(node, min_leaf->key, depth + mismatch + 1,
+      CSetPrefixFromKey(branch, min_key, depth, mismatch);
+      CAddChild(branch, key[depth + mismatch],
+                CRef::FromLeaf(CLeaf::New(key, value)));
+      CAddChild(branch, min_key[depth + mismatch], CRef::FromNode(node));
+      CSetPrefixFromKey(node, min_key, depth + mismatch + 1,
                         prefix_len - mismatch - 1);
       if (parent) {
         StoreSlot(*CFindChildSlot(parent, parent_key),
@@ -265,7 +267,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
           tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
         }
         CNode* bigger = CGrown(node);
-        CAddChild(bigger, node_key, CRef::FromLeaf(new CLeaf(key, value)));
+        CAddChild(bigger, node_key, CRef::FromLeaf(CLeaf::New(key, value)));
         if (parent) {
           StoreSlot(*CFindChildSlot(parent, parent_key),
                     CRef::FromNode(bigger));
@@ -282,7 +284,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
         if (tracer) {
           tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
         }
-        CAddChild(node, node_key, CRef::FromLeaf(new CLeaf(key, value)));
+        CAddChild(node, node_key, CRef::FromLeaf(CLeaf::New(key, value)));
         node->lock.WriteUnlock(stats);
       }
       size_.fetch_add(1, std::memory_order_relaxed);
@@ -296,8 +298,9 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
 
     if (next.IsLeaf()) {
       CLeaf* leaf = next.AsLeaf();
+      const KeyView leaf_key = leaf->key();
       if (tracer) tracer->VisitLeaf(leaf);
-      if (KeysEqual(leaf->key, key)) {
+      if (KeysEqual(leaf_key, key)) {
         if (cas_leaf_updates) {
           // Heart/SMART protocol: CAS the leaf value directly; the parent
           // node is only validated, never locked.
@@ -325,7 +328,6 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       if (tracer) {
         tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
       }
-      const KeyView leaf_key{leaf->key};
       const std::size_t lcp = CommonPrefixLength(
           leaf_key.subspan(depth + 1), key.subspan(depth + 1));
       assert(depth + 1 + lcp < key.size() &&
@@ -334,7 +336,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       CSetPrefixFromKey(branch, key, depth + 1,
                         static_cast<std::uint32_t>(lcp));
       CAddChild(branch, key[depth + 1 + lcp],
-                CRef::FromLeaf(new CLeaf(key, value)));
+                CRef::FromLeaf(CLeaf::New(key, value)));
       CAddChild(branch, leaf_key[depth + 1 + lcp], next);
       StoreSlot(*CFindChildSlot(node, node_key), CRef::FromNode(branch));
       node->lock.WriteUnlock(stats);
@@ -377,11 +379,11 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
 
   if (root_ref.IsLeaf()) {
     CLeaf* leaf = root_ref.AsLeaf();
-    if (!KeysEqual(leaf->key, key)) return RemoveOutcome::kNotFound;
+    if (!KeysEqual(leaf->key(), key)) return RemoveOutcome::kNotFound;
     ++stats.atomic_ops;
     if (root_.compare_exchange_strong(root_raw, 0,
                                       std::memory_order_acq_rel)) {
-      epochs_->Retire(tid, [leaf] { delete leaf; });
+      epochs_->Retire(tid, [leaf] { leaf->Delete(); });
       size_.fetch_sub(1, std::memory_order_relaxed);
       return RemoveOutcome::kRemoved;
     }
@@ -393,7 +395,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
   CNode* parent = nullptr;
   std::uint8_t parent_key = 0;
   std::uint64_t v = node->lock.ReadLockOrRestart(rs, stats);
-  if (rs) return RemoveOutcome::kRestart;
+  if (rs || RootMoved(root_raw)) return RemoveOutcome::kRestart;
   std::uint64_t pv = 0;
   std::size_t depth = 0;
 
@@ -426,7 +428,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
 
     if (next.IsLeaf()) {
       CLeaf* leaf = next.AsLeaf();
-      if (!KeysEqual(leaf->key, key)) return RemoveOutcome::kNotFound;
+      if (!KeysEqual(leaf->key(), key)) return RemoveOutcome::kNotFound;
 
       const std::uint16_t count = RelaxedLoad(node->count);
       if (count == 2) {
@@ -479,7 +481,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
             return RemoveOutcome::kRestart;
           }
           const std::size_t node_start = depth - RelaxedLoad(node->prefix_len);
-          CSetPrefixFromKey(sib, min_leaf->key, node_start, total);
+          CSetPrefixFromKey(sib, min_leaf->key(), node_start, total);
           if (parent) {
             StoreSlot(*CFindChildSlot(parent, parent_key), sibling);
           } else {
@@ -490,7 +492,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
         node->lock.WriteUnlockObsolete(stats);
         Retire(tid, node);
         if (parent) parent->lock.WriteUnlock(stats);
-        epochs_->Retire(tid, [leaf] { delete leaf; });
+        epochs_->Retire(tid, [leaf] { leaf->Delete(); });
         size_.fetch_sub(1, std::memory_order_relaxed);
         return RemoveOutcome::kRemoved;
       }
@@ -500,7 +502,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
       if (rs) return RemoveOutcome::kRestart;
       CRemoveChild(node, node_key);
       node->lock.WriteUnlock(stats);
-      epochs_->Retire(tid, [leaf] { delete leaf; });
+      epochs_->Retire(tid, [leaf] { leaf->Delete(); });
       size_.fetch_sub(1, std::memory_order_relaxed);
       return RemoveOutcome::kRemoved;
     }
@@ -533,7 +535,8 @@ std::optional<art::Value> OlcTree::Lookup(KeyView key, std::size_t tid,
 std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
                                              OpTracer* tracer,
                                              bool& need_restart) const {
-  CRef ref = CRef::FromRaw(root_.load(std::memory_order_acquire));
+  const std::uintptr_t root_raw = root_.load(std::memory_order_acquire);
+  CRef ref = CRef::FromRaw(root_raw);
   const CNode* parent = nullptr;
   std::uint64_t pv = 0;
   std::size_t depth = 0;
@@ -553,7 +556,7 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
         if (need_restart) return std::nullopt;
       }
       if (tracer) tracer->VisitLeaf(leaf);
-      if (KeysEqual(leaf->key, key)) {
+      if (KeysEqual(leaf->key(), key)) {
         return leaf->value.load(std::memory_order_acquire);
       }
       return std::nullopt;
@@ -567,6 +570,9 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
       // reading the child pointer and latching the child's version.
       parent->lock.CheckOrRestart(pv, need_restart, stats);
       if (need_restart) return std::nullopt;
+    } else if (RootMoved(root_raw)) {
+      need_restart = true;
+      return std::nullopt;
     }
 
     // Optimistic path compression: compare the stored prefix bytes only;
@@ -617,7 +623,7 @@ sync::CLeaf* OlcTree::FindLeafTraced(KeyView key, OpTracer* tracer,
     if (ref.IsLeaf()) {
       CLeaf* leaf = ref.AsLeaf();
       if (tracer) tracer->VisitLeaf(leaf);
-      return KeysEqual(leaf->key, key) ? leaf : nullptr;
+      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
     }
     const CNode* node = ref.AsNode();
     if (last_internal_out) *last_internal_out = node;
@@ -653,9 +659,9 @@ std::size_t OlcTree::ScanTraced(
     if (ref.IsLeaf()) {
       CLeaf* leaf = ref.AsLeaf();
       if (tracer) tracer->VisitLeaf(leaf);
-      if (CompareKeys(leaf->key, start) >= 0) {
+      if (CompareKeys(leaf->key(), start) >= 0) {
         ++emitted;
-        if (on_entry) on_entry(leaf->key, leaf->value.load());
+        if (on_entry) on_entry(leaf->key(), leaf->value.load());
       }
       return emitted < limit;
     }
@@ -673,7 +679,7 @@ std::size_t OlcTree::ScanTraced(
           p = RelaxedLoad(node->prefix[i]);
         } else {
           if (min_leaf == nullptr) min_leaf = CMinimum(ref);
-          p = min_leaf->key[pos];
+          p = min_leaf->key()[pos];
         }
         if (pos >= start.size() || p > start[pos]) {
           lo_edge = false;  // subtree entirely above the start key
@@ -707,7 +713,7 @@ sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
     if (ref.IsLeaf()) {
       CLeaf* leaf = ref.AsLeaf();
       if (tracer) tracer->VisitLeaf(leaf);
-      return KeysEqual(leaf->key, key) ? leaf : nullptr;
+      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
     }
     const CNode* node = ref.AsNode();
     if (tracer) tracer->VisitInternal(node, ApproxScanCost(node),

@@ -131,6 +131,18 @@ class OlcTree {
 
   void Retire(std::size_t tid, sync::CNode* node);
 
+  /// True when root_ no longer holds `root_raw`.  A root path split
+  /// re-points root_ at a new branch and leaves the old root live one
+  /// level down, with a shorter prefix and a fresh version; a thread that
+  /// latched that version would descend the old root at depth 0 and key
+  /// its children on the wrong byte.  Each Try* operation therefore
+  /// re-loads root_ after latching the root's version and restarts if it
+  /// moved: any later change of the root locks the root node, which the
+  /// latched version then catches.
+  bool RootMoved(std::uintptr_t root_raw) const {
+    return root_.load(std::memory_order_acquire) != root_raw;
+  }
+
   mutable std::atomic<std::uintptr_t> root_{0};
   std::atomic<std::size_t> size_{0};
   std::unique_ptr<sync::EpochManager> epochs_;

@@ -17,7 +17,7 @@ void ArtRowexEngine::Load(
 }
 
 std::optional<art::Value> ArtRowexEngine::Lookup(KeyView key) const {
-  const rowex::RLeaf* leaf = tree_.FindLeafTraced(key, nullptr);
+  const sync::CLeaf* leaf = tree_.FindLeafTraced(key, nullptr);
   if (leaf == nullptr) return std::nullopt;
   return leaf->value.load(std::memory_order_acquire);
 }
@@ -44,7 +44,7 @@ ExecutionResult ArtRowexEngine::Run(std::span<const Operation> ops,
       // RowexTree implements no structural delete (the ROWEX paper's scope);
       // kRemove degrades to the probe it would start with.
       const rowex::RNode* last_internal = nullptr;
-      const rowex::RLeaf* leaf =
+      const sync::CLeaf* leaf =
           tree_.FindLeafTraced(op.key, &tracer, &last_internal);
       // Readers are lock-free but blocked by the node's write exclusion.
       if (last_internal != nullptr) {

@@ -296,7 +296,7 @@ unsigned RApproxScan(const RNode* node) {
 /// Any leaf under `ref`; its key carries the subtree's full path bytes.
 /// Lock-free: slots always hold valid references.  Returns nullptr only on
 /// a torn transient (caller restarts).
-RLeaf* RAnyLeaf(RRef ref) {
+CLeaf* RAnyLeaf(RRef ref) {
   while (ref.IsNode()) {
     RRef next;
     REnumerate(ref.AsNode(), [&next](std::uint8_t, RRef child) {
@@ -363,7 +363,7 @@ void RDeleteNode(RNode* node) {
 void RDestroySubtree(RRef ref) {
   if (ref.IsNull()) return;
   if (ref.IsLeaf()) {
-    delete ref.AsLeaf();
+    ref.AsLeaf()->Delete();
     return;
   }
   RNode* node = ref.AsNode();
@@ -410,8 +410,8 @@ std::optional<art::Value> RowexTree::Lookup(KeyView key, std::size_t tid,
   RRef ref = RRef::FromRaw(root_.load(std::memory_order_acquire));
   while (!ref.IsNull()) {
     if (ref.IsLeaf()) {
-      const RLeaf* leaf = ref.AsLeaf();
-      if (KeysEqual(leaf->key, key)) {
+      const CLeaf* leaf = ref.AsLeaf();
+      if (KeysEqual(leaf->key(), key)) {
         return leaf->value.load(std::memory_order_acquire);
       }
       return std::nullopt;
@@ -462,33 +462,34 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
   RRef root_ref = RRef::FromRaw(root_raw);
 
   if (root_ref.IsNull()) {
-    auto* leaf = new RLeaf(key, value);
+    CLeaf* leaf = CLeaf::New(key, value);
     ++stats.atomic_ops;
     if (root_.compare_exchange_strong(root_raw, RRef::FromLeaf(leaf).raw(),
                                       std::memory_order_acq_rel)) {
       size_.fetch_add(1, std::memory_order_relaxed);
       return Outcome::kInserted;
     }
-    delete leaf;  // dcart-lint: disable(DL011) CAS lost; node was never published, no reader can hold it
+    leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
     ++stats.lock_contentions;
     return Outcome::kRestart;
   }
 
   if (root_ref.IsLeaf()) {
-    RLeaf* leaf = root_ref.AsLeaf();
-    if (KeysEqual(leaf->key, key)) {
+    CLeaf* leaf = root_ref.AsLeaf();
+    const KeyView leaf_key = leaf->key();
+    if (KeysEqual(leaf_key, key)) {
       ++stats.atomic_ops;
       leaf->value.store(value, std::memory_order_release);
       return Outcome::kUpdated;
     }
-    const std::size_t lcp = CommonPrefixLength(leaf->key, key);
-    assert(lcp < key.size() && lcp < leaf->key.size());
+    const std::size_t lcp = CommonPrefixLength(leaf_key, key);
+    assert(lcp < key.size() && lcp < leaf_key.size());
     auto* branch = new RNode4;
     branch->set_prefix(MakePrefixFromKey(0, static_cast<std::uint16_t>(lcp),
                                          key, 0));
-    auto* new_leaf = new RLeaf(key, value);
+    CLeaf* new_leaf = CLeaf::New(key, value);
     RAddChild(branch, key[lcp], RRef::FromLeaf(new_leaf));
-    RAddChild(branch, leaf->key[lcp], root_ref);
+    RAddChild(branch, leaf_key[lcp], root_ref);
     ++stats.atomic_ops;
     if (root_.compare_exchange_strong(root_raw, RRef::FromNode(branch).raw(),
                                       std::memory_order_acq_rel)) {
@@ -496,7 +497,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       size_.fetch_add(1, std::memory_order_relaxed);
       return Outcome::kInserted;
     }
-    delete new_leaf;  // dcart-lint: disable(DL011) CAS lost; node was never published, no reader can hold it
+    new_leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
     RDeleteNode(branch);
     ++stats.lock_contentions;
     return Outcome::kRestart;
@@ -529,10 +530,11 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         }
       }
       if (mismatch == prefix_len && prefix_len > stored) {
-        const RLeaf* probe = RAnyLeaf(RRef::FromNode(node));
+        const CLeaf* probe = RAnyLeaf(RRef::FromNode(node));
         if (probe == nullptr) return Outcome::kRestart;
+        const KeyView probe_key = probe->key();
         for (std::size_t i = stored; i < prefix_len; ++i) {
-          if (probe->key[level + i] != key[level + i]) {
+          if (probe_key[level + i] != key[level + i]) {
             mismatch = i;
             break;
           }
@@ -565,19 +567,20 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         if (parent) parent->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
-      const RLeaf* probe = RAnyLeaf(RRef::FromNode(node));
+      const CLeaf* probe = RAnyLeaf(RRef::FromNode(node));
       if (probe == nullptr) {
         node->lock.WriteUnlock(stats);
         if (parent) parent->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
+      const KeyView probe_key = probe->key();
       auto* branch = new RNode4;
       branch->set_prefix(MakePrefixFromKey(
           static_cast<std::uint16_t>(level),
-          static_cast<std::uint16_t>(mismatch), probe->key, level));
-      auto* new_leaf = new RLeaf(key, value);
-      RAddChild(branch, key[level + mismatch], RRef::FromLeaf(new_leaf));
-      RAddChild(branch, probe->key[level + mismatch], RRef::FromNode(node));
+          static_cast<std::uint16_t>(mismatch), probe_key, level));
+      RAddChild(branch, key[level + mismatch],
+                RRef::FromLeaf(CLeaf::New(key, value)));
+      RAddChild(branch, probe_key[level + mismatch], RRef::FromNode(node));
       // Install the branch, THEN advance the node's (level, prefix) in one
       // atomic store — readers anchored on either value stay consistent.
       if (parent != nullptr) {
@@ -587,7 +590,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       }
       node->set_prefix(MakePrefixFromKey(
           static_cast<std::uint16_t>(level + mismatch + 1),
-          static_cast<std::uint16_t>(prefix_len - mismatch - 1), probe->key,
+          static_cast<std::uint16_t>(prefix_len - mismatch - 1), probe_key,
           level + mismatch + 1));
       if (tracer) {
         if (parent) {
@@ -637,7 +640,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
           }
         }
         RNode* bigger = RGrown(node);
-        RAddChild(bigger, node_key, RRef::FromLeaf(new RLeaf(key, value)));
+        RAddChild(bigger, node_key, RRef::FromLeaf(CLeaf::New(key, value)));
         if (parent != nullptr) {
           StoreSlot(*RFindSlot(parent, parent_key), RRef::FromNode(bigger));
           parent->lock.WriteUnlock(stats);
@@ -655,7 +658,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         node->lock.WriteUnlock(stats);
         epochs_->Retire(tid, [node] { RDeleteNode(node); });
       } else {
-        RAddChild(node, node_key, RRef::FromLeaf(new RLeaf(key, value)));
+        RAddChild(node, node_key, RRef::FromLeaf(CLeaf::New(key, value)));
         if (tracer) {
           tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
         }
@@ -666,11 +669,9 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
     }
 
     if (next.IsLeaf()) {
-      RLeaf* leaf = next.AsLeaf();
-      if (tracer) {
-        tracer->VisitLeafRaw(reinterpret_cast<std::uintptr_t>(leaf),
-                             leaf->key.size());
-      }
+      CLeaf* leaf = next.AsLeaf();
+      const KeyView leaf_key = leaf->key();
+      if (tracer) tracer->VisitLeaf(leaf);
       node->lock.WriteLockOrRestart(rs, stats);
       if (rs) return Outcome::kRestart;
       RSlot* slot = RFindSlot(node, node_key);
@@ -679,7 +680,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         node->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
-      if (KeysEqual(leaf->key, key)) {
+      if (KeysEqual(leaf_key, key)) {
         // ROWEX write exclusion: the update happens under the node lock.
         if (tracer) {
           tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
@@ -689,7 +690,6 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         return Outcome::kUpdated;
       }
       // Expand the leaf into an N4 holding the two keys' common path.
-      const KeyView leaf_key{leaf->key};
       const std::size_t lcp = CommonPrefixLength(
           leaf_key.subspan(next_depth + 1), key.subspan(next_depth + 1));
       assert(next_depth + 1 + lcp < key.size() &&
@@ -699,7 +699,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
           static_cast<std::uint16_t>(next_depth + 1),
           static_cast<std::uint16_t>(lcp), key, next_depth + 1));
       RAddChild(branch, key[next_depth + 1 + lcp],
-                RRef::FromLeaf(new RLeaf(key, value)));
+                RRef::FromLeaf(CLeaf::New(key, value)));
       RAddChild(branch, leaf_key[next_depth + 1 + lcp], next);
       StoreSlot(*slot, RRef::FromNode(branch));
       if (tracer) {
@@ -724,14 +724,11 @@ std::size_t RowexTree::ScanTraced(
                                                    bool lo_edge) -> bool {
     if (emitted >= limit) return false;
     if (ref.IsLeaf()) {
-      RLeaf* leaf = ref.AsLeaf();
-      if (tracer) {
-        tracer->VisitLeafRaw(reinterpret_cast<std::uintptr_t>(leaf),
-                             leaf->key.size());
-      }
-      if (CompareKeys(leaf->key, start) >= 0) {
+      CLeaf* leaf = ref.AsLeaf();
+      if (tracer) tracer->VisitLeaf(leaf);
+      if (CompareKeys(leaf->key(), start) >= 0) {
         ++emitted;
-        if (on_entry) on_entry(leaf->key, leaf->value.load());
+        if (on_entry) on_entry(leaf->key(), leaf->value.load());
       }
       return emitted < limit;
     }
@@ -745,7 +742,7 @@ std::size_t RowexTree::ScanTraced(
                                pp.stored(), count, false);
     }
     if (lo_edge && prefix_len > 0) {
-      const RLeaf* probe = nullptr;
+      const CLeaf* probe = nullptr;
       for (std::size_t i = 0; i < prefix_len && lo_edge; ++i) {
         const std::size_t pos = level + i;
         std::uint8_t p;
@@ -754,7 +751,7 @@ std::size_t RowexTree::ScanTraced(
         } else {
           if (probe == nullptr) probe = RAnyLeaf(ref);
           if (probe == nullptr) return true;
-          p = probe->key[pos];
+          p = probe->key()[pos];
         }
         if (pos >= start.size() || p > start[pos]) {
           lo_edge = false;
@@ -788,18 +785,15 @@ std::size_t RowexTree::ScanTraced(
   return emitted;
 }
 
-rowex::RLeaf* RowexTree::FindLeafTraced(
+sync::CLeaf* RowexTree::FindLeafTraced(
     KeyView key, OpTracer* tracer,
     const rowex::RNode** last_internal) const {
   RRef ref = RRef::FromRaw(root_.load(std::memory_order_acquire));
   while (!ref.IsNull()) {
     if (ref.IsLeaf()) {
-      RLeaf* leaf = ref.AsLeaf();
-      if (tracer) {
-        tracer->VisitLeafRaw(reinterpret_cast<std::uintptr_t>(leaf),
-                             leaf->key.size());
-      }
-      return KeysEqual(leaf->key, key) ? leaf : nullptr;
+      CLeaf* leaf = ref.AsLeaf();
+      if (tracer) tracer->VisitLeaf(leaf);
+      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
     }
     const RNode* node = ref.AsNode();
     if (last_internal) *last_internal = node;

@@ -38,6 +38,7 @@
 #include "art/node.h"
 #include "baselines/cpu_trace.h"
 #include "common/bytes.h"
+#include "sync/cnode.h"
 #include "sync/epoch.h"
 #include "sync/version_lock.h"
 
@@ -47,12 +48,7 @@ namespace rowex {
 
 using art::NodeType;
 using art::Value;
-
-struct RLeaf {
-  RLeaf(KeyView k, Value v) : key(k.begin(), k.end()), value(v) {}
-  const Key key;
-  std::atomic<Value> value;
-};
+using sync::CLeaf;
 
 struct RNode;
 
@@ -63,7 +59,7 @@ class RRef {
   static RRef FromNode(RNode* n) {
     return RRef(reinterpret_cast<std::uintptr_t>(n));
   }
-  static RRef FromLeaf(RLeaf* l) {
+  static RRef FromLeaf(CLeaf* l) {
     return RRef(reinterpret_cast<std::uintptr_t>(l) | 1u);
   }
   static RRef FromRaw(std::uintptr_t raw) { return RRef(raw); }
@@ -71,8 +67,8 @@ class RRef {
   bool IsLeaf() const { return (raw_ & 1u) != 0; }
   bool IsNode() const { return raw_ != 0 && (raw_ & 1u) == 0; }
   RNode* AsNode() const { return reinterpret_cast<RNode*>(raw_); }
-  RLeaf* AsLeaf() const {
-    return reinterpret_cast<RLeaf*>(raw_ & ~std::uintptr_t{1});
+  CLeaf* AsLeaf() const {
+    return reinterpret_cast<CLeaf*>(raw_ & ~std::uintptr_t{1});
   }
   std::uintptr_t raw() const { return raw_; }
   friend bool operator==(RRef a, RRef b) { return a.raw_ == b.raw_; }
@@ -193,9 +189,9 @@ class RowexTree {
   /// Single-threaded traced walk (platform-model runs).  Returns the leaf
   /// or nullptr; `last_internal` receives the leaf's parent (what the
   /// lock-based protocol synchronizes on).
-  rowex::RLeaf* FindLeafTraced(KeyView key, OpTracer* tracer,
-                               const rowex::RNode** last_internal =
-                                   nullptr) const;
+  sync::CLeaf* FindLeafTraced(KeyView key, OpTracer* tracer,
+                              const rowex::RNode** last_internal =
+                                  nullptr) const;
 
   /// Single-threaded traced ordered scan: up to `limit` entries with
   /// key >= start (ROWEX nodes are unsorted, so each node's children are

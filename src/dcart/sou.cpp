@@ -27,7 +27,7 @@ class SouTreeObserver : public art::TraversalObserver {
       ++stats.leaf_accesses;
       const art::Leaf* leaf = ref.AsLeaf();
       sou_.AccessTreeObject(ref.raw(),
-                            art::LeafSizeBytes(leaf->key.size()), true);
+                            art::ModeledLeafBytes(leaf->key().size()), true);
     } else {
       ++stats.partial_key_matches;
       const art::Node* node = ref.AsNode();
@@ -149,7 +149,7 @@ double Sou::ProcessBucket(std::span<const Operation> ops,
       AccessShortcutSlot(key_hash, /*is_write=*/false);
       const auto it = s_.shortcut_table->find(key_hash);
       if (it != s_.shortcut_table->end() &&
-          KeysEqual(it->second.leaf->key, first.key)) {
+          KeysEqual(it->second.leaf->key(), first.key)) {
         leaf = it->second.leaf;
         ++stats.shortcut_hits;
       } else {
@@ -162,7 +162,7 @@ double Sou::ProcessBucket(std::span<const Operation> ops,
     if (leaf != nullptr) {
       // Shortcut hit: fetch the target leaf directly.
       AccessTreeObject(reinterpret_cast<std::uintptr_t>(leaf),
-                       art::LeafSizeBytes(leaf->key.size()), true);
+                       art::ModeledLeafBytes(leaf->key().size()), true);
       ++stats.leaf_accesses;
       ++stats.nodes_visited;
     } else {
@@ -241,7 +241,8 @@ double Sou::ProcessBucket(std::span<const Operation> ops,
     if (dirty && leaf != nullptr) {
       // Fire-and-forget writeback of the modified leaf.
       s_.hbm->Access(reinterpret_cast<std::uintptr_t>(leaf),
-                     art::LeafSizeBytes(leaf->key.size()), local_cycles_);
+                     art::ModeledLeafBytes(leaf->key().size()),
+                     local_cycles_);
       ++stats.offchip_accesses;
       stats.offchip_bytes += s_.model->hbm_burst_bytes;
     }

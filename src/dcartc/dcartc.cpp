@@ -41,8 +41,9 @@ class CpuTraceObserver : public art::TraversalObserver {
     if (ref.IsLeaf()) {
       const art::Leaf* leaf = ref.AsLeaf();
       ++stats_.leaf_accesses;
-      Touch(ref.raw(), sizeof(art::Leaf) + leaf->key.size());
-      stats_.useful_bytes += leaf->key.size() + sizeof(art::Value);
+      const std::size_t key_len = leaf->key().size();
+      Touch(ref.raw(), art::ModeledLeafBytes(key_len));
+      stats_.useful_bytes += key_len + sizeof(art::Value);
     } else {
       const art::Node* node = ref.AsNode();
       ++stats_.partial_key_matches;
@@ -184,7 +185,7 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
         if (config_.use_shortcuts) {
           const auto it = shortcuts_.find(key_hash);
           if (it != shortcuts_.end()) {
-            if (KeysEqual(it->second->key, first.key)) {
+            if (KeysEqual(it->second->key(), first.key)) {
               leaf = it->second;
               ++result.stats.shortcut_hits;
               observer.OnNodeVisit(art::NodeRef::FromLeaf(leaf));

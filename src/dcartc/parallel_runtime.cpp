@@ -213,7 +213,7 @@ art::Node* DcartCpEngine::RefreshPartition(Key& root_path) {
     const art::Leaf* min_leaf = art::Minimum(root);
     for (std::size_t i = root_node->stored_prefix_len; i < prefix_offset;
          ++i) {
-      root_path[i] = min_leaf->key[i];
+      root_path[i] = min_leaf->key()[i];
     }
   }
 
@@ -444,10 +444,11 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
 
       // Group-scheduled execution (AMAC-style): hash every key up front
       // (prefetching the key buffers ahead), then process the bucket in
-      // groups of kGroup, warming each group's table slots, candidate
-      // leaves, and leaf key buffers in staged passes before executing.
-      // One at a time, probe -> leaf -> key-compare is a serial dependent
-      // chain of cache misses; staged over a group the misses overlap.
+      // groups of kGroup, warming each group's table slots and then its
+      // candidate leaves in staged passes before executing.  One at a
+      // time, probe -> leaf (one block: the key follows the value) is a
+      // serial dependent chain of cache misses; staged over a group the
+      // misses overlap.
       // The warming passes are pure cache hints: the execute pass re-probes
       // the (now cached) table per operation, so in-group mutations —
       // installs, erases, removes — are observed exactly as in a naive
@@ -482,9 +483,6 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
           warm[k] = table.Find(hashes[g + k]);
           if (warm[k] != nullptr) __builtin_prefetch(warm[k]);
         }
-        for (std::size_t k = 0; k < group_n; ++k) {
-          if (warm[k] != nullptr) __builtin_prefetch(warm[k]->key.data());
-        }
       }
       if (tracing) {
         const double now_us = tracer.NowUs();
@@ -515,7 +513,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
           art::Leaf* candidate =
               dirty ? table.Find(key_hash) : warm[j - g];
           if (candidate != nullptr) {
-            if (KeysEqual(candidate->key, op.key)) {
+            if (KeysEqual(candidate->key(), op.key)) {
               leaf = candidate;
               ++wr.shortcut_hits;
             } else {
@@ -559,7 +557,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
               // Deleting it would RemoveChild on the root: bounce to the
               // serial phase and pin the key there for the batch's rest.
               art::Leaf* only = bucket.slot->AsLeaf();
-              if (KeysEqual(only->key, op.key)) {
+              if (KeysEqual(only->key(), op.key)) {
                 wr.deferred.push_back(idx);
                 deferred_keys.insert(key_hash);
                 continue;

@@ -423,7 +423,7 @@ void CDeleteNode(CNode* node) {
 void CDestroySubtree(CRef ref) {
   if (ref.IsNull()) return;
   if (ref.IsLeaf()) {
-    delete ref.AsLeaf();
+    ref.AsLeaf()->Delete();
     return;
   }
   CNode* node = ref.AsNode();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -26,11 +27,10 @@ using art::kMaxStoredPrefix;
 using art::NodeType;
 using art::Value;
 
-struct CLeaf {
-  explicit CLeaf(KeyView k, Value v) : key(k.begin(), k.end()), value(v) {}
-  const Key key;  // immutable after construction
-  std::atomic<Value> value;
-};
+/// Leaf shared by the concurrent trees (OLC and ROWEX): the art/leaf.h
+/// layout with an atomic value that writers store in place while readers
+/// load it without locks.
+using CLeaf = art::BasicLeaf<std::atomic<Value>>;
 
 struct CNode;
 

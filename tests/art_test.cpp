@@ -3,31 +3,78 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "art/leaf.h"
 #include "art/node.h"
 #include "art/tree.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
+#include "leaf_owner.h"
 
 namespace dcart::art {
 namespace {
 
 Key K(std::initializer_list<std::uint8_t> bytes) { return Key(bytes); }
 
+using OwnedLeaf = test_util::OwnedLeaf<Leaf>;
+
+OwnedLeaf MakeLeaf(std::initializer_list<std::uint8_t> key, Value value) {
+  return test_util::MakeLeaf<Leaf>(K(key), value);
+}
+
+// ---------------------------------------------------------------- leaves ----
+
+// One layout serves both value slots: the plain one and the atomic one the
+// concurrent trees use (sync::CLeaf).
+template <typename LeafT>
+class LeafLayout : public ::testing::Test {};
+using LeafTypes = ::testing::Types<Leaf, BasicLeaf<std::atomic<Value>>>;
+TYPED_TEST_SUITE(LeafLayout, LeafTypes);
+
+TYPED_TEST(LeafLayout, FactoryRoundTripsEveryKeyLength) {
+  // Lengths straddle the header padding (< 4), the 8-byte fast compare,
+  // malloc's size classes, and the snapshot loader's 1 MiB key cap.
+  for (const std::size_t len : {1u, 4u, 8u, 12u, 13u, 24u, 64u, 1u << 20}) {
+    Key key(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      key[i] = static_cast<std::uint8_t>(i * 131 + len);
+    }
+    TypeParam* leaf = TypeParam::New(key, 0xfeedull + len);
+    ASSERT_EQ(leaf->key().size(), len);
+    EXPECT_TRUE(std::equal(key.begin(), key.end(), leaf->key().begin()));
+    EXPECT_EQ(static_cast<Value>(leaf->value), 0xfeedull + len);
+    EXPECT_EQ(TypeParam::BlockBytes(len),
+              std::max(sizeof(TypeParam), TypeParam::kHeaderBytes + len));
+    leaf->value = ~Value{0};  // the value slot does not overlap the key
+    EXPECT_TRUE(std::equal(key.begin(), key.end(), leaf->key().begin()));
+    leaf->Delete();
+  }
+}
+
+TEST(Leaf, HeaderIsValueThenKeyLength) {
+  EXPECT_EQ(Leaf::kHeaderBytes, 12u);
+  EXPECT_EQ(sizeof(Leaf), 16u);
+  EXPECT_EQ(Leaf::BlockBytes(8), 20u);
+  // The platform models charge a fixed header, not the host block.
+  EXPECT_EQ(kModeledLeafHeaderBytes, 32u);
+  EXPECT_EQ(ModeledLeafBytes(8), 40u);
+}
+
 // ---------------------------------------------------------- node basics ----
 
 TEST(Node, AddAndFindChildInN4) {
   Node4 n;
-  Leaf l1{K({1}), 10}, l2{K({2}), 20};
-  AddChild(&n, 7, NodeRef::FromLeaf(&l1));
-  AddChild(&n, 3, NodeRef::FromLeaf(&l2));
+  const OwnedLeaf l1 = MakeLeaf({1}, 10), l2 = MakeLeaf({2}, 20);
+  AddChild(&n, 7, NodeRef::FromLeaf(l1.get()));
+  AddChild(&n, 3, NodeRef::FromLeaf(l2.get()));
   EXPECT_EQ(n.count, 2);
-  EXPECT_EQ(FindChild(&n, 7).AsLeaf(), &l1);
-  EXPECT_EQ(FindChild(&n, 3).AsLeaf(), &l2);
+  EXPECT_EQ(FindChild(&n, 7).AsLeaf(), l1.get());
+  EXPECT_EQ(FindChild(&n, 3).AsLeaf(), l2.get());
   EXPECT_TRUE(FindChild(&n, 5).IsNull());
   // Sorted insertion: enumeration yields ascending bytes.
   std::vector<int> order;
@@ -40,10 +87,11 @@ TEST(Node, AddAndFindChildInN4) {
 
 TEST(Node, RemoveChildKeepsOrder) {
   Node4 n;
-  Leaf leaves[4] = {{K({0}), 0}, {K({1}), 1}, {K({2}), 2}, {K({3}), 3}};
+  const OwnedLeaf leaves[4] = {MakeLeaf({0}, 0), MakeLeaf({1}, 1),
+                               MakeLeaf({2}, 2), MakeLeaf({3}, 3)};
   for (int i = 0; i < 4; ++i) {
     AddChild(&n, static_cast<std::uint8_t>(i * 10),
-             NodeRef::FromLeaf(&leaves[i]));
+             NodeRef::FromLeaf(leaves[i].get()));
   }
   RemoveChild(&n, 10);
   EXPECT_EQ(n.count, 3);
@@ -67,8 +115,8 @@ TEST(Node, GrowChainPreservesChildren) {
       DeleteNode(node);
       node = grown;
     }
-    auto* leaf = new Leaf{K({static_cast<std::uint8_t>(b)}),
-                          static_cast<Value>(b)};
+    Leaf* leaf = Leaf::New(K({static_cast<std::uint8_t>(b)}),
+                           static_cast<Value>(b));
     leaves.push_back(leaf);
     AddChild(node, static_cast<std::uint8_t>(b), NodeRef::FromLeaf(leaf));
   }
@@ -79,7 +127,7 @@ TEST(Node, GrowChainPreservesChildren) {
     EXPECT_EQ(FindChild(node, static_cast<std::uint8_t>(b)).AsLeaf()->value,
               static_cast<Value>(b));
   }
-  for (Leaf* l : leaves) delete l;
+  for (Leaf* l : leaves) l->Delete();
   DeleteNode(node);
 }
 
@@ -87,8 +135,8 @@ TEST(Node, ShrinkChainPreservesChildren) {
   Node* node = new Node256;
   std::vector<Leaf*> leaves;
   for (int b = 0; b < 38; ++b) {
-    auto* leaf = new Leaf{K({static_cast<std::uint8_t>(b)}),
-                          static_cast<Value>(b)};
+    Leaf* leaf = Leaf::New(K({static_cast<std::uint8_t>(b)}),
+                           static_cast<Value>(b));
     leaves.push_back(leaf);
     AddChild(node, static_cast<std::uint8_t>(b), NodeRef::FromLeaf(leaf));
   }
@@ -102,7 +150,7 @@ TEST(Node, ShrinkChainPreservesChildren) {
     EXPECT_EQ(FindChild(n48, static_cast<std::uint8_t>(b)).AsLeaf()->value,
               static_cast<Value>(b));
   }
-  for (Leaf* l : leaves) delete l;
+  for (Leaf* l : leaves) l->Delete();
   DeleteNode(n48);
 }
 
@@ -112,8 +160,8 @@ TEST(Node, GrowBoundary16To32To48) {
   std::vector<Leaf*> leaves;
   Node* node = new Node16;
   const auto add = [&](int b) {
-    auto* leaf = new Leaf{K({static_cast<std::uint8_t>(b)}),
-                          static_cast<Value>(b)};
+    Leaf* leaf = Leaf::New(K({static_cast<std::uint8_t>(b)}),
+                           static_cast<Value>(b));
     leaves.push_back(leaf);
     AddChild(node, static_cast<std::uint8_t>(b), NodeRef::FromLeaf(leaf));
   };
@@ -152,7 +200,7 @@ TEST(Node, GrowBoundary16To32To48) {
   add(32 * 7);
   EXPECT_EQ(node->count, 33);
   check_all(33);
-  for (Leaf* l : leaves) delete l;
+  for (Leaf* l : leaves) l->Delete();
   DeleteNode(node);
 }
 
@@ -162,8 +210,8 @@ TEST(Node, ShrinkBoundary48To32To16) {
   std::vector<Leaf*> leaves;
   Node* node = new Node48;
   for (int b = 0; b < 25; ++b) {
-    auto* leaf = new Leaf{K({static_cast<std::uint8_t>(b)}),
-                          static_cast<Value>(b)};
+    Leaf* leaf = Leaf::New(K({static_cast<std::uint8_t>(b)}),
+                           static_cast<Value>(b));
     leaves.push_back(leaf);
     AddChild(node, static_cast<std::uint8_t>(b), NodeRef::FromLeaf(leaf));
   }
@@ -197,21 +245,25 @@ TEST(Node, ShrinkBoundary48To32To16) {
     ASSERT_EQ(FindChild(node, static_cast<std::uint8_t>(b)).AsLeaf()->value,
               static_cast<Value>(b));
   }
-  for (Leaf* l : leaves) delete l;
+  for (Leaf* l : leaves) l->Delete();
   DeleteNode(node);
 }
 
 TEST(Node, N48SlotReuseAfterRemoval) {
   Node48 n;
-  std::vector<Leaf> leaves(49);
+  std::vector<OwnedLeaf> leaves;
+  for (int i = 0; i < 49; ++i) {
+    leaves.push_back(MakeLeaf({static_cast<std::uint8_t>(i)}, 0));
+  }
   for (int i = 0; i < 48; ++i) {
-    AddChild(&n, static_cast<std::uint8_t>(i), NodeRef::FromLeaf(&leaves[i]));
+    AddChild(&n, static_cast<std::uint8_t>(i),
+             NodeRef::FromLeaf(leaves[i].get()));
   }
   EXPECT_TRUE(IsFull(&n));
   RemoveChild(&n, 20);
   EXPECT_FALSE(IsFull(&n));
-  AddChild(&n, 200, NodeRef::FromLeaf(&leaves[48]));
-  EXPECT_EQ(FindChild(&n, 200).AsLeaf(), &leaves[48]);
+  AddChild(&n, 200, NodeRef::FromLeaf(leaves[48].get()));
+  EXPECT_EQ(FindChild(&n, 200).AsLeaf(), leaves[48].get());
   EXPECT_TRUE(FindChild(&n, 20).IsNull());
 }
 
@@ -231,14 +283,14 @@ TEST(Node, PrefixStorageTruncatesLongPaths) {
 
 TEST(Node, TaggedRefRoundTrip) {
   Node4 node;
-  Leaf leaf{K({1}), 1};
+  const OwnedLeaf leaf = MakeLeaf({1}, 1);
   const NodeRef nr = NodeRef::FromNode(&node);
-  const NodeRef lr = NodeRef::FromLeaf(&leaf);
+  const NodeRef lr = NodeRef::FromLeaf(leaf.get());
   EXPECT_TRUE(nr.IsNode());
   EXPECT_FALSE(nr.IsLeaf());
   EXPECT_TRUE(lr.IsLeaf());
   EXPECT_EQ(nr.AsNode(), &node);
-  EXPECT_EQ(lr.AsLeaf(), &leaf);
+  EXPECT_EQ(lr.AsLeaf(), leaf.get());
   EXPECT_TRUE(NodeRef{}.IsNull());
 }
 
@@ -430,6 +482,20 @@ TEST(Tree, MemoryStatsCountNodes) {
   EXPECT_GT(ms.TotalNodes(), 0u);
   EXPECT_GT(ms.internal_bytes, 0u);
   EXPECT_GT(ms.leaf_bytes, 1000u * sizeof(Leaf));
+}
+
+TEST(Tree, MemoryStatsLeafBytesAreHeaderPlusKeyBytes) {
+  Tree t;
+  std::size_t key_bytes = 0;
+  for (std::size_t len = 4; len <= 40; ++len) {
+    Key key(len, 0x5a);
+    key[0] = static_cast<std::uint8_t>(len);  // distinct first bytes
+    t.Insert(key, len);
+    key_bytes += len;
+  }
+  const MemoryStats ms = t.ComputeMemoryStats();
+  EXPECT_EQ(ms.leaves, 37u);
+  EXPECT_EQ(ms.leaf_bytes, ms.leaves * Leaf::kHeaderBytes + key_bytes);
 }
 
 TEST(Tree, AdaptiveNodesMatchFanout) {

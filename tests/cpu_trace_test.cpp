@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/cpu_trace.h"
+#include "leaf_owner.h"
 #include "simhw/cache_model.h"
 #include "simhw/conflict_model.h"
 #include "sync/cnode.h"
@@ -23,11 +24,11 @@ struct TracerFixture {
 TEST(OpTracer, CountsVisitsAndPkm) {
   TracerFixture f;
   sync::CNode4 node;
-  sync::CLeaf leaf(Key{1, 2, 3}, 42);
+  const auto leaf = test_util::MakeLeaf<sync::CLeaf>(Key{1, 2, 3}, 42);
   f.tracer.BeginOp();
   f.tracer.VisitInternal(&node, 2);
   f.tracer.VisitInternal(&node, 2);
-  f.tracer.VisitLeaf(&leaf);
+  f.tracer.VisitLeaf(leaf.get());
   f.tracer.EndOp(64, 96, nullptr);
   EXPECT_EQ(f.stats.operations, 1u);
   EXPECT_EQ(f.stats.partial_key_matches, 2u);

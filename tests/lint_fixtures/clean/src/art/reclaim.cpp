@@ -17,3 +17,12 @@ void Remove(EpochManager& epochs, std::size_t tid, Node* n) {
 }
 
 void Teardown(Node* root) { DeleteSubtree(root); }
+
+// Factory-built leaves free through Delete(); the same contexts sanction it.
+struct Leaf { void Delete(); };
+
+void RemoveLeaf(EpochManager& epochs, std::size_t tid, Leaf* leaf) {
+  epochs.Retire(tid, [leaf] { leaf->Delete(); });
+}
+
+void DestroyLeaf(Leaf* leaf) { leaf->Delete(); }

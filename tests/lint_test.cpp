@@ -40,6 +40,7 @@ TEST(DcartLint, BadCorpusEveryRuleFiresAtTheExpectedLine) {
       {kBareAssert, "src/art/serialize.cpp", 5},
       {kRawIoOutsideHelper, "src/art/serialize.cpp", 6},
       {kEpochDiscipline, "src/art/unsafe_delete.cpp", 6},
+      {kEpochDiscipline, "src/art/unsafe_delete.cpp", 12},
       {kTriggerPhaseBlockingLock, "src/dcart/sou.cpp", 1},
       {kTriggerPhaseBlockingLock, "src/dcart/sou.cpp", 4},
       {kTriggerPhaseBlockingLock, "src/dcart/sou.cpp", 8},
@@ -117,8 +118,12 @@ TEST(DcartLint, BadCorpusMessagesNameTheDefect) {
   EXPECT_NE(message_for("src/sync/locked.h", 8)
                 .find("does not name a mutex member"),
             std::string::npos);
-  // DL011 names the sanctioned alternative.
+  // DL011 names the sanctioned alternative, for a delete expression and
+  // for a leaf's Delete() call alike.
   EXPECT_NE(message_for("src/art/unsafe_delete.cpp", 6)
+                .find("EpochManager::Retire"),
+            std::string::npos);
+  EXPECT_NE(message_for("src/art/unsafe_delete.cpp", 12)
                 .find("EpochManager::Retire"),
             std::string::npos);
   // DL000: legacy verb, missing reason, unknown rule id.
@@ -156,8 +161,9 @@ TEST(DcartLint, CleanCorpusHasZeroFalsePositives) {
 // manifested RelaxedLoad/RelaxedStore, fread/fwrite inside the
 // ReadBytes/WriteBytes helpers, a static_assert, a registry-derived CLI,
 // reasoned `disable(...)` suppressions, a legal layering DAG, annotations
-// that name a real mutex member, and sanctioned deletes (a *Delete*
-// teardown helper and a Retire(...) lambda).  This test documents that
+// that name a real mutex member, and sanctioned frees (a *Delete* /
+// *Destroy* teardown helper and a Retire(...) lambda, each for a delete
+// expression and a leaf's Delete() call).  This test documents that
 // inventory so a rule change that breaks one of them fails loudly.
 TEST(DcartLint, SuppressionCommentIsHonored) {
   const auto findings =

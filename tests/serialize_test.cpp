@@ -177,5 +177,45 @@ TEST(Serialize, LoadedTreeIsCanonical) {
   std::remove(pb.c_str());
 }
 
+TEST(Serialize, SnapshotBytesArePinned) {
+  // The on-disk stream does not depend on how the tree lays out its leaves
+  // in memory: a small tree with mixed key lengths must save to exactly
+  // these bytes (magic, u64 count, then u32 key_len + key + u64 value per
+  // entry in key order, little-endian), whatever order it was built in.
+  Tree tree;
+  tree.Insert(Key{0x04, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+              ~Value{0});
+  tree.Insert(Key{0x02, 0xaa, 0xbb, 0xcc}, 0x2222);
+  tree.Insert(Key{0x01}, 0x11);
+  tree.Insert(Key{0x03, 0, 0, 0, 0, 0, 0, 0x07}, 0x0102030405060708);
+  const std::string path = TempPath("art_snapshot_golden.bin");
+  ASSERT_TRUE(SaveTree(tree, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string hex;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(hex,
+            "4443415254534e32"  // "DCARTSN2"
+            "0400000000000000"  // count
+            "01000000"
+            "01"
+            "1100000000000000"
+            "04000000"
+            "02aabbcc"
+            "2222000000000000"
+            "08000000"
+            "0300000000000007"
+            "0807060504030201"
+            "0d000000"
+            "040102030405060708090a0b0c"
+            "ffffffffffffffff");
+}
+
 }  // namespace
 }  // namespace dcart::art

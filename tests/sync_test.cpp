@@ -6,12 +6,19 @@
 #include <thread>
 #include <vector>
 
+#include "leaf_owner.h"
 #include "sync/cnode.h"
 #include "sync/epoch.h"
 #include "sync/version_lock.h"
 
 namespace dcart::sync {
 namespace {
+
+using OwnedLeaf = test_util::OwnedLeaf<CLeaf>;
+
+OwnedLeaf MakeLeaf(const Key& key, art::Value value) {
+  return test_util::MakeLeaf<CLeaf>(key, value);
+}
 
 // ---------------------------------------------------------- VersionLock ----
 
@@ -154,16 +161,30 @@ TEST(Epoch, GuardIsRaii) {
   EXPECT_TRUE(freed);
 }
 
+// ----------------------------------------------------------------- CLeaf ---
+
+TEST(CLeaf, ValueIsAlignedAndLockFree) {
+  static_assert(std::atomic<art::Value>::is_always_lock_free);
+  EXPECT_EQ(alignof(CLeaf), 8u);
+  EXPECT_EQ(CLeaf::kHeaderBytes, art::Leaf::kHeaderBytes);
+  for (const std::size_t len : {1u, 8u, 13u}) {
+    const OwnedLeaf leaf = MakeLeaf(Key(len, 0x7e), 5);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&leaf->value) % 8, 0u);
+    EXPECT_TRUE(leaf->value.is_lock_free());
+    EXPECT_EQ(leaf->value.load(), 5u);
+  }
+}
+
 // ----------------------------------------------------------------- CNode ---
 
 TEST(CNode, AddFindEnumerate) {
   CNode4 n;
-  CLeaf l1(Key{1}, 10), l2(Key{2}, 20);
+  const OwnedLeaf l1 = MakeLeaf(Key{1}, 10), l2 = MakeLeaf(Key{2}, 20);
   n.lock.AssertThreadPrivate();  // stack-local node: single-threaded test
-  CAddChild(&n, 9, CRef::FromLeaf(&l1));
-  CAddChild(&n, 4, CRef::FromLeaf(&l2));
-  EXPECT_EQ(CFindChild(&n, 9).AsLeaf(), &l1);
-  EXPECT_EQ(CFindChild(&n, 4).AsLeaf(), &l2);
+  CAddChild(&n, 9, CRef::FromLeaf(l1.get()));
+  CAddChild(&n, 4, CRef::FromLeaf(l2.get()));
+  EXPECT_EQ(CFindChild(&n, 9).AsLeaf(), l1.get());
+  EXPECT_EQ(CFindChild(&n, 4).AsLeaf(), l2.get());
   EXPECT_TRUE(CFindChild(&n, 5).IsNull());
   std::vector<int> order;
   CEnumerateChildren(&n, [&order](std::uint8_t b, CRef) {
@@ -183,8 +204,8 @@ TEST(CNode, GrowChainKeepsChildren) {
       CDeleteNode(node);
       node = grown;
     }
-    auto* leaf = new CLeaf(Key{static_cast<std::uint8_t>(b)},
-                           static_cast<art::Value>(b));
+    CLeaf* leaf = CLeaf::New(Key{static_cast<std::uint8_t>(b)},
+                             static_cast<art::Value>(b));
     leaves.push_back(leaf);
     CAddChild(node, static_cast<std::uint8_t>(b), CRef::FromLeaf(leaf));
   }
@@ -193,21 +214,22 @@ TEST(CNode, GrowChainKeepsChildren) {
     EXPECT_EQ(CFindChild(node, static_cast<std::uint8_t>(b)).AsLeaf()->value,
               static_cast<art::Value>(b));
   }
-  for (CLeaf* l : leaves) delete l;
+  for (CLeaf* l : leaves) l->Delete();
   CDeleteNode(node);
 }
 
 TEST(CNode, MinimumFindsLeftmostLeaf) {
   CNode4 root;
   CNode4 child;
-  CLeaf l1(Key{1, 1}, 11), l2(Key{1, 5}, 15), l3(Key{9}, 9);
+  const OwnedLeaf l1 = MakeLeaf(Key{1, 1}, 11), l2 = MakeLeaf(Key{1, 5}, 15),
+                  l3 = MakeLeaf(Key{9}, 9);
   child.lock.AssertThreadPrivate();  // stack-local nodes: no concurrency
   root.lock.AssertThreadPrivate();
-  CAddChild(&child, 1, CRef::FromLeaf(&l1));
-  CAddChild(&child, 5, CRef::FromLeaf(&l2));
-  CAddChild(&root, 9, CRef::FromLeaf(&l3));
+  CAddChild(&child, 1, CRef::FromLeaf(l1.get()));
+  CAddChild(&child, 5, CRef::FromLeaf(l2.get()));
+  CAddChild(&root, 9, CRef::FromLeaf(l3.get()));
   CAddChild(&root, 1, CRef::FromNode(&child));
-  EXPECT_EQ(CMinimum(CRef::FromNode(&root)), &l1);
+  EXPECT_EQ(CMinimum(CRef::FromNode(&root)), l1.get());
 }
 
 TEST(CNode, PrefixRoundTrip) {
@@ -224,11 +246,11 @@ TEST(CNode, PrefixRoundTrip) {
 
 TEST(CNode, TaggedRefs) {
   CNode256 node;
-  CLeaf leaf(Key{1}, 1);
+  const OwnedLeaf leaf = MakeLeaf(Key{1}, 1);
   EXPECT_TRUE(CRef::FromNode(&node).IsNode());
-  EXPECT_TRUE(CRef::FromLeaf(&leaf).IsLeaf());
+  EXPECT_TRUE(CRef::FromLeaf(leaf.get()).IsLeaf());
   EXPECT_TRUE(CRef{}.IsNull());
-  EXPECT_EQ(CRef::FromLeaf(&leaf).AsLeaf(), &leaf);
+  EXPECT_EQ(CRef::FromLeaf(leaf.get()).AsLeaf(), leaf.get());
 }
 
 }  // namespace

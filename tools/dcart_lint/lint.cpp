@@ -780,12 +780,14 @@ void CheckLockContract(const RepoModel& model,
 // ------------------------------------------------------------------ DL011 --
 // Epoch discipline.  In the concurrent engines, a node unlinked from the
 // tree may still be referenced by in-flight readers; the only safe
-// reclamation is EpochManager::Retire (sync/epoch.h).  A direct `delete`
-// in epoch-managed code is therefore a use-after-free factory.  Sanctioned
-// contexts: the retire path itself (a `Retire(` call on the same line),
-// teardown/destructor code (enclosing symbol named *Delete*/*Destroy*/
-// *Free*/*Clear* or a destructor), and explicitly suppressed sites (e.g.
-// CAS-loser frees of thread-private nodes that were never published).
+// reclamation is EpochManager::Retire (sync/epoch.h).  A direct free in
+// epoch-managed code — a `delete` expression, or an argument-less
+// `->Delete()` / `.Delete()` call, the leaf factory's free (art/leaf.h) —
+// is therefore a use-after-free factory.  Sanctioned contexts: the retire
+// path itself (a `Retire(` call on the same line), teardown/destructor
+// code (enclosing symbol named *Delete*/*Destroy*/*Free*/*Clear* or a
+// destructor), and explicitly suppressed sites (e.g. CAS-loser frees of
+// thread-private nodes that were never published).
 void CheckEpochDiscipline(const RepoModel& model,
                           std::vector<Finding>& findings) {
   auto sanctioned_symbol = [](const std::string& symbol) {
@@ -807,10 +809,14 @@ void CheckEpochDiscipline(const RepoModel& model,
     }
     const std::vector<Token>& toks = file.toks.tokens;
     for (std::size_t t = 0; t < toks.size(); ++t) {
-      if (toks[t].kind != Token::Kind::kIdent || !toks[t].Is("delete")) {
-        continue;
-      }
-      if (t > 0 && (toks[t - 1].Is("=") || toks[t - 1].Is("operator"))) {
+      if (toks[t].kind != Token::Kind::kIdent) continue;
+      const bool delete_call = toks[t].Is("Delete") && t > 0 &&
+                               (toks[t - 1].Is("->") || toks[t - 1].Is(".")) &&
+                               t + 2 < toks.size() && toks[t + 1].Is("(") &&
+                               toks[t + 2].Is(")");
+      if (!delete_call && !toks[t].Is("delete")) continue;
+      if (!delete_call && t > 0 &&
+          (toks[t - 1].Is("=") || toks[t - 1].Is("operator"))) {
         continue;  // `= delete;` / `operator delete`
       }
       const std::size_t line = toks[t].line;
