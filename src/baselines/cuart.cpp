@@ -9,7 +9,7 @@
 
 namespace dcart::baselines {
 
-using sync::CFindChild;
+using art::FindChild;
 using sync::CLeaf;
 using sync::CNode;
 using sync::CRef;
@@ -76,7 +76,7 @@ CLeaf* GpuTraverse(const OlcTree& tree, KeyView key, simhw::CacheModel& l2,
     if (key.size() - depth < node->prefix_len) return nullptr;
     depth += node->prefix_len;
     if (depth >= key.size()) return nullptr;
-    ref = CFindChild(node, key[depth]);
+    ref = FindChild(node, key[depth]);
     ++depth;
   }
   return nullptr;

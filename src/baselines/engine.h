@@ -128,6 +128,30 @@ struct ExecutionResult {
     return seconds > 0.0 ? static_cast<double>(stats.operations) / seconds
                          : 0.0;
   }
+
+  /// Fold in the result of one part of this run (a batch, or a shard's
+  /// share): counts and times add, flags OR, and the first failed status
+  /// stays first.  `platform` and `wallclock` describe the caller's run and
+  /// stay as the caller set them.
+  void Merge(const ExecutionResult& part) {
+    stats.Merge(part.stats);
+    seconds += part.seconds;
+    energy_joules += part.energy_joules;
+    phase_breakdown.combine_seconds += part.phase_breakdown.combine_seconds;
+    phase_breakdown.traverse_seconds += part.phase_breakdown.traverse_seconds;
+    phase_breakdown.trigger_seconds += part.phase_breakdown.trigger_seconds;
+    phase_breakdown.other_seconds += part.phase_breakdown.other_seconds;
+    latency_ns.Merge(part.latency_ns);
+    reads_hit += part.reads_hit;
+    status.Update(part.status);
+    demoted_to_serial |= part.demoted_to_serial;
+    parallel_failures += part.parallel_failures;
+    bucket_retries += part.bucket_retries;
+    invariant_breaches += part.invariant_breaches;
+    ops_acknowledged += part.ops_acknowledged;
+    partial |= part.partial;
+    unavailable_ops += part.unavailable_ops;
+  }
 };
 
 class IndexEngine {

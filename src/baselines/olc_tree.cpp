@@ -5,23 +5,24 @@
 
 namespace dcart::baselines {
 
+using art::DeleteNode;
+using art::DestroySubtree;
+using art::EnumerateChildren;
+using art::FindChild;
+using art::FindChildSlot;
+using art::Minimum;
+using art::ScanCost;
 using sync::CAddChild;
-using sync::CDeleteNode;
-using sync::CDestroySubtree;
-using sync::CEnumerateChildren;
-using sync::CFindChild;
-using sync::CFindChildSlot;
 using sync::CGrown;
 using sync::CIsFull;
 using sync::CLeaf;
-using sync::CMinimum;
 using sync::CNode;
 using sync::CNode4;
 using sync::CRef;
+using sync::CRemoveChild;
 using sync::CSetPrefixFromKey;
-using sync::LoadSlot;
+using sync::OlcAccess;
 using sync::RelaxedLoad;
-using sync::StoreSlot;
 using sync::SyncStats;
 
 namespace {
@@ -30,45 +31,19 @@ namespace {
 /// observation can momentarily show no children; report restart instead of
 /// crashing.
 CLeaf* CMinimumOrRestart(CRef ref, bool& need_restart) {
-  while (!ref.IsLeaf()) {
-    if (ref.IsNull()) {
-      need_restart = true;
-      return nullptr;
-    }
-    CRef first;
-    CEnumerateChildren(ref.AsNode(), [&first](std::uint8_t, CRef child) {
-      first = child;
-      return false;
-    });
-    ref = first;
-  }
-  return ref.AsLeaf();
+  CLeaf* leaf = ref.IsNull() ? nullptr : Minimum(ref);
+  if (leaf == nullptr) need_restart = true;
+  return leaf;
 }
 
 }  // namespace
-
-unsigned ApproxScanCost(const CNode* node) {
-  switch (node->type) {
-    case sync::NodeType::kN4:
-      return std::max<unsigned>(1, RelaxedLoad(node->count) / 2);
-    case sync::NodeType::kN16:
-    case sync::NodeType::kN32:
-      // One vectorized compare-and-movemask on the modeled platform (SSE2 /
-      // AVX2 — see common/simd.h), same as the N48/N256 direct index.
-      return 1;
-    case sync::NodeType::kN48:
-    case sync::NodeType::kN256:
-      return 1;
-  }
-  return 1;
-}
 
 OlcTree::OlcTree(std::size_t max_threads)
     : epochs_(std::make_unique<sync::EpochManager>(max_threads)) {}
 
 OlcTree::~OlcTree() {
   epochs_->DrainAll();
-  CDestroySubtree(root());
+  DestroySubtree(root());
 }
 
 void OlcTree::BulkLoad(const std::vector<std::pair<Key, art::Value>>& items) {
@@ -80,7 +55,7 @@ void OlcTree::BulkLoad(const std::vector<std::pair<Key, art::Value>>& items) {
 
 void OlcTree::Retire(std::size_t tid, CNode* node) {
   epochs_->set_defer(defer_reclamation_.load(std::memory_order_relaxed));
-  epochs_->Retire(tid, [node] { CDeleteNode(node); });
+  epochs_->Retire(tid, [node] { DeleteNode(node); });
 }
 
 bool OlcTree::Insert(KeyView key, art::Value value, std::size_t tid,
@@ -155,7 +130,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       return WriteOutcome::kInserted;
     }
     new_leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
-    CDeleteNode(branch);
+    DeleteNode(branch);
     ++stats.lock_contentions;
     return WriteOutcome::kRestart;
   }
@@ -227,7 +202,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       CSetPrefixFromKey(node, min_key, depth + mismatch + 1,
                         prefix_len - mismatch - 1);
       if (parent) {
-        StoreSlot(*CFindChildSlot(parent, parent_key),
+        OlcAccess::StoreSlot(*FindChildSlot(parent, parent_key),
                   CRef::FromNode(branch));
       } else {
         root_.store(CRef::FromNode(branch).raw(), std::memory_order_release);
@@ -241,8 +216,8 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
     depth += prefix_len;
     assert(depth < key.size() && "keys must be prefix-free");
     const std::uint8_t node_key = key[depth];
-    const CRef next = CFindChild(node, node_key);
-    const unsigned scanned = ApproxScanCost(node);
+    const CRef next = FindChild(node, node_key);
+    const unsigned scanned = ScanCost(node);
     node->lock.CheckOrRestart(v, rs, stats);
     if (rs) return WriteOutcome::kRestart;
     if (tracer) tracer->VisitInternal(node, scanned);
@@ -269,7 +244,7 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
         CNode* bigger = CGrown(node);
         CAddChild(bigger, node_key, CRef::FromLeaf(CLeaf::New(key, value)));
         if (parent) {
-          StoreSlot(*CFindChildSlot(parent, parent_key),
+          OlcAccess::StoreSlot(*FindChildSlot(parent, parent_key),
                     CRef::FromNode(bigger));
         } else {
           root_.store(CRef::FromNode(bigger).raw(),
@@ -338,7 +313,8 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       CAddChild(branch, key[depth + 1 + lcp],
                 CRef::FromLeaf(CLeaf::New(key, value)));
       CAddChild(branch, leaf_key[depth + 1 + lcp], next);
-      StoreSlot(*CFindChildSlot(node, node_key), CRef::FromNode(branch));
+      OlcAccess::StoreSlot(*FindChildSlot(node, node_key),
+                           CRef::FromNode(branch));
       node->lock.WriteUnlock(stats);
       size_.fetch_add(1, std::memory_order_relaxed);
       return WriteOutcome::kInserted;
@@ -350,6 +326,12 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
     node = next.AsNode();
     ++depth;
     v = node->lock.ReadLockOrRestart(rs, stats);
+    if (rs) return WriteOutcome::kRestart;
+    // Hand-over-hand, as in TryLookup: a path split of `node` after its
+    // pointer was read re-points the parent's slot and leaves `node` live
+    // one level deeper with a fresh version.  Latching that version at
+    // this depth would key its children on the wrong byte.
+    parent->lock.CheckOrRestart(pv, rs, stats);
     if (rs) return WriteOutcome::kRestart;
   }
 }
@@ -421,7 +403,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
       return rs ? RemoveOutcome::kRestart : RemoveOutcome::kNotFound;
     }
     const std::uint8_t node_key = key[depth];
-    const CRef next = CFindChild(node, node_key);
+    const CRef next = FindChild(node, node_key);
     node->lock.CheckOrRestart(v, rs, stats);
     if (rs) return RemoveOutcome::kRestart;
     if (next.IsNull()) return RemoveOutcome::kNotFound;
@@ -446,7 +428,7 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
           return RemoveOutcome::kRestart;
         }
         CRef sibling;
-        CEnumerateChildren(node, [&](std::uint8_t, CRef child) {
+        EnumerateChildren(node, [&](std::uint8_t, CRef child) {
           if (!(child == next)) sibling = child;
           return true;
         });
@@ -454,7 +436,8 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
 
         if (sibling.IsLeaf()) {
           if (parent) {
-            StoreSlot(*CFindChildSlot(parent, parent_key), sibling);
+            OlcAccess::StoreSlot(*FindChildSlot(parent, parent_key),
+                                 sibling);
           } else {
             root_.store(sibling.raw(), std::memory_order_release);
           }
@@ -483,7 +466,8 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
           const std::size_t node_start = depth - RelaxedLoad(node->prefix_len);
           CSetPrefixFromKey(sib, min_leaf->key(), node_start, total);
           if (parent) {
-            StoreSlot(*CFindChildSlot(parent, parent_key), sibling);
+            OlcAccess::StoreSlot(*FindChildSlot(parent, parent_key),
+                                 sibling);
           } else {
             root_.store(sibling.raw(), std::memory_order_release);
           }
@@ -517,6 +501,8 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
     node = next.AsNode();
     ++depth;
     v = node->lock.ReadLockOrRestart(rs, stats);
+    if (rs) return RemoveOutcome::kRestart;
+    parent->lock.CheckOrRestart(pv, rs, stats);  // as in TryInsert
     if (rs) return RemoveOutcome::kRestart;
   }
 }
@@ -598,8 +584,8 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
       return std::nullopt;
     }
 
-    const CRef next = CFindChild(node, key[depth]);
-    const unsigned scanned = ApproxScanCost(node);
+    const CRef next = FindChild(node, key[depth]);
+    const unsigned scanned = ScanCost(node);
     node->lock.CheckOrRestart(v, need_restart, stats);
     if (need_restart) return std::nullopt;
     if (tracer) tracer->VisitInternal(node, scanned);
@@ -630,7 +616,7 @@ sync::CLeaf* OlcTree::FindLeafTraced(KeyView key, OpTracer* tracer,
     if (hint_out && hint_out->node == nullptr && depth >= hint_depth) {
       *hint_out = PathHint{node, depth};
     }
-    if (tracer) tracer->VisitInternal(node, ApproxScanCost(node),
+    if (tracer) tracer->VisitInternal(node, ScanCost(node),
                                       compact_layout);
     const std::uint8_t stored = node->stored_prefix_len;
     const std::uint32_t prefix_len = node->prefix_len;
@@ -641,7 +627,7 @@ sync::CLeaf* OlcTree::FindLeafTraced(KeyView key, OpTracer* tracer,
     if (key.size() - depth < prefix_len) return nullptr;
     depth += prefix_len;
     if (depth >= key.size()) return nullptr;
-    ref = CFindChild(node, key[depth]);
+    ref = FindChild(node, key[depth]);
     ++depth;
   }
   return nullptr;
@@ -652,7 +638,7 @@ std::size_t OlcTree::ScanTraced(
     const std::function<void(KeyView, art::Value)>& on_entry) const {
   std::size_t emitted = 0;
   // Recursive in-order walk with lower-edge pruning; N4/N16 keys are kept
-  // sorted, so CEnumerateChildren is in key order.
+  // sorted, so EnumerateChildren is in key order.
   const std::function<bool(CRef, std::size_t, bool)> walk =
       [&](CRef ref, std::size_t depth, bool lo_edge) -> bool {
     if (emitted >= limit) return false;
@@ -678,7 +664,7 @@ std::size_t OlcTree::ScanTraced(
         if (i < stored) {
           p = RelaxedLoad(node->prefix[i]);
         } else {
-          if (min_leaf == nullptr) min_leaf = CMinimum(ref);
+          if (min_leaf == nullptr) min_leaf = Minimum(ref);
           p = min_leaf->key()[pos];
         }
         if (pos >= start.size() || p > start[pos]) {
@@ -689,7 +675,7 @@ std::size_t OlcTree::ScanTraced(
       }
     }
     const std::size_t child_depth = depth + prefix_len;
-    return CEnumerateChildren(node, [&](std::uint8_t b, CRef child) {
+    return EnumerateChildren(node, [&](std::uint8_t b, CRef child) {
       bool child_lo = false;
       if (lo_edge && child_depth < start.size()) {
         if (b < start[child_depth]) return true;  // below the start: skip
@@ -716,7 +702,7 @@ sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
       return KeysEqual(leaf->key(), key) ? leaf : nullptr;
     }
     const CNode* node = ref.AsNode();
-    if (tracer) tracer->VisitInternal(node, ApproxScanCost(node),
+    if (tracer) tracer->VisitInternal(node, ScanCost(node),
                                       compact_layout);
     const std::uint8_t stored = node->stored_prefix_len;
     const std::uint32_t prefix_len = node->prefix_len;
@@ -727,7 +713,7 @@ sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
     if (key.size() - depth < prefix_len) return nullptr;
     depth += prefix_len;
     if (depth >= key.size()) return nullptr;
-    ref = CFindChild(node, key[depth]);
+    ref = FindChild(node, key[depth]);
     ++depth;
   }
   return nullptr;

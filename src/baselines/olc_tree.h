@@ -16,10 +16,10 @@
 // deterministic platform models (see DESIGN.md): those replay node touches
 // through the cache/conflict models without any synchronization.
 //
-// Supported operations are read and insert-or-update write — exactly the
-// operation mix of the paper's evaluation.  (Deletes are supported by the
-// single-threaded core tree in src/art; the paper's concurrent workloads
-// never delete.)
+// Supported operations are read, insert-or-update write and delete.  The
+// paper's evaluation mixes only the first two; Remove serves workloads that
+// delete (the rs-churn benchmark).  Nodes come from the shared ladder in
+// art/node.h through OLC's access policy (sync/cnode.h).
 #pragma once
 
 #include <atomic>
@@ -148,8 +148,5 @@ class OlcTree {
   std::unique_ptr<sync::EpochManager> epochs_;
   std::atomic<bool> defer_reclamation_{false};
 };
-
-/// Average key-array slots examined by a child search (cost-model input).
-unsigned ApproxScanCost(const sync::CNode* node);
 
 }  // namespace dcart::baselines

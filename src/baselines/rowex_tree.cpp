@@ -4,375 +4,21 @@
 #include <cassert>
 #include <functional>
 
-#include "common/simd.h"
-
 namespace dcart::baselines {
 
 using namespace rowex;
+using art::DeleteNode;
+using art::DestroySubtree;
+using art::EnumerateChildren;
+using art::FindChild;
+using art::FindChildSlot;
+using art::Grown;
+using art::IsFull;
+using art::Minimum;
+using art::ScanCost;
 using sync::SyncStats;
 
 namespace {
-
-#if DCART_SIMD_X86
-// The vector search reads the atomic key bytes through a plain pointer:
-// std::atomic<uint8_t> is byte-sized here (checked below), entries below
-// `count` are frozen once published (ROWEX appends, never moves), and the
-// acquire load of `count` orders their publication.  Compiled out under
-// TSan, where a plain vector load over atomics is a formal race — see
-// common/simd.h.
-static_assert(sizeof(std::atomic<std::uint8_t>) == 1 &&
-                  alignof(std::atomic<std::uint8_t>) == 1,
-              "vector key search requires byte-sized atomic keys");
-
-template <std::size_t N>
-const std::uint8_t* KeyBytes(
-    const std::array<std::atomic<std::uint8_t>, N>& keys) {
-  return reinterpret_cast<const std::uint8_t*>(keys.data());
-}
-#endif
-
-// ---------------------------------------------------------------------------
-// Node operations.  Readers are lock-free: append-publication order (child
-// slot, key byte, count) makes every entry below `count` fully initialized.
-// Writer-side mutation requires the node's lock.
-// ---------------------------------------------------------------------------
-
-RRef RFindChild(const RNode* node, std::uint8_t b) {
-  switch (node->type) {
-    case NodeType::kN4: {
-      const auto* n = static_cast<const RNode4*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-      for (std::uint16_t i = 0; i < count && i < 4; ++i) {
-        if (n->keys[i].load(std::memory_order_acquire) == b) {
-          return LoadSlot(n->children[i]);
-        }
-      }
-      return {};
-    }
-    case NodeType::kN16: {
-      const auto* n = static_cast<const RNode16*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-#if DCART_SIMD_X86
-      const int i = simd::FindKeyByte16(KeyBytes(n->keys), count, b);
-      return i < 0 ? RRef{}
-                   : LoadSlot(n->children[static_cast<std::size_t>(i)]);
-#else
-      for (std::uint16_t i = 0; i < count && i < 16; ++i) {
-        if (n->keys[i].load(std::memory_order_acquire) == b) {
-          return LoadSlot(n->children[i]);
-        }
-      }
-      return {};
-#endif
-    }
-    case NodeType::kN32: {
-      const auto* n = static_cast<const RNode32*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-#if DCART_SIMD_X86
-      const int i = simd::FindKeyByte32(KeyBytes(n->keys), count, b);
-      return i < 0 ? RRef{}
-                   : LoadSlot(n->children[static_cast<std::size_t>(i)]);
-#else
-      for (std::uint16_t i = 0; i < count && i < 32; ++i) {
-        if (n->keys[i].load(std::memory_order_acquire) == b) {
-          return LoadSlot(n->children[i]);
-        }
-      }
-      return {};
-#endif
-    }
-    case NodeType::kN48: {
-      const auto* n = static_cast<const RNode48*>(node);
-      const std::uint8_t slot =
-          n->child_index[b].load(std::memory_order_acquire);
-      if (slot == RNode48::kEmptySlot || slot >= 48) return {};
-      return LoadSlot(n->children[slot]);
-    }
-    case NodeType::kN256:
-      return LoadSlot(static_cast<const RNode256*>(node)->children[b]);
-  }
-  return {};
-}
-
-/// Mutable slot for byte `b` (caller holds the node lock).
-RSlot* RFindSlot(RNode* node, std::uint8_t b) {
-  switch (node->type) {
-    case NodeType::kN4: {
-      auto* n = static_cast<RNode4*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_relaxed);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (n->keys[i].load(std::memory_order_relaxed) == b) {
-          return &n->children[i];
-        }
-      }
-      return nullptr;
-    }
-    case NodeType::kN16: {
-      auto* n = static_cast<RNode16*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_relaxed);
-#if DCART_SIMD_X86
-      const int i = simd::FindKeyByte16(KeyBytes(n->keys), count, b);
-      return i < 0 ? nullptr : &n->children[static_cast<std::size_t>(i)];
-#else
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (n->keys[i].load(std::memory_order_relaxed) == b) {
-          return &n->children[i];
-        }
-      }
-      return nullptr;
-#endif
-    }
-    case NodeType::kN32: {
-      auto* n = static_cast<RNode32*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_relaxed);
-#if DCART_SIMD_X86
-      const int i = simd::FindKeyByte32(KeyBytes(n->keys), count, b);
-      return i < 0 ? nullptr : &n->children[static_cast<std::size_t>(i)];
-#else
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (n->keys[i].load(std::memory_order_relaxed) == b) {
-          return &n->children[i];
-        }
-      }
-      return nullptr;
-#endif
-    }
-    case NodeType::kN48: {
-      auto* n = static_cast<RNode48*>(node);
-      const std::uint8_t slot =
-          n->child_index[b].load(std::memory_order_relaxed);
-      return slot == RNode48::kEmptySlot ? nullptr : &n->children[slot];
-    }
-    case NodeType::kN256: {
-      auto* n = static_cast<RNode256*>(node);
-      return LoadSlot(n->children[b]).IsNull() ? nullptr : &n->children[b];
-    }
-  }
-  return nullptr;
-}
-
-bool RIsFull(const RNode* node) {
-  const std::uint16_t count = node->count.load(std::memory_order_relaxed);
-  switch (node->type) {
-    case NodeType::kN4:
-      return count >= 4;
-    case NodeType::kN16:
-      return count >= 16;
-    case NodeType::kN32:
-      return count >= 32;
-    case NodeType::kN48:
-      return count >= 48;
-    case NodeType::kN256:
-      return false;
-  }
-  return false;
-}
-
-/// Append a child (caller holds the lock).  Publication order: slot bytes
-/// first, key/index second, count last — concurrent scans never see a
-/// half-initialized entry.
-void RAddChild(RNode* node, std::uint8_t b, RRef child)
-    REQUIRES(node->lock) {
-  const std::uint16_t count = node->count.load(std::memory_order_relaxed);
-  switch (node->type) {
-    case NodeType::kN4: {
-      auto* n = static_cast<RNode4*>(node);
-      StoreSlot(n->children[count], child);
-      n->keys[count].store(b, std::memory_order_release);
-      break;
-    }
-    case NodeType::kN16: {
-      auto* n = static_cast<RNode16*>(node);
-      StoreSlot(n->children[count], child);
-      n->keys[count].store(b, std::memory_order_release);
-      break;
-    }
-    case NodeType::kN32: {
-      auto* n = static_cast<RNode32*>(node);
-      StoreSlot(n->children[count], child);
-      n->keys[count].store(b, std::memory_order_release);
-      break;
-    }
-    case NodeType::kN48: {
-      // Append-only (ROWEX never removes), so count is the first free slot.
-      auto* n = static_cast<RNode48*>(node);
-      const auto slot = static_cast<std::uint8_t>(count);
-      assert(LoadSlot(n->children[slot]).IsNull());
-      StoreSlot(n->children[slot], child);
-      n->child_index[b].store(slot, std::memory_order_release);
-      break;
-    }
-    case NodeType::kN256: {
-      StoreSlot(static_cast<RNode256*>(node)->children[b], child);
-      break;
-    }
-  }
-  node->count.store(count + 1, std::memory_order_release);
-}
-
-bool REnumerate(const RNode* node,
-                const std::function<bool(std::uint8_t, RRef)>& fn) {
-  switch (node->type) {
-    case NodeType::kN4: {
-      const auto* n = static_cast<const RNode4*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (!fn(n->keys[i].load(std::memory_order_acquire),
-                LoadSlot(n->children[i]))) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case NodeType::kN16: {
-      const auto* n = static_cast<const RNode16*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (!fn(n->keys[i].load(std::memory_order_acquire),
-                LoadSlot(n->children[i]))) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case NodeType::kN32: {
-      const auto* n = static_cast<const RNode32*>(node);
-      const std::uint16_t count = n->count.load(std::memory_order_acquire);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        if (!fn(n->keys[i].load(std::memory_order_acquire),
-                LoadSlot(n->children[i]))) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case NodeType::kN48: {
-      const auto* n = static_cast<const RNode48*>(node);
-      for (int b = 0; b < 256; ++b) {
-        const std::uint8_t slot =
-            n->child_index[b].load(std::memory_order_acquire);
-        if (slot != RNode48::kEmptySlot) {
-          if (!fn(static_cast<std::uint8_t>(b), LoadSlot(n->children[slot]))) {
-            return false;
-          }
-        }
-      }
-      return true;
-    }
-    case NodeType::kN256: {
-      const auto* n = static_cast<const RNode256*>(node);
-      for (int b = 0; b < 256; ++b) {
-        const RRef child = LoadSlot(n->children[b]);
-        if (!child.IsNull()) {
-          if (!fn(static_cast<std::uint8_t>(b), child)) return false;
-        }
-      }
-      return true;
-    }
-  }
-  return true;
-}
-
-
-/// Key-array slots a point lookup's child search examines (cost-model
-/// input, mirroring ApproxScanCost for the OLC tree).
-unsigned RApproxScan(const RNode* node) {
-  const std::uint16_t count = node->count.load(std::memory_order_relaxed);
-  switch (node->type) {
-    case NodeType::kN4:
-      return std::max<unsigned>(1, count / 2);
-    case NodeType::kN16:
-    case NodeType::kN32:
-      // One vectorized compare-and-movemask on the modeled platform (SSE2 /
-      // AVX2 — see common/simd.h), same as the N48/N256 direct index.
-      return 1;
-    case NodeType::kN48:
-    case NodeType::kN256:
-      return 1;
-  }
-  return 1;
-}
-
-/// Any leaf under `ref`; its key carries the subtree's full path bytes.
-/// Lock-free: slots always hold valid references.  Returns nullptr only on
-/// a torn transient (caller restarts).
-CLeaf* RAnyLeaf(RRef ref) {
-  while (ref.IsNode()) {
-    RRef next;
-    REnumerate(ref.AsNode(), [&next](std::uint8_t, RRef child) {
-      next = child;
-      return false;
-    });
-    if (next.IsNull()) return nullptr;
-    ref = next;
-  }
-  return ref.IsLeaf() ? ref.AsLeaf() : nullptr;
-}
-
-/// Next-larger node with identical content (caller holds the old lock).
-RNode* RGrown(const RNode* node) {
-  RNode* bigger = nullptr;
-  switch (node->type) {
-    case NodeType::kN4:
-      bigger = new RNode16;
-      break;
-    case NodeType::kN16:
-      bigger = new RNode32;
-      break;
-    case NodeType::kN32:
-      bigger = new RNode48;
-      break;
-    case NodeType::kN48:
-      bigger = new RNode256;
-      break;
-    case NodeType::kN256:
-      assert(false);
-      return nullptr;
-  }
-  bigger->set_prefix(node->prefix());
-  REnumerate(node, [bigger](std::uint8_t b, RRef child) {
-    // `bigger` is freshly allocated and unpublished, so this thread has
-    // exclusive access without holding its lock (vacuous capability).
-    bigger->lock.AssertThreadPrivate();
-    RAddChild(bigger, b, child);
-    return true;
-  });
-  return bigger;
-}
-
-void RDeleteNode(RNode* node) {
-  switch (node->type) {
-    case NodeType::kN4:
-      delete static_cast<RNode4*>(node);
-      break;
-    case NodeType::kN16:
-      delete static_cast<RNode16*>(node);
-      break;
-    case NodeType::kN32:
-      delete static_cast<RNode32*>(node);
-      break;
-    case NodeType::kN48:
-      delete static_cast<RNode48*>(node);
-      break;
-    case NodeType::kN256:
-      delete static_cast<RNode256*>(node);
-      break;
-  }
-}
-
-void RDestroySubtree(RRef ref) {
-  if (ref.IsNull()) return;
-  if (ref.IsLeaf()) {
-    ref.AsLeaf()->Delete();
-    return;
-  }
-  RNode* node = ref.AsNode();
-  REnumerate(node, [](std::uint8_t, RRef child) {
-    RDestroySubtree(child);
-    return true;
-  });
-  RDeleteNode(node);
-}
 
 PackedPrefix MakePrefixFromKey(std::uint16_t level, std::uint16_t len,
                                KeyView full_key, std::size_t offset) {
@@ -392,7 +38,7 @@ RowexTree::RowexTree(std::size_t max_threads)
 
 RowexTree::~RowexTree() {
   epochs_->DrainAll();
-  RDestroySubtree(root());
+  DestroySubtree(root());
 }
 
 void RowexTree::BulkLoad(
@@ -429,7 +75,7 @@ std::optional<art::Value> RowexTree::Lookup(KeyView key, std::size_t tid,
       if (pp.byte(i) != key[level + i]) return std::nullopt;
     }
     // Bytes beyond the 4 stored ones are verified by the leaf's full key.
-    ref = RFindChild(node, key[level + prefix_len]);
+    ref = FindChild(node, key[level + prefix_len]);
   }
   return std::nullopt;
 }
@@ -498,7 +144,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       return Outcome::kInserted;
     }
     new_leaf->Delete();  // dcart-lint: disable(DL011) CAS lost; leaf was never published, no reader can hold it
-    RDeleteNode(branch);
+    DeleteNode(branch);
     ++stats.lock_contentions;
     return Outcome::kRestart;
   }
@@ -514,7 +160,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
     assert(level + prefix_len < key.size() && "keys must be prefix-free");
     if (tracer) {
       tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                               pp.stored(), RApproxScan(node), false);
+                               pp.stored(), ScanCost(node), false);
     }
 
     // Writer-side prefix verification must be exact: the stored 4 bytes
@@ -530,7 +176,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         }
       }
       if (mismatch == prefix_len && prefix_len > stored) {
-        const CLeaf* probe = RAnyLeaf(RRef::FromNode(node));
+        const CLeaf* probe = Minimum(RRef::FromNode(node));
         if (probe == nullptr) return Outcome::kRestart;
         const KeyView probe_key = probe->key();
         for (std::size_t i = stored; i < prefix_len; ++i) {
@@ -549,8 +195,8 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         parent->lock.WriteLockOrRestart(rs, stats);
         if (rs) return Outcome::kRestart;
         if (parent->obsolete.load(std::memory_order_acquire) ||
-            RFindSlot(parent, parent_key) == nullptr ||
-            !(LoadSlot(*RFindSlot(parent, parent_key)) ==
+            FindChildSlot(parent, parent_key) == nullptr ||
+            !(RowexAccess::LoadSlot(*FindChildSlot(parent, parent_key)) ==
               RRef::FromNode(node))) {
           parent->lock.WriteUnlock(stats);
           return Outcome::kRestart;
@@ -567,7 +213,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         if (parent) parent->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
-      const CLeaf* probe = RAnyLeaf(RRef::FromNode(node));
+      const CLeaf* probe = Minimum(RRef::FromNode(node));
       if (probe == nullptr) {
         node->lock.WriteUnlock(stats);
         if (parent) parent->lock.WriteUnlock(stats);
@@ -584,7 +230,8 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       // Install the branch, THEN advance the node's (level, prefix) in one
       // atomic store — readers anchored on either value stay consistent.
       if (parent != nullptr) {
-        StoreSlot(*RFindSlot(parent, parent_key), RRef::FromNode(branch));
+        RowexAccess::StoreSlot(*FindChildSlot(parent, parent_key),
+                               RRef::FromNode(branch));
       } else {
         root_.store(RRef::FromNode(branch).raw(), std::memory_order_release);
       }
@@ -606,7 +253,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
 
     const std::size_t next_depth = level + prefix_len;
     const std::uint8_t node_key = key[next_depth];
-    const RRef next = RFindChild(node, node_key);
+    const RRef next = FindChild(node, node_key);
 
     if (next.IsNull()) {
       node->lock.WriteLockOrRestart(rs, stats);
@@ -616,12 +263,12 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         node->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
-      if (RFindSlot(node, node_key) != nullptr) {
+      if (FindChildSlot(node, node_key) != nullptr) {
         // The child appeared while we were locking; redo this level.
         node->lock.WriteUnlock(stats);
         continue;
       }
-      if (RIsFull(node)) {
+      if (IsFull(node)) {
         // Replace the node with a grown copy: try-lock the parent, swap
         // the slot, freeze and retire the old node.
         if (parent != nullptr) {
@@ -631,18 +278,19 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
             return Outcome::kRestart;
           }
           if (parent->obsolete.load(std::memory_order_acquire) ||
-              RFindSlot(parent, parent_key) == nullptr ||
-              !(LoadSlot(*RFindSlot(parent, parent_key)) ==
+              FindChildSlot(parent, parent_key) == nullptr ||
+              !(RowexAccess::LoadSlot(*FindChildSlot(parent, parent_key)) ==
                 RRef::FromNode(node))) {
             parent->lock.WriteUnlock(stats);
             node->lock.WriteUnlock(stats);
             return Outcome::kRestart;
           }
         }
-        RNode* bigger = RGrown(node);
+        RNode* bigger = Grown(node);
         RAddChild(bigger, node_key, RRef::FromLeaf(CLeaf::New(key, value)));
         if (parent != nullptr) {
-          StoreSlot(*RFindSlot(parent, parent_key), RRef::FromNode(bigger));
+          RowexAccess::StoreSlot(*FindChildSlot(parent, parent_key),
+                                 RRef::FromNode(bigger));
           parent->lock.WriteUnlock(stats);
         } else {
           root_.store(RRef::FromNode(bigger).raw(),
@@ -656,7 +304,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
           tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
         }
         node->lock.WriteUnlock(stats);
-        epochs_->Retire(tid, [node] { RDeleteNode(node); });
+        epochs_->Retire(tid, [node] { DeleteNode(node); });
       } else {
         RAddChild(node, node_key, RRef::FromLeaf(CLeaf::New(key, value)));
         if (tracer) {
@@ -674,9 +322,9 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       if (tracer) tracer->VisitLeaf(leaf);
       node->lock.WriteLockOrRestart(rs, stats);
       if (rs) return Outcome::kRestart;
-      RSlot* slot = RFindSlot(node, node_key);
+      RRef* slot = FindChildSlot(node, node_key);
       if (node->obsolete.load(std::memory_order_acquire) || slot == nullptr ||
-          !(LoadSlot(*slot) == next)) {
+          !(RowexAccess::LoadSlot(*slot) == next)) {
         node->lock.WriteUnlock(stats);
         return Outcome::kRestart;
       }
@@ -701,7 +349,7 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
       RAddChild(branch, key[next_depth + 1 + lcp],
                 RRef::FromLeaf(CLeaf::New(key, value)));
       RAddChild(branch, leaf_key[next_depth + 1 + lcp], next);
-      StoreSlot(*slot, RRef::FromNode(branch));
+      RowexAccess::StoreSlot(*slot, RRef::FromNode(branch));
       if (tracer) {
         tracer->SyncPoint(reinterpret_cast<std::uintptr_t>(node), true);
       }
@@ -736,7 +384,7 @@ std::size_t RowexTree::ScanTraced(
     const PackedPrefix pp = node->prefix();
     const std::size_t level = pp.level();
     const std::size_t prefix_len = pp.prefix_len();
-    const std::uint16_t count = node->count.load(std::memory_order_relaxed);
+    const std::uint16_t count = RowexAccess::Load(node->count);
     if (tracer) {
       tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
                                pp.stored(), count, false);
@@ -749,7 +397,7 @@ std::size_t RowexTree::ScanTraced(
         if (i < pp.stored()) {
           p = pp.byte(static_cast<unsigned>(i));
         } else {
-          if (probe == nullptr) probe = RAnyLeaf(ref);
+          if (probe == nullptr) probe = Minimum(ref);
           if (probe == nullptr) return true;
           p = probe->key()[pos];
         }
@@ -763,7 +411,7 @@ std::size_t RowexTree::ScanTraced(
     // ROWEX nodes keep N4/N16 unsorted: order the children here.
     std::vector<std::pair<std::uint8_t, RRef>> children;
     children.reserve(count);
-    REnumerate(node, [&children](std::uint8_t b, RRef child) {
+    EnumerateChildren(node, [&children](std::uint8_t b, RRef child) {
       children.emplace_back(b, child);
       return true;
     });
@@ -802,14 +450,14 @@ sync::CLeaf* RowexTree::FindLeafTraced(
     const std::size_t prefix_len = pp.prefix_len();
     if (tracer) {
       tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                               pp.stored(), RApproxScan(node), false);
+                               pp.stored(), ScanCost(node), false);
     }
     if (key.size() <= level + prefix_len) return nullptr;
     const unsigned stored = pp.stored();
     for (unsigned i = 0; i < stored; ++i) {
       if (pp.byte(i) != key[level + i]) return nullptr;
     }
-    ref = RFindChild(node, key[level + prefix_len]);
+    ref = FindChild(node, key[level + prefix_len]);
   }
   return nullptr;
 }

@@ -7,10 +7,11 @@
 // without validation requires that every node is consistent at every
 // instant:
 //
-//   * N4/N16 store their keys UNSORTED, so an insert appends: child slot
-//     first (release), then the key byte, then the count — a concurrent
-//     scan sees either the node before or after the insert, never a torn
-//     middle.
+//   * N4/N16/N32 store their keys UNSORTED, so an insert appends: child
+//     slot first (release), then the key byte, then the count — a
+//     concurrent scan sees either the node before or after the insert,
+//     never a torn middle.  (The node ladder itself is shared with the
+//     other trees, art/node.h; RowexPolicy below picks this behaviour.)
 //   * Structural replacement (grow, path split) builds the new node
 //     completely, swaps one parent slot atomically, and freezes the old
 //     node (retired through the epoch manager; late readers traverse the
@@ -31,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -38,6 +40,7 @@
 #include "art/node.h"
 #include "baselines/cpu_trace.h"
 #include "common/bytes.h"
+#include "common/thread_annotations.h"
 #include "sync/cnode.h"
 #include "sync/epoch.h"
 #include "sync/version_lock.h"
@@ -49,43 +52,6 @@ namespace rowex {
 using art::NodeType;
 using art::Value;
 using sync::CLeaf;
-
-struct RNode;
-
-/// Tagged reference (bit 0 => leaf), stored in atomic slots.
-class RRef {
- public:
-  constexpr RRef() = default;
-  static RRef FromNode(RNode* n) {
-    return RRef(reinterpret_cast<std::uintptr_t>(n));
-  }
-  static RRef FromLeaf(CLeaf* l) {
-    return RRef(reinterpret_cast<std::uintptr_t>(l) | 1u);
-  }
-  static RRef FromRaw(std::uintptr_t raw) { return RRef(raw); }
-  bool IsNull() const { return raw_ == 0; }
-  bool IsLeaf() const { return (raw_ & 1u) != 0; }
-  bool IsNode() const { return raw_ != 0 && (raw_ & 1u) == 0; }
-  RNode* AsNode() const { return reinterpret_cast<RNode*>(raw_); }
-  CLeaf* AsLeaf() const {
-    return reinterpret_cast<CLeaf*>(raw_ & ~std::uintptr_t{1});
-  }
-  std::uintptr_t raw() const { return raw_; }
-  friend bool operator==(RRef a, RRef b) { return a.raw_ == b.raw_; }
-
- private:
-  explicit constexpr RRef(std::uintptr_t raw) : raw_(raw) {}
-  std::uintptr_t raw_ = 0;
-};
-
-using RSlot = std::atomic<std::uintptr_t>;
-
-inline RRef LoadSlot(const RSlot& slot) {
-  return RRef::FromRaw(slot.load(std::memory_order_acquire));
-}
-inline void StoreSlot(RSlot& slot, RRef ref) {
-  slot.store(ref.raw(), std::memory_order_release);
-}
 
 /// (level, prefix_len, prefix[4]) packed into one atomically-updated word.
 /// Layout: [level:16][prefix_len:16][prefix bytes:32].
@@ -120,12 +86,12 @@ struct PackedPrefix {
   }
 };
 
-struct RNode {
-  explicit RNode(NodeType t) : type(t) {}
+struct RowexHeader {
+  explicit RowexHeader(NodeType t) : type(t) {}
   const NodeType type;
   sync::VersionLock lock;  // used as a plain writer spinlock
   std::atomic<std::uint64_t> packed{0};  // PackedPrefix
-  std::atomic<std::uint16_t> count{0};
+  std::uint16_t count = 0;  // accessed through RowexPolicy::Access
   std::atomic<bool> obsolete{false};
 
   PackedPrefix prefix() const {
@@ -134,35 +100,35 @@ struct RNode {
   void set_prefix(PackedPrefix p) {
     packed.store(p.word, std::memory_order_release);
   }
+  void CopyPrefixFrom(const RowexHeader& src) { set_prefix(src.prefix()); }
 };
 
-struct RNode4 : RNode {
-  RNode4() : RNode(NodeType::kN4) {}
-  std::array<std::atomic<std::uint8_t>, 4> keys{};
-  std::array<RSlot, 4> children{};
+/// ROWEX's instantiation of the node ladder (art/node.h): append-only key
+/// arrays published slot, then key byte, then count, each with release,
+/// and read with acquire.
+struct RowexPolicy {
+  using Header = RowexHeader;
+  using Leaf = CLeaf;
+  using Access = art::AtomicAccess<std::memory_order_acquire,
+                                   std::memory_order_release>;
+  static constexpr bool kSortedKeys = false;
 };
-struct RNode16 : RNode {
-  RNode16() : RNode(NodeType::kN16) {}
-  std::array<std::atomic<std::uint8_t>, 16> keys{};
-  std::array<RSlot, 16> children{};
-};
-struct RNode32 : RNode {
-  RNode32() : RNode(NodeType::kN32) {}
-  std::array<std::atomic<std::uint8_t>, 32> keys{};
-  std::array<RSlot, 32> children{};
-};
-struct RNode48 : RNode {
-  static constexpr std::uint8_t kEmptySlot = 0xff;
-  RNode48() : RNode(NodeType::kN48) {
-    for (auto& e : child_index) e.store(kEmptySlot, std::memory_order_relaxed);
-  }
-  std::array<std::atomic<std::uint8_t>, 256> child_index;
-  std::array<RSlot, 48> children{};
-};
-struct RNode256 : RNode {
-  RNode256() : RNode(NodeType::kN256) {}
-  std::array<RSlot, 256> children{};
-};
+
+using RowexAccess = RowexPolicy::Access;
+using RNode = art::BasicNode<RowexPolicy>;
+using RNode4 = art::BasicNode4<RowexPolicy>;
+using RNode16 = art::BasicNode16<RowexPolicy>;
+using RNode32 = art::BasicNode32<RowexPolicy>;
+using RNode48 = art::BasicNode48<RowexPolicy>;
+using RNode256 = art::BasicNode256<RowexPolicy>;
+using RRef = art::BasicRef<RowexPolicy>;
+
+/// Append a child (caller holds the node lock, or owns the unpublished
+/// node).
+inline void RAddChild(RNode* node, std::uint8_t b, RRef child)
+    REQUIRES(node->lock) {
+  art::AddChild(node, b, child);
+}
 
 }  // namespace rowex
 

@@ -34,29 +34,6 @@ std::string ByteRangeLabel(std::uint8_t lo, std::uint8_t hi) {
   return buffer;
 }
 
-void MergeResults(ExecutionResult& total, ExecutionResult&& shard) {
-  total.stats.Merge(shard.stats);
-  total.seconds += shard.seconds;
-  total.energy_joules += shard.energy_joules;
-  total.phase_breakdown.combine_seconds +=
-      shard.phase_breakdown.combine_seconds;
-  total.phase_breakdown.traverse_seconds +=
-      shard.phase_breakdown.traverse_seconds;
-  total.phase_breakdown.trigger_seconds +=
-      shard.phase_breakdown.trigger_seconds;
-  total.phase_breakdown.other_seconds += shard.phase_breakdown.other_seconds;
-  total.latency_ns.Merge(shard.latency_ns);
-  total.reads_hit += shard.reads_hit;
-  total.status.Update(shard.status);
-  total.demoted_to_serial |= shard.demoted_to_serial;
-  total.parallel_failures += shard.parallel_failures;
-  total.bucket_retries += shard.bucket_retries;
-  total.invariant_breaches += shard.invariant_breaches;
-  total.ops_acknowledged += shard.ops_acknowledged;
-  total.partial |= shard.partial;
-  total.unavailable_ops += shard.unavailable_ops;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ construction --
@@ -248,7 +225,7 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
         MarkDegraded(i, sub[i].size(), result, reported);
         continue;
       }
-      MergeResults(result, RunOnShard(i, sub[i], inner));
+      result.Merge(RunOnShard(i, sub[i], inner));
     }
     // Scans after the batch's point ops (a scan in a batch observes the
     // batch's writes — the same read-your-batch order the pairs provide).

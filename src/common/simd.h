@@ -22,13 +22,12 @@
 // `count`-sized buffer.  Lanes at or beyond `count` never influence the
 // result.
 //
-// TSan: the concurrent trees (OLC's atomic_ref key bytes, ROWEX's
-// std::atomic keys) publish key bytes that a vector load reads as plain
-// memory.  That is byte-wise benign under each tree's validation protocol
-// (OLC re-checks the version word; ROWEX keys below `count` are frozen
-// once published) but is a formal data race, so the vector paths compile
-// out under ThreadSanitizer and those call sites fall back to their
-// atomic scalar loops.
+// TSan: the concurrent trees (OLC, ROWEX) publish key bytes through
+// atomic stores that a vector load reads as plain memory.  That is
+// byte-wise benign under each tree's validation protocol but is a formal
+// data race, so the vector paths compile out under ThreadSanitizer.  The
+// node ladder states the resulting rule once (AtomicAccess::kVectorReads
+// in art/node.h): concurrent readers then take an atomic scalar loop.
 #pragma once
 
 #include <atomic>

@@ -59,26 +59,6 @@ void ApplySerialToTree(art::Tree& tree, const Operation& op) {
   }
 }
 
-void MergeResults(ExecutionResult& total, ExecutionResult&& batch) {
-  total.stats.Merge(batch.stats);
-  total.seconds += batch.seconds;
-  total.energy_joules += batch.energy_joules;
-  total.phase_breakdown.combine_seconds +=
-      batch.phase_breakdown.combine_seconds;
-  total.phase_breakdown.traverse_seconds +=
-      batch.phase_breakdown.traverse_seconds;
-  total.phase_breakdown.trigger_seconds +=
-      batch.phase_breakdown.trigger_seconds;
-  total.phase_breakdown.other_seconds += batch.phase_breakdown.other_seconds;
-  total.latency_ns.Merge(batch.latency_ns);
-  total.reads_hit += batch.reads_hit;
-  total.status.Update(batch.status);
-  total.demoted_to_serial |= batch.demoted_to_serial;
-  total.parallel_failures += batch.parallel_failures;
-  total.bucket_retries += batch.bucket_retries;
-  total.invariant_breaches += batch.invariant_breaches;
-}
-
 std::uint32_t FrameCrc(const Frame& frame) {
   return Crc32(frame.payload.data(), frame.payload.size());
 }
@@ -526,7 +506,7 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
     const std::size_t end = std::min(ops.size(), begin + batch_size);
     const std::span<const Operation> batch = ops.subspan(begin, end - begin);
 
-    MergeResults(result, primary_->Run(batch, inner));
+    result.Merge(primary_->Run(batch, inner));
     if (!result.status.ok()) break;  // primary crashed: stop shipping
 
     result.status.Update(ShipRecord(batch));

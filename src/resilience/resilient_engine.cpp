@@ -69,26 +69,6 @@ void ApplySerialToTree(art::Tree& tree, const Operation& op) {
   }
 }
 
-void MergeResults(ExecutionResult& total, ExecutionResult&& batch) {
-  total.stats.Merge(batch.stats);
-  total.seconds += batch.seconds;
-  total.energy_joules += batch.energy_joules;
-  total.phase_breakdown.combine_seconds +=
-      batch.phase_breakdown.combine_seconds;
-  total.phase_breakdown.traverse_seconds +=
-      batch.phase_breakdown.traverse_seconds;
-  total.phase_breakdown.trigger_seconds +=
-      batch.phase_breakdown.trigger_seconds;
-  total.phase_breakdown.other_seconds += batch.phase_breakdown.other_seconds;
-  total.latency_ns.Merge(batch.latency_ns);
-  total.reads_hit += batch.reads_hit;
-  total.status.Update(batch.status);
-  total.demoted_to_serial |= batch.demoted_to_serial;
-  total.parallel_failures += batch.parallel_failures;
-  total.bucket_retries += batch.bucket_retries;
-  total.invariant_breaches += batch.invariant_breaches;
-}
-
 }  // namespace
 
 ResilientEngine::ResilientEngine(ResilienceOptions options,
@@ -213,7 +193,7 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
       }
       Metrics().journal_records->Add(batch.size());
     }
-    MergeResults(result, engine_->Run(batch, inner));
+    result.Merge(engine_->Run(batch, inner));
     result.ops_acknowledged += batch.size();
     if (durable() && ++batches_since_snapshot_ >=
                          std::max<std::size_t>(1,

@@ -54,6 +54,69 @@ std::map<Key, art::Value> FinalState(const Workload& w) {
   return model;
 }
 
+// Every mergeable field of two parts gets a distinct prime, so a dropped or
+// crossed field shows up as a wrong sum.
+TEST(ExecutionResult, MergeFoldsEveryField) {
+  ExecutionResult total, part;
+  total.platform = "cpu";
+  total.wallclock = true;
+  total.stats.operations = 2;
+  part.stats.operations = 3;
+  total.seconds = 5;
+  part.seconds = 7;
+  total.energy_joules = 11;
+  part.energy_joules = 13;
+  total.phase_breakdown = {17, 19, 23, 29};
+  part.phase_breakdown = {31, 37, 41, 43};
+  total.latency_ns.RecordMany(100, 47);
+  part.latency_ns.RecordMany(200, 53);
+  total.reads_hit = 59;
+  part.reads_hit = 61;
+  part.status = Status::Error("part failed");
+  part.demoted_to_serial = true;
+  total.parallel_failures = 67;
+  part.parallel_failures = 71;
+  total.bucket_retries = 73;
+  part.bucket_retries = 79;
+  total.invariant_breaches = 83;
+  part.invariant_breaches = 89;
+  total.ops_acknowledged = 97;
+  part.ops_acknowledged = 101;
+  part.partial = true;
+  total.unavailable_ops = 103;
+  part.unavailable_ops = 107;
+  part.platform = "fpga";
+
+  total.Merge(part);
+  EXPECT_EQ(total.stats.operations, 5u);
+  EXPECT_EQ(total.seconds, 12.0);
+  EXPECT_EQ(total.energy_joules, 24.0);
+  EXPECT_EQ(total.phase_breakdown.combine_seconds, 48.0);
+  EXPECT_EQ(total.phase_breakdown.traverse_seconds, 56.0);
+  EXPECT_EQ(total.phase_breakdown.trigger_seconds, 64.0);
+  EXPECT_EQ(total.phase_breakdown.other_seconds, 72.0);
+  EXPECT_EQ(total.latency_ns.Count(), 100u);
+  EXPECT_EQ(total.reads_hit, 120u);
+  EXPECT_FALSE(total.status.ok());
+  EXPECT_EQ(total.status.message(), "part failed");
+  EXPECT_TRUE(total.demoted_to_serial);
+  EXPECT_EQ(total.parallel_failures, 138u);
+  EXPECT_EQ(total.bucket_retries, 152u);
+  EXPECT_EQ(total.invariant_breaches, 172u);
+  EXPECT_EQ(total.ops_acknowledged, 198u);
+  EXPECT_TRUE(total.partial);
+  EXPECT_EQ(total.unavailable_ops, 210u);
+  // The caller's own description of the run is not merged.
+  EXPECT_EQ(total.platform, "cpu");
+  EXPECT_TRUE(total.wallclock);
+
+  // A second failure keeps the first one's message in front.
+  ExecutionResult later;
+  later.status = Status::Error("later");
+  total.Merge(later);
+  EXPECT_EQ(total.status.message(), "part failed; then: later");
+}
+
 TEST(Engines, AllProduceCorrectFinalState) {
   const Workload w = SmallWorkload();
   const auto model = FinalState(w);

@@ -183,11 +183,11 @@ TEST(CNode, AddFindEnumerate) {
   n.lock.AssertThreadPrivate();  // stack-local node: single-threaded test
   CAddChild(&n, 9, CRef::FromLeaf(l1.get()));
   CAddChild(&n, 4, CRef::FromLeaf(l2.get()));
-  EXPECT_EQ(CFindChild(&n, 9).AsLeaf(), l1.get());
-  EXPECT_EQ(CFindChild(&n, 4).AsLeaf(), l2.get());
-  EXPECT_TRUE(CFindChild(&n, 5).IsNull());
+  EXPECT_EQ(art::FindChild(&n, 9).AsLeaf(), l1.get());
+  EXPECT_EQ(art::FindChild(&n, 4).AsLeaf(), l2.get());
+  EXPECT_TRUE(art::FindChild(&n, 5).IsNull());
   std::vector<int> order;
-  CEnumerateChildren(&n, [&order](std::uint8_t b, CRef) {
+  art::EnumerateChildren(&n, [&order](std::uint8_t b, CRef) {
     order.push_back(b);
     return true;
   });
@@ -201,7 +201,7 @@ TEST(CNode, GrowChainKeepsChildren) {
     node->lock.AssertThreadPrivate();  // never published: test-local tree
     if (CIsFull(node)) {
       CNode* grown = CGrown(node);
-      CDeleteNode(node);
+      art::DeleteNode(node);
       node = grown;
     }
     CLeaf* leaf = CLeaf::New(Key{static_cast<std::uint8_t>(b)},
@@ -211,11 +211,13 @@ TEST(CNode, GrowChainKeepsChildren) {
   }
   EXPECT_EQ(node->type, NodeType::kN256);
   for (int b = 0; b < 256; ++b) {
-    EXPECT_EQ(CFindChild(node, static_cast<std::uint8_t>(b)).AsLeaf()->value,
+    EXPECT_EQ(art::FindChild(node, static_cast<std::uint8_t>(b))
+                  .AsLeaf()
+                  ->value,
               static_cast<art::Value>(b));
   }
   for (CLeaf* l : leaves) l->Delete();
-  CDeleteNode(node);
+  art::DeleteNode(node);
 }
 
 TEST(CNode, MinimumFindsLeftmostLeaf) {
@@ -229,7 +231,7 @@ TEST(CNode, MinimumFindsLeftmostLeaf) {
   CAddChild(&child, 5, CRef::FromLeaf(l2.get()));
   CAddChild(&root, 9, CRef::FromLeaf(l3.get()));
   CAddChild(&root, 1, CRef::FromNode(&child));
-  EXPECT_EQ(CMinimum(CRef::FromNode(&root)), l1.get());
+  EXPECT_EQ(art::Minimum(CRef::FromNode(&root)), l1.get());
 }
 
 TEST(CNode, PrefixRoundTrip) {
