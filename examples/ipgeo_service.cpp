@@ -150,8 +150,9 @@ int main(int argc, char** argv) {
     std::printf("  RECOVERY FAILED\n");
     return 1;
   }
-  std::printf("  recovered: snapshot + %llu journaled requests replayed\n",
-              static_cast<unsigned long long>(restarted.recovered_ops()));
+  std::printf(
+      "  recovered: snapshot + %llu journaled writes/removes replayed\n",
+      static_cast<unsigned long long>(restarted.recovered_ops()));
 
   // Re-serve the unacknowledged tail, then prove the index answers again.
   const std::size_t done = before.ops_acknowledged;

@@ -1,27 +1,32 @@
 #include "art/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/crc32.h"
 #include "resilience/fault_injector.h"
 
 namespace dcart::art {
 
 namespace {
 
-// SN2 is the current format: same layout as SN1, bumped when Node32 joined
-// the node ladder (snapshots are canonical per ladder, so two releases with
-// different ladders produce different — though mutually loadable — bytes).
-// SN1 files remain readable: the payload is a sorted (key, value) stream
-// with no node-type information, so the loader just rebuilds with the
-// current ladder.
-constexpr char kMagic[8] = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '2'};
+constexpr char kMagic[8] = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '3'};
+constexpr char kMagicV2[8] = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '2'};
 constexpr char kMagicV1[8] = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '1'};
-// Smallest possible serialized entry: u32 key_len + 1 key byte + u64 value.
-constexpr std::uint64_t kMinEntryBytes = 4 + 1 + 8;
+// Smallest possible serialized entry: SN3 is two 1-byte varints, one suffix
+// byte and the u64 value; SN1/SN2 a u32 key_len, one key byte and the value.
+constexpr std::uint64_t kMinEntryBytes = 1 + 1 + 1 + 8;
+constexpr std::uint64_t kMinLegacyEntryBytes = 4 + 1 + 8;
+constexpr std::uint32_t kMaxKeyBytes = 1u << 20;
+// 7 bits per varint byte: three bytes cover every length up to kMaxKeyBytes.
+constexpr int kMaxVarintBytes = 3;
+// SaveTree hands the file whole chunks of about this size, not entries.
+constexpr std::size_t kChunkBytes = 64 << 10;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -50,19 +55,26 @@ bool ReadBytes(std::FILE* f, void* data, std::size_t n) {
   return std::fread(data, 1, n, f) == n;
 }
 
-template <typename T>
-bool WritePod(std::FILE* f, T value) {
-  return WriteBytes(f, &value, sizeof value);
+void AppendBytes(std::vector<std::uint8_t>& buffer, const void* data,
+                 std::size_t n) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  buffer.insert(buffer.end(), bytes, bytes + n);
 }
 
 template <typename T>
-bool ReadPod(std::FILE* f, T& value) {
-  return ReadBytes(f, &value, sizeof value);
+void AppendPod(std::vector<std::uint8_t>& buffer, T value) {
+  AppendBytes(buffer, &value, sizeof value);
 }
 
-/// Bytes from the current position to EOF, or -1 when unknowable.  Length
-/// fields read from the file are checked against this so a corrupt count or
-/// key_len can never drive an allocation past what the file could hold.
+void AppendVarint(std::vector<std::uint8_t>& buffer, std::size_t value) {
+  while (value >= 0x80) {
+    buffer.push_back(static_cast<std::uint8_t>(value | 0x80));
+    value >>= 7;
+  }
+  buffer.push_back(static_cast<std::uint8_t>(value));
+}
+
+/// Bytes from the current position to EOF, or -1 when unknowable.
 long RemainingBytes(std::FILE* f) {
   const long pos = std::ftell(f);
   if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
@@ -71,25 +83,85 @@ long RemainingBytes(std::FILE* f) {
   return end >= pos ? end - pos : -1;
 }
 
+/// Bounds-checked reads over an in-memory image.  Every length field read
+/// from a file is checked against remaining(), so a corrupt count or length
+/// can never drive a read or an allocation past what the file holds.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+
+  bool Read(void* out, std::size_t n) {
+    if (remaining() < n) return false;
+    std::memcpy(out, bytes_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
+  template <typename T>
+  bool ReadPod(T& value) {
+    return Read(&value, sizeof value);
+  }
+
+  /// LEB128 of at most kMaxVarintBytes bytes; a longer one is corrupt.
+  bool ReadVarint(std::uint32_t& value) {
+    value = 0;
+    for (int i = 0; i < kMaxVarintBytes && pos_ < bytes_.size(); ++i) {
+      const std::uint8_t byte = bytes_[pos_++];
+      value |= static_cast<std::uint32_t>(byte & 0x7f) << (7 * i);
+      if ((byte & 0x80) == 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+/// The tree's invariant, which BulkLoadSorted relies on: each key is
+/// greater than its predecessor and does not extend it (keys are
+/// prefix-free).
+bool FollowsInOrder(KeyView prev, KeyView key) {
+  const std::size_t lcp = CommonPrefixLength(prev, key);
+  return lcp < prev.size() && lcp < key.size() && prev[lcp] < key[lcp];
+}
+
 }  // namespace
 
 bool SaveTree(const Tree& tree, const std::string& path) {
   File f(std::fopen(path.c_str(), "wb"));
   if (!f) return false;
-  if (!WriteBytes(f.get(), kMagic, sizeof kMagic)) return false;
-  if (!WritePod(f.get(), static_cast<std::uint64_t>(tree.size()))) {
-    return false;
-  }
+  std::vector<std::uint8_t> chunk;
+  chunk.reserve(2 * kChunkBytes);
+  std::uint32_t crc = 0;
+  // Each chunk joins the running CRC as it is written, so the trailer
+  // covers every byte before it without a second pass over the image.
+  const auto flush = [&] {
+    crc = Crc32(chunk.data(), chunk.size(), crc);
+    const bool written = WriteBytes(f.get(), chunk.data(), chunk.size());
+    chunk.clear();
+    return written;
+  };
+  AppendBytes(chunk, kMagic, sizeof kMagic);
+  AppendPod(chunk, static_cast<std::uint64_t>(tree.size()));
   bool ok = true;
+  Key prev;
   if (!tree.empty()) {
     tree.ScanFrom(Key{}, [&](KeyView key, Value value) {
-      ok = ok && WritePod(f.get(), static_cast<std::uint32_t>(key.size())) &&
-           WriteBytes(f.get(), key.data(), key.size()) &&
-           WritePod(f.get(), value);
+      const std::size_t shared = CommonPrefixLength(prev, key);
+      AppendVarint(chunk, shared);
+      AppendVarint(chunk, key.size() - shared);
+      AppendBytes(chunk, key.data() + shared, key.size() - shared);
+      AppendPod(chunk, value);
+      prev.assign(key.begin(), key.end());
+      if (chunk.size() >= kChunkBytes) ok = flush();
       return ok;
     });
   }
-  return ok && std::fflush(f.get()) == 0;
+  if (!ok || !flush()) return false;
+  return WriteBytes(f.get(), &crc, sizeof crc) && std::fflush(f.get()) == 0;
 }
 
 bool LoadTree(const std::string& path, Tree& out) {
@@ -98,41 +170,65 @@ bool LoadTree(const std::string& path, Tree& out) {
   if (!out.empty()) return false;
   File f(std::fopen(path.c_str(), "rb"));
   if (!f) return false;
-  char magic[sizeof kMagic];
-  if (!ReadBytes(f.get(), magic, sizeof magic) ||
-      (std::memcmp(magic, kMagic, sizeof magic) != 0 &&
-       std::memcmp(magic, kMagicV1, sizeof magic) != 0)) {
+  const long size = RemainingBytes(f.get());
+  if (size < static_cast<long>(sizeof kMagic)) return false;
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(size));
+  if (!ReadBytes(f.get(), image.data(), image.size())) return false;
+
+  std::span<const std::uint8_t> body(image);
+  const bool sn3 = std::memcmp(body.data(), kMagic, sizeof kMagic) == 0;
+  if (!sn3 && std::memcmp(body.data(), kMagicV2, sizeof kMagic) != 0 &&
+      std::memcmp(body.data(), kMagicV1, sizeof kMagic) != 0) {
     return false;
   }
+  if (sn3) {
+    // Verify the trailer before trusting any field it seals.
+    std::uint32_t crc = 0;
+    if (image.size() < sizeof kMagic + sizeof crc) return false;
+    body = body.first(image.size() - sizeof crc);
+    std::memcpy(&crc, image.data() + body.size(), sizeof crc);
+    if (Crc32(body.data(), body.size()) != crc) return false;
+  }
+  Reader in(body.subspan(sizeof kMagic));
+
   std::uint64_t count = 0;
-  if (!ReadPod(f.get(), count)) return false;
+  if (!in.ReadPod(count)) return false;
   // A flipped bit in `count` must not become a multi-gigabyte reserve: the
   // file physically cannot hold more entries than its remaining bytes allow.
-  const long remaining = RemainingBytes(f.get());
-  if (remaining < 0 ||
-      count > static_cast<std::uint64_t>(remaining) / kMinEntryBytes) {
+  if (count > in.remaining() / (sn3 ? kMinEntryBytes : kMinLegacyEntryBytes)) {
     return false;
   }
   std::vector<std::pair<Key, Value>> items;
   items.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t key_len = 0;
-    if (!ReadPod(f.get(), key_len) || key_len == 0 || key_len > (1u << 20) ||
-        key_len > static_cast<std::uint64_t>(remaining)) {
+    const KeyView prev =
+        items.empty() ? KeyView{} : KeyView{items.back().first};
+    // The magic decides only how the key bytes are stored.
+    std::uint32_t shared = 0;
+    std::uint32_t stored = 0;
+    if (sn3) {
+      if (!in.ReadVarint(shared) || !in.ReadVarint(stored) ||
+          shared > prev.size() || stored == 0) {
+        return false;
+      }
+    } else if (!in.ReadPod(stored)) {
+      return false;
+    }
+    const std::uint64_t key_len = std::uint64_t{shared} + stored;
+    if (key_len == 0 || key_len > kMaxKeyBytes || stored > in.remaining()) {
       return false;
     }
     Key key(key_len);
+    std::copy_n(prev.begin(), shared, key.begin());
     Value value = 0;
-    if (!ReadBytes(f.get(), key.data(), key_len) ||
-        !ReadPod(f.get(), value)) {
+    if (!in.Read(key.data() + shared, stored) || !in.ReadPod(value)) {
       return false;
     }
-    // The stream must be strictly sorted (it came from an in-order scan).
-    if (!items.empty() && CompareKeys(items.back().first, key) >= 0) {
-      return false;
-    }
+    // The stream came from an in-order scan of a prefix-free key set.
+    if (!items.empty() && !FollowsInOrder(prev, key)) return false;
     items.emplace_back(std::move(key), value);
   }
+  if (in.remaining() != 0) return false;  // bytes no entry accounts for
   out.BulkLoadSorted(items);
   return true;
 }

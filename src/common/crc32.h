@@ -1,8 +1,9 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven (slicing-by-8).
 //
 // Used by the write-ahead operation journal to frame records so a torn or
 // bit-flipped tail is detected and truncated during recovery instead of
-// being replayed as data.
+// being replayed as data, by the SN3 snapshot trailer, and by replication's
+// tree checksums.
 #pragma once
 
 #include <cstddef>

@@ -22,6 +22,12 @@ void AppendPod(std::vector<std::uint8_t>& buffer, T value) {
   std::memcpy(buffer.data() + pos, &value, sizeof value);
 }
 
+/// Replay needs only the ops that change the tree: reads and scans are
+/// answered at execution time and leave nothing to redo.
+bool ChangesState(OpType type) {
+  return type == OpType::kWrite || type == OpType::kRemove;
+}
+
 template <typename T>
 bool ParsePod(std::span<const std::uint8_t> buffer, std::size_t& pos,
               T& value) {
@@ -38,14 +44,18 @@ std::uint32_t EncodeRecordPayload(std::uint64_t sequence,
                                   std::vector<std::uint8_t>& payload) {
   payload.clear();
   AppendPod(payload, sequence);
-  AppendPod(payload, static_cast<std::uint32_t>(ops.size()));
+  std::uint32_t op_count = 0;
+  AppendPod(payload, op_count);  // patched once the ops are counted
   for (const Operation& op : ops) {
+    if (!ChangesState(op.type)) continue;
     AppendPod(payload, static_cast<std::uint8_t>(op.type));
     AppendPod(payload, static_cast<std::uint32_t>(op.key.size()));
     payload.insert(payload.end(), op.key.begin(), op.key.end());
     AppendPod(payload, op.value);
     AppendPod(payload, op.scan_count);
+    ++op_count;
   }
+  std::memcpy(payload.data() + sizeof sequence, &op_count, sizeof op_count);
   return Crc32(payload.data(), payload.size());
 }
 
@@ -78,7 +88,7 @@ Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
       return Status::Error("record payload truncated at op " +
                            std::to_string(i));
     }
-    ops.push_back(std::move(op));
+    if (ChangesState(op.type)) ops.push_back(std::move(op));
   }
   if (pos != payload.size()) {
     return Status::Error("record payload has trailing bytes");

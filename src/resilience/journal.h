@@ -1,11 +1,14 @@
 // Write-ahead operation journal: the durability half of the fault-tolerant
 // execution layer.
 //
-// Before a batch executes, its operations are appended as one framed record
-// and flushed; a batch is *acknowledged* once its record is fully on disk.
-// After a crash, recovery loads the latest valid SaveTree snapshot and
-// replays the journal tail — the CRC framing makes a torn or bit-flipped
-// tail record detectable, so it is truncated rather than trusted.
+// Before a batch executes, its writes and removes are appended as one framed
+// record and flushed; a batch is *acknowledged* once its record is fully on
+// disk.  Reads and scans change no state, so they are not journaled; a
+// read-only batch still appends one record, with no ops, so every batch
+// keeps its own sequence number.  After a crash, recovery loads the latest
+// valid SaveTree snapshot and replays the journal tail — the CRC framing
+// makes a torn or bit-flipped tail record detectable, so it is truncated
+// rather than trusted.
 //
 // Format (little-endian; per-op encoding shared with the DCWTRC02 trace
 // format in workload/trace_io):
@@ -14,6 +17,8 @@
 //   payload: u64 sequence, u32 op_count,
 //            per op: u8 type, u32 key_len, key bytes, u64 value,
 //                    u32 scan_count
+// The layout is the one records had when they held every op of a batch, so
+// such older records, reads and scans included, still replay.
 #pragma once
 
 #include <cstdio>
@@ -34,16 +39,19 @@ namespace dcart::resilience {
 //   u64 sequence, u32 op_count,
 //   per op: u8 type, u32 key_len, key bytes, u64 value, u32 scan_count
 
-/// Serialize (sequence, ops) into `payload` (cleared first) and return the
+/// Serialize `sequence` and the writes and removes of `ops`, in order, into
+/// `payload` (cleared first); op_count counts the ops encoded.  Returns the
 /// CRC32 the journal framing would carry for it.
 std::uint32_t EncodeRecordPayload(std::uint64_t sequence,
                                   std::span<const Operation> ops,
                                   std::vector<std::uint8_t>& payload);
 
-/// Parse a record payload back into (sequence, ops-appended-to-out).
-/// Rejects malformed payloads (bad op type, lengths that overrun) without
-/// touching `out`; CRC verification is the caller's job — the replica
-/// re-checks the frame CRC against the payload bytes before decoding.
+/// Parse a record payload back into (sequence, ops-appended-to-out).  All
+/// four op types parse; only writes and removes are appended, so an older
+/// record holding reads and scans replays like a new one.  Rejects
+/// malformed payloads (bad op type, lengths that overrun) without touching
+/// `out`; CRC verification is the caller's job — the replica re-checks the
+/// frame CRC against the payload bytes before decoding.
 Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
                            std::uint64_t& sequence,
                            std::vector<Operation>& out);
@@ -59,7 +67,8 @@ class OpJournal {
   /// Create/truncate the journal at `path` and write the magic.
   bool Open(const std::string& path);
 
-  /// Append one record covering `ops` and flush it to the OS.  On a torn
+  /// Append one record holding the writes and removes of `ops` (an empty
+  /// record when there are none) and flush it to the OS.  On a torn
   /// write (injected kCrashMidBatch / kFileShortWrite, or a real I/O error)
   /// the record is left incomplete on disk and an error is returned — the
   /// batch is NOT acknowledged, and recovery will truncate the tear.
@@ -76,8 +85,9 @@ class OpJournal {
   std::vector<std::uint8_t> scratch_;  // payload build buffer, reused
 };
 
-/// Replay the valid prefix of the journal at `path` into `out` (appending).
-/// Stops at EOF, the first torn record, a CRC mismatch, or a malformed
+/// Replay the valid prefix of the journal at `path`: append the writes and
+/// removes of its records to `out`, in order.  Stops at EOF, the first torn
+/// record, a CRC mismatch, or a malformed
 /// payload — everything before the stop point is intact by construction.
 /// Returns the number of complete records consumed (0 for a missing or
 /// unrecognizable file).

@@ -11,7 +11,9 @@
 //                      all); the primary ships that record over a
 //                      ReplicationLink.  One record per acknowledged batch,
 //                      so shipping rides the CTT batch boundaries and never
-//                      touches the per-operation hot path.
+//                      touches the per-operation hot path.  A record holds
+//                      the batch's writes and removes only: reads and scans
+//                      are answered by the primary and never shipped.
 //   Replica replay   — the ReplicaEngine verifies each record's CRC,
 //                      rejects duplicates and gaps by sequence number,
 //                      journals the record to replica-local disk (the same
@@ -151,10 +153,11 @@ class InProcessLink : public ReplicationLink {
 
 // --------------------------------------------------------------- checksums --
 
-/// CRC32 over the tree's canonical sorted (key, value) stream — the same
-/// order SaveTree serializes, so equal checksums mean byte-identical
-/// SaveTree images.  O(n): exchanged on probes and periodic flagged acks,
-/// never per record.
+/// CRC32 over the tree's canonical sorted (key, value) stream, each entry
+/// as u32 key_len, key bytes, u64 value.  SaveTree writes that same stream
+/// (front-coded), so equal checksums mean equal trees and byte-identical
+/// SaveTree images, though the checksum is not a CRC of the image.  O(n):
+/// exchanged on probes and periodic flagged acks, never per record.
 std::uint64_t TreeChecksum(const art::Tree& tree);
 
 // ----------------------------------------------------------------- backoff --
@@ -240,6 +243,7 @@ class ReplicaEngine {
   ResilientEngine& promoted_engine() { return *promoted_engine_; }
 
   std::uint64_t applied_records() const { return next_sequence_; }
+  /// Writes and removes applied (records carry no reads or scans).
   std::uint64_t applied_ops() const { return applied_ops_; }
   /// True when a replica-local journal write failed and the replica stopped
   /// acking (the primary's drain will surface the stall).

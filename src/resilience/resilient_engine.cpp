@@ -191,7 +191,7 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
         result.status.Update(journaled);
         break;
       }
-      Metrics().journal_records->Add(batch.size());
+      Metrics().journal_records->Increment();
     }
     result.Merge(engine_->Run(batch, inner));
     result.ops_acknowledged += batch.size();

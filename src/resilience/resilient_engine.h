@@ -3,12 +3,14 @@
 //
 // Wraps a DcartCpEngine with the three cooperating resilience layers:
 //
-//   Durability   — every batch is appended to a CRC-framed write-ahead
-//                  journal (flushed before execution = the batch is
-//                  *acknowledged*), and every `snapshot_every_batches`
-//                  batches the tree is checkpointed with SaveTree into a
-//                  new numbered generation (written to a temp name and
-//                  renamed, so a torn snapshot never bears a real name).
+//   Durability   — every batch's writes and removes are appended as one
+//                  record to a CRC-framed write-ahead journal (flushed
+//                  before execution = the batch is *acknowledged*; a
+//                  read-only batch appends an empty record), and every
+//                  `snapshot_every_batches` batches the tree is
+//                  checkpointed with SaveTree into a new numbered
+//                  generation (written to a temp name and renamed, so a
+//                  torn snapshot never bears a real name).
 //   Recovery     — Recover() loads the newest loadable snapshot generation
 //                  and replays every journal from that generation forward;
 //                  torn/corrupt journal tails are truncated by the CRC
@@ -24,7 +26,7 @@
 //
 // On-disk layout under `options.dir`:
 //   snapshot-<G>.tree   SaveTree image taken at generation G's start
-//   journal-<G>.log     operations acknowledged since snapshot G
+//   journal-<G>.log     writes and removes of batches acknowledged since G
 // The last `keep_generations` generations are retained; recovery from
 // generation G replays journals G, G+1, ... in order.
 #pragma once
@@ -70,7 +72,8 @@ class ResilientEngine : public IndexEngine {
   /// (no durability dir, or every snapshot corrupt).
   bool Recover();
 
-  /// Operations restored by the last successful Recover().
+  /// Writes and removes the last successful Recover() replayed from the
+  /// journal tail (reads and scans are not journaled, so not counted).
   std::uint64_t recovered_ops() const { return recovered_ops_; }
 
   /// Why the last Recover() failed (or Ok after a successful one): which

@@ -1,5 +1,5 @@
 // Malformed-file corpus for every on-disk format the repo reads back:
-// DCARTSN1 tree snapshots, DCWTRC02 workload traces, and DCJRNL01 journals.
+// DCARTSN1-3 tree snapshots, DCWTRC02 workload traces, and DCJRNL01 journals.
 // Truncations at every offset, flipped magics, oversized length fields, and
 // CRC mismatches must all be rejected cleanly — no crash, no hang, no leak
 // (the CI fault-injection job runs this suite under AddressSanitizer) —
@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <vector>
 
 #include "art/serialize.h"
+#include "common/crc32.h"
 #include "common/key_codec.h"
+#include "common/rng.h"
+#include "legacy_snapshot.h"
 #include "resilience/fault_injector.h"
 #include "resilience/journal.h"
 #include "workload/trace_io.h"
@@ -24,6 +28,12 @@ namespace {
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
+
+/// The CI fault-injection job runs this suite with seeds 1-3.
+std::uint64_t EnvSeed() {
+  const char* env = std::getenv("DCART_FAULT_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
+}
 
 class MalformedFileTest : public ::testing::Test {
  protected:
@@ -62,63 +72,280 @@ art::Tree SmallTree() {
   return tree;
 }
 
+/// SmallTree as SaveTree writes it (SN3) and as older builds wrote it
+/// (SN2): the loader must be as strict with the files those left.
+std::vector<std::vector<std::uint8_t>> SmallTreeImages(
+    const std::string& path) {
+  if (!art::SaveTree(SmallTree(), path)) return {};
+  return {ReadFile(path), test_util::LegacySnapshotImage(SmallTree(), '2')};
+}
+
 TEST_F(MalformedFileTest, TreeTruncatedAtEveryOffsetIsRejected) {
   const std::string good = Temp("tree_good.bin");
-  const art::Tree tree = SmallTree();
-  ASSERT_TRUE(art::SaveTree(tree, good));
-  const std::vector<std::uint8_t> bytes = ReadFile(good);
-  ASSERT_FALSE(bytes.empty());
+  const std::vector<std::vector<std::uint8_t>> images =
+      SmallTreeImages(good);
+  ASSERT_EQ(images.size(), 2u);
 
   const std::string cut = Temp("tree_cut.bin");
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    WriteFile(cut, {bytes.begin(), bytes.begin() + len});
+  for (const std::vector<std::uint8_t>& bytes : images) {
+    SCOPED_TRACE(std::string(bytes.begin(), bytes.begin() + 8));
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      WriteFile(cut, {bytes.begin(), bytes.begin() + len});
+      art::Tree out;
+      EXPECT_FALSE(art::LoadTree(cut, out)) << "accepted " << len << " bytes";
+      EXPECT_TRUE(out.empty());
+    }
+    // Sanity: the untruncated file still loads.
+    WriteFile(cut, bytes);
     art::Tree out;
-    EXPECT_FALSE(art::LoadTree(cut, out)) << "accepted " << len << " bytes";
-    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(art::LoadTree(cut, out));
+    EXPECT_EQ(out.size(), SmallTree().size());
   }
-  // Sanity: the untruncated file still loads.
-  art::Tree out;
-  EXPECT_TRUE(art::LoadTree(good, out));
-  EXPECT_EQ(out.size(), tree.size());
 }
 
 TEST_F(MalformedFileTest, TreeBadMagicAndOversizedFieldsAreRejected) {
   const std::string good = Temp("tree_good2.bin");
+  const std::vector<std::vector<std::uint8_t>> images =
+      SmallTreeImages(good);
+  ASSERT_EQ(images.size(), 2u);
+
+  const std::string bad = Temp("tree_bad.bin");
+  for (const std::vector<std::uint8_t>& bytes : images) {
+    SCOPED_TRACE(std::string(bytes.begin(), bytes.begin() + 8));
+    // Every byte of the magic flipped, one at a time.
+    for (std::size_t i = 0; i < 8; ++i) {
+      std::vector<std::uint8_t> mutated = bytes;
+      mutated[i] ^= 0xff;
+      WriteFile(bad, mutated);
+      art::Tree out;
+      EXPECT_FALSE(art::LoadTree(bad, out)) << "magic byte " << i;
+      EXPECT_TRUE(out.empty());
+    }
+
+    // A count far beyond what the file could hold must not drive a huge
+    // allocation — the loader bounds it against the remaining bytes.
+    {
+      std::vector<std::uint8_t> mutated = bytes;
+      const std::uint64_t huge = ~0ull / 2;
+      std::memcpy(mutated.data() + 8, &huge, sizeof huge);
+      WriteFile(bad, mutated);
+      art::Tree out;
+      EXPECT_FALSE(art::LoadTree(bad, out));
+      EXPECT_TRUE(out.empty());
+    }
+
+    // An oversized length field in the first entry (offset 16) likewise.
+    {
+      std::vector<std::uint8_t> mutated = bytes;
+      const std::uint32_t huge = ~0u;
+      std::memcpy(mutated.data() + 16, &huge, sizeof huge);
+      WriteFile(bad, mutated);
+      art::Tree out;
+      EXPECT_FALSE(art::LoadTree(bad, out));
+      EXPECT_TRUE(out.empty());
+    }
+  }
+}
+
+// SN3 images forged field by field (art/serialize.h), so a test can write
+// what SaveTree never would and still seal it with a valid CRC: each case
+// then reaches the field check it targets instead of the CRC check.
+class Sn3Forge {
+ public:
+  explicit Sn3Forge(std::uint64_t count) {
+    bytes_ = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '3'};
+    Pod(count);
+  }
+
+  /// One entry: varint shared, varint suffix_len, suffix, u64 value.
+  Sn3Forge& Entry(std::uint32_t shared, const std::vector<std::uint8_t>& suffix,
+                  std::uint64_t value) {
+    Varint(shared);
+    Varint(static_cast<std::uint32_t>(suffix.size()));
+    Raw(suffix);
+    Pod(value);
+    return *this;
+  }
+
+  Sn3Forge& Varint(std::uint32_t v) {
+    while (v >= 0x80) {
+      bytes_.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    bytes_.push_back(static_cast<std::uint8_t>(v));
+    return *this;
+  }
+
+  Sn3Forge& Raw(const std::vector<std::uint8_t>& raw) {
+    bytes_.insert(bytes_.end(), raw.begin(), raw.end());
+    return *this;
+  }
+
+  template <typename T>
+  Sn3Forge& Pod(T value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    bytes_.insert(bytes_.end(), p, p + sizeof value);
+    return *this;
+  }
+
+  /// The image with its CRC32 trailer.
+  std::vector<std::uint8_t> Sealed() const { return Seal(bytes_); }
+
+  static std::vector<std::uint8_t> Seal(std::vector<std::uint8_t> body) {
+    const std::uint32_t crc = Crc32(body.data(), body.size());
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&crc);
+    body.insert(body.end(), p, p + sizeof crc);
+    return body;
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST_F(MalformedFileTest, TreeSn3FieldCorruptionsAreRejected) {
+  const std::string path = Temp("tree_sn3_forged.bin");
+  const auto loads = [&](const std::vector<std::uint8_t>& image,
+                         std::size_t expect_size) {
+    WriteFile(path, image);
+    art::Tree out;
+    const bool ok = art::LoadTree(path, out);
+    EXPECT_EQ(out.size(), ok ? expect_size : 0u);
+    return ok;
+  };
+
+  // The control: keys {10 20} and {10 30}, the second sharing one byte.
+  EXPECT_TRUE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                        .Entry(1, {0x30}, 2)
+                        .Sealed(),
+                    2));
+
+  EXPECT_FALSE(loads(Sn3Forge(1).Entry(1, {0x20}, 1).Sealed(), 0))
+      << "shared > 0 on the first entry";
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(3, {0x30}, 2)
+                         .Sealed(),
+                     0))
+      << "shared > the previous key's length";
+  // A zero suffix_len also makes the key a prefix of its predecessor, so
+  // the order check would catch it too; the loader names it first.
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(1, {}, 2)
+                         .Sealed(),
+                     0))
+      << "suffix_len = 0";
+  EXPECT_FALSE(loads(Sn3Forge(1).Entry(0, {}, 1).Sealed(), 0))
+      << "an empty first key";
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Raw({0x81, 0x80, 0x80, 0x00})  // shared = 1
+                         .Varint(1)
+                         .Raw({0x30})
+                         .Pod(std::uint64_t{2})
+                         .Sealed(),
+                     0))
+      << "a 4-byte varint";
+  EXPECT_FALSE(loads(Sn3Forge(1).Varint(0).Varint(100).Raw({0x10, 0x20})
+                         .Pod(std::uint64_t{1})
+                         .Sealed(),
+                     0))
+      << "a suffix running past the end of the image";
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(1, {0x20}, 2)
+                         .Sealed(),
+                     0))
+      << "a key equal to its predecessor";
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(1, {0x05}, 2)
+                         .Sealed(),
+                     0))
+      << "a key below its predecessor";
+  EXPECT_FALSE(loads(Sn3Forge(2).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(2, {0x40}, 2)
+                         .Sealed(),
+                     0))
+      << "a key extending its predecessor (keys are prefix-free)";
+  EXPECT_FALSE(loads(Sn3Forge(1).Entry(0, {0x10}, 1).Raw({0x00}).Sealed(),
+                     0))
+      << "a byte after the last entry";
+  EXPECT_FALSE(loads(Sn3Forge(3).Entry(0, {0x10, 0x20}, 1)
+                         .Entry(1, {0x30}, 2)
+                         .Sealed(),
+                     0))
+      << "a count above the entries present";
+  EXPECT_FALSE(loads(Sn3Forge(~0ull / 2).Entry(0, {0x10}, 1).Sealed(), 0))
+      << "a count no file could hold";
+
+  std::vector<std::uint8_t> bad_crc =
+      Sn3Forge(2).Entry(0, {0x10, 0x20}, 1).Entry(1, {0x30}, 2).Sealed();
+  bad_crc.back() ^= 0x01;
+  EXPECT_FALSE(loads(bad_crc, 0)) << "a CRC mismatch";
+}
+
+TEST_F(MalformedFileTest, TreeTornSaveAtEveryChunkIsRejected) {
+  // A tree whose image spans several of SaveTree's write chunks; tearing
+  // the Nth write leaves every earlier chunk on disk and half of the Nth.
+  art::Tree tree;
+  SplitMix64 rng(EnvSeed());
+  for (int i = 0; i < 40000; ++i) tree.Insert(EncodeU64(rng.Next()), i);
+  const std::string path = Temp("tree_torn_chunk.bin");
+  std::size_t torn = 0;
+  for (std::uint64_t write = 1;; ++write) {
+    FaultPlan plan;
+    plan.TriggerAt(FaultSite::kFileShortWrite) = write;
+    FaultInjector::Global().Arm(plan);
+    const bool saved = art::SaveTree(tree, path);
+    FaultInjector::Global().Disarm();
+    if (saved) break;  // the fault landed past the last write
+    ++torn;
+    art::Tree out;
+    EXPECT_FALSE(art::LoadTree(path, out)) << "write " << write;
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_GE(torn, 4u);  // several chunks, then the trailer
+  art::Tree out;
+  ASSERT_TRUE(art::LoadTree(path, out));
+  EXPECT_EQ(out.size(), tree.size());
+}
+
+TEST_F(MalformedFileTest, TreeSeededMutationsAreRejectedOrLoadSorted) {
+  const std::string good = Temp("tree_mutation_good.bin");
   ASSERT_TRUE(art::SaveTree(SmallTree(), good));
   const std::vector<std::uint8_t> bytes = ReadFile(good);
+  const std::string bad = Temp("tree_mutation_bad.bin");
+  SplitMix64 rng(EnvSeed());
 
-  // Every byte of the magic flipped, one at a time.
-  const std::string bad = Temp("tree_bad.bin");
-  for (std::size_t i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const auto flip = static_cast<std::uint8_t>(1 + rng.NextBounded(255));
     std::vector<std::uint8_t> mutated = bytes;
-    mutated[i] ^= 0xff;
+    mutated[i] ^= flip;
+    // Raw: the CRC trailer (or, for the magic, the legacy count bound)
+    // catches every single-byte change.
     WriteFile(bad, mutated);
     art::Tree out;
-    EXPECT_FALSE(art::LoadTree(bad, out)) << "magic byte " << i;
+    EXPECT_FALSE(art::LoadTree(bad, out)) << "raw flip at " << i;
     EXPECT_TRUE(out.empty());
-  }
 
-  // A count far beyond what the file could hold must not drive a huge
-  // allocation — the loader bounds it against the remaining bytes.
-  {
-    std::vector<std::uint8_t> mutated = bytes;
-    const std::uint64_t huge = ~0ull / 2;
-    std::memcpy(mutated.data() + 8, &huge, sizeof huge);
-    WriteFile(bad, mutated);
-    art::Tree out;
-    EXPECT_FALSE(art::LoadTree(bad, out));
-    EXPECT_TRUE(out.empty());
-  }
-
-  // An oversized key_len (first entry, offset 16) likewise.
-  {
-    std::vector<std::uint8_t> mutated = bytes;
-    const std::uint32_t huge = ~0u;
-    std::memcpy(mutated.data() + 16, &huge, sizeof huge);
-    WriteFile(bad, mutated);
-    art::Tree out;
-    EXPECT_FALSE(art::LoadTree(bad, out));
-    EXPECT_TRUE(out.empty());
+    // Resealed: with a valid CRC the field checks are all that stands
+    // between the bytes and the tree.  A load may succeed, but only into
+    // a strictly increasing, prefix-free key set.
+    if (i + 4 > bytes.size()) continue;  // the trailer itself
+    mutated.resize(bytes.size() - 4);
+    WriteFile(bad, Sn3Forge::Seal(mutated));
+    art::Tree resealed;
+    if (!art::LoadTree(bad, resealed)) {
+      EXPECT_TRUE(resealed.empty());
+      continue;
+    }
+    Key prev;
+    std::size_t seen = 0;
+    resealed.ScanFrom({}, [&](KeyView key, art::Value) {
+      if (seen++ > 0) {
+        EXPECT_LT(CompareKeys(prev, key), 0) << "resealed flip at " << i;
+        EXPECT_LT(CommonPrefixLength(prev, key), prev.size());
+      }
+      prev.assign(key.begin(), key.end());
+      return true;
+    });
+    EXPECT_EQ(seen, resealed.size());
   }
 }
 

@@ -6,6 +6,7 @@
 // because SaveTree streams the tree's canonical sorted form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -13,7 +14,10 @@
 #include <vector>
 
 #include "art/serialize.h"
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "legacy_snapshot.h"
+#include "obs/metrics.h"
 #include "resilience/fault_injector.h"
 #include "resilience/resilient_engine.h"
 #include "workload/generators.h"
@@ -91,6 +95,17 @@ art::Tree ReplayPrefix(const Workload& w, std::size_t op_count) {
   return tree;
 }
 
+/// Writes and removes among ops [begin, end) — what the journal holds.
+std::uint64_t StateChangesIn(const Workload& w, std::size_t begin,
+                             std::size_t end) {
+  std::uint64_t changes = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    changes += w.ops[i].type == OpType::kWrite ||
+               w.ops[i].type == OpType::kRemove;
+  }
+  return changes;
+}
+
 Workload RecoveryWorkload(std::size_t num_ops) {
   WorkloadConfig cfg;
   cfg.num_keys = 2000;
@@ -163,7 +178,13 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
     // prefix bit-for-bit.
     ResilientEngine restarted(options);
     ASSERT_TRUE(restarted.Recover());
-    EXPECT_EQ(restarted.recovered_ops() % kBatch, 0u);
+    // Recovery replays the whole records after the newest snapshot: the
+    // writes and removes of the acknowledged batches since it.
+    const std::size_t acked_batches = crash_at - 1;
+    const std::size_t snapshotted =
+        acked_batches - acked_batches % options.snapshot_every_batches;
+    EXPECT_EQ(restarted.recovered_ops(),
+              StateChangesIn(w, snapshotted * kBatch, r.ops_acknowledged));
     ExpectTreesByteIdentical(restarted.tree(),
                              ReplayPrefix(w, r.ops_acknowledged), "boundary");
 
@@ -217,6 +238,20 @@ TEST_F(RecoveryTest, TornJournalRecordRecoversAcknowledgedPrefix) {
   }
 }
 
+/// Path of the highest-numbered snapshot generation under `dir`.
+std::string NewestSnapshot(const std::string& dir) {
+  std::uint64_t newest = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("snapshot-")) {
+      newest = std::max<std::uint64_t>(
+          newest, std::strtoull(name.c_str() + 9, nullptr, 10));
+    }
+  }
+  return newest > 1 ? dir + "/snapshot-" + std::to_string(newest) + ".tree"
+                    : "";
+}
+
 TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
   const Workload w = RecoveryWorkload(4096);
   const std::string dir = FreshDir("fallback");
@@ -230,22 +265,12 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
     ASSERT_TRUE(engine.Run(w.ops, DurableRun()).status.ok());
   }
 
-  // Corrupt the newest snapshot (truncate it mid-entry — always detectable,
-  // unlike an interior bit flip, since snapshots carry no checksum).
-  // Recovery must not trust it: it falls back to the previous generation
-  // and replays that generation's journal over it — still landing on the
-  // exact final state.
-  std::uint64_t newest = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("snapshot-")) {
-      newest = std::max<std::uint64_t>(
-          newest, std::strtoull(name.c_str() + 9, nullptr, 10));
-    }
-  }
-  ASSERT_GT(newest, 1u);
-  const std::string victim =
-      dir + "/snapshot-" + std::to_string(newest) + ".tree";
+  // Corrupt the newest snapshot (truncate it mid-entry).  Recovery must
+  // not trust it: it falls back to the previous generation and replays
+  // that generation's journal over it — still landing on the exact final
+  // state.
+  const std::string victim = NewestSnapshot(dir);
+  ASSERT_FALSE(victim.empty());
   fs::resize_file(victim, fs::file_size(victim) / 2);
 
   ResilientEngine restarted(options);
@@ -254,6 +279,175 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
   ExpectTreesByteIdentical(restarted.tree(), ReplayPrefix(w, w.ops.size()),
                            "fallback");
   fs::remove_all(dir);
+}
+
+TEST_F(RecoveryTest, FlippedValueByteInNewestSnapshotFallsBackAGeneration) {
+  const Workload w = RecoveryWorkload(4096);
+  const std::string dir = FreshDir("flipped");
+
+  ResilienceOptions options;
+  options.dir = dir;
+  options.snapshot_every_batches = 2;
+  {
+    ResilientEngine engine(options);
+    engine.Load(w.load_items);
+    ASSERT_TRUE(engine.Run(w.ops, DurableRun()).status.ok());
+  }
+
+  // Flip one bit of the first entry's value.  The file still parses — the
+  // bit changes a value, not a length — so only the CRC trailer can tell.
+  const std::string victim = NewestSnapshot(dir);
+  ASSERT_FALSE(victim.empty());
+  std::vector<std::uint8_t> bytes = FileBytes(victim);
+  // Header (16 bytes), then the first entry: varint shared (0), varint
+  // suffix_len (one byte for these 8-byte keys), the key, the u64 value.
+  ASSERT_GT(bytes.size(), 18u);
+  ASSERT_EQ(bytes[16], 0u);
+  ASSERT_LT(bytes[17], 0x80u);
+  const std::size_t value_at = 18 + bytes[17];
+  ASSERT_LT(value_at + 8, bytes.size());
+  bytes[value_at + 3] ^= 0x10;
+  test_util::WriteBytesToFile(victim, bytes);
+
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover());
+  EXPECT_GT(restarted.recovered_ops(), 0u);  // fell back: replayed a journal
+  ExpectTreesByteIdentical(restarted.tree(), ReplayPrefix(w, w.ops.size()),
+                           "flipped");
+  fs::remove_all(dir);
+}
+
+/// A DCJRNL01 journal as it was written before records dropped reads: one
+/// record per batch of `batch` ops, holding every op, reads and scans
+/// included.
+void WriteJournalWithEveryOp(const std::string& path,
+                             const std::vector<Operation>& ops,
+                             std::size_t batch) {
+  std::vector<std::uint8_t> file = {'D', 'C', 'J', 'R', 'N', 'L', '0', '1'};
+  const auto append = [](std::vector<std::uint8_t>& out, const void* data,
+                         std::size_t n) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    out.insert(out.end(), bytes, bytes + n);
+  };
+  for (std::uint64_t sequence = 0; sequence * batch < ops.size();
+       ++sequence) {
+    const std::size_t begin = sequence * batch;
+    const std::size_t end = std::min(ops.size(), begin + batch);
+    std::vector<std::uint8_t> payload;
+    const auto op_count = static_cast<std::uint32_t>(end - begin);
+    append(payload, &sequence, sizeof sequence);
+    append(payload, &op_count, sizeof op_count);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Operation& op = ops[i];
+      const auto type = static_cast<std::uint8_t>(op.type);
+      const auto key_len = static_cast<std::uint32_t>(op.key.size());
+      append(payload, &type, sizeof type);
+      append(payload, &key_len, sizeof key_len);
+      append(payload, op.key.data(), op.key.size());
+      append(payload, &op.value, sizeof op.value);
+      append(payload, &op.scan_count, sizeof op.scan_count);
+    }
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    const std::uint32_t crc = Crc32(payload.data(), payload.size());
+    append(file, &len, sizeof len);
+    append(file, &crc, sizeof crc);
+    append(file, payload.data(), payload.size());
+  }
+  test_util::WriteBytesToFile(path, file);
+}
+
+TEST_F(RecoveryTest, UpgradesSn2SnapshotAndJournalWithReadsInPlace) {
+  // A state directory left by a build that wrote SN2 snapshots and
+  // journaled every op: Recover() must stand on it and reach the serial
+  // replay, then keep serving in the current formats.
+  WorkloadConfig cfg;
+  cfg.num_keys = 2000;
+  cfg.num_ops = 2048;
+  cfg.write_ratio = 0.3;
+  cfg.remove_ratio = 0.1;
+  cfg.scan_ratio = 0.1;
+  const Workload w = MakeWorkload(WorkloadKind::kRS, cfg);
+  std::size_t reads = 0;
+  std::size_t scans = 0;
+  for (const Operation& op : w.ops) {
+    reads += op.type == OpType::kRead;
+    scans += op.type == OpType::kScan;
+  }
+  ASSERT_GT(reads, 0u);
+  ASSERT_GT(scans, 0u);
+
+  const std::string dir = FreshDir("upgrade");
+  art::Tree loaded;
+  for (const auto& [key, value] : w.load_items) loaded.Insert(key, value);
+  test_util::WriteBytesToFile(dir + "/snapshot-1.tree",
+                              test_util::LegacySnapshotImage(loaded, '2'));
+  WriteJournalWithEveryOp(dir + "/journal-1.log", w.ops, kBatch);
+
+  ResilienceOptions options;
+  options.dir = dir;
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover()) << restarted.last_recover_error().message();
+  EXPECT_EQ(restarted.recovered_ops(), StateChangesIn(w, 0, w.ops.size()));
+  ExpectTreesByteIdentical(restarted.tree(), ReplayPrefix(w, w.ops.size()),
+                           "upgrade");
+
+  // Recover() checkpointed the upgraded tree as SN3; the next restart
+  // stands on that snapshot alone.
+  ResilientEngine again(options);
+  ASSERT_TRUE(again.Recover());
+  EXPECT_EQ(again.recovered_ops(), 0u);
+  ExpectTreesByteIdentical(again.tree(), ReplayPrefix(w, w.ops.size()),
+                           "upgrade-again");
+  fs::remove_all(dir);
+}
+
+TEST_F(RecoveryTest, ReadOnlyBatchJournalsExactlyTwentyBytes) {
+  const Workload w = RecoveryWorkload(1024);
+  const std::string dir = FreshDir("read_only");
+  ResilienceOptions options;
+  options.dir = dir;
+  ResilientEngine engine(options);
+  engine.Load(w.load_items);  // opens generation 1
+
+  std::vector<Operation> reads;
+  for (const Operation& op : w.ops) {
+    if (op.type == OpType::kRead) reads.push_back(op);
+  }
+  ASSERT_GT(reads.size(), 1u);
+  RunConfig run = DurableRun();
+  run.batch_size = reads.size();  // one batch, one record
+  const std::string journal = dir + "/journal-1.log";
+  const std::uintmax_t before = fs::file_size(journal);
+  obs::Counter* const records =
+      obs::MetricsRegistry::Global().GetCounter("resilience.journal.records");
+  const std::uint64_t records_before = records->Value();
+  const ExecutionResult r = engine.Run(reads, run);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  EXPECT_EQ(r.ops_acknowledged, reads.size());
+  // u32 length + u32 CRC framing, then the payload header: u64 sequence
+  // and u32 op_count (0).  No op is written.
+  EXPECT_EQ(fs::file_size(journal) - before, 20u);
+  EXPECT_EQ(records->Value() - records_before, 1u);  // records, not ops
+  fs::remove_all(dir);
+}
+
+TEST_F(RecoveryTest, Sn3SnapshotOfIpgeoTreeIsAtMostFourFifthsOfSn2) {
+  WorkloadConfig cfg;
+  cfg.num_keys = 20000;
+  cfg.num_ops = 0;
+  cfg.load_fraction = 1.0;
+  const Workload w = MakeWorkload(WorkloadKind::kIPGEO, cfg);
+  art::Tree tree;
+  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
+  ASSERT_EQ(tree.size(), 20000u);
+
+  const std::string path = ::testing::TempDir() + "/recovery_sn3_size.tree";
+  ASSERT_TRUE(art::SaveTree(tree, path));
+  const std::uintmax_t sn3 = fs::file_size(path);
+  std::remove(path.c_str());
+  const std::size_t sn2 = test_util::LegacySnapshotImage(tree, '2').size();
+  // Front coding leaves about 11 of SN2's 16 bytes per 4-byte IPv4 entry.
+  EXPECT_LE(sn3 * 5, sn2 * 4) << sn3 << " vs " << sn2 << " bytes";
 }
 
 TEST_F(RecoveryTest, RecoverWithoutDurabilityDirReportsFailure) {

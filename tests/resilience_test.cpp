@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "common/crc32.h"
@@ -108,6 +109,33 @@ TEST_F(ResilienceTest, Crc32KnownAnswer) {
   EXPECT_EQ(Crc32("", 0), 0u);
   // A single flipped bit changes the CRC.
   EXPECT_NE(Crc32("023456789", 9), Crc32("123456789", 9));
+}
+
+TEST_F(ResilienceTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndSplit) {
+  // The sliced loop folds eight bytes per step; every length, alignment
+  // and chaining split must agree with the plain bit-at-a-time definition.
+  const auto reference = [](const std::uint8_t* data, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> bytes(80);
+  SplitMix64 rng(EnvSeed());
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
+      const std::uint8_t* data = bytes.data() + offset;
+      const std::uint32_t want = reference(data, n);
+      ASSERT_EQ(Crc32(data, n), want) << offset << "+" << n;
+      const std::size_t split = n / 3;
+      ASSERT_EQ(Crc32(data + split, n - split, Crc32(data, split)), want);
+    }
+  }
 }
 
 // --------------------------------------------------------------- Injector
@@ -214,19 +242,43 @@ void ExpectSameOps(const std::vector<Operation>& a,
   }
 }
 
+/// What a journal keeps of `ops`: its writes and removes, in order.
+std::vector<Operation> StateChanges(std::span<const Operation> ops) {
+  std::vector<Operation> changes;
+  for (const Operation& op : ops) {
+    if (op.type == OpType::kWrite || op.type == OpType::kRemove) {
+      changes.push_back(op);
+    }
+  }
+  return changes;
+}
+
+/// A batch of reads and scans only.
+std::vector<Operation> ReadOnlyOps(std::size_t n) {
+  std::vector<Operation> ops;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool scan = i % 2 == 1;
+    ops.push_back({scan ? OpType::kScan : OpType::kRead, EncodeU64(i), 0,
+                   scan ? 10u : 0u});
+  }
+  return ops;
+}
+
 TEST_F(ResilienceTest, JournalRoundTripsRecords) {
   const std::string path = ::testing::TempDir() + "/journal_roundtrip.log";
   const std::vector<Operation> ops = SomeOps(300, EnvSeed());
+  const std::vector<Operation> reads = ReadOnlyOps(50);
 
   resilience::OpJournal journal;
   ASSERT_TRUE(journal.Open(path));
   ASSERT_TRUE(journal.Append({ops.data(), 100}).ok());
+  ASSERT_TRUE(journal.Append(reads).ok());  // an empty record, still one
   ASSERT_TRUE(journal.Append({ops.data() + 100, 200}).ok());
   journal.Close();
 
   std::vector<Operation> replayed;
-  EXPECT_EQ(resilience::ReplayJournal(path, replayed), 2u);
-  ExpectSameOps(replayed, ops);
+  EXPECT_EQ(resilience::ReplayJournal(path, replayed), 3u);
+  ExpectSameOps(replayed, StateChanges(ops));
   std::remove(path.c_str());
 }
 
@@ -235,22 +287,23 @@ TEST_F(ResilienceTest, JournalTornAppendIsTruncatedOnReplay) {
   const std::vector<Operation> ops = SomeOps(300, EnvSeed() + 1);
 
   FaultPlan plan;
-  plan.TriggerAt(FaultSite::kCrashMidBatch) = 3;  // third append tears
+  plan.TriggerAt(FaultSite::kCrashMidBatch) = 4;  // fourth append tears
   FaultInjector::Global().Arm(plan);
 
   resilience::OpJournal journal;
   ASSERT_TRUE(journal.Open(path));
   ASSERT_TRUE(journal.Append({ops.data(), 100}).ok());
+  ASSERT_TRUE(journal.Append(ReadOnlyOps(50)).ok());
   ASSERT_TRUE(journal.Append({ops.data() + 100, 100}).ok());
   EXPECT_FALSE(journal.Append({ops.data() + 200, 100}).ok());
   journal.Close();
   FaultInjector::Global().Disarm();
 
-  // The torn third record is detected and dropped; the acknowledged two
-  // records replay intact.
+  // The torn fourth record is detected and dropped; the acknowledged three
+  // records (the second one empty) replay intact.
   std::vector<Operation> replayed;
-  EXPECT_EQ(resilience::ReplayJournal(path, replayed), 2u);
-  ExpectSameOps(replayed, {ops.begin(), ops.begin() + 200});
+  EXPECT_EQ(resilience::ReplayJournal(path, replayed), 3u);
+  ExpectSameOps(replayed, StateChanges({ops.data(), 200}));
   std::remove(path.c_str());
 }
 

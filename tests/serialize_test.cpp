@@ -4,10 +4,13 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "art/serialize.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
+#include "legacy_snapshot.h"
 
 namespace dcart::art {
 namespace {
@@ -83,9 +86,9 @@ TEST(Serialize, RoundTripTreeWithNode32Fanout) {
 }
 
 TEST(Serialize, ReadsLegacySn1Snapshots) {
-  // SN2 changed only the magic (the payload carries no node types), so a
-  // pre-Node32 "DCARTSN1" file must still load.  Forge one by rewriting the
-  // version byte of a fresh snapshot.
+  // SN1 and SN2 hold fixed-width entries and differ only in the magic (the
+  // payload carries no node types); snapshots older builds left on disk
+  // must still load.  Forge both layouts directly.
   Tree original;
   SplitMix64 rng(29);
   std::map<std::uint64_t, Value> model;
@@ -94,25 +97,19 @@ TEST(Serialize, ReadsLegacySn1Snapshots) {
     model[k] = k + 7;
     original.Insert(EncodeU64(k), k + 7);
   }
-  const std::string path = TempPath("art_snapshot_v1.bin");
-  ASSERT_TRUE(SaveTree(original, path));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    char magic[8];
-    ASSERT_EQ(std::fread(magic, 1, 8, f), 8u);
-    ASSERT_EQ(magic[7], '2');
-    std::fseek(f, 7, SEEK_SET);
-    std::fputc('1', f);
-    std::fclose(f);
+  for (const char version : {'1', '2'}) {
+    SCOPED_TRACE(version);
+    const std::string path = TempPath("art_snapshot_legacy.bin");
+    test_util::WriteBytesToFile(
+        path, test_util::LegacySnapshotImage(original, version));
+    Tree loaded;
+    ASSERT_TRUE(LoadTree(path, loaded));
+    EXPECT_EQ(loaded.size(), model.size());
+    for (const auto& [k, v] : model) {
+      ASSERT_EQ(loaded.Get(EncodeU64(k)).value(), v) << k;
+    }
+    std::remove(path.c_str());
   }
-  Tree loaded;
-  ASSERT_TRUE(LoadTree(path, loaded));
-  EXPECT_EQ(loaded.size(), model.size());
-  for (const auto& [k, v] : model) {
-    ASSERT_EQ(loaded.Get(EncodeU64(k)).value(), v) << k;
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, RejectsGarbageAndUnsortedStreams) {
@@ -177,11 +174,42 @@ TEST(Serialize, LoadedTreeIsCanonical) {
   std::remove(pb.c_str());
 }
 
+std::string FileHex(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return "";
+  std::string hex;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  std::fclose(f);
+  return hex;
+}
+
+std::vector<std::uint8_t> HexBytes(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
 TEST(Serialize, SnapshotBytesArePinned) {
   // The on-disk stream does not depend on how the tree lays out its leaves
   // in memory: a small tree with mixed key lengths must save to exactly
-  // these bytes (magic, u64 count, then u32 key_len + key + u64 value per
-  // entry in key order, little-endian), whatever order it was built in.
+  // these bytes (magic, u64 count, then per entry in key order varint
+  // shared, varint suffix_len, suffix, u64 value, then the CRC32 of all of
+  // it; little-endian), whatever order it was built in.
+  const std::string sn3_hex =
+      "4443415254534e33"  // "DCARTSN3"
+      "0400000000000000"  // count
+      "00" "01" "01" "1100000000000000"
+      "00" "04" "02aabbcc" "2222000000000000"
+      "00" "08" "0300000000000007" "0807060504030201"
+      "00" "0d" "040102030405060708090a0b0c" "ffffffffffffffff"
+      "b502d1bb";  // CRC32 of the bytes above
   Tree tree;
   tree.Insert(Key{0x04, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
               ~Value{0});
@@ -190,31 +218,47 @@ TEST(Serialize, SnapshotBytesArePinned) {
   tree.Insert(Key{0x03, 0, 0, 0, 0, 0, 0, 0x07}, 0x0102030405060708);
   const std::string path = TempPath("art_snapshot_golden.bin");
   ASSERT_TRUE(SaveTree(tree, path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string hex;
-  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    hex += kDigits[c >> 4];
-    hex += kDigits[c & 0xf];
-  }
-  std::fclose(f);
+  EXPECT_EQ(FileHex(path), sn3_hex);
   std::remove(path.c_str());
-  EXPECT_EQ(hex,
-            "4443415254534e32"  // "DCARTSN2"
-            "0400000000000000"  // count
-            "01000000"
-            "01"
-            "1100000000000000"
-            "04000000"
-            "02aabbcc"
-            "2222000000000000"
-            "08000000"
-            "0300000000000007"
-            "0807060504030201"
-            "0d000000"
-            "040102030405060708090a0b0c"
-            "ffffffffffffffff");
+
+  // Keys that share a prefix store only their new bytes after the first.
+  Tree shared;
+  shared.Insert(Key{0x10, 0x30}, 2);
+  shared.Insert(Key{0x10, 0x20}, 1);
+  ASSERT_TRUE(SaveTree(shared, path));
+  EXPECT_EQ(FileHex(path),
+            "4443415254534e33"  // "DCARTSN3"
+            "0200000000000000"  // count
+            "00" "02" "1020" "0100000000000000"
+            "01" "01" "30" "0200000000000000"
+            "e2f35646");  // CRC32
+  std::remove(path.c_str());
+
+  // The SN2 bytes this tree saved to before SN3 stay a load fixture: they
+  // must yield the same tree, which saves to the same SN3 bytes.
+  const std::string sn2_hex =
+      "4443415254534e32"  // "DCARTSN2"
+      "0400000000000000"  // count
+      "01000000"
+      "01"
+      "1100000000000000"
+      "04000000"
+      "02aabbcc"
+      "2222000000000000"
+      "08000000"
+      "0300000000000007"
+      "0807060504030201"
+      "0d000000"
+      "040102030405060708090a0b0c"
+      "ffffffffffffffff";
+  const std::string sn2_path = TempPath("art_snapshot_golden_sn2.bin");
+  test_util::WriteBytesToFile(sn2_path, HexBytes(sn2_hex));
+  Tree loaded;
+  ASSERT_TRUE(LoadTree(sn2_path, loaded));
+  std::remove(sn2_path.c_str());
+  ASSERT_TRUE(SaveTree(loaded, path));
+  EXPECT_EQ(FileHex(path), sn3_hex);
+  std::remove(path.c_str());
 }
 
 }  // namespace
