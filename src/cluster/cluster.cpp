@@ -350,12 +350,7 @@ Status ClusterEngine::RejoinShard(std::size_t i) {
   }
   // Harvest the serving tree, then rebuild the pair in a fresh epoch: the
   // revived box becomes the new replica, bootstrapped by the snapshot sync.
-  std::vector<std::pair<Key, art::Value>> items;
-  items.reserve(shard.pair->tree().size());
-  shard.pair->tree().ScanFrom({}, [&items](KeyView key, art::Value value) {
-    items.emplace_back(Key(key.begin(), key.end()), value);
-    return true;
-  });
+  const auto items = resilience::TreeItems(shard.pair->tree());
   ++shard.term;
   shard.pair = MakePair(i, shard.term);
   shard.pair->Load(items);

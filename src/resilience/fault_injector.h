@@ -51,8 +51,8 @@ enum class FaultSite : unsigned {
   kReplDuplicate,   // frame delivered twice; receiver must dedupe by sequence
   kReplTruncate,    // payload cut mid-record; receiver's CRC check rejects it
   kReplDisconnect,  // link drops; sends fail until the backoff reconnect
-  // socket transport: ways a real TCP stream fails that the in-process
-  // queues cannot (resilience/socket_link.h).
+  // byte stream: ways a stream-carrying link fails, checked by the
+  // replication link over either byte pipe (resilience/replication.h).
   kNetPartialWrite,  // write() lands only part of a frame; the stream is torn
   kNetPartialRead,   // read() returns only a few bytes this pump (benign)
   kNetConnectTimeout,  // a reconnect attempt times out; backoff continues

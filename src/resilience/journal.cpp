@@ -11,9 +11,8 @@ namespace dcart::resilience {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'C', 'J', 'R', 'N', 'L', '0', '1'};
-// A record longer than this cannot be real (records hold one batch); treat
-// the length field itself as corruption.
-constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
+// The smallest encoded op: type, key_len, value and scan_count, empty key.
+constexpr std::size_t kMinOpBytes = 1 + 4 + 8 + 4;
 
 template <typename T>
 void AppendPod(std::vector<std::uint8_t>& buffer, T value) {
@@ -66,6 +65,10 @@ Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
   std::uint32_t op_count = 0;
   if (!ParsePod(payload, pos, sequence) || !ParsePod(payload, pos, op_count)) {
     return Status::Error("record payload truncated in header");
+  }
+  // Bound the count by the bytes that follow before reserving for it.
+  if (op_count > (payload.size() - pos) / kMinOpBytes) {
+    return Status::Error("record payload op_count exceeds its length");
   }
   std::vector<Operation> ops;
   ops.reserve(op_count);

@@ -21,6 +21,7 @@
 // such older records, reads and scans included, still replay.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -30,6 +31,11 @@
 #include "workload/ops.h"
 
 namespace dcart::resilience {
+
+/// A record payload longer than this cannot be real (records hold one batch,
+/// or one bootstrap image); a length field above it is corruption.  The
+/// replication wire framing uses the same bound.
+inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 
 // ------------------------------------------------------ record streaming --
 // The journal's record payload encoding, exposed so the replication layer
@@ -49,9 +55,10 @@ std::uint32_t EncodeRecordPayload(std::uint64_t sequence,
 /// Parse a record payload back into (sequence, ops-appended-to-out).  All
 /// four op types parse; only writes and removes are appended, so an older
 /// record holding reads and scans replays like a new one.  Rejects
-/// malformed payloads (bad op type, lengths that overrun) without touching
-/// `out`; CRC verification is the caller's job — the replica re-checks the
-/// frame CRC against the payload bytes before decoding.
+/// malformed payloads (bad op type, an op_count or lengths that overrun the
+/// payload) without touching `out` or allocating for them; CRC
+/// verification is the caller's job — the replica re-checks the frame CRC
+/// against the payload bytes before decoding.
 Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
                            std::uint64_t& sequence,
                            std::vector<Operation>& out);

@@ -1,10 +1,11 @@
 #include "resilience/replication.h"
 
 #include <algorithm>
-#include <filesystem>
+#include <array>
+#include <cstring>
+#include <limits>
 #include <utility>
 
-#include "art/serialize.h"
 #include "common/crc32.h"
 #include "obs/metrics.h"
 #include "resilience/fault_injector.h"
@@ -12,9 +13,13 @@
 
 namespace dcart::resilience {
 
-namespace fs = std::filesystem;
-
 namespace {
+
+constexpr std::size_t kWireHeaderBytes = 8;    // u32 wire_len + u32 wire_crc
+constexpr std::size_t kFrameHeaderBytes = 26;  // frame block before payload
+constexpr std::size_t kMaxWireLen = kFrameHeaderBytes + kMaxPayloadBytes;
+constexpr std::uint64_t kDelayTicks = 3;       // kReplDelay holds a frame
+constexpr std::size_t kPartialReadBytes = 3;   // kNetPartialRead haul cap
 
 /// Process-wide replication counters/gauges (docs/OBSERVABILITY.md).
 struct ReplicationMetrics {
@@ -44,24 +49,110 @@ ReplicationMetrics& Metrics() {
   return metrics;
 }
 
-void ApplySerialToTree(art::Tree& tree, const Operation& op) {
-  switch (op.type) {
-    case OpType::kRead:
-      break;
-    case OpType::kWrite:
-      tree.Insert(op.key, op.value);
-      break;
-    case OpType::kRemove:
-      tree.Remove(op.key);
-      break;
-    case OpType::kScan:
-      break;  // scans do not change state
-  }
-}
-
 std::uint32_t FrameCrc(const Frame& frame) {
   return Crc32(frame.payload.data(), frame.payload.size());
 }
+
+/// A frame without payload: ack, catch-up request, probe or heartbeat.
+Frame ControlFrame(FrameType type, std::uint64_t sequence) {
+  Frame frame;
+  frame.type = type;
+  frame.sequence = sequence;
+  frame.payload_crc = FrameCrc(frame);
+  return frame;
+}
+
+/// Empty `bytes` and give its memory back: a drained buffer must not stay
+/// at the size of the largest frame it ever held.
+void Release(std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t>().swap(bytes);
+}
+
+template <typename T>
+void Put(std::uint8_t*& out, T value) {
+  std::memcpy(out, &value, sizeof value);
+  out += sizeof value;
+}
+
+template <typename T>
+T Get(const std::uint8_t* in) {
+  T value;
+  std::memcpy(&value, in, sizeof value);
+  return value;
+}
+
+/// The wire image of `frame` carrying the first `payload_len` payload bytes,
+/// built in one buffer straight from the frame.
+std::vector<std::uint8_t> EncodeWire(const Frame& frame,
+                                     std::size_t payload_len) {
+  std::uint8_t header[kWireHeaderBytes + kFrameHeaderBytes] = {};
+  std::uint8_t* out = header + kWireHeaderBytes;
+  Put(out, static_cast<std::uint8_t>(frame.type));
+  Put(out, static_cast<std::uint8_t>((frame.want_checksum ? 1u : 0u) |
+                                     (frame.has_checksum ? 2u : 0u)));
+  Put(out, frame.sequence);
+  Put(out, frame.payload_crc);
+  Put(out, frame.tree_checksum);
+  Put(out, static_cast<std::uint32_t>(payload_len));
+  std::vector<std::uint8_t> wire;
+  wire.reserve(sizeof header + payload_len);
+  wire.insert(wire.end(), header, header + sizeof header);
+  wire.insert(wire.end(), frame.payload.begin(),
+              frame.payload.begin() + static_cast<std::ptrdiff_t>(payload_len));
+  const auto block_len =
+      static_cast<std::uint32_t>(kFrameHeaderBytes + payload_len);
+  out = wire.data();
+  Put(out, block_len);
+  Put(out, Crc32(wire.data() + kWireHeaderBytes, block_len));
+  return wire;
+}
+
+/// In-memory pipe.  A write into an empty direction takes the whole buffer
+/// over, and a read into an empty receive buffer hands it on, both by swap,
+/// so a frame's bytes are never copied in transit.
+class MemoryPipe final : public BytePipe {
+ public:
+  Status Connect() override {
+    Close();
+    return Status::Ok();
+  }
+  void Close() override {
+    for (Queue& queue : queues_) queue = Queue{};
+  }
+  bool Write(Direction way, std::vector<std::uint8_t>& bytes) override {
+    Queue& queue = queues_[static_cast<std::size_t>(way)];
+    if (queue.bytes.empty()) {
+      queue.bytes.swap(bytes);
+    } else {
+      queue.bytes.insert(queue.bytes.end(), bytes.begin(), bytes.end());
+    }
+    Release(bytes);
+    return true;
+  }
+  bool Read(Direction way, std::vector<std::uint8_t>& rx,
+            std::size_t max) override {
+    Queue& queue = queues_[static_cast<std::size_t>(way)];
+    const std::size_t available = queue.bytes.size() - queue.head;
+    if (rx.empty() && queue.head == 0 && available <= max) {
+      rx.swap(queue.bytes);
+    } else {
+      const auto from =
+          queue.bytes.begin() + static_cast<std::ptrdiff_t>(queue.head);
+      const std::size_t n = std::min(available, max);
+      rx.insert(rx.end(), from, from + static_cast<std::ptrdiff_t>(n));
+      queue.head += n;
+    }
+    if (queue.head == queue.bytes.size()) queue = Queue{};
+    return true;
+  }
+
+ private:
+  struct Queue {
+    std::vector<std::uint8_t> bytes;
+    std::size_t head = 0;  // bytes before this were already read
+  };
+  std::array<Queue, 2> queues_;
+};
 
 }  // namespace
 
@@ -81,67 +172,167 @@ std::uint64_t JitteredBackoff(std::uint64_t base, std::uint64_t salt) {
 
 // -------------------------------------------------------------------- link --
 
-Status InProcessLink::Enqueue(std::deque<Queued>& queue, Frame frame) {
+ReplicationLink::ReplicationLink(LinkKind kind)
+    : ReplicationLink(kind == LinkKind::kSocket
+                          ? MakeSocketPipe()
+                          : std::make_unique<MemoryPipe>()) {}
+
+ReplicationLink::ReplicationLink(std::unique_ptr<BytePipe> pipe)
+    : pipe_(std::move(pipe)) {}
+
+Status ReplicationLink::Connect() {
+  Tear();
+  const Status status = pipe_->Connect();
+  connected_ = status.ok();
+  return status;
+}
+
+void ReplicationLink::Reconnect() {
+  if (connected_) return;
+  if (FaultCheck(FaultSite::kNetConnectTimeout)) {
+    return;  // the attempt timed out; the caller's backoff schedules another
+  }
+  (void)Connect();  // failure leaves connected_ false, which IS the report
+}
+
+void ReplicationLink::Tear() {
+  // One connection carries both ways: closing it loses everything in
+  // flight, pipe-buffered bytes included.  That loss is the point;
+  // retransmission and catch-up recover it.  Staged frames survive.
+  pipe_->Close();
+  for (Way* way : {&to_replica_, &to_primary_}) {
+    Release(way->backlog);
+    Release(way->rx);
+  }
+  connected_ = false;
+}
+
+void ReplicationLink::Tick() {
+  ++now_;
+  // Delayed frames that just came due go onto the pipe even if nobody
+  // receives this tick (a dead primary still drains toward the replica).
+  Flush(to_replica_);
+  Flush(to_primary_);
+}
+
+Status ReplicationLink::Stage(Way& way, const Frame& frame) {
   if (!connected_) {
     return Status::Error("replication link is disconnected");
   }
   // Fault opportunities in a fixed order, one check per site per send, so a
   // trigger_at plan lands its fault on exactly the Nth frame and a
-  // probability plan replays bit-identically per seed.
+  // probability plan replays bit-identically per seed, on either pipe.
   if (FaultCheck(FaultSite::kReplDisconnect)) {
-    connected_ = false;
+    Tear();
     return Status::Error("replication link dropped (injected disconnect)");
   }
   if (FaultCheck(FaultSite::kReplDrop)) {
     return Status::Ok();  // the frame vanishes; the sender believes it left
   }
-  Queued item;
-  item.deliver_at = now_;
-  if (FaultCheck(FaultSite::kReplTruncate)) {
-    // Cut the payload mid-record.  payload_crc still covers the full
-    // payload, so the receiver's end-to-end CRC check rejects the frame.
-    frame.payload.resize(frame.payload.size() / 2);
-  }
-  if (FaultCheck(FaultSite::kReplDelay)) {
-    item.deliver_at = now_ + delay_ticks_;
-  }
+  // Truncation cuts the payload mid-record.  The framing describes the cut
+  // frame and passes; payload_crc still covers the full payload, so only
+  // the receiver's end-to-end check catches it.
+  const bool truncate = FaultCheck(FaultSite::kReplTruncate);
+  Staged item;
+  item.deliver_at =
+      FaultCheck(FaultSite::kReplDelay) ? now_ + kDelayTicks : now_;
   const bool duplicate = FaultCheck(FaultSite::kReplDuplicate);
   const bool reorder = FaultCheck(FaultSite::kReplReorder);
-  item.frame = std::move(frame);
-  if (duplicate) queue.push_back(item);
+  item.wire = EncodeWire(frame, truncate ? frame.payload.size() / 2
+                                         : frame.payload.size());
+  if (duplicate) way.staging.push_back(item);
   if (reorder) {
-    queue.push_front(std::move(item));
+    way.staging.push_front(std::move(item));
   } else {
-    queue.push_back(std::move(item));
+    way.staging.push_back(std::move(item));
   }
   return Status::Ok();
 }
 
-bool InProcessLink::Dequeue(std::deque<Queued>& queue, Frame& out) {
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->deliver_at <= now_) {
-      out = std::move(it->frame);
-      queue.erase(it);
-      return true;
+bool ReplicationLink::Write(Way& way, std::vector<std::uint8_t>& bytes) {
+  if (!pipe_->Write(way.direction, bytes)) {
+    Tear();  // EPIPE/ECONNRESET/...: the stream is gone
+    return false;
+  }
+  if (!bytes.empty()) return false;  // the rest waits for the next flush
+  Release(bytes);
+  return true;
+}
+
+void ReplicationLink::Flush(Way& way) {
+  if (!connected_) return;
+  // Byte order within the stream is sacred once emission starts: the
+  // backlog must fully drain before any staged frame may follow it.
+  if (!way.backlog.empty() && !Write(way, way.backlog)) return;
+  for (auto it = way.staging.begin(); it != way.staging.end();) {
+    if (it->deliver_at > now_) {
+      ++it;  // still ripening; later frames may overtake it (kReplDelay)
+      continue;
+    }
+    if (FaultCheck(FaultSite::kNetPartialWrite)) {
+      // Half the frame lands, then the stream tears mid-record; the tear
+      // takes the stub with it.
+      it->wire.resize(it->wire.size() / 2);
+      (void)pipe_->Write(way.direction, it->wire);
+      way.staging.erase(it);
+      Tear();
+      return;
+    }
+    way.backlog = std::move(it->wire);
+    it = way.staging.erase(it);
+    if (!Write(way, way.backlog)) return;
+  }
+}
+
+bool ReplicationLink::Receive(Way& way, Frame& out) {
+  // Sends from this very tick must be receivable this tick, so push due
+  // bytes onto the pipe before reading.
+  Flush(way);
+  if (connected_) {
+    // A stingy read: a few bytes now, the rest stays in the pipe.
+    const std::size_t max = FaultCheck(FaultSite::kNetPartialRead)
+                                ? kPartialReadBytes
+                                : std::numeric_limits<std::size_t>::max();
+    if (!pipe_->Read(way.direction, way.rx, max)) {
+      Tear();  // the peer closed, or the stream broke
     }
   }
-  return false;
-}
-
-Status InProcessLink::SendToReplica(Frame frame) {
-  return Enqueue(forward_, std::move(frame));
-}
-
-bool InProcessLink::ReceiveAtReplica(Frame& out) {
-  return Dequeue(forward_, out);
-}
-
-Status InProcessLink::SendToPrimary(Frame frame) {
-  return Enqueue(reverse_, std::move(frame));
-}
-
-bool InProcessLink::ReceiveAtPrimary(Frame& out) {
-  return Dequeue(reverse_, out);
+  // Parse one frame per call (the pump loops until false).
+  std::vector<std::uint8_t>& rx = way.rx;
+  if (rx.size() < kWireHeaderBytes) return false;
+  const auto wire_len = Get<std::uint32_t>(rx.data());
+  if (wire_len > kMaxWireLen) {
+    Tear();  // desynchronized framing: nothing downstream is trustworthy
+    return false;
+  }
+  const std::size_t total = kWireHeaderBytes + wire_len;
+  if (rx.size() < total) return false;
+  const std::uint8_t* block = rx.data() + kWireHeaderBytes;
+  if (wire_len < kFrameHeaderBytes ||
+      Crc32(block, wire_len) != Get<std::uint32_t>(rx.data() + 4) ||
+      block[0] > static_cast<std::uint8_t>(FrameType::kHeartbeat) ||
+      kFrameHeaderBytes + Get<std::uint32_t>(block + 22) != wire_len) {
+    Tear();  // torn mid-frame: drop the connection, retransmission recovers
+    return false;
+  }
+  out.type = static_cast<FrameType>(block[0]);
+  out.want_checksum = (block[1] & 1u) != 0;
+  out.has_checksum = (block[1] & 2u) != 0;
+  out.sequence = Get<std::uint64_t>(block + 2);
+  out.payload_crc = Get<std::uint32_t>(block + 10);
+  out.tree_checksum = Get<std::uint64_t>(block + 14);
+  const std::size_t payload_at = kWireHeaderBytes + kFrameHeaderBytes;
+  if (rx.size() == total) {
+    // The buffer holds exactly this frame: the payload moves out in place.
+    rx.erase(rx.begin(), rx.begin() + payload_at);
+    out.payload = std::move(rx);
+    Release(rx);
+  } else {
+    out.payload.assign(rx.begin() + payload_at,
+                       rx.begin() + static_cast<std::ptrdiff_t>(total));
+    rx.erase(rx.begin(), rx.begin() + static_cast<std::ptrdiff_t>(total));
+  }
+  return true;
 }
 
 // --------------------------------------------------------------- checksums --
@@ -162,68 +353,27 @@ std::uint64_t TreeChecksum(const art::Tree& tree) {
 
 ReplicaEngine::ReplicaEngine(ReplicationOptions options,
                              dcartc::DcartCpConfig runtime)
-    : options_(std::move(options)), runtime_config_(runtime) {
+    : options_(std::move(options)),
+      runtime_config_(runtime),
+      dir_(durable() ? options_.dir + "/replica" : "",
+           options_.snapshot_every_batches, options_.keep_generations) {
   Reset();
 }
 
 ReplicaEngine::~ReplicaEngine() = default;
 
-std::string ReplicaEngine::SnapshotPath(std::uint64_t generation) const {
-  return ReplicaDir() + "/snapshot-" + std::to_string(generation) + ".tree";
-}
-
-std::string ReplicaEngine::JournalPath(std::uint64_t generation) const {
-  return ReplicaDir() + "/journal-" + std::to_string(generation) + ".log";
-}
-
-Status ReplicaEngine::Checkpoint() {
-  std::error_code ec;
-  fs::create_directories(ReplicaDir(), ec);
-  const std::uint64_t next = generation_ + 1;
-  // Same write-then-rename discipline as the primary's checkpoints: a crash
-  // mid-write leaves only a .tmp the recovery scan never considers.
-  const std::string tmp = SnapshotPath(next) + ".tmp";
-  if (!art::SaveTree(tree_, tmp)) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
-    return Status::Error("replica snapshot write failed: " + tmp);
-  }
-  fs::rename(tmp, SnapshotPath(next), ec);
-  if (ec) return Status::Error("replica snapshot rename failed: " + tmp);
-  if (!journal_.Open(JournalPath(next))) {
-    return Status::Error("replica journal rollover failed: " +
-                         JournalPath(next));
-  }
-  generation_ = next;
-  records_since_snapshot_ = 0;
-  if (generation_ > options_.keep_generations) {
-    const std::uint64_t last_dead = generation_ - options_.keep_generations;
-    for (std::uint64_t g = last_dead; g >= 1; --g) {
-      std::error_code ignored;
-      const bool s = fs::remove(SnapshotPath(g), ignored);
-      const bool j = fs::remove(JournalPath(g), ignored);
-      if (!s && !j) break;  // older generations already pruned
-    }
-  }
-  return Status::Ok();
-}
-
 void ReplicaEngine::Reset() {
-  journal_.Close();
   tree_ = art::Tree{};
-  generation_ = 0;
-  records_since_snapshot_ = 0;
   next_sequence_ = 0;
   applied_ops_ = 0;
   wedged_ = false;
   promoted_engine_.reset();
   if (durable()) {
-    std::error_code ec;
-    fs::remove_all(ReplicaDir(), ec);
+    dir_.Wipe();
     // Generation 1 from the empty tree: every later record is journaled
     // under it, so a promotion before the first snapshot roll still finds a
     // recoverable generation.
-    if (!Checkpoint().ok()) wedged_ = true;
+    if (!dir_.Roll(tree_).ok()) wedged_ = true;
   }
 }
 
@@ -283,24 +433,17 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
     RequestCatchUp(link);
     return;
   }
-  if (durable()) {
-    // Journal before apply: the ack promises the record is replica-durable.
-    const Status journaled = journal_.Append(ops);
-    if (!journaled.ok()) {
-      wedged_ = true;
-      return;
-    }
+  // Journal before apply: the ack promises the record is replica-durable.
+  if (durable() && !dir_.Append(ops).ok()) {
+    wedged_ = true;
+    return;
   }
-  for (const Operation& op : ops) ApplySerialToTree(tree_, op);
+  ApplyToTree(tree_, ops);
   applied_ops_ += ops.size();
   ++next_sequence_;
-  if (durable() && ++records_since_snapshot_ >=
-                       std::max<std::size_t>(
-                           1, options_.snapshot_every_batches)) {
-    if (!Checkpoint().ok()) {
-      wedged_ = true;
-      return;
-    }
+  if (durable() && dir_.BatchDone() && !dir_.Roll(tree_).ok()) {
+    wedged_ = true;
+    return;
   }
   SendAck(link, frame.want_checksum);
 }
@@ -317,40 +460,31 @@ void ReplicaEngine::HandleSnapshot(ReplicationLink& link, const Frame& frame) {
     return;
   }
   Reset();
-  for (const Operation& op : ops) ApplySerialToTree(tree_, op);
+  ApplyToTree(tree_, ops);
   applied_ops_ = ops.size();
   next_sequence_ = frame.sequence;  // the record floor the image represents
-  if (durable() && !wedged_) {
-    // Roll a generation so the snapshot itself is replica-durable before
-    // the ack goes out (Reset() opened generation 1 from an empty tree).
-    if (!Checkpoint().ok()) {
-      wedged_ = true;
-      return;
-    }
-  }
+  // Roll a generation so the snapshot itself is replica-durable before the
+  // ack goes out (Reset() opened generation 1 from an empty tree).
+  if (durable() && !wedged_ && !dir_.Roll(tree_).ok()) wedged_ = true;
   if (wedged_) return;
   SendAck(link, /*with_checksum=*/true);
 }
 
 void ReplicaEngine::SendAck(ReplicationLink& link, bool with_checksum) {
-  Frame ack;
-  ack.type = FrameType::kAck;
-  ack.sequence = next_sequence_;  // cumulative: everything below is durable
-  ack.payload_crc = FrameCrc(ack);
+  // Cumulative: everything below next_sequence_ is durable.
+  Frame ack = ControlFrame(FrameType::kAck, next_sequence_);
   if (with_checksum) {
     ack.has_checksum = true;
     ack.tree_checksum = TreeChecksum(tree_);
   }
-  (void)link.SendToPrimary(std::move(ack));  // lost acks resolve by resend
+  (void)link.SendToPrimary(ack);  // lost acks resolve by resend
 }
 
 void ReplicaEngine::RequestCatchUp(ReplicationLink& link) {
   Metrics().catchup_requests->Increment();
-  Frame req;
-  req.type = FrameType::kCatchUpRequest;
-  req.sequence = next_sequence_;  // resend everything from our floor
-  req.payload_crc = FrameCrc(req);
-  (void)link.SendToPrimary(std::move(req));
+  // Resend everything from our floor.
+  (void)link.SendToPrimary(
+      ControlFrame(FrameType::kCatchUpRequest, next_sequence_));
 }
 
 Status ReplicaEngine::Promote() {
@@ -359,49 +493,28 @@ Status ReplicaEngine::Promote() {
         StatusCode::kAlreadyPromoted,
         "duplicate failover: this replica is already promoted and serving");
   }
-  journal_.Close();  // flush descriptor state before recovery scans the dir
+  dir_.Close();  // flush descriptor state before recovery scans the dir
+  // An in-memory pair has no durable path: promotion serves the live tree.
+  const ResilienceOptions home{dir_.path(), options_.snapshot_every_batches,
+                               options_.keep_generations};
+  Status status;
   if (durable()) {
-    auto engine = std::make_unique<ResilientEngine>(
-        ResilienceOptions{ReplicaDir(), options_.snapshot_every_batches,
-                          options_.keep_generations},
-        runtime_config_);
+    auto engine = std::make_unique<ResilientEngine>(home, runtime_config_);
     if (engine->Recover()) {
       promoted_engine_ = std::move(engine);
       return Status::Ok();
     }
     // The durable path is unusable (reported below, never swallowed); serve
     // the live in-memory tree instead on a fresh durability home.
-    Status why = engine->last_recover_error();
-    std::error_code ec;
-    fs::remove_all(ReplicaDir(), ec);
-    Status degraded = Status::Error(
+    status = Status::Error(
         "promotion degraded to the live in-memory tree: replica-local "
         "recovery failed");
-    degraded.Update(why);
-    promoted_engine_ = std::make_unique<ResilientEngine>(
-        ResilienceOptions{ReplicaDir(), options_.snapshot_every_batches,
-                          options_.keep_generations},
-        runtime_config_);
-    std::vector<std::pair<Key, art::Value>> items;
-    items.reserve(tree_.size());
-    tree_.ScanFrom({}, [&items](KeyView key, art::Value value) {
-      items.emplace_back(Key(key.begin(), key.end()), value);
-      return true;
-    });
-    promoted_engine_->Load(items);
-    return degraded;
+    status.Update(engine->last_recover_error());
+    dir_.Wipe();
   }
-  // In-memory pair: promotion can only serve the live tree.
-  promoted_engine_ = std::make_unique<ResilientEngine>(ResilienceOptions{},
-                                                       runtime_config_);
-  std::vector<std::pair<Key, art::Value>> items;
-  items.reserve(tree_.size());
-  tree_.ScanFrom({}, [&items](KeyView key, art::Value value) {
-    items.emplace_back(Key(key.begin(), key.end()), value);
-    return true;
-  });
-  promoted_engine_->Load(items);
-  return Status::Ok();
+  promoted_engine_ = std::make_unique<ResilientEngine>(home, runtime_config_);
+  promoted_engine_->Load(TreeItems(tree_));
+  return status;
 }
 
 const art::Tree& ReplicaEngine::tree() const {
@@ -423,22 +536,16 @@ void ReplicaEngine::CorruptForTest(const Key& key, art::Value value) {
 
 ReplicatedEngine::ReplicatedEngine(ReplicationOptions options,
                                    dcartc::DcartCpConfig runtime)
-    : options_(std::move(options)), runtime_config_(runtime) {
+    : options_(std::move(options)),
+      runtime_config_(runtime),
+      link_(options_.link) {
   ResilienceOptions primary;
   if (!options_.dir.empty()) primary.dir = options_.dir + "/primary";
   primary.snapshot_every_batches = options_.snapshot_every_batches;
   primary.keep_generations = options_.keep_generations;
   primary_ = std::make_unique<ResilientEngine>(primary, runtime_config_);
   replica_ = std::make_unique<ReplicaEngine>(options_, runtime_config_);
-  if (options_.link == LinkKind::kSocket) {
-    link_ = SocketLink::Create(link_error_);
-  }
-  if (link_ == nullptr) {
-    // Default transport, and the fallback when socket setup failed (the
-    // parked link_error_ makes the next Run()/Drain() report the failure
-    // instead of silently replicating in-process).
-    link_ = std::make_unique<InProcessLink>();
-  }
+  link_error_ = link_.Connect();
 }
 
 ReplicatedEngine::~ReplicatedEngine() = default;
@@ -555,21 +662,20 @@ Status ReplicatedEngine::ShipRecord(std::span<const Operation> ops) {
       (next_sequence_ + 1) % options_.checksum_every_records == 0;
   entry.frame.payload_crc =
       EncodeRecordPayload(next_sequence_, ops, entry.frame.payload);
-  entry.last_sent = link_->now();
+  entry.last_sent = link_.now();
   entry.attempts = 1;
   ++next_sequence_;
   Metrics().records_shipped->Increment();
-  Frame copy = entry.frame;
   inflight_.push_back(std::move(entry));
-  SendFrame(std::move(copy));
+  SendFrame(inflight_.back().frame);
   Metrics().replica_lag_records->Set(
       static_cast<double>(next_sequence_ - acked_floor_));
   return Status::Ok();
 }
 
-void ReplicatedEngine::SendFrame(Frame frame) {
-  const Status sent = link_->SendToReplica(std::move(frame));
-  if (!sent.ok() && link_->now() >= next_reconnect_) {
+void ReplicatedEngine::SendFrame(const Frame& frame) {
+  const Status sent = link_.SendToReplica(frame);
+  if (!sent.ok() && link_.now() >= next_reconnect_) {
     // Link refused (disconnected, or the send itself tore it down).  The
     // record stays in flight; schedule the next reconnect attempt with
     // exponential backoff (1 tick ~ 1 ms for the gauge).  Only schedule
@@ -584,23 +690,23 @@ void ReplicatedEngine::SendFrame(Frame frame) {
     // wait is jittered so pairs that lost the same link don't all reconnect
     // on the same tick.
     const std::uint64_t wait =
-        JitteredBackoff(reconnect_backoff_, link_->now() ^ reconnect_backoff_);
-    next_reconnect_ = link_->now() + wait;
+        JitteredBackoff(reconnect_backoff_, link_.now() ^ reconnect_backoff_);
+    next_reconnect_ = link_.now() + wait;
     Metrics().backoff_ms->Set(static_cast<double>(wait));
   }
 }
 
 void ReplicatedEngine::PumpOnce() {
-  link_->Tick();
-  if (!link_->connected() && link_->now() >= next_reconnect_) {
-    link_->Reconnect();
+  link_.Tick();
+  if (!link_.connected() && link_.now() >= next_reconnect_) {
+    link_.Reconnect();
     Metrics().reconnects->Increment();
-  } else if (link_->connected()) {
+  } else if (link_.connected()) {
     reconnect_backoff_ = 0;
   }
-  replica_->Pump(*link_);
+  replica_->Pump(link_);
   Frame frame;
-  while (link_->ReceiveAtPrimary(frame)) {
+  while (link_.ReceiveAtPrimary(frame)) {
     if (FrameCrc(frame) != frame.payload_crc) continue;  // timeout resolves it
     switch (frame.type) {
       case FrameType::kAck:
@@ -617,7 +723,7 @@ void ReplicatedEngine::PumpOnce() {
   // exponential backoff so a struggling link is not hammered.  A dead link
   // fails every send anyway: hold retransmissions until the reconnect, so
   // the outage does not inflate per-record attempt counts.
-  if (!link_->connected()) return;
+  if (!link_.connected()) return;
   for (InFlight& entry : inflight_) {
     const std::uint64_t base = std::min(
         std::max<std::uint64_t>(1, options_.retry_timeout_ticks)
@@ -627,8 +733,8 @@ void ReplicatedEngine::PumpOnce() {
     // spread their retransmissions instead of re-bursting in lockstep.
     const std::uint64_t wait = JitteredBackoff(
         base, entry.sequence * 0x100000001b3ull + entry.attempts);
-    if (link_->now() - entry.last_sent >= wait) {
-      entry.last_sent = link_->now();
+    if (link_.now() - entry.last_sent >= wait) {
+      entry.last_sent = link_.now();
       ++entry.attempts;
       Metrics().retries->Increment();
       Metrics().backoff_ms->Set(static_cast<double>(wait));
@@ -670,7 +776,7 @@ void ReplicatedEngine::HandleCatchUp(const Frame& frame) {
   }
   for (InFlight& entry : inflight_) {
     if (entry.sequence >= frame.sequence) {
-      entry.last_sent = link_->now();
+      entry.last_sent = link_.now();
       ++entry.attempts;
       Metrics().retries->Increment();
       SendFrame(entry.frame);
@@ -700,7 +806,32 @@ Status ReplicatedEngine::PumpUntil(Predicate done, const char* what) {
           ", shipped=" + std::to_string(next_sequence_) +
           ", acked_floor=" + std::to_string(acked_floor_) +
           ", replica_applied=" + std::to_string(replica_->applied_records()) +
-          ", link=" + (link_->connected() ? "up" : "down") + ")");
+          ", link=" + (link_.connected() ? "up" : "down") + ")");
+    }
+    PumpOnce();
+  }
+  return Status::Ok();
+}
+
+template <typename Predicate>
+Status ReplicatedEngine::SendUntil(const Frame& frame, Predicate done,
+                                   const std::string& what) {
+  SendFrame(frame);
+  // The frame is not window-tracked, so resend it here on timeout.
+  std::uint64_t ticks = 0;
+  std::uint64_t last_sent = link_.now();
+  while (!done()) {
+    if (replica_->wedged()) {
+      return Status::Error(what + " stalled: replica wedged");
+    }
+    if (++ticks > options_.max_drain_ticks) {
+      return Status::Error(what + " timed out");
+    }
+    if (link_.now() - last_sent >=
+        std::max<std::uint64_t>(1, options_.retry_timeout_ticks)) {
+      last_sent = link_.now();
+      Metrics().retries->Increment();
+      SendFrame(frame);
     }
     PumpOnce();
   }
@@ -729,29 +860,10 @@ Status ReplicatedEngine::VerifyChecksum() {
   const std::uint64_t expected = TreeChecksum(primary_->tree());
   for (int round = 0; round < 2; ++round) {
     replica_checksum_.reset();
-    Frame probe;
-    probe.type = FrameType::kChecksumProbe;
-    probe.sequence = next_sequence_;
-    probe.payload_crc = FrameCrc(probe);
-    SendFrame(Frame(probe));
-    // The probe is not window-tracked, so resend it ourselves on timeout.
-    std::uint64_t ticks = 0;
-    std::uint64_t last_sent = link_->now();
-    while (!replica_checksum_.has_value()) {
-      if (replica_->wedged()) {
-        return Status::Error("checksum probe stalled: replica wedged");
-      }
-      if (++ticks > options_.max_drain_ticks) {
-        return Status::Error("checksum probe timed out");
-      }
-      if (link_->now() - last_sent >=
-          std::max<std::uint64_t>(1, options_.retry_timeout_ticks)) {
-        last_sent = link_->now();
-        Metrics().retries->Increment();
-        SendFrame(Frame(probe));
-      }
-      PumpOnce();
-    }
+    const Status probed = SendUntil(
+        ControlFrame(FrameType::kChecksumProbe, next_sequence_),
+        [this] { return replica_checksum_.has_value(); }, "checksum probe");
+    if (!probed.ok()) return probed;
     if (*replica_checksum_ == expected) return Status::Ok();
     // Divergence: the replica's tree is not ours.  Resync it wholesale and
     // probe once more; a second mismatch is a real bug, not bad luck.
@@ -797,26 +909,15 @@ Status ReplicatedEngine::SyncSnapshot() {
   resync_needed_ = false;
   Metrics().snapshots_shipped->Increment();
   replica_checksum_.reset();
-  SendFrame(Frame(frame));
-  std::uint64_t ticks = 0;
-  std::uint64_t last_sent = link_->now();
   // Wait for a checksummed ack proving the replica applied *this* image
   // (a stale ack cannot match: the checksum pins the exact tree content).
-  while (!(replica_checksum_.has_value() && *replica_checksum_ == expected)) {
-    if (replica_->wedged()) {
-      return Status::Error("snapshot resync stalled: replica wedged");
-    }
-    if (++ticks > options_.max_drain_ticks) {
-      return Status::Error("snapshot resync timed out");
-    }
-    if (link_->now() - last_sent >=
-        std::max<std::uint64_t>(1, options_.retry_timeout_ticks)) {
-      last_sent = link_->now();
-      Metrics().retries->Increment();
-      SendFrame(Frame(frame));
-    }
-    PumpOnce();
-  }
+  const Status synced = SendUntil(
+      frame,
+      [this, expected] {
+        return replica_checksum_.has_value() && *replica_checksum_ == expected;
+      },
+      "snapshot resync");
+  if (!synced.ok()) return synced;
   // Catch-up requests raced by the resync (e.g. the replica rejecting a
   // truncated copy of this very image) are answered by it; don't let a
   // stale flag trigger a second resync.
@@ -829,29 +930,25 @@ void ReplicatedEngine::KillPrimary() { primary_alive_ = false; }
 
 void ReplicatedEngine::SendHeartbeat() {
   if (!primary_alive_ || primary_->crashed() || replica_->promoted()) return;
-  Frame hb;
-  hb.type = FrameType::kHeartbeat;
-  hb.sequence = next_sequence_;
-  hb.payload_crc = FrameCrc(hb);
   // Through SendFrame on purpose: a partitioned or disconnected link starves
   // heartbeats exactly like it starves records, which is the signal the
   // watchdog exists to notice.
-  SendFrame(std::move(hb));
+  SendFrame(ControlFrame(FrameType::kHeartbeat, next_sequence_));
 }
 
 void ReplicatedEngine::PumpIdle() {
   if (!primary_alive_) {
     // The primary is dead: no retransmits, no reconnect attempts on its
     // behalf — but frames already in flight still come due for the replica.
-    link_->Tick();
-    replica_->Pump(*link_);
+    link_.Tick();
+    replica_->Pump(link_);
     return;
   }
   PumpOnce();
 }
 
 std::uint64_t ReplicatedEngine::replica_heartbeat_age() const {
-  return link_->now() - replica_->last_heartbeat_tick();
+  return link_.now() - replica_->last_heartbeat_tick();
 }
 
 Status ReplicatedEngine::Promote() {
@@ -865,12 +962,12 @@ Status ReplicatedEngine::Promote() {
   // delayed frames still ripening) must reach the replica before it starts
   // serving, or acknowledged records die with the link.  Pump until the
   // replica makes no progress for several consecutive ticks — strictly more
-  // than the in-process delay horizon, so a delayed frame cannot outwait us.
+  // than the link's delay horizon, so a delayed frame cannot outwait us.
   std::uint64_t idle_ticks = 0;
   while (idle_ticks < 8) {
     const std::uint64_t before = replica_->applied_records();
-    link_->Tick();
-    replica_->Pump(*link_);
+    link_.Tick();
+    replica_->Pump(link_);
     idle_ticks = replica_->applied_records() == before ? idle_ticks + 1 : 0;
   }
   Metrics().failovers->Increment();

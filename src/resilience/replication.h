@@ -16,10 +16,10 @@
 //                      are answered by the primary and never shipped.
 //   Replica replay   — the ReplicaEngine verifies each record's CRC,
 //                      rejects duplicates and gaps by sequence number,
-//                      journals the record to replica-local disk (the same
-//                      snapshot-<G>.tree / journal-<G>.log layout the
-//                      ResilientEngine recovers from) and replays it
-//                      serially, staying byte-identical with the primary.
+//                      journals the record to replica-local disk (a
+//                      GenerationDir, the layout the ResilientEngine
+//                      recovers from) and replays it serially, staying
+//                      byte-identical with the primary.
 //   Catch-up         — on any gap, CRC reject, or truncation the replica
 //                      requests retransmission from its applied floor; a
 //                      replica too far behind (or freshly bootstrapped, or
@@ -34,17 +34,37 @@
 //                      recovery reports *why* via last_recover_error() and
 //                      degrades to the live in-memory tree.
 //
-// The link is where the robustness lives: InProcessLink (the in-process
-// transport; a socket transport plugs in behind the same interface) hosts
-// six injectable fault sites — drop, delay, reorder, duplicate,
-// truncate-mid-record, disconnect — and the primary's shipping state
-// machine answers them with sequence-numbered cumulative acks, a bounded
-// in-flight window, retransmit timeouts with exponential backoff, and
-// automatic reconnect.
+// The link is where the robustness lives.  ReplicationLink is one class
+// over a BytePipe that only moves bytes (in memory, or over localhost TCP:
+// socket_link.h), so every fault check sits in one place and lands on the
+// same frame whatever the pipe.  Each send passes six repl-* sites in a
+// fixed order — disconnect, drop, truncate, delay, duplicate, reorder —
+// and three net-* sites model a byte stream: a write that lands half a
+// frame and tears the stream, a read that returns a few bytes, a redial
+// that times out.  The primary's shipping state machine answers them with
+// sequence-numbered cumulative acks, a bounded in-flight window,
+// retransmit timeouts with exponential backoff, and automatic reconnect.
+//
+// Wire format (per frame, little-endian host order — both ends live in one
+// process, and a cross-host deployment would pin the encoding anyway):
+//
+//   u32 wire_len   — byte length of the frame block that follows, at most
+//                    26 + kMaxPayloadBytes (journal.h)
+//   u32 wire_crc   — CRC32 over the frame block (framing check)
+//   frame block:
+//     u8  type, u8 flags (bit0 want_checksum, bit1 has_checksum)
+//     u64 sequence, u32 payload_crc, u64 tree_checksum
+//     u32 payload_len, payload bytes
+//
+// The wire CRC only guards framing: a mismatch means the stream is torn
+// and the link drops the connection.  Content integrity stays end-to-end:
+// payload_crc travels inside the frame and the receiver checks it.
 //
 // Time is virtual: one Pump() is one tick, so every timeout/backoff path
 // replays deterministically under the seeded fault injector (docs:
-// one tick is nominally one millisecond for the backoff_ms gauge).
+// one tick is nominally one millisecond for the backoff_ms gauge).  Frames
+// wait in user-space staging until their tick comes due; the pipe is the
+// delivery medium, not the clock.
 //
 // Thread-safety: like the ResilientEngine it wraps, the whole module is
 // thread-compatible, not thread-safe — Load/Run/Pump/Promote must be called
@@ -93,62 +113,95 @@ struct Frame {
 
 // -------------------------------------------------------------------- link --
 
-/// Transport abstraction between a primary and one replica.  The in-process
-/// implementation below is the first transport; a socket transport plugs in
-/// behind the same five calls without touching the shipping state machine.
-class ReplicationLink {
- public:
-  virtual ~ReplicationLink() = default;
-
-  virtual Status SendToReplica(Frame frame) = 0;
-  virtual bool ReceiveAtReplica(Frame& out) = 0;
-  virtual Status SendToPrimary(Frame frame) = 0;
-  virtual bool ReceiveAtPrimary(Frame& out) = 0;
-
-  /// Advance virtual time one pump; delayed frames come due.
-  virtual void Tick() = 0;
-  virtual std::uint64_t now() const = 0;
-
-  /// A disconnected link refuses sends until Reconnect() (the primary's
-  /// backoff state machine calls it).
-  virtual bool connected() const = 0;
-  virtual void Reconnect() = 0;
+/// Which pipe a ReplicatedEngine pair speaks over.
+enum class LinkKind : std::uint8_t {
+  kInProcess,  // in-memory byte pipe, same address space (the default)
+  kSocket      // localhost TCP (socket_link.h)
 };
 
-/// In-process queue link instrumented with the kRepl* fault sites.  Every
-/// Send is one fault opportunity per site, in a fixed order (disconnect,
-/// drop, truncate, delay, duplicate, reorder), so trigger_at plans place a
-/// fault on exactly the Nth frame and probability plans are reproducible
-/// per seed.
-class InProcessLink : public ReplicationLink {
+/// The two ways bytes flow between a primary and its replica.
+enum class Direction : std::uint8_t { kToReplica, kToPrimary };
+
+/// A transport under a ReplicationLink: one connection that carries bytes
+/// both ways.  It knows nothing of frames, faults or time.
+class BytePipe {
  public:
-  Status SendToReplica(Frame frame) override;
-  bool ReceiveAtReplica(Frame& out) override;
-  Status SendToPrimary(Frame frame) override;
-  bool ReceiveAtPrimary(Frame& out) override;
+  virtual ~BytePipe() = default;
+  /// Open a fresh connection, replacing (and losing) any earlier one.
+  virtual Status Connect() = 0;
+  /// Drop the connection and every byte in flight on it, both ways.
+  virtual void Close() = 0;
+  /// Hand the front of `bytes` to the connection; what it cannot take yet
+  /// stays in `bytes`, in order.  False when the connection broke.
+  virtual bool Write(Direction way, std::vector<std::uint8_t>& bytes) = 0;
+  /// Append up to `max` bytes that arrived going `way` to `rx`.  False when
+  /// the connection broke or the peer closed it.
+  virtual bool Read(Direction way, std::vector<std::uint8_t>& rx,
+                    std::size_t max) = 0;
+};
 
-  void Tick() override { ++now_; }
-  std::uint64_t now() const override { return now_; }
-  bool connected() const override { return connected_; }
-  void Reconnect() override { connected_ = true; }
+/// The link between a primary and one replica: the fault gauntlet, frame
+/// staging, the virtual clock and the wire framing (above), over whichever
+/// BytePipe moves the bytes.  Every send is one fault opportunity per
+/// repl-* site, in a fixed order (disconnect, drop, truncate, delay,
+/// duplicate, reorder), so trigger_at plans place a fault on exactly the
+/// Nth frame and probability plans are reproducible per seed.
+class ReplicationLink {
+ public:
+  /// A link over the pipe `kind` names; down until Connect().
+  explicit ReplicationLink(LinkKind kind);
+  explicit ReplicationLink(std::unique_ptr<BytePipe> pipe);
 
-  std::size_t pending_to_replica() const { return forward_.size(); }
-  std::size_t pending_to_primary() const { return reverse_.size(); }
+  /// Open the connection.  Bytes in flight on an earlier one are gone;
+  /// staged frames survive.  A failure leaves the link down.
+  Status Connect();
+
+  Status SendToReplica(const Frame& frame) { return Stage(to_replica_, frame); }
+  bool ReceiveAtReplica(Frame& out) { return Receive(to_replica_, out); }
+  Status SendToPrimary(const Frame& frame) { return Stage(to_primary_, frame); }
+  bool ReceiveAtPrimary(Frame& out) { return Receive(to_primary_, out); }
+
+  /// Advance virtual time one pump; frames that came due go onto the pipe.
+  void Tick();
+  std::uint64_t now() const { return now_; }
+
+  /// A disconnected link refuses sends until Reconnect() (the primary's
+  /// backoff state machine calls it).  kNetConnectTimeout can fail the
+  /// attempt; the backoff then tries again.
+  bool connected() const { return connected_; }
+  void Reconnect();
 
  private:
-  struct Queued {
-    Frame frame;
-    std::uint64_t deliver_at = 0;  // tick the frame becomes receivable
+  struct Staged {
+    std::vector<std::uint8_t> wire;  // full wire image: len + crc + block
+    std::uint64_t deliver_at = 0;    // tick the bytes go onto the pipe
+  };
+  struct Way {
+    Direction direction;
+    std::deque<Staged> staging;         // frames not yet written
+    std::vector<std::uint8_t> backlog;  // bytes the pipe would not take yet
+    std::vector<std::uint8_t> rx;       // bytes read but not yet framed
   };
 
-  Status Enqueue(std::deque<Queued>& queue, Frame frame);
-  bool Dequeue(std::deque<Queued>& queue, Frame& out);
+  /// Fault gauntlet, encode, stage.
+  Status Stage(Way& way, const Frame& frame);
+  /// Write every staged frame that has come due, oldest first, skipping
+  /// frames still ripening (that skip is how kReplDelay reorders a stream).
+  void Flush(Way& way);
+  /// Write `bytes` onto the pipe; true when all of them went.  A broken
+  /// connection tears the link.
+  bool Write(Way& way, std::vector<std::uint8_t>& bytes);
+  /// Read what arrived (kNetPartialRead may cap the haul), then parse one
+  /// complete frame.
+  bool Receive(Way& way, Frame& out);
+  /// Drop the connection and every byte it was carrying, both ways.
+  void Tear();
 
-  std::deque<Queued> forward_;  // primary -> replica
-  std::deque<Queued> reverse_;  // replica -> primary
-  bool connected_ = true;
+  std::unique_ptr<BytePipe> pipe_;
+  Way to_replica_{Direction::kToReplica, {}, {}, {}};
+  Way to_primary_{Direction::kToPrimary, {}, {}, {}};
+  bool connected_ = false;
   std::uint64_t now_ = 0;
-  std::uint64_t delay_ticks_ = 3;  // kReplDelay holds a frame this long
 };
 
 // --------------------------------------------------------------- checksums --
@@ -172,15 +225,9 @@ std::uint64_t JitteredBackoff(std::uint64_t base, std::uint64_t salt);
 
 // ----------------------------------------------------------------- options --
 
-/// Which ReplicationLink implementation the pair speaks over.
-enum class LinkKind : std::uint8_t {
-  kInProcess,  // deque transport, same address space (the default)
-  kSocket      // length-prefixed CRC frames over localhost TCP
-};
-
 struct ReplicationOptions {
-  /// Transport selection.  kSocket builds a SocketLink (socket_link.h); a
-  /// failed socket setup is parked and surfaced by the next Run()/Drain().
+  /// Pipe selection.  A failed socket setup is parked and surfaced by the
+  /// next Run()/Drain().
   LinkKind link = LinkKind::kInProcess;
   /// Durability home for the pair.  Non-empty: the primary journals under
   /// `<dir>/primary` and the replica under `<dir>/replica` (the layout
@@ -259,25 +306,18 @@ class ReplicaEngine {
 
  private:
   bool durable() const { return !options_.dir.empty(); }
-  std::string ReplicaDir() const { return options_.dir + "/replica"; }
-  std::string SnapshotPath(std::uint64_t generation) const;
-  std::string JournalPath(std::uint64_t generation) const;
 
   void HandleRecord(ReplicationLink& link, const Frame& frame);
   void HandleSnapshot(ReplicationLink& link, const Frame& frame);
   void SendAck(ReplicationLink& link, bool with_checksum);
   void RequestCatchUp(ReplicationLink& link);
-  /// Roll the replica journal into a fresh snapshot generation.
-  Status Checkpoint();
   /// Wipe replica-local state (bootstrap / resync entry point).
   void Reset();
 
   ReplicationOptions options_;
   dcartc::DcartCpConfig runtime_config_;
   art::Tree tree_;
-  OpJournal journal_;
-  std::uint64_t generation_ = 0;
-  std::size_t records_since_snapshot_ = 0;
+  GenerationDir dir_;  // <options.dir>/replica
   std::uint64_t next_sequence_ = 0;  // next record sequence expected
   std::uint64_t applied_ops_ = 0;
   std::uint64_t heartbeats_received_ = 0;
@@ -347,7 +387,7 @@ class ReplicatedEngine : public IndexEngine {
 
   ResilientEngine& primary() { return *primary_; }
   ReplicaEngine& replica() { return *replica_; }
-  ReplicationLink& link() { return *link_; }
+  ReplicationLink& link() { return link_; }
 
  private:
   bool durable() const { return !options_.dir.empty(); }
@@ -361,6 +401,10 @@ class ReplicatedEngine : public IndexEngine {
   /// Pump until `done()` or the drain tick budget runs out.
   template <typename Predicate>
   Status PumpUntil(Predicate done, const char* what);
+  /// Send `frame`, resending it on timeout, and pump until `done()`.
+  template <typename Predicate>
+  Status SendUntil(const Frame& frame, Predicate done,
+                   const std::string& what);
   /// Pump until the in-flight window is empty.
   Status DrainInflight();
   /// One checksum probe exchange; on mismatch, snapshot resync + re-probe.
@@ -372,7 +416,7 @@ class ReplicatedEngine : public IndexEngine {
   void HandleCatchUp(const Frame& frame);
   /// Send with disconnect handling: a failed send leaves the record
   /// in-flight for the retransmit path; schedules the reconnect backoff.
-  void SendFrame(Frame frame);
+  void SendFrame(const Frame& frame);
 
   struct InFlight {
     std::uint64_t sequence = 0;
@@ -386,7 +430,7 @@ class ReplicatedEngine : public IndexEngine {
   dcartc::DcartCpConfig runtime_config_;
   std::unique_ptr<ResilientEngine> primary_;
   std::unique_ptr<ReplicaEngine> replica_;
-  std::unique_ptr<ReplicationLink> link_;
+  ReplicationLink link_;
 
   std::deque<InFlight> inflight_;
   std::uint64_t next_sequence_ = 0;  // next record sequence to assign
@@ -404,9 +448,9 @@ class ReplicatedEngine : public IndexEngine {
   // Bootstrap-sync failure parked by Load() (void signature), surfaced by
   // the next Run().
   Status load_status_;
-  // Socket-transport setup failure parked by the constructor (which cannot
-  // return Status); surfaced by the next Run()/Drain() instead of burning
-  // the whole drain tick budget against a link that never existed.
+  // Link setup failure parked by the constructor (which cannot return
+  // Status); surfaced by the next Run()/Drain() instead of burning the
+  // whole drain tick budget against a link that never connected.
   Status link_error_;
   bool primary_alive_ = true;
 };

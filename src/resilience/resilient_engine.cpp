@@ -54,48 +54,62 @@ std::optional<std::uint64_t> ParseGeneration(const std::string& filename,
   return value;
 }
 
-void ApplySerialToTree(art::Tree& tree, const Operation& op) {
-  switch (op.type) {
-    case OpType::kRead:
-      break;
-    case OpType::kWrite:
-      tree.Insert(op.key, op.value);
-      break;
-    case OpType::kRemove:
-      tree.Remove(op.key);
-      break;
-    case OpType::kScan:
-      break;  // scans do not change state
+}  // namespace
+
+void ApplyToTree(art::Tree& tree, std::span<const Operation> ops) {
+  for (const Operation& op : ops) {
+    if (op.type == OpType::kWrite) tree.Insert(op.key, op.value);
+    if (op.type == OpType::kRemove) tree.Remove(op.key);
   }
 }
 
-}  // namespace
-
-ResilientEngine::ResilientEngine(ResilienceOptions options,
-                                 dcartc::DcartCpConfig runtime)
-    : options_(std::move(options)),
-      runtime_config_(runtime),
-      engine_(std::make_unique<dcartc::DcartCpEngine>(runtime)) {}
-
-ResilientEngine::~ResilientEngine() = default;
-
-std::string ResilientEngine::SnapshotPath(std::uint64_t generation) const {
-  return options_.dir + "/snapshot-" + std::to_string(generation) + ".tree";
+std::vector<std::pair<Key, art::Value>> TreeItems(const art::Tree& tree) {
+  std::vector<std::pair<Key, art::Value>> items;
+  items.reserve(tree.size());
+  tree.ScanFrom({}, [&items](KeyView key, art::Value value) {
+    items.emplace_back(Key(key.begin(), key.end()), value);
+    return true;
+  });
+  return items;
 }
 
-std::string ResilientEngine::JournalPath(std::uint64_t generation) const {
-  return options_.dir + "/journal-" + std::to_string(generation) + ".log";
+// ---------------------------------------------------------- generation dir --
+
+GenerationDir::GenerationDir(std::string path,
+                             std::size_t snapshot_every_batches,
+                             std::size_t keep_generations)
+    : path_(std::move(path)),
+      every_(snapshot_every_batches),
+      keep_(keep_generations) {}
+
+std::string GenerationDir::SnapshotPath(std::uint64_t generation) const {
+  return path_ + "/snapshot-" + std::to_string(generation) + ".tree";
 }
 
-Status ResilientEngine::Checkpoint() {
+std::string GenerationDir::JournalPath(std::uint64_t generation) const {
+  return path_ + "/journal-" + std::to_string(generation) + ".log";
+}
+
+std::vector<std::uint64_t> GenerationDir::Scan(std::error_code& ec) const {
+  std::vector<std::uint64_t> generations;
+  for (const auto& entry : fs::directory_iterator(path_, ec)) {
+    const auto gen = ParseGeneration(entry.path().filename().string(),
+                                     "snapshot-", ".tree");
+    if (gen.has_value()) generations.push_back(*gen);
+  }
+  std::sort(generations.rbegin(), generations.rend());
+  return generations;
+}
+
+Status GenerationDir::Roll(const art::Tree& tree) {
   std::error_code ec;
-  fs::create_directories(options_.dir, ec);
+  fs::create_directories(path_, ec);
   const std::uint64_t next = generation_ + 1;
   // Write-then-rename: a crash during the write leaves only a .tmp file,
   // which recovery never considers, so a half-written snapshot can never
   // shadow a good older generation.
   const std::string tmp = SnapshotPath(next) + ".tmp";
-  if (!art::SaveTree(engine_->tree(), tmp)) {
+  if (!art::SaveTree(tree, tmp)) {
     std::remove(tmp.c_str());
     return Status::Error("snapshot write failed: " + tmp);
   }
@@ -105,13 +119,11 @@ Status ResilientEngine::Checkpoint() {
     return Status::Error("journal rollover failed: " + JournalPath(next));
   }
   generation_ = next;
-  batches_since_snapshot_ = 0;
-  Metrics().checkpoints->Increment();
+  batches_since_roll_ = 0;
   // Prune generations that recovery can no longer need: keeping the last K
   // snapshots requires journals from the oldest kept generation forward.
-  if (generation_ > options_.keep_generations) {
-    const std::uint64_t last_dead = generation_ - options_.keep_generations;
-    for (std::uint64_t g = last_dead; g >= 1; --g) {
+  if (generation_ > keep_) {
+    for (std::uint64_t g = generation_ - keep_; g >= 1; --g) {
       std::error_code ignored;
       const bool s = fs::remove(SnapshotPath(g), ignored);
       const bool j = fs::remove(JournalPath(g), ignored);
@@ -119,6 +131,36 @@ Status ResilientEngine::Checkpoint() {
     }
   }
   return Status::Ok();
+}
+
+void GenerationDir::Resume(std::uint64_t generation) {
+  journal_.Close();
+  generation_ = generation;
+  batches_since_roll_ = 0;
+}
+
+void GenerationDir::Wipe() {
+  Resume(0);
+  std::error_code ec;
+  fs::remove_all(path_, ec);
+}
+
+// ------------------------------------------------------------------ engine --
+
+ResilientEngine::ResilientEngine(ResilienceOptions options,
+                                 dcartc::DcartCpConfig runtime)
+    : options_(std::move(options)),
+      runtime_config_(runtime),
+      engine_(std::make_unique<dcartc::DcartCpEngine>(runtime)),
+      dir_(options_.dir, options_.snapshot_every_batches,
+           options_.keep_generations) {}
+
+ResilientEngine::~ResilientEngine() = default;
+
+Status ResilientEngine::Checkpoint() {
+  const Status rolled = dir_.Roll(engine_->tree());
+  if (rolled.ok()) Metrics().checkpoints->Increment();
+  return rolled;
 }
 
 void ResilientEngine::Load(
@@ -153,8 +195,8 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
     return result;
   }
   // A checkpoint failure during Load() had nowhere to go (void signature);
-  // report it here exactly once.  generation_ is still 0 in that case, so
-  // the rollover below retries the checkpoint before any batch executes.
+  // report it here exactly once.  The generation is still 0 in that case,
+  // so the rollover below retries the checkpoint before any batch executes.
   if (!load_status_.ok()) {
     result.status.Update(load_status_);
     load_status_ = Status::Ok();
@@ -162,7 +204,7 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
   }
   // Durable mode requires an open journal: roll one on first use so a
   // Run() without a prior Load() still journals from an empty snapshot.
-  if (durable() && generation_ == 0) {
+  if (durable() && dir_.generation() == 0) {
     result.status.Update(Checkpoint());
     if (!result.status.ok()) return result;
   }
@@ -174,19 +216,19 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
 
     if (FaultCheck(FaultSite::kCrashAtBatchBoundary)) {
       crashed_ = true;
-      journal_.Close();  // the dying process takes its descriptor with it
+      dir_.Close();  // the dying process takes its descriptor with it
       Metrics().crashes->Increment();
       result.status.Update(
           Status::Error("simulated crash at batch boundary"));
       break;
     }
     if (durable()) {
-      const Status journaled = journal_.Append(batch);
+      const Status journaled = dir_.Append(batch);
       if (!journaled.ok()) {
         // Torn record (crash mid-append) or real I/O failure: the batch is
         // not acknowledged and must not execute — recovery would lose it.
         crashed_ = true;
-        journal_.Close();
+        dir_.Close();
         Metrics().crashes->Increment();
         result.status.Update(journaled);
         break;
@@ -195,9 +237,7 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
     }
     result.Merge(engine_->Run(batch, inner));
     result.ops_acknowledged += batch.size();
-    if (durable() && ++batches_since_snapshot_ >=
-                         std::max<std::size_t>(1,
-                                               options_.snapshot_every_batches)) {
+    if (durable() && dir_.BatchDone()) {
       result.status.Update(Checkpoint());
       if (!result.status.ok()) break;
     }
@@ -217,17 +257,10 @@ bool ResilientEngine::Recover() {
     return false;
   }
   recovered_ops_ = 0;
-  journal_.Close();
+  dir_.Close();
 
-  // Enumerate snapshot generations present on disk, newest first.
-  std::vector<std::uint64_t> generations;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    const auto gen = ParseGeneration(entry.path().filename().string(),
-                                     "snapshot-", ".tree");
-    if (gen.has_value()) generations.push_back(*gen);
-  }
-  std::sort(generations.rbegin(), generations.rend());
+  const std::vector<std::uint64_t> generations = dir_.Scan(ec);
   if (generations.empty()) {
     recover_error_ = Status::Error("no snapshot generation under " +
                                    options_.dir +
@@ -239,40 +272,32 @@ bool ResilientEngine::Recover() {
   Status rejected;  // why each tried generation was unusable, in try order
   for (std::uint64_t gen : generations) {
     art::Tree tree;
-    if (!art::LoadTree(SnapshotPath(gen), tree)) {
+    if (!art::LoadTree(dir_.SnapshotPath(gen), tree)) {
       // Corrupt or torn snapshot: remember why and fall back a generation.
       rejected.Update(Status::Error("generation " + std::to_string(gen) +
                                     " rejected: snapshot unloadable (" +
-                                    SnapshotPath(gen) + ")"));
+                                    dir_.SnapshotPath(gen) + ")"));
       continue;
     }
     // Replay every journal from this generation forward, in order.  Each
     // journal's CRC framing truncates a torn tail; a missing journal for
     // the snapshot's own generation means no batch was acknowledged after
     // the checkpoint, which is fine.
-    std::uint64_t max_gen = gen;
-    for (std::uint64_t g : generations) max_gen = std::max(max_gen, g);
+    const std::uint64_t newest = generations.front();
     std::vector<Operation> tail;
-    for (std::uint64_t g = gen; g <= max_gen + 1; ++g) {
-      ReplayJournal(JournalPath(g), tail);
+    for (std::uint64_t g = gen; g <= newest + 1; ++g) {
+      ReplayJournal(dir_.JournalPath(g), tail);
     }
-    for (const Operation& op : tail) ApplySerialToTree(tree, op);
+    ApplyToTree(tree, tail);
     recovered_ops_ = tail.size();
 
     // Rebuild the runtime from the recovered image (Load() also pre-warms
     // the shortcut tables, exactly as a restarted service would).
-    std::vector<std::pair<Key, art::Value>> items;
-    items.reserve(tree.size());
-    tree.ScanFrom({}, [&items](KeyView key, art::Value value) {
-      items.emplace_back(Key(key.begin(), key.end()), value);
-      return true;
-    });
     engine_ = std::make_unique<dcartc::DcartCpEngine>(runtime_config_);
-    engine_->Load(items);
+    engine_->Load(TreeItems(tree));
     crashed_ = false;
     load_status_ = Status::Ok();  // recovery supersedes any parked failure
-    generation_ = max_gen;  // checkpoint below bumps past every old file
-    batches_since_snapshot_ = 0;
+    dir_.Resume(newest);  // the checkpoint below bumps past every old file
     Metrics().recoveries->Increment();
     Metrics().recovered_ops->Add(recovered_ops_);
     recover_error_ = Status::Ok();

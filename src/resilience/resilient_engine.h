@@ -24,15 +24,19 @@
 // not-ok Status, and refuses further work until Recover() — exactly the
 // situation a restarted process finds itself in.
 //
-// On-disk layout under `options.dir`:
+// On-disk layout under `options.dir` (GenerationDir, below):
 //   snapshot-<G>.tree   SaveTree image taken at generation G's start
 //   journal-<G>.log     writes and removes of batches acknowledged since G
 // The last `keep_generations` generations are retained; recovery from
 // generation G replays journals G, G+1, ... in order.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 #include "baselines/engine.h"
 #include "dcartc/parallel_runtime.h"
@@ -46,6 +50,58 @@ struct ResilienceOptions {
   std::string dir;
   std::size_t snapshot_every_batches = 8;
   std::size_t keep_generations = 2;
+};
+
+/// Apply the writes and removes of `ops` to `tree` in order, serially (the
+/// replay every recovery, replica and promotion path shares).
+void ApplyToTree(art::Tree& tree, std::span<const Operation> ops);
+
+/// The tree's (key, value) pairs in key order, the shape Load() takes.
+std::vector<std::pair<Key, art::Value>> TreeItems(const art::Tree& tree);
+
+/// The snapshot-plus-journal generation layout under one directory.  The
+/// FT engine and the HA replica both keep their state in one, and
+/// Promote() recovers the replica's through ResilientEngine::Recover(), so
+/// the layout is written in this one place.  Thread-compatible.
+class GenerationDir {
+ public:
+  GenerationDir(std::string path, std::size_t snapshot_every_batches,
+                std::size_t keep_generations);
+
+  const std::string& path() const { return path_; }
+  /// Newest generation rolled (or resumed); 0 = none yet.
+  std::uint64_t generation() const { return generation_; }
+  std::string SnapshotPath(std::uint64_t generation) const;
+  std::string JournalPath(std::uint64_t generation) const;
+  /// Snapshot generations present on disk, newest first.
+  std::vector<std::uint64_t> Scan(std::error_code& ec) const;
+
+  /// Write `tree` as generation `generation() + 1` (to a temp name, then
+  /// renamed, so a torn snapshot never bears a real name), roll the
+  /// journal over to it, and prune generations older than
+  /// `keep_generations`.
+  Status Roll(const art::Tree& tree);
+  /// Journal one batch into the current generation.
+  Status Append(std::span<const Operation> ops) {
+    return journal_.Append(ops);
+  }
+  /// Count one journaled batch; true when the snapshot cadence is due.
+  bool BatchDone() {
+    return ++batches_since_roll_ >= std::max<std::size_t>(1, every_);
+  }
+  /// Close the journal; the next Roll() writes generation `generation` + 1.
+  void Resume(std::uint64_t generation);
+  /// Close the journal, delete the directory, and restart at generation 0.
+  void Wipe();
+  void Close() { journal_.Close(); }
+
+ private:
+  std::string path_;
+  std::size_t every_;
+  std::size_t keep_;
+  OpJournal journal_;
+  std::uint64_t generation_ = 0;
+  std::size_t batches_since_roll_ = 0;
 };
 
 // Thread-safety contract: the engine is thread-compatible, not thread-safe —
@@ -89,21 +145,16 @@ class ResilientEngine : public IndexEngine {
 
  private:
   bool durable() const { return !options_.dir.empty(); }
-  std::string SnapshotPath(std::uint64_t generation) const;
-  std::string JournalPath(std::uint64_t generation) const;
-  /// Write snapshot generation `generation_ + 1`, roll the journal over to
-  /// it, and prune generations older than `keep_generations`.
+  /// Roll the generation directory and count the checkpoint.
   Status Checkpoint();
 
   ResilienceOptions options_;
   dcartc::DcartCpConfig runtime_config_;
   std::unique_ptr<dcartc::DcartCpEngine> engine_;
-  OpJournal journal_;
-  std::uint64_t generation_ = 0;  // 0 = no checkpoint taken yet
+  GenerationDir dir_;
   // Checkpoint failure from Load() (whose interface signature is void),
   // surfaced by the next Run() instead of being silently dropped.
   Status load_status_;
-  std::size_t batches_since_snapshot_ = 0;
   bool crashed_ = false;
   std::uint64_t recovered_ops_ = 0;
   Status recover_error_;  // diagnostics from the last Recover() attempt

@@ -7,78 +7,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
-#include <utility>
-
-#include "common/crc32.h"
-#include "resilience/fault_injector.h"
 
 namespace dcart::resilience {
 
 namespace {
-
-constexpr std::size_t kWireHeaderBytes = 8;  // u32 len + u32 crc
-constexpr std::size_t kMaxFrameBytes = 64u << 20;  // framing sanity bound
-constexpr std::size_t kPartialReadBytes = 3;  // kNetPartialRead haul cap
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-/// Frame block encoding (see the header comment for the layout).
-std::vector<std::uint8_t> EncodeFrameBlock(const Frame& frame) {
-  std::vector<std::uint8_t> block;
-  block.reserve(26 + frame.payload.size());
-  block.push_back(static_cast<std::uint8_t>(frame.type));
-  std::uint8_t flags = 0;
-  if (frame.want_checksum) flags |= 1u;
-  if (frame.has_checksum) flags |= 2u;
-  block.push_back(flags);
-  PutU64(block, frame.sequence);
-  PutU32(block, frame.payload_crc);
-  PutU64(block, frame.tree_checksum);
-  PutU32(block, static_cast<std::uint32_t>(frame.payload.size()));
-  block.insert(block.end(), frame.payload.begin(), frame.payload.end());
-  return block;
-}
-
-/// False on a malformed block (the transport CRC already passed, so a
-/// decode failure here means a framing bug, not line noise — but the link
-/// still degrades to a tear rather than trusting the bytes).
-bool DecodeFrameBlock(const std::uint8_t* block, std::size_t len, Frame& out) {
-  if (len < 26) return false;
-  out.type = static_cast<FrameType>(block[0]);
-  const std::uint8_t flags = block[1];
-  out.want_checksum = (flags & 1u) != 0;
-  out.has_checksum = (flags & 2u) != 0;
-  out.sequence = GetU64(block + 2);
-  out.payload_crc = GetU32(block + 10);
-  out.tree_checksum = GetU64(block + 14);
-  const std::uint32_t payload_len = GetU32(block + 22);
-  if (26 + static_cast<std::size_t>(payload_len) != len) return false;
-  out.payload.assign(block + 26, block + 26 + payload_len);
-  return true;
-}
 
 Status Errno(const std::string& what) {
   return Status::Error("socket link: " + what + ": " +
@@ -97,53 +33,118 @@ void CloseIfOpen(int& fd) {
   }
 }
 
-}  // namespace
-
-// ------------------------------------------------------------ construction --
-
-std::unique_ptr<SocketLink> SocketLink::Create(Status& status) {
-  auto link = std::unique_ptr<SocketLink>(new SocketLink());
-  link->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (link->listen_fd_ < 0) {
-    status = Errno("socket()");
-    return nullptr;
-  }
+sockaddr_in Loopback(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral: the kernel picks a free port
-  if (::bind(link->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    status = Errno("bind(127.0.0.1:0)");
-    return nullptr;
-  }
-  if (::listen(link->listen_fd_, 1) != 0) {
-    status = Errno("listen()");
-    return nullptr;
-  }
-  socklen_t addr_len = sizeof addr;
-  if (::getsockname(link->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) != 0) {
-    status = Errno("getsockname()");
-    return nullptr;
-  }
-  link->port_ = ntohs(addr.sin_port);
-  status = link->Connect();
-  if (!status.ok()) return nullptr;
-  return link;
+  addr.sin_port = htons(port);
+  return addr;
 }
 
-Status SocketLink::Connect() {
+class SocketPipe final : public BytePipe {
+ public:
+  SocketPipe() = default;
+  SocketPipe(const SocketPipe&) = delete;
+  SocketPipe& operator=(const SocketPipe&) = delete;
+  ~SocketPipe() override {
+    Close();
+    CloseIfOpen(listen_fd_);
+  }
+
+  Status Connect() override;
+
+  void Close() override {
+    // One TCP connection carries both ways: closing its two ends kills
+    // everything in flight, kernel-buffered bytes included.
+    CloseIfOpen(client_fd_);
+    CloseIfOpen(server_fd_);
+  }
+
+  bool Write(Direction way, std::vector<std::uint8_t>& bytes) override {
+    const int fd = way == Direction::kToReplica ? client_fd_ : server_fd_;
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + written,
+                               bytes.size() - written, MSG_NOSIGNAL);
+      if (n > 0) {
+        written += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      // Kernel buffer full: the remainder waits, in order, for the next
+      // flush.  Anything else means the stream is gone.
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      return false;
+    }
+    bytes.erase(bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(written));
+    return true;
+  }
+
+  bool Read(Direction way, std::vector<std::uint8_t>& rx,
+            std::size_t max) override {
+    const int fd = way == Direction::kToReplica ? server_fd_ : client_fd_;
+    std::uint8_t buffer[4096];
+    while (max > 0) {
+      const ssize_t n = ::recv(fd, buffer, std::min(max, sizeof buffer), 0);
+      if (n > 0) {
+        rx.insert(rx.end(), buffer, buffer + n);
+        max -= static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n == 0) return false;  // orderly close from the peer
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
+    return true;
+  }
+
+ private:
+  /// Bind the listener to an ephemeral port (the kernel picks a free one).
+  Status Listen();
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  int client_fd_ = -1;  // the primary's end
+  int server_fd_ = -1;  // the replica's end
+};
+
+Status SocketPipe::Listen() {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) return Errno("socket()");
+  sockaddr_in addr = Loopback(0);
+  Status status;
+  socklen_t addr_len = sizeof addr;
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    status = Errno("bind(127.0.0.1:0)");
+  } else if (::listen(listen_fd_, 1) != 0) {
+    status = Errno("listen()");
+  } else if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                           &addr_len) != 0) {
+    status = Errno("getsockname()");
+  }
+  if (!status.ok()) {
+    CloseIfOpen(listen_fd_);
+    return status;
+  }
+  port_ = ntohs(addr.sin_port);
+  return Status::Ok();
+}
+
+Status SocketPipe::Connect() {
+  Close();
+  if (listen_fd_ < 0) {
+    const Status listening = Listen();
+    if (!listening.ok()) return listening;
+  }
   const int client = ::socket(AF_INET, SOCK_STREAM, 0);
   if (client < 0) return Errno("socket()");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
+  const sockaddr_in addr = Loopback(port_);
   // Blocking connect to our own listener: the loopback handshake completes
   // in the kernel, so accept() immediately finds the pending connection.
-  if (::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
+  if (::connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0) {
     ::close(client);
     return Errno("connect(127.0.0.1)");
   }
@@ -161,221 +162,15 @@ Status SocketLink::Connect() {
   int one = 1;
   (void)::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   (void)::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  // The primary holds the connecting end, the replica the accepted end.
-  forward_.send_fd = client;
-  forward_.recv_fd = server;
-  reverse_.send_fd = server;
-  reverse_.recv_fd = client;
-  forward_.backlog.clear();
-  forward_.rx.clear();
-  reverse_.backlog.clear();
-  reverse_.rx.clear();
-  connected_ = true;
+  client_fd_ = client;
+  server_fd_ = server;
   return Status::Ok();
 }
 
-SocketLink::~SocketLink() {
-  Tear();
-  CloseIfOpen(listen_fd_);
-}
+}  // namespace
 
-void SocketLink::Tear() {
-  // One TCP connection carries both directions: closing its two ends kills
-  // everything in flight — kernel-buffered bytes included.  That loss is the
-  // point; retransmission and catch-up recover it.
-  CloseIfOpen(forward_.send_fd);
-  CloseIfOpen(forward_.recv_fd);
-  reverse_.send_fd = -1;
-  reverse_.recv_fd = -1;
-  forward_.backlog.clear();
-  forward_.rx.clear();
-  reverse_.backlog.clear();
-  reverse_.rx.clear();
-  connected_ = false;
-}
-
-void SocketLink::Reconnect() {
-  if (connected_) return;
-  if (FaultCheck(FaultSite::kNetConnectTimeout)) {
-    return;  // the attempt timed out; the caller's backoff schedules another
-  }
-  Tear();  // ensure any half-dead fds are gone before the fresh handshake
-  // A failed reconnect (ephemeral exhaustion, injected at the syscall level
-  // some day) leaves the link down; the backoff machinery keeps trying.
-  (void)Connect();  // failure leaves connected_ false, which IS the report
-}
-
-// ------------------------------------------------------------------ output --
-
-Status SocketLink::Stage(Direction& dir, Frame frame) {
-  if (!connected_) {
-    return Status::Error("replication link is disconnected");
-  }
-  // The kRepl* gauntlet, in InProcessLink::Enqueue's exact order, so chaos
-  // plans land their Nth fault on the same frame on either transport.
-  if (FaultCheck(FaultSite::kReplDisconnect)) {
-    Tear();
-    return Status::Error("replication link dropped (injected disconnect)");
-  }
-  if (FaultCheck(FaultSite::kReplDrop)) {
-    return Status::Ok();  // the frame vanishes; the sender believes it left
-  }
-  Staged item;
-  item.deliver_at = now_;
-  if (FaultCheck(FaultSite::kReplTruncate)) {
-    // Cut the payload before encoding: the wire framing stays consistent
-    // (wire_len and wire_crc describe the truncated block), so only the
-    // end-to-end payload_crc inside the frame catches it — exactly the
-    // detection path a buggy middlebox would force.
-    frame.payload.resize(frame.payload.size() / 2);
-  }
-  if (FaultCheck(FaultSite::kReplDelay)) {
-    item.deliver_at = now_ + delay_ticks_;
-  }
-  const bool duplicate = FaultCheck(FaultSite::kReplDuplicate);
-  const bool reorder = FaultCheck(FaultSite::kReplReorder);
-  const std::vector<std::uint8_t> block = EncodeFrameBlock(frame);
-  item.wire.reserve(kWireHeaderBytes + block.size());
-  PutU32(item.wire, static_cast<std::uint32_t>(block.size()));
-  PutU32(item.wire, Crc32(block.data(), block.size()));
-  item.wire.insert(item.wire.end(), block.begin(), block.end());
-  if (duplicate) dir.staging.push_back(item);
-  if (reorder) {
-    dir.staging.push_front(std::move(item));
-  } else {
-    dir.staging.push_back(std::move(item));
-  }
-  return Status::Ok();
-}
-
-void SocketLink::WriteBytes(Direction& dir, const std::uint8_t* data,
-                            std::size_t len) {
-  std::size_t written = 0;
-  while (written < len) {
-    const ssize_t n = ::send(dir.send_fd, data + written, len - written,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Kernel buffer full: keep the remainder in order for the next flush.
-      dir.backlog.insert(dir.backlog.end(), data + written, data + len);
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    Tear();  // EPIPE/ECONNRESET/...: the stream is gone
-    return;
-  }
-}
-
-void SocketLink::Flush(Direction& dir) {
-  if (!connected_) return;
-  if (!dir.backlog.empty()) {
-    // Byte order within the stream is sacred once emission starts: the
-    // backlog must fully drain before any staged frame may follow it.
-    std::vector<std::uint8_t> pending;
-    pending.swap(dir.backlog);
-    WriteBytes(dir, pending.data(), pending.size());
-    if (!connected_ || !dir.backlog.empty()) return;
-  }
-  for (auto it = dir.staging.begin(); it != dir.staging.end();) {
-    if (it->deliver_at > now_) {
-      ++it;  // still ripening; later frames may overtake it (kReplDelay)
-      continue;
-    }
-    if (FaultCheck(FaultSite::kNetPartialWrite)) {
-      // Half the frame lands, then the stream tears mid-record.  The
-      // receiver's framing CRC (or the reconnect flush) discards the stub.
-      const std::size_t half = it->wire.size() / 2;
-      WriteBytes(dir, it->wire.data(), half);
-      dir.staging.erase(it);
-      Tear();
-      return;
-    }
-    WriteBytes(dir, it->wire.data(), it->wire.size());
-    it = dir.staging.erase(it);
-    if (!connected_ || !dir.backlog.empty()) return;
-  }
-}
-
-// ------------------------------------------------------------------- input --
-
-bool SocketLink::Receive(Direction& dir, Frame& out) {
-  // Sends from this very tick must be receivable this tick (InProcessLink
-  // parity), so push pending bytes onto the socket before reading.
-  Flush(dir);
-  if (connected_) {
-    std::uint8_t buffer[4096];
-    bool partial = false;
-    std::size_t cap = sizeof buffer;
-    if (FaultCheck(FaultSite::kNetPartialRead)) {
-      partial = true;  // a stingy read(): a few bytes now, the rest later
-      cap = kPartialReadBytes;
-    }
-    while (true) {
-      const ssize_t n = ::recv(dir.recv_fd, buffer, cap, 0);
-      if (n > 0) {
-        dir.rx.insert(dir.rx.end(), buffer, buffer + n);
-        if (partial) break;  // the remainder stays kernel-buffered
-        continue;
-      }
-      if (n == 0) {
-        Tear();  // orderly close from the peer: the stream is over
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) Tear();
-      break;
-    }
-  }
-  // Parse one frame per call (the pump loops until false, like Dequeue).
-  if (dir.rx.size() < kWireHeaderBytes) return false;
-  const std::uint32_t wire_len = GetU32(dir.rx.data());
-  const std::uint32_t wire_crc = GetU32(dir.rx.data() + 4);
-  if (wire_len > kMaxFrameBytes) {
-    Tear();  // desynchronized framing: nothing downstream is trustworthy
-    return false;
-  }
-  if (dir.rx.size() < kWireHeaderBytes + wire_len) return false;
-  const std::uint8_t* block = dir.rx.data() + kWireHeaderBytes;
-  Frame frame;
-  if (Crc32(block, wire_len) != wire_crc ||
-      !DecodeFrameBlock(block, wire_len, frame)) {
-    Tear();  // torn mid-frame: drop the connection, retransmission recovers
-    return false;
-  }
-  dir.rx.erase(dir.rx.begin(),
-               dir.rx.begin() + static_cast<std::ptrdiff_t>(
-                                    kWireHeaderBytes + wire_len));
-  out = std::move(frame);
-  return true;
-}
-
-// --------------------------------------------------------------- interface --
-
-Status SocketLink::SendToReplica(Frame frame) {
-  return Stage(forward_, std::move(frame));
-}
-
-bool SocketLink::ReceiveAtReplica(Frame& out) {
-  return Receive(forward_, out);
-}
-
-Status SocketLink::SendToPrimary(Frame frame) {
-  return Stage(reverse_, std::move(frame));
-}
-
-bool SocketLink::ReceiveAtPrimary(Frame& out) {
-  return Receive(reverse_, out);
-}
-
-void SocketLink::Tick() {
-  ++now_;
-  // Delayed frames that just came due go onto the wire even if nobody
-  // receives this tick (a dead primary still drains toward the replica).
-  Flush(forward_);
-  Flush(reverse_);
+std::unique_ptr<BytePipe> MakeSocketPipe() {
+  return std::make_unique<SocketPipe>();
 }
 
 }  // namespace dcart::resilience

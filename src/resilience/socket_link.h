@@ -1,117 +1,24 @@
-// SocketLink: the socket twin of InProcessLink — the same ReplicationLink
-// contract spoken over a real TCP connection on localhost, so the shipping
-// state machine (replication.h) is exercised against genuine kernel socket
-// semantics: byte streams with no message boundaries, partial reads and
-// writes, torn connections, reconnects that discard in-flight bytes.
+// The localhost TCP byte pipe under a ReplicationLink (replication.h):
+// real kernel socket semantics — a byte stream with no message boundaries,
+// partial reads and writes, torn connections, reconnects that discard the
+// bytes in flight.  The pipe is syscalls only; framing, the fault sites and
+// the virtual clock live in the link, so a chaos plan lands on the same
+// frame here as over the in-memory pipe.
 //
-// Wire format (per frame, little-endian host order — both ends live in one
-// process, and a cross-host deployment would pin the encoding anyway):
-//
-//   u32 wire_len   — byte length of the frame block that follows
-//   u32 wire_crc   — CRC32 over the frame block (transport framing check)
-//   frame block:
-//     u8  type, u8 flags (bit0 want_checksum, bit1 has_checksum)
-//     u64 sequence, u32 payload_crc, u64 tree_checksum
-//     u32 payload_len, payload bytes
-//
-// The transport CRC only guards framing: a mismatch means the stream is
-// torn and the connection is dropped.  Content integrity stays end-to-end —
-// payload_crc travels inside the frame and the receiver in replication.cpp
-// verifies it exactly as it does over the in-process link.
-//
-// Fault parity: sends pass through the six kRepl* sites in the same fixed
-// order as InProcessLink::Enqueue (disconnect, drop, truncate, delay,
-// duplicate, reorder), so a chaos plan places fault N on the same frame on
-// either transport.  Three kNet* sites model what only a socket can do:
-//
-//   net-partial-write   — write() lands half a frame, tearing the stream;
-//                         both ends drop the connection and the primary's
-//                         reconnect/retransmit machinery recovers
-//   net-partial-read    — read() returns a few bytes this pump (benign:
-//                         the rest stays kernel-buffered for next time)
-//   net-connect-timeout — a Reconnect() attempt fails; backoff continues
-//
-// Time stays virtual (Tick() == one pump): frames delayed by kReplDelay
-// are staged in user space until their tick comes due, then written.  The
-// kernel socket is the delivery medium, not the clock.
+// Connect() listens on an ephemeral 127.0.0.1 port the first time, then
+// connects and accepts through that listener (again on every reconnect).
+// The primary holds the connecting end, the replica the accepted end; both
+// are non-blocking with Nagle off, since latency is virtual ticks.
 //
 // Thread-compatibility matches the module: one thread drives the link.
 #pragma once
 
-#include <cstdint>
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "resilience/replication.h"
 
 namespace dcart::resilience {
 
-class SocketLink : public ReplicationLink {
- public:
-  /// Build the connected pair: listen on an ephemeral 127.0.0.1 port,
-  /// connect, accept, and hold both ends.  On failure returns nullptr and
-  /// `status` says why (the caller parks it; see ReplicatedEngine).
-  static std::unique_ptr<SocketLink> Create(Status& status);
-
-  ~SocketLink() override;
-  SocketLink(const SocketLink&) = delete;
-  SocketLink& operator=(const SocketLink&) = delete;
-
-  Status SendToReplica(Frame frame) override;
-  bool ReceiveAtReplica(Frame& out) override;
-  Status SendToPrimary(Frame frame) override;
-  bool ReceiveAtPrimary(Frame& out) override;
-
-  void Tick() override;
-  std::uint64_t now() const override { return now_; }
-  bool connected() const override { return connected_; }
-  /// Rebuild the TCP connection (fresh handshake through the still-open
-  /// listener).  Bytes that were in flight when the stream tore are gone —
-  /// retransmission recovers them.  kNetConnectTimeout can fail the attempt.
-  void Reconnect() override;
-
-  std::uint16_t port() const { return port_; }
-
- private:
-  struct Staged {
-    std::vector<std::uint8_t> wire;  // full wire image: len + crc + frame
-    std::uint64_t deliver_at = 0;    // tick the bytes go onto the socket
-  };
-  struct Direction {
-    std::deque<Staged> staging;        // frames not yet written
-    std::vector<std::uint8_t> backlog;  // bytes the kernel wouldn't take yet
-    std::vector<std::uint8_t> rx;       // bytes read but not yet framed
-    int send_fd = -1;                   // this direction writes here...
-    int recv_fd = -1;                   // ...and the peer reads here
-  };
-
-  SocketLink() = default;
-
-  /// Fresh connect+accept through listen_fd_; used by Create and Reconnect.
-  Status Connect();
-  /// Drop the connection and every byte it was carrying (both directions).
-  void Tear();
-
-  /// Fault gauntlet + encode + stage.  Mirrors InProcessLink::Enqueue.
-  Status Stage(Direction& dir, Frame frame);
-  /// Write every staged frame that has come due, oldest first, skipping
-  /// frames still ripening (that skip is how kReplDelay reorders a stream).
-  void Flush(Direction& dir);
-  /// Pull readable bytes off the socket into dir.rx (kNetPartialRead may
-  /// cap the haul); then try to parse one complete frame.
-  bool Receive(Direction& dir, Frame& out);
-  /// Append `data` to the socket, spilling what the kernel refuses into
-  /// dir.backlog; a hard error tears the connection.
-  void WriteBytes(Direction& dir, const std::uint8_t* data, std::size_t len);
-
-  Direction forward_;  // primary -> replica
-  Direction reverse_;  // replica -> primary
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  bool connected_ = false;
-  std::uint64_t now_ = 0;
-  std::uint64_t delay_ticks_ = 3;  // kReplDelay horizon (InProcessLink parity)
-};
+std::unique_ptr<BytePipe> MakeSocketPipe();
 
 }  // namespace dcart::resilience

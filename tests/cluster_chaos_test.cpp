@@ -178,10 +178,8 @@ TEST_P(ClusterChaosTest, EveryShardLinkPartitionedStillConverges) {
   plan.Probability(FaultSite::kReplReorder) = 0.1;
   plan.Probability(FaultSite::kReplDuplicate) = 0.1;
   plan.Probability(FaultSite::kReplTruncate) = 0.1;
-  if (GetParam() == LinkKind::kSocket) {
-    plan.Probability(FaultSite::kNetPartialRead) = 0.1;
-    plan.Probability(FaultSite::kNetPartialWrite) = 0.05;
-  }
+  plan.Probability(FaultSite::kNetPartialRead) = 0.1;
+  plan.Probability(FaultSite::kNetPartialWrite) = 0.05;
   const ExecutionResult r = engine.Run(w.ops, ChaosRun(plan));
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();

@@ -1,6 +1,7 @@
-// Malformed-file corpus for every on-disk format the repo reads back:
-// DCARTSN1-3 tree snapshots, DCWTRC02 workload traces, and DCJRNL01 journals.
-// Truncations at every offset, flipped magics, oversized length fields, and
+// Malformed-file corpus for every format the repo reads back: DCARTSN1-3
+// tree snapshots, DCWTRC02 workload traces, DCJRNL01 journals and their
+// record payloads, and replication wire frames.  Truncations at every
+// offset, flipped magics and bits, oversized length and count fields, and
 // CRC mismatches must all be rejected cleanly — no crash, no hang, no leak
 // (the CI fault-injection job runs this suite under AddressSanitizer) —
 // with the output left empty.  The injected short-read/short-write sites
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "art/serialize.h"
@@ -20,6 +22,7 @@
 #include "legacy_snapshot.h"
 #include "resilience/fault_injector.h"
 #include "resilience/journal.h"
+#include "resilience/replication.h"
 #include "workload/trace_io.h"
 
 namespace dcart {
@@ -501,6 +504,201 @@ TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
     EXPECT_EQ(resilience::ReplayJournal(bad, replayed), 0u);
     EXPECT_TRUE(replayed.empty());
   }
+}
+
+/// A 12-byte record payload (sequence, op_count) whose count no payload of
+/// that length could hold: a CRC over it is valid, so only the count bound
+/// stands between it and a reserve() of op_count entries.
+std::vector<std::uint8_t> ForgedCountPayload(std::uint64_t sequence) {
+  std::vector<std::uint8_t> payload(12);
+  const std::uint32_t op_count = 0xFFFFFFFFu;
+  std::memcpy(payload.data(), &sequence, sizeof sequence);
+  std::memcpy(payload.data() + 8, &op_count, sizeof op_count);
+  return payload;
+}
+
+TEST_F(MalformedFileTest, RecordPayloadOpCountBeyondItsBytesIsRejected) {
+  std::vector<Operation> out = {{OpType::kWrite, EncodeU64(7), 7}};
+  std::uint64_t sequence = 0;
+  Status decoded;
+  EXPECT_NO_THROW(decoded = resilience::DecodeRecordPayload(
+                      ForgedCountPayload(0), sequence, out));
+  EXPECT_FALSE(decoded.ok());
+  ASSERT_EQ(out.size(), 1u);  // untouched
+  EXPECT_EQ(out[0].key, EncodeU64(7));
+
+  // One op fewer than the count promises is rejected the same way.
+  std::vector<Operation> one = {{OpType::kWrite, EncodeU64(1), 1}};
+  std::vector<std::uint8_t> payload;
+  resilience::EncodeRecordPayload(3, one, payload);
+  const std::uint32_t two = 2;
+  std::memcpy(payload.data() + 8, &two, sizeof two);
+  out.clear();
+  EXPECT_FALSE(resilience::DecodeRecordPayload(payload, sequence, out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_F(MalformedFileTest, JournalWithForgedOpCountReplaysOnlyTheGoodRecord) {
+  const std::string path = Temp("journal_forged_count.log");
+  const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
+                                      {OpType::kRemove, EncodeU64(2), 0}};
+  resilience::OpJournal journal;
+  ASSERT_TRUE(journal.Open(path));
+  ASSERT_TRUE(journal.Append(ops).ok());
+  journal.Close();
+  std::vector<std::uint8_t> bytes = ReadFile(path);
+  const std::vector<std::uint8_t> forged = ForgedCountPayload(1);
+  const auto len = static_cast<std::uint32_t>(forged.size());
+  const std::uint32_t crc = Crc32(forged.data(), forged.size());
+  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&len),
+               reinterpret_cast<const std::uint8_t*>(&len) + sizeof len);
+  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&crc),
+               reinterpret_cast<const std::uint8_t*>(&crc) + sizeof crc);
+  bytes.insert(bytes.end(), forged.begin(), forged.end());
+  WriteFile(path, bytes);
+
+  std::vector<Operation> replayed;
+  std::uint64_t records = 0;
+  EXPECT_NO_THROW(records = resilience::ReplayJournal(path, replayed));
+  EXPECT_EQ(records, 1u);
+  ASSERT_EQ(replayed.size(), 2u);
+  EXPECT_EQ(replayed[0].key, EncodeU64(1));
+  EXPECT_EQ(replayed[0].value, 11u);
+  EXPECT_EQ(replayed[1].type, OpType::kRemove);
+}
+
+// ------------------------------------------------- replication wire frames
+
+/// What a scripted pipe saw written, and what it hands out to reads.
+struct PipeScript {
+  std::vector<std::uint8_t> written;
+  std::vector<std::uint8_t> to_read;
+};
+
+/// A BytePipe that records every write and serves `to_read` to reads, so a
+/// test can capture a real wire image and feed the link arbitrary bytes.
+class ScriptedPipe : public resilience::BytePipe {
+ public:
+  explicit ScriptedPipe(PipeScript* script) : script_(script) {}
+  Status Connect() override { return Status::Ok(); }
+  void Close() override {}
+  bool Write(resilience::Direction, std::vector<std::uint8_t>& bytes) override {
+    script_->written.insert(script_->written.end(), bytes.begin(), bytes.end());
+    bytes.clear();
+    return true;
+  }
+  bool Read(resilience::Direction, std::vector<std::uint8_t>& rx,
+            std::size_t max) override {
+    const std::size_t n = std::min(max, script_->to_read.size());
+    rx.insert(rx.end(), script_->to_read.begin(),
+              script_->to_read.begin() + static_cast<std::ptrdiff_t>(n));
+    script_->to_read.erase(
+        script_->to_read.begin(),
+        script_->to_read.begin() + static_cast<std::ptrdiff_t>(n));
+    return true;
+  }
+
+ private:
+  PipeScript* script_;
+};
+
+resilience::Frame WireTestFrame() {
+  resilience::Frame frame;
+  frame.sequence = 5;
+  frame.want_checksum = true;
+  const std::vector<Operation> ops = {
+      {OpType::kWrite, Key(16, 0xab), 77}};
+  frame.payload_crc =
+      resilience::EncodeRecordPayload(frame.sequence, ops, frame.payload);
+  return frame;
+}
+
+/// The link's own wire image of WireTestFrame(), captured off the pipe.
+std::vector<std::uint8_t> WireImage() {
+  PipeScript script;
+  resilience::ReplicationLink link(std::make_unique<ScriptedPipe>(&script));
+  EXPECT_TRUE(link.Connect().ok());
+  EXPECT_TRUE(link.SendToReplica(WireTestFrame()).ok());
+  link.Tick();
+  return script.written;
+}
+
+/// Feed `bytes` to a fresh link at the replica end and count the frames it
+/// delivers; `torn` reports whether the link dropped the connection.
+std::size_t Deliveries(std::vector<std::uint8_t> bytes, bool& torn,
+                       resilience::Frame* last = nullptr) {
+  PipeScript script;
+  script.to_read = std::move(bytes);
+  resilience::ReplicationLink link(std::make_unique<ScriptedPipe>(&script));
+  EXPECT_TRUE(link.Connect().ok());
+  std::size_t delivered = 0;
+  resilience::Frame frame;
+  while (link.ReceiveAtReplica(frame)) {
+    ++delivered;
+    if (last != nullptr) *last = frame;
+  }
+  EXPECT_FALSE(link.ReceiveAtReplica(frame));  // nothing more arrives later
+  torn = !link.connected();
+  return delivered;
+}
+
+TEST_F(MalformedFileTest, WireFrameValidImageIsDeliveredExactlyOnce) {
+  const std::vector<std::uint8_t> image = WireImage();
+  ASSERT_EQ(image.size(), 8u + 26u + WireTestFrame().payload.size());
+  bool torn = true;
+  resilience::Frame got;
+  EXPECT_EQ(Deliveries(image, torn, &got), 1u);
+  EXPECT_FALSE(torn);
+  const resilience::Frame want = WireTestFrame();
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.sequence, want.sequence);
+  EXPECT_EQ(got.payload_crc, want.payload_crc);
+  EXPECT_TRUE(got.want_checksum);
+  EXPECT_FALSE(got.has_checksum);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+TEST_F(MalformedFileTest, WireFrameFlipsAndTruncationsNeverDeliver) {
+  const std::vector<std::uint8_t> image = WireImage();
+  std::uint32_t wire_len = 0;
+  std::memcpy(&wire_len, image.data(), sizeof wire_len);
+  for (std::size_t bit = 0; bit < image.size() * 8; ++bit) {
+    std::vector<std::uint8_t> flipped = image;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    bool torn = false;
+    EXPECT_EQ(Deliveries(flipped, torn), 0u) << "bit " << bit;
+    // A flip that grows the length field waits for bytes that never come;
+    // every other flip fails the framing and tears the link.
+    std::uint32_t flipped_len = 0;
+    std::memcpy(&flipped_len, flipped.data(), sizeof flipped_len);
+    const bool waits = bit < 32 && flipped_len > wire_len &&
+                       flipped_len <= 26 + resilience::kMaxPayloadBytes;
+    EXPECT_EQ(torn, !waits) << "bit " << bit;
+  }
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    bool torn = true;
+    EXPECT_EQ(Deliveries({image.begin(), image.begin() + len}, torn), 0u)
+        << "cut at " << len;
+    EXPECT_FALSE(torn) << "a prefix of a valid image is not a tear";
+  }
+}
+
+TEST_F(MalformedFileTest, WireFrameLengthBoundIsTheRecordPayloadBound) {
+  const auto header = [](std::uint32_t wire_len) {
+    std::vector<std::uint8_t> bytes(16, 0);
+    std::memcpy(bytes.data(), &wire_len, sizeof wire_len);
+    return bytes;
+  };
+  // Past 26 header bytes plus the largest record payload: torn at once.
+  bool torn = false;
+  EXPECT_EQ(Deliveries(header(26 + resilience::kMaxPayloadBytes + 1), torn),
+            0u);
+  EXPECT_TRUE(torn);
+  // Above the old 64 MiB socket bound but within the shared one: the link
+  // waits for the rest of the frame instead of tearing.
+  torn = true;
+  EXPECT_EQ(Deliveries(header((64u << 20) + 1), torn), 0u);
+  EXPECT_FALSE(torn);
 }
 
 // ----------------------------------------------- injected short file I/O

@@ -10,11 +10,10 @@
 //     serve exactly the serial replay of the HA-acknowledged prefix: no
 //     acknowledged operation lost, no unacknowledged operation invented.
 //
-// The whole suite is parameterized over the link transport: every property
-// runs once over the in-process link and once over the TCP socket twin
-// (resilience/socket_link.h), which must honor the same fault matrix.  The
-// socket-only net-* sites (partial read/write, connect timeout) get their
-// own convergence sweep.
+// The whole suite is parameterized over the link's byte pipe: every
+// property runs once over the in-memory pipe and once over localhost TCP
+// (resilience/socket_link.h).  The net-* sites (partial read/write, connect
+// timeout) get their own convergence sweep on both.
 //
 // Seeds come from DCART_FAULT_SEED (the CI chaos matrix sweeps several).
 #include <gtest/gtest.h>
@@ -353,12 +352,10 @@ TEST_P(ReplicationPropertyTest,
 }
 
 TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
-  // The net-* sites only exist on the wire: partial send, dribbling recv,
-  // refused redial.  Alone and combined (and stacked on the repl-* chaos
-  // matrix) the pair must still converge with zero acknowledged-op loss.
-  if (GetParam() != LinkKind::kSocket) {
-    GTEST_SKIP() << "net-* sites are socket-transport faults";
-  }
+  // The net-* sites model a byte stream: partial send, dribbling recv,
+  // refused redial.  The link checks them over either pipe.  Alone and
+  // combined (and stacked on the repl-* chaos matrix) the pair must still
+  // converge with zero acknowledged-op loss.
   const ChaosSite kNetSites[] = {
       {FaultSite::kNetPartialWrite, 0.0, 2},
       {FaultSite::kNetPartialRead, 0.3, 0},

@@ -1,18 +1,22 @@
 // Functional tests for the high-availability replication layer
-// (resilience/replication.h): the in-process link's injectable faults, the
-// primary's retransmit/backoff/catch-up machinery, divergence detection and
-// snapshot resync, failover promotion, and the Recover() failure
-// diagnostics promotion reports.
+// (resilience/replication.h): the link's injectable faults, alike over both
+// byte pipes, the primary's retransmit/backoff/catch-up machinery,
+// divergence detection and snapshot resync, failover promotion, and the
+// Recover() failure diagnostics promotion reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "art/serialize.h"
+#include "common/crc32.h"
+#include "common/key_codec.h"
 #include "obs/metrics.h"
 #include "resilience/fault_injector.h"
 #include "resilience/replication.h"
@@ -26,7 +30,10 @@ namespace fs = std::filesystem;
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
+using resilience::Frame;
+using resilience::LinkKind;
 using resilience::ReplicatedEngine;
+using resilience::ReplicationLink;
 using resilience::ReplicationOptions;
 using resilience::ResilienceOptions;
 using resilience::ResilientEngine;
@@ -497,6 +504,234 @@ TEST_F(ReplicationTest, SocketConnectTimeoutRetriesReconnect) {
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
                            "sock_connect_timeout");
 }
+
+// --- one link contract over both pipes -------------------------------------
+//
+// ReplicationLink driven directly: three record frames staged per tick, every
+// delivery at the replica logged as (tick, sequence, payload CRC ok).  Each
+// fault site, fired on the 2nd frame, must have its documented effect, and
+// the TCP pipe must log exactly what the in-memory pipe logs.
+
+constexpr std::size_t kFramesPerTick = 3;
+constexpr std::uint64_t kSendTicks = 6;
+constexpr std::uint64_t kTicks = 10;
+constexpr std::uint64_t kRedialTick = 3;  // a downed link redials from here
+
+struct Delivery {
+  std::uint64_t tick = 0;
+  std::uint64_t sequence = 0;
+  bool crc_ok = false;
+  bool operator==(const Delivery&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Delivery& d) {
+  return out << "{tick " << d.tick << ", seq " << d.sequence
+             << (d.crc_ok ? "" : ", bad crc") << "}";
+}
+
+struct LinkLog {
+  std::vector<Delivery> delivered;
+  std::vector<std::uint64_t> refused;  // sequences whose send failed
+  std::vector<bool> up;                // link state at the end of each tick
+  bool operator==(const LinkLog&) const = default;
+};
+
+Frame RecordFrame(std::uint64_t sequence) {
+  const std::vector<Operation> ops = {
+      {OpType::kWrite, EncodeU64(sequence), sequence}};
+  Frame frame;
+  frame.sequence = sequence;
+  frame.payload_crc =
+      resilience::EncodeRecordPayload(sequence, ops, frame.payload);
+  return frame;
+}
+
+/// Run the script over a fresh link of `kind` with `plan` armed.
+LinkLog DriveLink(LinkKind kind, const FaultPlan& plan) {
+  ReplicationLink link(kind);
+  EXPECT_TRUE(link.Connect().ok());
+  FaultInjector::Global().Arm(plan);
+  LinkLog log;
+  std::uint64_t next = 0;
+  for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
+    EXPECT_EQ(link.now(), tick);
+    if (!link.connected() && tick >= kRedialTick) link.Reconnect();
+    for (std::size_t i = 0; tick < kSendTicks && i < kFramesPerTick; ++i) {
+      const std::uint64_t sequence = next++;
+      if (!link.SendToReplica(RecordFrame(sequence)).ok()) {
+        log.refused.push_back(sequence);
+      }
+    }
+    Frame frame;
+    while (link.ReceiveAtReplica(frame)) {
+      log.delivered.push_back(
+          {tick, frame.sequence,
+           Crc32(frame.payload.data(), frame.payload.size()) ==
+               frame.payload_crc});
+    }
+    log.up.push_back(link.connected());
+    link.Tick();
+  }
+  FaultInjector::Global().Disarm();
+  return log;
+}
+
+std::vector<std::uint64_t> Sequences(const LinkLog& log) {
+  std::vector<std::uint64_t> out;
+  for (const Delivery& d : log.delivered) out.push_back(d.sequence);
+  return out;
+}
+
+std::vector<std::uint64_t> Range(std::uint64_t from, std::uint64_t to) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t s = from; s < to; ++s) out.push_back(s);
+  return out;
+}
+
+class ReplicationLinkTest : public ::testing::TestWithParam<LinkKind> {
+ protected:
+  void TearDown() override { FaultInjector::Global().Disarm(); }
+
+  /// The log on the pipe under test, checked against the in-memory pipe's.
+  LinkLog Drive(const FaultPlan& plan) {
+    const LinkLog log = DriveLink(GetParam(), plan);
+    EXPECT_EQ(log, DriveLink(LinkKind::kInProcess, plan))
+        << "the pipes disagree";
+    return log;
+  }
+
+  static FaultPlan SecondFrame(FaultSite site) {
+    FaultPlan plan;
+    plan.seed = EnvSeed();
+    plan.TriggerAt(site) = 2;
+    return plan;
+  }
+};
+
+TEST_P(ReplicationLinkTest, CleanLinkDeliversEveryFrameOnItsTick) {
+  const LinkLog log = Drive(FaultPlan{});
+  EXPECT_EQ(Sequences(log), Range(0, kSendTicks * kFramesPerTick));
+  for (const Delivery& d : log.delivered) {
+    EXPECT_EQ(d.tick, d.sequence / kFramesPerTick);
+    EXPECT_TRUE(d.crc_ok);
+  }
+  EXPECT_TRUE(log.refused.empty());
+}
+
+TEST_P(ReplicationLinkTest, DropLosesTheFrame) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDrop));
+  std::vector<std::uint64_t> want = Range(0, kSendTicks * kFramesPerTick);
+  want.erase(want.begin() + 1);
+  EXPECT_EQ(Sequences(log), want);
+  EXPECT_TRUE(log.refused.empty());
+}
+
+TEST_P(ReplicationLinkTest, DelayHoldsTheFrameThreeTicksBehindLaterOnes) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDelay));
+  const std::vector<std::uint64_t> seqs = Sequences(log);
+  ASSERT_EQ(seqs.size(), kSendTicks * kFramesPerTick);
+  // Frames 0, 2 and everything sent on ticks 1-2 overtake it; it lands at
+  // tick 3, ahead of what is sent on tick 3.
+  const auto it = std::find(seqs.begin(), seqs.end(), 1u);
+  ASSERT_NE(it, seqs.end());
+  const std::size_t pos = static_cast<std::size_t>(it - seqs.begin());
+  EXPECT_EQ(pos, 3 * kFramesPerTick - 1);
+  EXPECT_EQ(log.delivered[pos].tick, 3u);
+  EXPECT_EQ(seqs[pos + 1], 3 * kFramesPerTick);
+}
+
+TEST_P(ReplicationLinkTest, DuplicateDeliversTheFrameTwice) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDuplicate));
+  std::vector<std::uint64_t> want = Range(0, kSendTicks * kFramesPerTick);
+  want.insert(want.begin() + 1, 1);
+  EXPECT_EQ(Sequences(log), want);
+  EXPECT_EQ(log.delivered[1].tick, 0u);
+  EXPECT_EQ(log.delivered[2].tick, 0u);
+}
+
+TEST_P(ReplicationLinkTest, ReorderPutsTheFrameAheadOfItsTick) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplReorder));
+  std::vector<std::uint64_t> want = Range(0, kSendTicks * kFramesPerTick);
+  std::swap(want[0], want[1]);
+  EXPECT_EQ(Sequences(log), want);
+}
+
+TEST_P(ReplicationLinkTest, TruncateFailsThePayloadCrc) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplTruncate));
+  ASSERT_EQ(Sequences(log), Range(0, kSendTicks * kFramesPerTick));
+  for (const Delivery& d : log.delivered) {
+    EXPECT_EQ(d.crc_ok, d.sequence != 1) << d;
+  }
+}
+
+TEST_P(ReplicationLinkTest, DisconnectRefusesSendsUntilReconnect) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDisconnect));
+  // Frame 1 tears the link; every send until the redial is refused.
+  EXPECT_EQ(log.refused, Range(1, kRedialTick * kFramesPerTick));
+  for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
+    EXPECT_EQ(log.up[tick], tick >= kRedialTick) << "tick " << tick;
+  }
+  // Frame 0 was still staged when the link tore: it survives and goes out
+  // after the redial, ahead of the frames sent then.
+  ASSERT_FALSE(log.delivered.empty());
+  EXPECT_EQ(log.delivered.front(), (Delivery{kRedialTick, 0, true}));
+  std::vector<std::uint64_t> want = {0};
+  for (std::uint64_t s : Range(kRedialTick * kFramesPerTick,
+                               kSendTicks * kFramesPerTick)) {
+    want.push_back(s);
+  }
+  EXPECT_EQ(Sequences(log), want);
+}
+
+TEST_P(ReplicationLinkTest, PartialWriteTearsTheStream) {
+  const LinkLog log = Drive(SecondFrame(FaultSite::kNetPartialWrite));
+  EXPECT_FALSE(log.up[0]);
+  EXPECT_TRUE(log.up[kRedialTick]);
+  // Frame 0 was on the wire and frame 1 half on it when the stream tore:
+  // both are gone.  Frame 2 was still staged and goes out after the redial.
+  EXPECT_EQ(log.refused, Range(kFramesPerTick, kRedialTick * kFramesPerTick));
+  std::vector<std::uint64_t> want = {2};
+  for (std::uint64_t s : Range(kRedialTick * kFramesPerTick,
+                               kSendTicks * kFramesPerTick)) {
+    want.push_back(s);
+  }
+  EXPECT_EQ(Sequences(log), want);
+  EXPECT_EQ(log.delivered.front().tick, kRedialTick);
+}
+
+TEST_P(ReplicationLinkTest, PartialReadDeliversTheFramesLater) {
+  FaultPlan plan;
+  plan.seed = EnvSeed();
+  plan.TriggerAt(FaultSite::kNetPartialRead) = 1;
+  const LinkLog log = Drive(plan);
+  EXPECT_EQ(Sequences(log), Range(0, kSendTicks * kFramesPerTick));
+  for (const Delivery& d : log.delivered) {
+    // Tick 0's read returned a few bytes only; its frames arrive on tick 1.
+    EXPECT_EQ(d.tick, std::max<std::uint64_t>(1, d.sequence / kFramesPerTick))
+        << d;
+    EXPECT_TRUE(d.crc_ok);
+  }
+  EXPECT_TRUE(log.refused.empty());
+}
+
+TEST_P(ReplicationLinkTest, ConnectTimeoutFailsTheFirstRedial) {
+  FaultPlan plan = SecondFrame(FaultSite::kReplDisconnect);
+  plan.TriggerAt(FaultSite::kNetConnectTimeout) = 1;
+  const LinkLog log = Drive(plan);
+  for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
+    EXPECT_EQ(log.up[tick], tick > kRedialTick) << "tick " << tick;
+  }
+  ASSERT_FALSE(log.delivered.empty());
+  EXPECT_EQ(log.delivered.front(), (Delivery{kRedialTick + 1, 0, true}));
+  EXPECT_EQ(log.refused, Range(1, (kRedialTick + 1) * kFramesPerTick));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipes, ReplicationLinkTest,
+    ::testing::Values(LinkKind::kInProcess, LinkKind::kSocket),
+    [](const ::testing::TestParamInfo<LinkKind>& info) {
+      return info.param == LinkKind::kSocket ? "Socket" : "InProcess";
+    });
 
 }  // namespace
 }  // namespace dcart
