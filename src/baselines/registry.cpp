@@ -23,19 +23,16 @@ std::unique_ptr<IndexEngine> MakeEngine(const std::string& name,
                                                   options.cpu_model);
   }
   if (name == "DCART-CP") {
-    return std::make_unique<dcartc::DcartCpEngine>(options.dcartcp);
+    return std::make_unique<dcartc::DcartCpEngine>();
   }
   if (name == "DCART-CP-FT") {
-    return std::make_unique<resilience::ResilientEngine>(options.resilient,
-                                                         options.dcartcp);
+    return std::make_unique<resilience::ResilientEngine>(options.resilient);
   }
   if (name == "DCART-CP-HA") {
-    return std::make_unique<resilience::ReplicatedEngine>(options.replication,
-                                                          options.dcartcp);
+    return std::make_unique<resilience::ReplicatedEngine>(options.replication);
   }
   if (name == "DCART-CLUSTER") {
-    return std::make_unique<cluster::ClusterEngine>(options.cluster,
-                                                    options.dcartcp);
+    return std::make_unique<cluster::ClusterEngine>(options.cluster);
   }
   if (name == "DCART") {
     return std::make_unique<accel::DcartEngine>(options.dcart,

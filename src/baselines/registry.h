@@ -43,16 +43,16 @@ struct EngineOptions {
   simhw::GpuModel gpu_model;    // CuART
   simhw::FpgaModel fpga_model;  // DCART
   dcartc::DcartCConfig dcartc;  // DCART-C ablations
-  dcartc::DcartCpConfig dcartcp;  // DCART-CP ablations
   accel::DcartConfig dcart;     // DCART ablations
-  /// Durability knobs for "DCART-CP-FT" (journal/snapshot dir, cadence).
+  /// Durability options for "DCART-CP-FT" (journal/snapshot dir, cadence).
   /// Default (empty dir) runs without durability.
   resilience::ResilienceOptions resilient;
-  /// Replication knobs for "DCART-CP-HA" (durability home, window, sync
-  /// mode).  Default (empty dir) runs the pair in memory.
+  /// Replication options for "DCART-CP-HA" (durability home, link kind,
+  /// window, drain mode, cadence).  Default (empty dir) runs the pair in
+  /// memory.
   resilience::ReplicationOptions replication;
-  /// Sharding/failover knobs for "DCART-CLUSTER" (shard count, durability
-  /// home, watchdog tuning).  Default: 4 in-memory shards.
+  /// Sharding options for "DCART-CLUSTER" (shard count, durability home,
+  /// per-pair replication).  Default: 4 in-memory shards.
   cluster::ClusterOptions cluster;
 };
 

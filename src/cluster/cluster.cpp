@@ -38,25 +38,12 @@ std::string ByteRangeLabel(std::uint8_t lo, std::uint8_t hi) {
 
 // ------------------------------------------------------------ construction --
 
-ClusterEngine::ClusterEngine(ClusterOptions options,
-                             dcartc::DcartCpConfig runtime)
-    : options_(std::move(options)), runtime_config_(runtime) {
+ClusterEngine::ClusterEngine(ClusterOptions options)
+    : options_(std::move(options)) {
   options_.shards = std::max<std::size_t>(1, options_.shards);
   // A usable (uniform) topology before Load(): boundaries rebalance when the
   // bulk load arrives, but Run/Lookup on a fresh engine must already route.
-  const std::vector<std::uint8_t> bounds = BalancedPrefixBoundaries(
-      std::vector<std::uint64_t>(256, 0), options_.shards);
-  shards_.reserve(bounds.size());
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    Shard shard;
-    shard.lo = bounds[i];
-    shard.hi = i + 1 < bounds.size()
-                   ? static_cast<std::uint8_t>(bounds[i + 1] - 1)
-                   : std::uint8_t{0xff};
-    shard.watchdog = Watchdog(options_.watchdog, i);
-    shard.pair = MakePair(i, shard.term);
-    shards_.push_back(std::move(shard));
-  }
+  BuildShards(std::vector<std::uint64_t>(256, 0));
 }
 
 ClusterEngine::~ClusterEngine() = default;
@@ -71,16 +58,10 @@ std::unique_ptr<resilience::ReplicatedEngine> ClusterEngine::MakePair(
           ? std::string{}
           : options_.dir + "/shard-" + std::to_string(shard_index) +
                 "/epoch-" + std::to_string(term);
-  return std::make_unique<resilience::ReplicatedEngine>(pair_options,
-                                                        runtime_config_);
+  return std::make_unique<resilience::ReplicatedEngine>(pair_options);
 }
 
-void ClusterEngine::Load(
-    const std::vector<std::pair<Key, art::Value>>& items) {
-  std::vector<std::uint64_t> histogram(256, 0);
-  for (const auto& [key, value] : items) {
-    ++histogram[key.empty() ? 0 : key[0]];
-  }
+void ClusterEngine::BuildShards(const std::vector<std::uint64_t>& histogram) {
   const std::vector<std::uint8_t> bounds =
       BalancedPrefixBoundaries(histogram, options_.shards);
   shards_.clear();
@@ -91,10 +72,19 @@ void ClusterEngine::Load(
     shard.hi = i + 1 < bounds.size()
                    ? static_cast<std::uint8_t>(bounds[i + 1] - 1)
                    : std::uint8_t{0xff};
-    shard.watchdog = Watchdog(options_.watchdog, i);
+    shard.watchdog = Watchdog(i);
     shard.pair = MakePair(i, shard.term);
     shards_.push_back(std::move(shard));
   }
+}
+
+void ClusterEngine::Load(
+    const std::vector<std::pair<Key, art::Value>>& items) {
+  std::vector<std::uint64_t> histogram(256, 0);
+  for (const auto& [key, value] : items) {
+    ++histogram[key.empty() ? 0 : key[0]];
+  }
+  BuildShards(histogram);
   std::vector<std::vector<std::pair<Key, art::Value>>> slices(shards_.size());
   for (const auto& item : items) {
     slices[RouteShard(item.first)].push_back(item);
@@ -152,7 +142,7 @@ ExecutionResult ClusterEngine::RunOnShard(std::size_t i,
                                           const RunConfig& inner) {
   ExecutionResult result = shards_[i].pair->Run(sub, inner);
   if (result.status.ok()) return result;
-  if (options_.auto_failover && !shards_[i].pair->promoted()) {
+  if (!shards_[i].pair->promoted()) {
     // The primary crashed (or its link wedged) mid-sub-batch.  Fail over and
     // retry the whole sub-batch once: the acked prefix is replica-durable
     // and every op is an idempotent upsert/remove/read, so the re-execution
@@ -164,7 +154,7 @@ ExecutionResult ClusterEngine::RunOnShard(std::size_t i,
       return retry;
     }
   }
-  // No replica to promote (or auto-failover is off): the range degrades.
+  // No replica to promote: the range degrades.
   shards_[i].down = true;
   return result;
 }
@@ -254,16 +244,14 @@ void ClusterEngine::Tick() {
     if (shard.down) continue;
     shard.pair->SendHeartbeat();
     shard.pair->PumpIdle();
-    const bool fresh = shard.pair->replica_heartbeat_age() <=
-                       options_.watchdog.stale_after_ticks;
+    const bool fresh = shard.pair->replica_heartbeat_age() <= kStaleAfterTicks;
     if (!fresh) {
       ++heartbeat_misses_;
       Metrics().heartbeat_misses->Increment();
     }
     const WatchdogState verdict =
         shard.watchdog.Observe(fresh, shard.pair->link().now());
-    if (verdict == WatchdogState::kFailover && options_.auto_failover &&
-        !shard.pair->promoted()) {
+    if (verdict == WatchdogState::kFailover && !shard.pair->promoted()) {
       // The failover Status is advisory here (a degraded promotion still
       // serves); Run()'s per-op statuses carry anything that matters.
       (void)FailOverShard(i);
@@ -423,7 +411,7 @@ Status ClusterEngine::SplitShard(std::size_t i) {
   Shard fresh;
   fresh.lo = mid;
   fresh.hi = shards_[i].hi;
-  fresh.watchdog = Watchdog(options_.watchdog, shards_.size());
+  fresh.watchdog = Watchdog(shards_.size());
   fresh.pair = MakePair(shards_.size(), fresh.term);
   fresh.pair->Load({});
   const RunConfig split_config;  // faults stay with the already-armed injector

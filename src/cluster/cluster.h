@@ -21,10 +21,11 @@
 //                      in range order from the start key's shard, reading
 //                      each pair's serving tree, until the count is filled.
 //   Watchdog failover— between batches every pair ships a heartbeat and a
-//                      per-shard Watchdog (watchdog.h) judges the replica's
-//                      heartbeat age.  Silence past the miss threshold
-//                      opens a jittered probation window; silence past the
-//                      deadline promotes the replica.  Promotion bumps the
+//                      per-shard Watchdog judges the replica's heartbeat
+//                      age against the fixed thresholds in watchdog.h.
+//                      Silence past the miss threshold opens a jittered
+//                      probation window; silence past the deadline
+//                      promotes the replica.  Promotion bumps the
 //                      shard's *term*: a revived old primary still holds
 //                      the previous term and every fenced entry point
 //                      (PromoteShard, ExecuteFenced) rejects it with
@@ -74,19 +75,14 @@ struct ClusterOptions {
   /// fenced old epoch's files can never shadow the new owner's.  Empty:
   /// every pair runs in memory.
   std::string dir;
-  /// Per-pair replication knobs (window, sync mode, link kind...).  The
+  /// Per-pair replication options (window, sync mode, link kind...).  The
   /// `dir` field inside is ignored — the cluster assigns per-shard homes.
   resilience::ReplicationOptions replication;
-  WatchdogOptions watchdog;
-  /// Drive watchdog verdicts to promotion automatically during Run()/Tick().
-  /// Off, the watchdog still judges but the operator (or test) promotes.
-  bool auto_failover = true;
 };
 
 class ClusterEngine : public IndexEngine {
  public:
-  explicit ClusterEngine(ClusterOptions options = {},
-                         dcartc::DcartCpConfig runtime = {});
+  explicit ClusterEngine(ClusterOptions options = {});
   ~ClusterEngine() override;
 
   std::string name() const override { return "DCART-CLUSTER"; }
@@ -168,6 +164,9 @@ class ClusterEngine : public IndexEngine {
 
   std::unique_ptr<resilience::ReplicatedEngine> MakePair(
       std::size_t shard_index, std::uint64_t term) const;
+  /// Replace every shard with a fresh pair, the ranges balanced against
+  /// the first-byte `histogram` (see BalancedPrefixBoundaries).
+  void BuildShards(const std::vector<std::uint64_t>& histogram);
   /// Route by first byte (empty key routes to the first shard).
   std::size_t RouteByte(std::uint8_t first) const;
   /// Execute `sub` on shard i; on a primary crash mid-run, fail over and
@@ -185,7 +184,6 @@ class ClusterEngine : public IndexEngine {
                std::set<std::size_t>& reported);
 
   ClusterOptions options_;
-  dcartc::DcartCpConfig runtime_config_;
   std::vector<Shard> shards_;
   std::uint64_t failovers_ = 0;
   std::uint64_t fenced_promotes_ = 0;

@@ -29,16 +29,15 @@ WatchdogState Watchdog::Observe(bool heartbeat_ok, std::uint64_t now) {
   ++consecutive_misses_;
   ++total_misses_;
   if (state_ == WatchdogState::kHealthy) {
-    if (consecutive_misses_ >= std::max<std::uint32_t>(1,
-                                                       options_.miss_threshold)) {
+    if (consecutive_misses_ >= kMissThreshold) {
       ++probation_round_;
       const std::uint64_t base = std::min(
-          std::max<std::uint64_t>(1, options_.probation_base_ticks)
-              << std::min<std::uint64_t>(probation_round_ - 1, 16),
-          std::max<std::uint64_t>(1, options_.probation_cap_ticks));
+          kProbationBaseTicks << std::min<std::uint64_t>(probation_round_ - 1,
+                                                         16),
+          kProbationCapTicks);
       probation_deadline_ =
           now + resilience::JitteredBackoff(
-                    base, options_.jitter_seed * 0x9e3779b97f4a7c15ull +
+                    base, 0x9e3779b97f4a7c15ull +
                               shard_index_ * 0x100000001b3ull +
                               probation_round_);
       state_ = WatchdogState::kProbation;

@@ -24,24 +24,25 @@
 //                only renders a verdict; ClusterEngine acts on it.
 //
 // Time is the link's virtual tick clock; everything is deterministic per
-// (jitter_seed, shard, round), so chaos runs replay bit-identically.
+// (shard, round), so chaos runs replay bit-identically.
 #pragma once
 
 #include <cstdint>
 
+#include "resilience/replication.h"
+
 namespace dcart::cluster {
 
-struct WatchdogOptions {
-  /// A heartbeat older than this many ticks counts as one miss.
-  std::uint64_t stale_after_ticks = 8;
-  /// Consecutive misses before probation begins.
-  std::uint32_t miss_threshold = 3;
-  /// First probation window; doubles per probation round up to the cap,
-  /// then jittered into [(w+1)/2, w] (resilience::JitteredBackoff).
-  std::uint64_t probation_base_ticks = 8;
-  std::uint64_t probation_cap_ticks = 64;
-  std::uint64_t jitter_seed = 1;
-};
+/// A heartbeat older than this many ticks counts as one miss.
+inline constexpr std::uint64_t kStaleAfterTicks = 8;
+static_assert(kStaleAfterTicks > resilience::kDelayTicks,
+              "a heartbeat held by the link's delay must not count as a miss");
+/// Consecutive misses before probation begins.
+inline constexpr std::uint32_t kMissThreshold = 3;
+/// First probation window; doubles per probation round up to the cap, then
+/// jittered into [(w+1)/2, w] (resilience::JitteredBackoff).
+inline constexpr std::uint64_t kProbationBaseTicks = 8;
+inline constexpr std::uint64_t kProbationCapTicks = 64;
 
 enum class WatchdogState : std::uint8_t {
   kHealthy,
@@ -54,8 +55,7 @@ const char* WatchdogStateName(WatchdogState state);
 class Watchdog {
  public:
   Watchdog() = default;
-  Watchdog(WatchdogOptions options, std::uint64_t shard_index)
-      : options_(options), shard_index_(shard_index) {}
+  explicit Watchdog(std::uint64_t shard_index) : shard_index_(shard_index) {}
 
   /// Feed one observation at virtual time `now`; returns the state after
   /// judging it.  `heartbeat_ok` is "the last heartbeat is fresh enough".
@@ -73,7 +73,6 @@ class Watchdog {
   std::uint64_t probation_deadline() const { return probation_deadline_; }
 
  private:
-  WatchdogOptions options_;
   std::uint64_t shard_index_ = 0;
   WatchdogState state_ = WatchdogState::kHealthy;
   std::uint32_t consecutive_misses_ = 0;

@@ -43,6 +43,17 @@ RuntimeMetrics& Metrics() {
   return metrics;
 }
 
+// Degradation policy.  A bucket that fails at claim time (an injected fault
+// today; a wedged worker or poisoned subtree in production) is re-dispatched
+// with capped exponential backoff.  If retries run out, the batch's failed
+// buckets are applied serially, and after kDemoteAfterFailures CONSECUTIVE
+// batches end that way, the engine demotes itself to the serial path until
+// the next Load() (ExecutionResult::demoted_to_serial reports it).
+constexpr std::size_t kMaxBucketRetries = 3;
+constexpr std::size_t kDemoteAfterFailures = 3;
+constexpr std::uint32_t kRetryBackoffUs = 50;     // doubles per attempt
+constexpr std::uint32_t kRetryBackoffCapUs = 800;  // backoff ceiling
+
 }  // namespace
 
 // --------------------------------------------------------- ShortcutTable --
@@ -168,7 +179,7 @@ struct DcartCpEngine::WorkerResult {
   std::vector<std::uint64_t> hashes;    // per-bucket scratch (reused)
 };
 
-DcartCpEngine::DcartCpEngine(DcartCpConfig config) : config_(config) {}
+DcartCpEngine::DcartCpEngine() = default;
 
 DcartCpEngine::~DcartCpEngine() = default;
 
@@ -183,7 +194,6 @@ void DcartCpEngine::Load(const std::vector<std::pair<Key, art::Value>>& items) {
   // Shortcut_Table alongside the tree image).  This is off the measured
   // clock: without it the first touch of each key during Run() pays a full
   // descent just to install the entry.
-  if (!config_.use_shortcuts) return;
   Key root_path;
   if (RefreshPartition(root_path) == nullptr) return;
   for (const auto& [key, value] : items) {
@@ -475,14 +485,12 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       std::array<art::Leaf*, kGroup> warm;
       for (std::size_t g = 0; g < n; g += kGroup) {
       const std::size_t group_n = std::min(kGroup, n - g);
-      if (config_.use_shortcuts) {
-        for (std::size_t k = 0; k < group_n; ++k) {
-          table.PrefetchSlot(hashes[g + k]);
-        }
-        for (std::size_t k = 0; k < group_n; ++k) {
-          warm[k] = table.Find(hashes[g + k]);
-          if (warm[k] != nullptr) __builtin_prefetch(warm[k]);
-        }
+      for (std::size_t k = 0; k < group_n; ++k) {
+        table.PrefetchSlot(hashes[g + k]);
+      }
+      for (std::size_t k = 0; k < group_n; ++k) {
+        warm[k] = table.Find(hashes[g + k]);
+        if (warm[k] != nullptr) __builtin_prefetch(warm[k]);
       }
       if (tracing) {
         const double now_us = tracer.NowUs();
@@ -509,17 +517,14 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
         // any leaf reclamation, so stored pointers never dangle; a
         // mismatch is a hash collision and evicts the squatter.
         art::Leaf* leaf = nullptr;
-        if (config_.use_shortcuts) {
-          art::Leaf* candidate =
-              dirty ? table.Find(key_hash) : warm[j - g];
-          if (candidate != nullptr) {
-            if (KeysEqual(candidate->key(), op.key)) {
-              leaf = candidate;
-              ++wr.shortcut_hits;
-            } else {
-              table.Erase(key_hash);
-              dirty = true;
-            }
+        art::Leaf* candidate = dirty ? table.Find(key_hash) : warm[j - g];
+        if (candidate != nullptr) {
+          if (KeysEqual(candidate->key(), op.key)) {
+            leaf = candidate;
+            ++wr.shortcut_hits;
+          } else {
+            table.Erase(key_hash);
+            dirty = true;
           }
         }
 
@@ -528,7 +533,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
             if (leaf == nullptr) {
               ++wr.shortcut_misses;
               leaf = tree_.FindLeafInSubtree(*bucket.slot, depth, op.key);
-              if (leaf != nullptr && config_.use_shortcuts) {
+              if (leaf != nullptr) {
                 table.Insert(key_hash, leaf);
                 dirty = true;
               }
@@ -544,10 +549,8 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
                                         &leaf)) {
                 ++wr.net_size;
               }
-              if (config_.use_shortcuts) {
-                table.Insert(key_hash, leaf);
-                dirty = true;
-              }
+              table.Insert(key_hash, leaf);
+              dirty = true;
             }
             break;
           case OpType::kRemove: {
@@ -564,10 +567,8 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
               }
               break;  // absent key: no-op
             }
-            if (config_.use_shortcuts) {
-              table.Erase(key_hash);
-              dirty = true;
-            }
+            table.Erase(key_hash);
+            dirty = true;
             if (tree_.RemoveInSubtree(bucket.slot, depth, op.key)) {
               --wr.net_size;
             }
@@ -618,12 +619,11 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   std::vector<std::size_t> retry_order;
   RuntimeMetrics& metrics = Metrics();
   for (std::size_t attempt = 0;
-       !failed.empty() && attempt < config_.max_bucket_retries; ++attempt) {
+       !failed.empty() && attempt < kMaxBucketRetries; ++attempt) {
     result.bucket_retries += static_cast<std::uint32_t>(failed.size());
     metrics.bucket_retries->Add(failed.size());
     const std::uint32_t backoff_us =
-        std::min(config_.retry_backoff_us << attempt,
-                 config_.retry_backoff_cap_us);
+        std::min(kRetryBackoffUs << attempt, kRetryBackoffCapUs);
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     retry_order.swap(failed);
     failed.clear();
@@ -680,7 +680,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   // parallel phase is not worth its coordination cost).
   if (!failed.empty()) {
     ++result.parallel_failures;
-    if (++consecutive_parallel_failures_ >= config_.demote_after_failures) {
+    if (++consecutive_parallel_failures_ >= kDemoteAfterFailures) {
       demoted_ = true;
     }
   } else {

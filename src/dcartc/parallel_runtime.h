@@ -48,22 +48,6 @@
 
 namespace dcart::dcartc {
 
-struct DcartCpConfig {
-  bool use_shortcuts = true;  // ablation knob, mirrors DcartCConfig
-
-  // -- Degradation policy ---------------------------------------------------
-  // A bucket that fails at claim time (injected fault today; a wedged worker
-  // or poisoned subtree in production) is re-dispatched with capped
-  // exponential backoff.  If retries run out, the batch's failed buckets are
-  // applied serially, and after `demote_after_failures` CONSECUTIVE batches
-  // end that way, the engine demotes itself to the serial path for the rest
-  // of its life (ExecutionResult::demoted_to_serial reports it).
-  std::size_t max_bucket_retries = 3;
-  std::size_t demote_after_failures = 3;
-  std::uint32_t retry_backoff_us = 50;       // doubles per attempt
-  std::uint32_t retry_backoff_cap_us = 800;  // backoff ceiling
-};
-
 /// Flat open-addressing map from key hash to resolved leaf — the software
 /// analogue of the paper's SRAM Shortcut_Table.  Linear probing over a
 /// power-of-two array keeps a probe to one cache line (against the several
@@ -117,7 +101,7 @@ class ShortcutTable {
 
 class DcartCpEngine : public IndexEngine {
  public:
-  explicit DcartCpEngine(DcartCpConfig config = {});
+  DcartCpEngine();
   ~DcartCpEngine() override;
 
   std::string name() const override { return "DCART-CP"; }
@@ -129,8 +113,8 @@ class DcartCpEngine : public IndexEngine {
   /// Post-run state inspection (property tests replay serially and diff).
   const art::Tree& tree() const { return tree_; }
 
-  /// True once the engine has given up on the parallel phase (see
-  /// DcartCpConfig degradation policy).  Sticky for the engine's lifetime.
+  /// True once the engine has given up on the parallel phase (see the
+  /// degradation policy in parallel_runtime.cpp).  Sticky until Load().
   bool demoted_to_serial() const { return demoted_; }
 
  private:
@@ -160,7 +144,6 @@ class DcartCpEngine : public IndexEngine {
   /// nullptr while the tree is empty / a single leaf.
   art::Node* RefreshPartition(Key& root_path);
 
-  DcartCpConfig config_;
   art::Tree tree_;
   std::unique_ptr<ThreadPool> pool_;  // lazily sized on first Run
   // One shortcut table per root-child byte; cleared when the partition

@@ -91,7 +91,15 @@ Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
       return Status::Error("record payload truncated at op " +
                            std::to_string(i));
     }
-    if (ChangesState(op.type)) ops.push_back(std::move(op));
+    if (!ChangesState(op.type)) continue;
+    // An empty-key write would break a non-empty tree on replay (tree keys
+    // are prefix-free).  An empty-key remove is a batch's no-op: the engine
+    // acknowledges it and Tree::Remove finds no such key, here as there.
+    if (op.type == OpType::kWrite && op.key.empty()) {
+      return Status::Error("record payload has an empty write key at op " +
+                           std::to_string(i));
+    }
+    ops.push_back(std::move(op));
   }
   if (pos != payload.size()) {
     return Status::Error("record payload has trailing bytes");

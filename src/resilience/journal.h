@@ -56,9 +56,9 @@ std::uint32_t EncodeRecordPayload(std::uint64_t sequence,
 /// four op types parse; only writes and removes are appended, so an older
 /// record holding reads and scans replays like a new one.  Rejects
 /// malformed payloads (bad op type, an op_count or lengths that overrun the
-/// payload) without touching `out` or allocating for them; CRC
-/// verification is the caller's job — the replica re-checks the frame CRC
-/// against the payload bytes before decoding.
+/// payload, a write with an empty key) without touching `out` or
+/// allocating for them; CRC verification is the caller's job — the replica
+/// re-checks the frame CRC against the payload bytes before decoding.
 Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
                            std::uint64_t& sequence,
                            std::vector<Operation>& out);

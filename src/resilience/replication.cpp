@@ -18,8 +18,15 @@ namespace {
 constexpr std::size_t kWireHeaderBytes = 8;    // u32 wire_len + u32 wire_crc
 constexpr std::size_t kFrameHeaderBytes = 26;  // frame block before payload
 constexpr std::size_t kMaxWireLen = kFrameHeaderBytes + kMaxPayloadBytes;
-constexpr std::uint64_t kDelayTicks = 3;       // kReplDelay holds a frame
 constexpr std::size_t kPartialReadBytes = 3;   // kNetPartialRead haul cap
+// Pumps without an ack before a record is retransmitted; doubles per attempt
+// up to the cap (1 tick ~ 1 ms for the gauge).  The reconnect backoff starts
+// and stops at the same two values.
+constexpr std::uint64_t kRetryTimeoutTicks = 4;
+constexpr std::uint64_t kBackoffCapTicks = 64;
+// Livelock safety valve: a drain that pumps this many ticks without
+// converging gives up with an error instead of spinning forever.
+constexpr std::uint64_t kMaxDrainTicks = 100000;
 
 /// Process-wide replication counters/gauges (docs/OBSERVABILITY.md).
 struct ReplicationMetrics {
@@ -88,8 +95,7 @@ std::vector<std::uint8_t> EncodeWire(const Frame& frame,
   std::uint8_t header[kWireHeaderBytes + kFrameHeaderBytes] = {};
   std::uint8_t* out = header + kWireHeaderBytes;
   Put(out, static_cast<std::uint8_t>(frame.type));
-  Put(out, static_cast<std::uint8_t>((frame.want_checksum ? 1u : 0u) |
-                                     (frame.has_checksum ? 2u : 0u)));
+  Put(out, static_cast<std::uint8_t>(frame.has_checksum ? 2u : 0u));
   Put(out, frame.sequence);
   Put(out, frame.payload_crc);
   Put(out, frame.tree_checksum);
@@ -316,7 +322,6 @@ bool ReplicationLink::Receive(Way& way, Frame& out) {
     return false;
   }
   out.type = static_cast<FrameType>(block[0]);
-  out.want_checksum = (block[1] & 1u) != 0;
   out.has_checksum = (block[1] & 2u) != 0;
   out.sequence = Get<std::uint64_t>(block + 2);
   out.payload_crc = Get<std::uint32_t>(block + 10);
@@ -351,12 +356,10 @@ std::uint64_t TreeChecksum(const art::Tree& tree) {
 
 // ----------------------------------------------------------------- replica --
 
-ReplicaEngine::ReplicaEngine(ReplicationOptions options,
-                             dcartc::DcartCpConfig runtime)
+ReplicaEngine::ReplicaEngine(ReplicationOptions options)
     : options_(std::move(options)),
-      runtime_config_(runtime),
       dir_(durable() ? options_.dir + "/replica" : "",
-           options_.snapshot_every_batches, options_.keep_generations) {
+           options_.snapshot_every_batches) {
   Reset();
 }
 
@@ -416,7 +419,7 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
     // Duplicate delivery (injected, or a retransmit racing its own ack):
     // never re-apply, but re-ack so the primary's window can advance.
     Metrics().duplicates_dropped->Increment();
-    SendAck(link, frame.want_checksum);
+    SendAck(link, /*with_checksum=*/false);
     return;
   }
   if (frame.sequence > next_sequence_) {
@@ -445,7 +448,7 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
     wedged_ = true;
     return;
   }
-  SendAck(link, frame.want_checksum);
+  SendAck(link, /*with_checksum=*/false);
 }
 
 void ReplicaEngine::HandleSnapshot(ReplicationLink& link, const Frame& frame) {
@@ -495,11 +498,10 @@ Status ReplicaEngine::Promote() {
   }
   dir_.Close();  // flush descriptor state before recovery scans the dir
   // An in-memory pair has no durable path: promotion serves the live tree.
-  const ResilienceOptions home{dir_.path(), options_.snapshot_every_batches,
-                               options_.keep_generations};
+  const ResilienceOptions home{dir_.path(), options_.snapshot_every_batches};
   Status status;
   if (durable()) {
-    auto engine = std::make_unique<ResilientEngine>(home, runtime_config_);
+    auto engine = std::make_unique<ResilientEngine>(home);
     if (engine->Recover()) {
       promoted_engine_ = std::move(engine);
       return Status::Ok();
@@ -512,7 +514,7 @@ Status ReplicaEngine::Promote() {
     status.Update(engine->last_recover_error());
     dir_.Wipe();
   }
-  promoted_engine_ = std::make_unique<ResilientEngine>(home, runtime_config_);
+  promoted_engine_ = std::make_unique<ResilientEngine>(home);
   promoted_engine_->Load(TreeItems(tree_));
   return status;
 }
@@ -534,17 +536,13 @@ void ReplicaEngine::CorruptForTest(const Key& key, art::Value value) {
 
 // -------------------------------------------------------- replicated engine --
 
-ReplicatedEngine::ReplicatedEngine(ReplicationOptions options,
-                                   dcartc::DcartCpConfig runtime)
-    : options_(std::move(options)),
-      runtime_config_(runtime),
-      link_(options_.link) {
+ReplicatedEngine::ReplicatedEngine(ReplicationOptions options)
+    : options_(std::move(options)), link_(options_.link) {
   ResilienceOptions primary;
   if (!options_.dir.empty()) primary.dir = options_.dir + "/primary";
   primary.snapshot_every_batches = options_.snapshot_every_batches;
-  primary.keep_generations = options_.keep_generations;
-  primary_ = std::make_unique<ResilientEngine>(primary, runtime_config_);
-  replica_ = std::make_unique<ReplicaEngine>(options_, runtime_config_);
+  primary_ = std::make_unique<ResilientEngine>(primary);
+  replica_ = std::make_unique<ReplicaEngine>(options_);
   link_error_ = link_.Connect();
 }
 
@@ -657,9 +655,6 @@ Status ReplicatedEngine::ShipRecord(std::span<const Operation> ops) {
   entry.op_count = ops.size();
   entry.frame.type = FrameType::kRecord;
   entry.frame.sequence = next_sequence_;
-  entry.frame.want_checksum =
-      options_.checksum_every_records != 0 &&
-      (next_sequence_ + 1) % options_.checksum_every_records == 0;
   entry.frame.payload_crc =
       EncodeRecordPayload(next_sequence_, ops, entry.frame.payload);
   entry.last_sent = link_.now();
@@ -682,10 +677,9 @@ void ReplicatedEngine::SendFrame(const Frame& frame) {
     // when none is pending: pushing next_reconnect_ forward on every failed
     // send would postpone the reconnect indefinitely while several overdue
     // frames keep retrying.
-    reconnect_backoff_ =
-        reconnect_backoff_ == 0
-            ? std::max<std::uint64_t>(1, options_.retry_timeout_ticks)
-            : std::min(reconnect_backoff_ * 2, options_.backoff_cap_ticks);
+    reconnect_backoff_ = reconnect_backoff_ == 0
+                             ? kRetryTimeoutTicks
+                             : std::min(reconnect_backoff_ * 2, kBackoffCapTicks);
     // The exponential base stays clean in reconnect_backoff_; the scheduled
     // wait is jittered so pairs that lost the same link don't all reconnect
     // on the same tick.
@@ -726,9 +720,8 @@ void ReplicatedEngine::PumpOnce() {
   if (!link_.connected()) return;
   for (InFlight& entry : inflight_) {
     const std::uint64_t base = std::min(
-        std::max<std::uint64_t>(1, options_.retry_timeout_ticks)
-            << std::min<std::uint32_t>(entry.attempts - 1, 16),
-        std::max<std::uint64_t>(1, options_.backoff_cap_ticks));
+        kRetryTimeoutTicks << std::min<std::uint32_t>(entry.attempts - 1, 16),
+        kBackoffCapTicks);
     // Jitter per (sequence, attempt): records stalled by the same fault
     // spread their retransmissions instead of re-bursting in lockstep.
     const std::uint64_t wait = JitteredBackoff(
@@ -797,7 +790,7 @@ Status ReplicatedEngine::PumpUntil(Predicate done, const char* what) {
           "replication stalled: replica wedged (local journal/snapshot "
           "failure), acks will not resume");
     }
-    if (++ticks > options_.max_drain_ticks) {
+    if (++ticks > kMaxDrainTicks) {
       // The stuck state matters more than the fact of the timeout: an
       // operator (or a failing chaos test) needs to see which side stalled.
       return Status::Error(
@@ -824,11 +817,10 @@ Status ReplicatedEngine::SendUntil(const Frame& frame, Predicate done,
     if (replica_->wedged()) {
       return Status::Error(what + " stalled: replica wedged");
     }
-    if (++ticks > options_.max_drain_ticks) {
+    if (++ticks > kMaxDrainTicks) {
       return Status::Error(what + " timed out");
     }
-    if (link_.now() - last_sent >=
-        std::max<std::uint64_t>(1, options_.retry_timeout_ticks)) {
+    if (link_.now() - last_sent >= kRetryTimeoutTicks) {
       last_sent = link_.now();
       Metrics().retries->Increment();
       SendFrame(frame);
@@ -891,7 +883,6 @@ Frame ReplicatedEngine::BuildSnapshotFrame() const {
   Frame frame;
   frame.type = FrameType::kSnapshot;
   frame.sequence = next_sequence_;  // the record floor this image represents
-  frame.want_checksum = true;
   frame.payload_crc = EncodeRecordPayload(next_sequence_, image, frame.payload);
   return frame;
 }

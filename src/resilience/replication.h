@@ -25,9 +25,9 @@
 //                      replica too far behind (or freshly bootstrapped, or
 //                      diverged) is resynced with a snapshot frame.
 //   Divergence       — tree checksums (CRC32 over the canonical sorted
-//                      stream) are exchanged on probe frames and on
-//                      periodically flagged record acks; a mismatch triggers
-//                      a full snapshot resync.
+//                      stream) are exchanged on the probe every Drain()
+//                      sends and on the ack of each snapshot; a mismatch
+//                      triggers a full snapshot resync.
 //   Failover         — Promote() runs ResilientEngine::Recover() over the
 //                      replica-local state, opens a fresh generation, and
 //                      the promoted engine serves reads and writes; a failed
@@ -52,7 +52,7 @@
 //                    26 + kMaxPayloadBytes (journal.h)
 //   u32 wire_crc   — CRC32 over the frame block (framing check)
 //   frame block:
-//     u8  type, u8 flags (bit0 want_checksum, bit1 has_checksum)
+//     u8  type, u8 flags (bit1 has_checksum; bit0 is unused)
 //     u64 sequence, u32 payload_crc, u64 tree_checksum
 //     u32 payload_len, payload bytes
 //
@@ -105,13 +105,15 @@ struct Frame {
   FrameType type = FrameType::kRecord;
   std::uint64_t sequence = 0;
   std::uint32_t payload_crc = 0;
-  bool want_checksum = false;   // record: ack me with your tree checksum
   bool has_checksum = false;    // ack: tree_checksum is meaningful
   std::uint64_t tree_checksum = 0;
   std::vector<std::uint8_t> payload;
 };
 
 // -------------------------------------------------------------------- link --
+
+/// Ticks an injected repl-delay holds a frame before it is delivered.
+inline constexpr std::uint64_t kDelayTicks = 3;
 
 /// Which pipe a ReplicatedEngine pair speaks over.
 enum class LinkKind : std::uint8_t {
@@ -208,9 +210,10 @@ class ReplicationLink {
 
 /// CRC32 over the tree's canonical sorted (key, value) stream, each entry
 /// as u32 key_len, key bytes, u64 value.  SaveTree writes that same stream
-/// (front-coded), so equal checksums mean equal trees and byte-identical
-/// SaveTree images, though the checksum is not a CRC of the image.  O(n):
-/// exchanged on probes and periodic flagged acks, never per record.
+/// (front-coded), so unequal checksums mean unequal trees; equal ones mean
+/// equal trees, and byte-identical SaveTree images, up to a 2^-32 chance of
+/// a random CRC32 collision.  The checksum is not a CRC of the image.
+/// O(n): exchanged on probes and snapshot acks, never per record.
 std::uint64_t TreeChecksum(const art::Tree& tree);
 
 // ----------------------------------------------------------------- backoff --
@@ -237,17 +240,6 @@ struct ReplicationOptions {
   std::string dir;
   /// Max unacked records in flight before shipping blocks on the window.
   std::size_t window = 8;
-  /// Pumps without an ack before a record is retransmitted; doubles per
-  /// attempt up to `backoff_cap_ticks` (1 tick ~ 1 ms for the gauge).
-  std::uint64_t retry_timeout_ticks = 4;
-  std::uint64_t backoff_cap_ticks = 64;
-  /// Every Nth record is flagged want_checksum: its ack carries the
-  /// replica's tree checksum for divergence detection.  0 disables the
-  /// periodic exchange (the end-of-run probe still runs).
-  std::size_t checksum_every_records = 16;
-  /// Livelock safety valve: a Drain() that pumps this many ticks without
-  /// converging gives up with an error instead of spinning forever.
-  std::uint64_t max_drain_ticks = 100000;
   /// Synchronous mode (default): every batch drains its record to the
   /// replica before the next begins, so an acknowledged operation is
   /// durable on BOTH sides — killing the primary at any record boundary
@@ -256,7 +248,6 @@ struct ReplicationOptions {
   bool drain_every_batch = true;
   /// Forwarded to both sides' generation cadence.
   std::size_t snapshot_every_batches = 8;
-  std::size_t keep_generations = 2;
 };
 
 // ----------------------------------------------------------------- replica --
@@ -266,7 +257,7 @@ struct ReplicationOptions {
 /// itself through the ResilientEngine recovery machinery on failover.
 class ReplicaEngine {
  public:
-  ReplicaEngine(ReplicationOptions options, dcartc::DcartCpConfig runtime);
+  explicit ReplicaEngine(ReplicationOptions options);
   ~ReplicaEngine();
 
   /// Drain every deliverable frame from the link, apply verified records,
@@ -315,7 +306,6 @@ class ReplicaEngine {
   void Reset();
 
   ReplicationOptions options_;
-  dcartc::DcartCpConfig runtime_config_;
   art::Tree tree_;
   GenerationDir dir_;  // <options.dir>/replica
   std::uint64_t next_sequence_ = 0;  // next record sequence expected
@@ -336,8 +326,7 @@ class ReplicaEngine {
 /// KillPrimary() + Promote(), Run()/Lookup() route to the promoted replica.
 class ReplicatedEngine : public IndexEngine {
  public:
-  explicit ReplicatedEngine(ReplicationOptions options = {},
-                            dcartc::DcartCpConfig runtime = {});
+  explicit ReplicatedEngine(ReplicationOptions options = {});
   ~ReplicatedEngine() override;
 
   std::string name() const override { return "DCART-CP-HA"; }
@@ -427,7 +416,6 @@ class ReplicatedEngine : public IndexEngine {
   };
 
   ReplicationOptions options_;
-  dcartc::DcartCpConfig runtime_config_;
   std::unique_ptr<ResilientEngine> primary_;
   std::unique_ptr<ReplicaEngine> replica_;
   ReplicationLink link_;

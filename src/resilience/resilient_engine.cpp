@@ -76,11 +76,8 @@ std::vector<std::pair<Key, art::Value>> TreeItems(const art::Tree& tree) {
 // ---------------------------------------------------------- generation dir --
 
 GenerationDir::GenerationDir(std::string path,
-                             std::size_t snapshot_every_batches,
-                             std::size_t keep_generations)
-    : path_(std::move(path)),
-      every_(snapshot_every_batches),
-      keep_(keep_generations) {}
+                             std::size_t snapshot_every_batches)
+    : path_(std::move(path)), every_(snapshot_every_batches) {}
 
 std::string GenerationDir::SnapshotPath(std::uint64_t generation) const {
   return path_ + "/snapshot-" + std::to_string(generation) + ".tree";
@@ -122,8 +119,8 @@ Status GenerationDir::Roll(const art::Tree& tree) {
   batches_since_roll_ = 0;
   // Prune generations that recovery can no longer need: keeping the last K
   // snapshots requires journals from the oldest kept generation forward.
-  if (generation_ > keep_) {
-    for (std::uint64_t g = generation_ - keep_; g >= 1; --g) {
+  if (generation_ > kKeepGenerations) {
+    for (std::uint64_t g = generation_ - kKeepGenerations; g >= 1; --g) {
       std::error_code ignored;
       const bool s = fs::remove(SnapshotPath(g), ignored);
       const bool j = fs::remove(JournalPath(g), ignored);
@@ -147,13 +144,10 @@ void GenerationDir::Wipe() {
 
 // ------------------------------------------------------------------ engine --
 
-ResilientEngine::ResilientEngine(ResilienceOptions options,
-                                 dcartc::DcartCpConfig runtime)
+ResilientEngine::ResilientEngine(ResilienceOptions options)
     : options_(std::move(options)),
-      runtime_config_(runtime),
-      engine_(std::make_unique<dcartc::DcartCpEngine>(runtime)),
-      dir_(options_.dir, options_.snapshot_every_batches,
-           options_.keep_generations) {}
+      engine_(std::make_unique<dcartc::DcartCpEngine>()),
+      dir_(options_.dir, options_.snapshot_every_batches) {}
 
 ResilientEngine::~ResilientEngine() = default;
 
@@ -293,7 +287,7 @@ bool ResilientEngine::Recover() {
 
     // Rebuild the runtime from the recovered image (Load() also pre-warms
     // the shortcut tables, exactly as a restarted service would).
-    engine_ = std::make_unique<dcartc::DcartCpEngine>(runtime_config_);
+    engine_ = std::make_unique<dcartc::DcartCpEngine>();
     engine_->Load(TreeItems(tree));
     crashed_ = false;
     load_status_ = Status::Ok();  // recovery supersedes any parked failure

@@ -27,7 +27,7 @@
 // On-disk layout under `options.dir` (GenerationDir, below):
 //   snapshot-<G>.tree   SaveTree image taken at generation G's start
 //   journal-<G>.log     writes and removes of batches acknowledged since G
-// The last `keep_generations` generations are retained; recovery from
+// The last kKeepGenerations generations are retained; recovery from
 // generation G replays journals G, G+1, ... in order.
 #pragma once
 
@@ -49,7 +49,6 @@ struct ResilienceOptions {
   /// engine is then just DCART-CP plus crash-site checks.
   std::string dir;
   std::size_t snapshot_every_batches = 8;
-  std::size_t keep_generations = 2;
 };
 
 /// Apply the writes and removes of `ops` to `tree` in order, serially (the
@@ -65,8 +64,11 @@ std::vector<std::pair<Key, art::Value>> TreeItems(const art::Tree& tree);
 /// the layout is written in this one place.  Thread-compatible.
 class GenerationDir {
  public:
-  GenerationDir(std::string path, std::size_t snapshot_every_batches,
-                std::size_t keep_generations);
+  /// Snapshots kept on disk: the newest, and one older in case the newest
+  /// is unloadable.
+  static constexpr std::size_t kKeepGenerations = 2;
+
+  GenerationDir(std::string path, std::size_t snapshot_every_batches);
 
   const std::string& path() const { return path_; }
   /// Newest generation rolled (or resumed); 0 = none yet.
@@ -78,8 +80,8 @@ class GenerationDir {
 
   /// Write `tree` as generation `generation() + 1` (to a temp name, then
   /// renamed, so a torn snapshot never bears a real name), roll the
-  /// journal over to it, and prune generations older than
-  /// `keep_generations`.
+  /// journal over to it, and prune generations older than the last
+  /// kKeepGenerations.
   Status Roll(const art::Tree& tree);
   /// Journal one batch into the current generation.
   Status Append(std::span<const Operation> ops) {
@@ -98,7 +100,6 @@ class GenerationDir {
  private:
   std::string path_;
   std::size_t every_;
-  std::size_t keep_;
   OpJournal journal_;
   std::uint64_t generation_ = 0;
   std::size_t batches_since_roll_ = 0;
@@ -112,8 +113,7 @@ class GenerationDir {
 // parallel_runtime.h for its ownership-partitioning contract).
 class ResilientEngine : public IndexEngine {
  public:
-  explicit ResilientEngine(ResilienceOptions options = {},
-                           dcartc::DcartCpConfig runtime = {});
+  explicit ResilientEngine(ResilienceOptions options = {});
   ~ResilientEngine() override;
 
   std::string name() const override { return "DCART-CP-FT"; }
@@ -149,7 +149,6 @@ class ResilientEngine : public IndexEngine {
   Status Checkpoint();
 
   ResilienceOptions options_;
-  dcartc::DcartCpConfig runtime_config_;
   std::unique_ptr<dcartc::DcartCpEngine> engine_;
   GenerationDir dir_;
   // Checkpoint failure from Load() (whose interface signature is void),

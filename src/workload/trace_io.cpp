@@ -113,49 +113,46 @@ bool SaveWorkload(const Workload& workload, const std::string& path) {
   return true;
 }
 
-bool LoadWorkload(const std::string& path, Workload& out) {
-  out = Workload{};
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
+namespace {
+
+/// The body of LoadWorkload: parse the open file into `out`, which is left
+/// partly filled on failure.
+bool ReadWorkload(std::FILE* f, Workload& out) {
   char magic[sizeof kMagic];
-  if (!ReadBytes(f.get(), magic, sizeof magic) ||
+  if (!ReadBytes(f, magic, sizeof magic) ||
       std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     return false;
   }
   std::uint32_t name_len = 0;
-  if (!ReadPod(f.get(), name_len) || name_len > 4096) return false;
+  if (!ReadPod(f, name_len) || name_len > 4096) return false;
   out.name.resize(name_len);
-  if (name_len > 0 && !ReadBytes(f.get(), out.name.data(), name_len)) {
+  if (name_len > 0 && !ReadBytes(f, out.name.data(), name_len)) {
     return false;
   }
   std::uint64_t load_count = 0;
-  if (!ReadPod(f.get(), load_count)) return false;
+  if (!ReadPod(f, load_count)) return false;
   // Corrupt counts must not drive allocations the file cannot back: cap
   // every count by what the remaining bytes could physically encode.
-  long remaining = RemainingBytes(f.get());
+  long remaining = RemainingBytes(f);
   if (remaining < 0 ||
       load_count > static_cast<std::uint64_t>(remaining) / kMinItemBytes) {
     return false;
   }
+  // Tree keys are never empty (art::Tree::Insert), so an empty load or
+  // write key is corruption, not a workload an engine could run.  Reads
+  // and removes of an empty key are misses every engine answers.
   out.load_items.reserve(load_count);
   for (std::uint64_t i = 0; i < load_count; ++i) {
     Key key;
     art::Value value = 0;
-    if (!ReadKey(f.get(), key) || !ReadPod(f.get(), value)) {
-      out = Workload{};
-      return false;
-    }
+    if (!ReadKey(f, key) || key.empty() || !ReadPod(f, value)) return false;
     out.load_items.emplace_back(std::move(key), value);
   }
   std::uint64_t op_count = 0;
-  if (!ReadPod(f.get(), op_count)) {
-    out = Workload{};
-    return false;
-  }
-  remaining = RemainingBytes(f.get());
+  if (!ReadPod(f, op_count)) return false;
+  remaining = RemainingBytes(f);
   if (remaining < 0 ||
       op_count > static_cast<std::uint64_t>(remaining) / kMinOpBytes) {
-    out = Workload{};
     return false;
   }
   out.ops.reserve(op_count);
@@ -164,15 +161,25 @@ bool LoadWorkload(const std::string& path, Workload& out) {
     Operation op;
     // kRemove encodes as 3 — `type > 3` (not > 2) or removes in a saved
     // trace would be rejected as corruption on the way back in.
-    if (!ReadPod(f.get(), type) || type > 3 || !ReadKey(f.get(), op.key) ||
-        !ReadPod(f.get(), op.value) || !ReadPod(f.get(), op.scan_count)) {
-      out = Workload{};
+    if (!ReadPod(f, type) || type > 3 || !ReadKey(f, op.key) ||
+        !ReadPod(f, op.value) || !ReadPod(f, op.scan_count)) {
       return false;
     }
     op.type = static_cast<OpType>(type);
+    if (op.type == OpType::kWrite && op.key.empty()) return false;
     out.ops.push_back(std::move(op));
   }
   return true;
+}
+
+}  // namespace
+
+bool LoadWorkload(const std::string& path, Workload& out) {
+  out = Workload{};
+  File f(std::fopen(path.c_str(), "rb"));
+  if (f && ReadWorkload(f.get(), out)) return true;
+  out = Workload{};
+  return false;
 }
 
 }  // namespace dcart

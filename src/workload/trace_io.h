@@ -22,7 +22,8 @@ namespace dcart {
 bool SaveWorkload(const Workload& workload, const std::string& path);
 
 /// Read a workload from `path`.  Returns false on I/O failure or a
-/// malformed file (in which case `out` is left empty).
+/// malformed file, which includes an empty load or write key (in which
+/// case `out` is left empty).
 bool LoadWorkload(const std::string& path, Workload& out);
 
 }  // namespace dcart

@@ -24,7 +24,6 @@ namespace fs = std::filesystem;
 using cluster::ClusterEngine;
 using cluster::ClusterOptions;
 using cluster::Watchdog;
-using cluster::WatchdogOptions;
 using cluster::WatchdogState;
 using resilience::FaultInjector;
 
@@ -129,8 +128,7 @@ TEST_F(ClusterTest, BalancedBoundariesSplitWeightEvenly) {
 // --- watchdog state machine ------------------------------------------------
 
 TEST_F(ClusterTest, WatchdogRidesOutTransientSilence) {
-  WatchdogOptions options;  // miss_threshold 3, probation base 8 cap 64
-  Watchdog dog(options, 0);
+  Watchdog dog(0);  // 3 misses open probation; base window 8, cap 64
   std::uint64_t now = 0;
 
   // Two misses are forgiven instantly by one fresh heartbeat.
@@ -147,7 +145,7 @@ TEST_F(ClusterTest, WatchdogRidesOutTransientSilence) {
   EXPECT_EQ(dog.Observe(false, ++now), WatchdogState::kProbation);
   EXPECT_EQ(dog.probation_round(), 1u);
   EXPECT_GT(dog.probation_deadline(), now);
-  EXPECT_LE(dog.probation_deadline(), now + options.probation_base_ticks);
+  EXPECT_LE(dog.probation_deadline(), now + cluster::kProbationBaseTicks);
 
   // A fresh heartbeat before the deadline stands the watchdog down: the
   // partition healed, no failover.
@@ -155,8 +153,7 @@ TEST_F(ClusterTest, WatchdogRidesOutTransientSilence) {
 }
 
 TEST_F(ClusterTest, WatchdogFlapDampingEscalatesProbation) {
-  WatchdogOptions options;
-  Watchdog dog(options, 0);
+  Watchdog dog(0);
   std::uint64_t now = 0;
 
   auto open_probation = [&] {
@@ -172,7 +169,7 @@ TEST_F(ClusterTest, WatchdogFlapDampingEscalatesProbation) {
   const std::uint64_t second_window = dog.probation_deadline() - now;
   // Round 2 doubles the base window; even jittered down it exceeds the
   // round-1 ceiling's half.
-  EXPECT_GE(second_window, (2 * options.probation_base_ticks + 1) / 2);
+  EXPECT_GE(second_window, (2 * cluster::kProbationBaseTicks + 1) / 2);
   EXPECT_GT(second_window, first_window / 2);
 
   // Silence past the deadline: failover, and the verdict is sticky.

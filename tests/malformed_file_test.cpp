@@ -377,6 +377,18 @@ TEST_F(MalformedFileTest, WorkloadWithRemovesRoundTrips) {
   ASSERT_EQ(out.ops.size(), 4u);
   EXPECT_EQ(out.ops[3].type, OpType::kRemove);
   EXPECT_EQ(out.ops[2].scan_count, 5u);
+
+  // Every engine answers a read or remove of an empty key as a miss, so
+  // unlike an empty write key they are no corruption.
+  Workload empty_keys = SmallWorkload();
+  empty_keys.ops[0].key.clear();  // the kRead
+  empty_keys.ops[3].key.clear();  // the kRemove
+  ASSERT_TRUE(SaveWorkload(empty_keys, path));
+  ASSERT_TRUE(LoadWorkload(path, out));
+  ASSERT_EQ(out.ops.size(), 4u);
+  EXPECT_TRUE(out.ops[0].key.empty());
+  EXPECT_EQ(out.ops[3].type, OpType::kRemove);
+  EXPECT_TRUE(out.ops[3].key.empty());
 }
 
 TEST_F(MalformedFileTest, WorkloadTruncatedAtEveryOffsetIsRejected) {
@@ -407,8 +419,14 @@ TEST_F(MalformedFileTest, WorkloadBadMagicCountsAndOpTypeAreRejected) {
     WriteFile(bad, mutated);
     Workload out;
     EXPECT_FALSE(LoadWorkload(bad, out)) << what;
+    EXPECT_TRUE(out.name.empty()) << what;
     EXPECT_TRUE(out.load_items.empty()) << what;
     EXPECT_TRUE(out.ops.empty()) << what;
+  };
+  // SaveWorkload writes what it is given, so it can forge an empty key.
+  const auto saved_bytes = [&](const Workload& forged) {
+    EXPECT_TRUE(SaveWorkload(forged, bad));
+    return ReadFile(bad);
   };
 
   {
@@ -442,6 +460,16 @@ TEST_F(MalformedFileTest, WorkloadBadMagicCountsAndOpTypeAreRejected) {
     pos += 8;  // op_count
     mutated[pos] = 200;
     expect_rejected(mutated, "invalid op type");
+  }
+  {
+    Workload forged = w;
+    forged.load_items[0].first.clear();
+    expect_rejected(saved_bytes(forged), "empty load key");
+  }
+  {
+    Workload forged = w;
+    forged.ops[1].key.clear();  // the kWrite
+    expect_rejected(saved_bytes(forged), "empty write key");
   }
 }
 
@@ -538,33 +566,68 @@ TEST_F(MalformedFileTest, RecordPayloadOpCountBeyondItsBytesIsRejected) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST_F(MalformedFileTest, JournalWithForgedOpCountReplaysOnlyTheGoodRecord) {
-  const std::string path = Temp("journal_forged_count.log");
-  const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
-                                      {OpType::kRemove, EncodeU64(2), 0}};
-  resilience::OpJournal journal;
-  ASSERT_TRUE(journal.Open(path));
-  ASSERT_TRUE(journal.Append(ops).ok());
-  journal.Close();
-  std::vector<std::uint8_t> bytes = ReadFile(path);
-  const std::vector<std::uint8_t> forged = ForgedCountPayload(1);
-  const auto len = static_cast<std::uint32_t>(forged.size());
-  const std::uint32_t crc = Crc32(forged.data(), forged.size());
-  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&len),
-               reinterpret_cast<const std::uint8_t*>(&len) + sizeof len);
-  bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&crc),
-               reinterpret_cast<const std::uint8_t*>(&crc) + sizeof crc);
-  bytes.insert(bytes.end(), forged.begin(), forged.end());
-  WriteFile(path, bytes);
+/// A record payload whose second op has an empty key.  The encoder writes
+/// what it is given, so the payload and its CRC are otherwise valid.
+std::vector<std::uint8_t> EmptyKeyPayload(std::uint64_t sequence,
+                                          OpType type) {
+  const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(9), 9},
+                                      {type, Key{}, 1}};
+  std::vector<std::uint8_t> payload;
+  resilience::EncodeRecordPayload(sequence, ops, payload);
+  return payload;
+}
 
-  std::vector<Operation> replayed;
-  std::uint64_t records = 0;
-  EXPECT_NO_THROW(records = resilience::ReplayJournal(path, replayed));
-  EXPECT_EQ(records, 1u);
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(replayed[0].key, EncodeU64(1));
-  EXPECT_EQ(replayed[0].value, 11u);
-  EXPECT_EQ(replayed[1].type, OpType::kRemove);
+TEST_F(MalformedFileTest, RecordPayloadWithEmptyWriteKeyIsRejected) {
+  std::vector<Operation> out = {{OpType::kWrite, EncodeU64(7), 7}};
+  std::uint64_t sequence = 0;
+  EXPECT_FALSE(resilience::DecodeRecordPayload(
+                   EmptyKeyPayload(0, OpType::kWrite), sequence, out)
+                   .ok());
+  ASSERT_EQ(out.size(), 1u);  // untouched
+  EXPECT_EQ(out[0].key, EncodeU64(7));
+
+  // An engine acknowledges an empty-key remove as a no-op, so its record
+  // must replay as one.
+  ASSERT_TRUE(resilience::DecodeRecordPayload(
+                  EmptyKeyPayload(3, OpType::kRemove), sequence, out)
+                  .ok());
+  EXPECT_EQ(sequence, 3u);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].type, OpType::kRemove);
+  EXPECT_TRUE(out[2].key.empty());
+}
+
+TEST_F(MalformedFileTest, JournalWithForgedOpCountReplaysOnlyTheGoodRecord) {
+  // A forged count, then a record with an empty write key: both are
+  // CRC-valid.
+  for (const std::vector<std::uint8_t>& forged :
+       {ForgedCountPayload(1), EmptyKeyPayload(1, OpType::kWrite)}) {
+    const std::string path = Temp("journal_forged_count.log");
+    const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
+                                        {OpType::kRemove, EncodeU64(2), 0}};
+    resilience::OpJournal journal;
+    ASSERT_TRUE(journal.Open(path));
+    ASSERT_TRUE(journal.Append(ops).ok());
+    journal.Close();
+    std::vector<std::uint8_t> bytes = ReadFile(path);
+    const auto len = static_cast<std::uint32_t>(forged.size());
+    const std::uint32_t crc = Crc32(forged.data(), forged.size());
+    bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&len),
+                 reinterpret_cast<const std::uint8_t*>(&len) + sizeof len);
+    bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t*>(&crc),
+                 reinterpret_cast<const std::uint8_t*>(&crc) + sizeof crc);
+    bytes.insert(bytes.end(), forged.begin(), forged.end());
+    WriteFile(path, bytes);
+
+    std::vector<Operation> replayed;
+    std::uint64_t records = 0;
+    EXPECT_NO_THROW(records = resilience::ReplayJournal(path, replayed));
+    EXPECT_EQ(records, 1u);
+    ASSERT_EQ(replayed.size(), 2u);
+    EXPECT_EQ(replayed[0].key, EncodeU64(1));
+    EXPECT_EQ(replayed[0].value, 11u);
+    EXPECT_EQ(replayed[1].type, OpType::kRemove);
+  }
 }
 
 // ------------------------------------------------- replication wire frames
@@ -605,7 +668,8 @@ class ScriptedPipe : public resilience::BytePipe {
 resilience::Frame WireTestFrame() {
   resilience::Frame frame;
   frame.sequence = 5;
-  frame.want_checksum = true;
+  frame.has_checksum = true;
+  frame.tree_checksum = 0x0123456789abcdefull;
   const std::vector<Operation> ops = {
       {OpType::kWrite, Key(16, 0xab), 77}};
   frame.payload_crc =
@@ -653,8 +717,8 @@ TEST_F(MalformedFileTest, WireFrameValidImageIsDeliveredExactlyOnce) {
   EXPECT_EQ(got.type, want.type);
   EXPECT_EQ(got.sequence, want.sequence);
   EXPECT_EQ(got.payload_crc, want.payload_crc);
-  EXPECT_TRUE(got.want_checksum);
-  EXPECT_FALSE(got.has_checksum);
+  EXPECT_TRUE(got.has_checksum);
+  EXPECT_EQ(got.tree_checksum, want.tree_checksum);
   EXPECT_EQ(got.payload, want.payload);
 }
 

@@ -213,27 +213,6 @@ TEST(DcartCp, StressManyThreadsSkewedMixedBatches) {
   ExpectSameState(engine, ref.tree);
 }
 
-TEST(DcartCp, ShortcutsAblationStillCorrect) {
-  dcartc::DcartCpConfig config;
-  config.use_shortcuts = false;
-  dcartc::DcartCpEngine engine(config);
-
-  WorkloadConfig cfg;
-  cfg.num_keys = 3000;
-  cfg.num_ops = 15000;
-  cfg.write_ratio = 0.3;
-  cfg.remove_ratio = 0.1;
-  const Workload w = MakeWorkload(WorkloadKind::kRD, cfg);
-  engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, CpRun(8, 256));
-  EXPECT_EQ(r.stats.shortcut_hits, 0u);
-
-  SerialReplay ref;
-  ref.Load(w.load_items);
-  ref.Apply(w.ops);
-  ExpectSameState(engine, ref.tree);
-}
-
 TEST(DcartCp, LatencyHistogramCoversEveryOp) {
   WorkloadConfig cfg;
   cfg.num_keys = 2000;

@@ -15,6 +15,7 @@
 
 #include "art/serialize.h"
 #include "common/crc32.h"
+#include "common/key_codec.h"
 #include "common/rng.h"
 #include "legacy_snapshot.h"
 #include "obs/metrics.h"
@@ -448,6 +449,33 @@ TEST_F(RecoveryTest, Sn3SnapshotOfIpgeoTreeIsAtMostFourFifthsOfSn2) {
   const std::size_t sn2 = test_util::LegacySnapshotImage(tree, '2').size();
   // Front coding leaves about 11 of SN2's 16 bytes per 4-byte IPv4 entry.
   EXPECT_LE(sn3 * 5, sn2 * 4) << sn3 << " vs " << sn2 << " bytes";
+}
+
+TEST_F(RecoveryTest, EmptyKeyRemoveReplaysAsNoOp) {
+  // The engine acknowledges a remove of the empty key as a miss, so
+  // recovery must replay its record and every record after it.
+  const std::string dir = FreshDir("empty_key_remove");
+  ResilienceOptions options;
+  options.dir = dir;
+  const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
+                                      {OpType::kRemove, Key{}, 0},
+                                      {OpType::kWrite, EncodeU64(2), 22}};
+  RunConfig run = DurableRun();
+  run.batch_size = 1;  // one record each
+  {
+    ResilientEngine engine(options);
+    engine.Load({{EncodeU64(0), 5}});
+    const ExecutionResult r = engine.Run(ops, run);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.ops_acknowledged, ops.size());
+  }
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover());
+  EXPECT_EQ(restarted.recovered_ops(), ops.size());
+  EXPECT_EQ(restarted.Lookup(EncodeU64(1)), 11u);
+  EXPECT_EQ(restarted.Lookup(EncodeU64(2)), 22u);
+  EXPECT_EQ(restarted.tree().size(), 3u);
+  fs::remove_all(dir);
 }
 
 TEST_F(RecoveryTest, RecoverWithoutDurabilityDirReportsFailure) {

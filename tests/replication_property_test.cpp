@@ -138,7 +138,6 @@ ReplicationOptions AsyncOptions() {
   ReplicationOptions options;
   options.drain_every_batch = false;  // pipeline: real reordering pressure
   options.window = 4;
-  options.checksum_every_records = 4;
   return options;
 }
 

@@ -130,6 +130,29 @@ TEST_F(ReplicationTest, InMemoryPairConverges) {
                            "mem");
 }
 
+TEST_F(ReplicationTest, EmptyKeyRemoveDrainsToTheReplica) {
+  // The primary acknowledges a remove of the empty key as a miss, so the
+  // replica must apply its record, not ask for it until the drain gives up.
+  const std::string dir = FreshDir("empty_key_remove");
+  ReplicationOptions options;
+  options.dir = dir;
+  ReplicatedEngine engine(options);
+  engine.Load({{EncodeU64(0), 5}});
+  const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
+                                      {OpType::kRemove, Key{}, 0},
+                                      {OpType::kWrite, EncodeU64(2), 22}};
+  RunConfig run = HaRun();
+  run.batch_size = 1;  // one record each
+  const ExecutionResult r = engine.Run(ops, run);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  EXPECT_EQ(r.ops_acknowledged, ops.size());
+  EXPECT_EQ(engine.records_shipped(), engine.acked_records());
+  EXPECT_EQ(engine.replica().Lookup(EncodeU64(2)), 22u);
+  ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
+                           "empty_key");
+  fs::remove_all(dir);
+}
+
 TEST_F(ReplicationTest, DroppedFrameIsRetransmitted) {
   const Workload w = ReplicationWorkload(512);
   const std::uint64_t retries_before = CounterValue("replication.retries");

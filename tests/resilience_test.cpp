@@ -350,11 +350,9 @@ TEST_F(ResilienceTest, PermanentClaimFailureDemotesToSerial) {
   plan.seed = EnvSeed();
   plan.Probability(FaultSite::kBucketClaimFail) = 1.0;  // hard-down
 
-  dcartc::DcartCpConfig config;
-  config.max_bucket_retries = 2;
-  config.demote_after_failures = 3;
-  config.retry_backoff_us = 1;  // keep the test fast
-  dcartc::DcartCpEngine engine(config);
+  // The engine's fixed policy: 3 retries at 50-200 us, demotion after 3
+  // consecutive failed batches.
+  dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
   const ExecutionResult r = engine.Run(w.ops, FaultRun(plan, 8, 256));
 
@@ -362,8 +360,8 @@ TEST_F(ResilienceTest, PermanentClaimFailureDemotesToSerial) {
   ref.Load(w.load_items);
   ref.Apply(w.ops);
 
-  // Every parallel phase fails -> after demote_after_failures consecutive
-  // batches the engine gives up on parallelism for good...
+  // Every parallel phase fails -> after 3 consecutive failed batches the
+  // engine gives up on parallelism for good...
   EXPECT_TRUE(r.demoted_to_serial);
   EXPECT_GE(r.parallel_failures, 3u);
   EXPECT_TRUE(engine.demoted_to_serial());
