@@ -8,21 +8,19 @@ fails when any pinned series lost more than --threshold (default 15%) of its
 throughput.
 
 A series is one (bench, engine, workload) triple, e.g.
-(fig9_performance, SMART, IPGEO) or (wallclock_ctt, DCART-CP@4, RS), compared
-on throughput_ops_per_sec.
+(fig9_performance, SMART, IPGEO), compared on throughput_ops_per_sec.
 
 Pinned series are the modeled ones ("wallclock": false): they are
 deterministic for a given code state, so a 15% drop is a real regression in
-the modeled cost, not host noise.  Wallclock series move with the machine —
-the committed baseline was recorded on some developer box, CI runs on
-another — so they are reported for the record but only gate with
---include-wallclock (useful locally, where baseline and fresh run share a
-host).
+the modeled cost, not host noise.  A wallclock series in either file moves
+with the machine, so it is reported for the record and never gates.  Older
+baselines carry wallclock_ctt and ipgeo_cluster series, which
+bench_trajectory.sh no longer records; they report as missing-in-fresh,
+which is no failure.
 
 Usage:
   scripts/check_bench_regression.py --fresh FRESH.json
-      [--baseline BENCH_X.json] [--threshold 0.15]
-      [--include-wallclock] [--report OUT.json]
+      [--baseline BENCH_X.json] [--threshold 0.15] [--report OUT.json]
 
 Exit codes: 0 ok, 1 regression found, 2 bad input.
 """
@@ -83,8 +81,6 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="allowed fractional throughput drop "
                         "(default 0.15)")
-    parser.add_argument("--include-wallclock", action="store_true",
-                        help="gate on wallclock series too (same-host runs)")
     parser.add_argument("--report",
                         help="write the full comparison as JSON (CI artifact)")
     args = parser.parse_args()
@@ -105,7 +101,7 @@ def main():
             continue
         base = baseline[key]["throughput"]
         now = fresh[key]["throughput"]
-        pinned = args.include_wallclock or not baseline[key]["wallclock"]
+        pinned = not baseline[key]["wallclock"]
         delta = (now - base) / base if base > 0 else 0.0
         regressed = pinned and base > 0 and delta < -args.threshold
         rows.append({
@@ -126,7 +122,6 @@ def main():
         "baseline_file": os.path.basename(baseline_path),
         "fresh_file": os.path.basename(args.fresh),
         "threshold_pct": args.threshold * 100.0,
-        "include_wallclock": args.include_wallclock,
         "series": rows,
         "regressions": len(regressions),
     }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -22,10 +23,9 @@ constexpr char kMagicV1[8] = {'D', 'C', 'A', 'R', 'T', 'S', 'N', '1'};
 // byte and the u64 value; SN1/SN2 a u32 key_len, one key byte and the value.
 constexpr std::uint64_t kMinEntryBytes = 1 + 1 + 1 + 8;
 constexpr std::uint64_t kMinLegacyEntryBytes = 4 + 1 + 8;
-constexpr std::uint32_t kMaxKeyBytes = 1u << 20;
 // 7 bits per varint byte: three bytes cover every length up to kMaxKeyBytes.
 constexpr int kMaxVarintBytes = 3;
-// SaveTree hands the file whole chunks of about this size, not entries.
+// EncodeTree hands its sink whole chunks of about this size, not entries.
 constexpr std::size_t kChunkBytes = 64 << 10;
 
 struct FileCloser {
@@ -55,25 +55,6 @@ bool ReadBytes(std::FILE* f, void* data, std::size_t n) {
   return std::fread(data, 1, n, f) == n;
 }
 
-void AppendBytes(std::vector<std::uint8_t>& buffer, const void* data,
-                 std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buffer.insert(buffer.end(), bytes, bytes + n);
-}
-
-template <typename T>
-void AppendPod(std::vector<std::uint8_t>& buffer, T value) {
-  AppendBytes(buffer, &value, sizeof value);
-}
-
-void AppendVarint(std::vector<std::uint8_t>& buffer, std::size_t value) {
-  while (value >= 0x80) {
-    buffer.push_back(static_cast<std::uint8_t>(value | 0x80));
-    value >>= 7;
-  }
-  buffer.push_back(static_cast<std::uint8_t>(value));
-}
-
 /// Bytes from the current position to EOF, or -1 when unknowable.
 long RemainingBytes(std::FILE* f) {
   const long pos = std::ftell(f);
@@ -83,99 +64,50 @@ long RemainingBytes(std::FILE* f) {
   return end >= pos ? end - pos : -1;
 }
 
-/// Bounds-checked reads over an in-memory image.  Every length field read
-/// from a file is checked against remaining(), so a corrupt count or length
-/// can never drive a read or an allocation past what the file holds.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  bool Read(void* out, std::size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(out, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadPod(T& value) {
-    return Read(&value, sizeof value);
-  }
-
-  /// LEB128 of at most kMaxVarintBytes bytes; a longer one is corrupt.
-  bool ReadVarint(std::uint32_t& value) {
-    value = 0;
-    for (int i = 0; i < kMaxVarintBytes && pos_ < bytes_.size(); ++i) {
-      const std::uint8_t byte = bytes_[pos_++];
-      value |= static_cast<std::uint32_t>(byte & 0x7f) << (7 * i);
-      if ((byte & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-/// The tree's invariant, which BulkLoadSorted relies on: each key is
-/// greater than its predecessor and does not extend it (keys are
-/// prefix-free).
-bool FollowsInOrder(KeyView prev, KeyView key) {
-  const std::size_t lcp = CommonPrefixLength(prev, key);
-  return lcp < prev.size() && lcp < key.size() && prev[lcp] < key[lcp];
-}
-
 }  // namespace
 
-bool SaveTree(const Tree& tree, const std::string& path) {
-  File f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
+bool EncodeTree(const Tree& tree, const ByteSink& sink) {
   std::vector<std::uint8_t> chunk;
   chunk.reserve(2 * kChunkBytes);
+  ByteWriter out(chunk);
   std::uint32_t crc = 0;
-  // Each chunk joins the running CRC as it is written, so the trailer
+  // Each chunk joins the running CRC as it is handed on, so the trailer
   // covers every byte before it without a second pass over the image.
   const auto flush = [&] {
     crc = Crc32(chunk.data(), chunk.size(), crc);
-    const bool written = WriteBytes(f.get(), chunk.data(), chunk.size());
+    const bool written = sink(chunk);
     chunk.clear();
     return written;
   };
-  AppendBytes(chunk, kMagic, sizeof kMagic);
-  AppendPod(chunk, static_cast<std::uint64_t>(tree.size()));
+  out.Bytes(kMagic, sizeof kMagic);
+  out.Pod(static_cast<std::uint64_t>(tree.size()));
   bool ok = true;
   Key prev;
-  if (!tree.empty()) {
-    tree.ScanFrom(Key{}, [&](KeyView key, Value value) {
-      const std::size_t shared = CommonPrefixLength(prev, key);
-      AppendVarint(chunk, shared);
-      AppendVarint(chunk, key.size() - shared);
-      AppendBytes(chunk, key.data() + shared, key.size() - shared);
-      AppendPod(chunk, value);
-      prev.assign(key.begin(), key.end());
-      if (chunk.size() >= kChunkBytes) ok = flush();
-      return ok;
-    });
-  }
+  tree.ScanFrom(Key{}, [&](KeyView key, Value value) {
+    // A key DecodeTree would reject (one a Release build let into the
+    // tree) stops the image short of its trailer: it never loads.
+    if (key.empty() || key.size() > kMaxKeyBytes ||
+        (!prev.empty() && !FollowsInOrder(prev, key))) {
+      return ok = false;
+    }
+    const std::size_t shared = CommonPrefixLength(prev, key);
+    out.Varint(shared);
+    out.Varint(key.size() - shared);
+    out.Bytes(key.data() + shared, key.size() - shared);
+    out.Pod(value);
+    prev.assign(key.begin(), key.end());
+    if (chunk.size() >= kChunkBytes) ok = flush();
+    return ok;
+  });
   if (!ok || !flush()) return false;
-  return WriteBytes(f.get(), &crc, sizeof crc) && std::fflush(f.get()) == 0;
+  return sink({reinterpret_cast<const std::uint8_t*>(&crc), sizeof crc});
 }
 
-bool LoadTree(const std::string& path, Tree& out) {
+bool DecodeTree(std::span<const std::uint8_t> image, Tree& out) {
   // Refuse (rather than debug-assert) so a release build cannot silently
   // merge a snapshot into a non-empty tree.
-  if (!out.empty()) return false;
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  const long size = RemainingBytes(f.get());
-  if (size < static_cast<long>(sizeof kMagic)) return false;
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(size));
-  if (!ReadBytes(f.get(), image.data(), image.size())) return false;
-
-  std::span<const std::uint8_t> body(image);
+  if (!out.empty() || image.size() < sizeof kMagic) return false;
+  std::span<const std::uint8_t> body = image;
   const bool sn3 = std::memcmp(body.data(), kMagic, sizeof kMagic) == 0;
   if (!sn3 && std::memcmp(body.data(), kMagicV2, sizeof kMagic) != 0 &&
       std::memcmp(body.data(), kMagicV1, sizeof kMagic) != 0) {
@@ -189,12 +121,12 @@ bool LoadTree(const std::string& path, Tree& out) {
     std::memcpy(&crc, image.data() + body.size(), sizeof crc);
     if (Crc32(body.data(), body.size()) != crc) return false;
   }
-  Reader in(body.subspan(sizeof kMagic));
+  ByteReader in(body.subspan(sizeof kMagic));
 
   std::uint64_t count = 0;
-  if (!in.ReadPod(count)) return false;
+  if (!in.Pod(count)) return false;
   // A flipped bit in `count` must not become a multi-gigabyte reserve: the
-  // file physically cannot hold more entries than its remaining bytes allow.
+  // image physically cannot hold more entries than its remaining bytes allow.
   if (count > in.remaining() / (sn3 ? kMinEntryBytes : kMinLegacyEntryBytes)) {
     return false;
   }
@@ -207,11 +139,12 @@ bool LoadTree(const std::string& path, Tree& out) {
     std::uint32_t shared = 0;
     std::uint32_t stored = 0;
     if (sn3) {
-      if (!in.ReadVarint(shared) || !in.ReadVarint(stored) ||
-          shared > prev.size() || stored == 0) {
+      if (!in.Varint<kMaxVarintBytes>(shared) ||
+          !in.Varint<kMaxVarintBytes>(stored) || shared > prev.size() ||
+          stored == 0) {
         return false;
       }
-    } else if (!in.ReadPod(stored)) {
+    } else if (!in.Pod(stored)) {
       return false;
     }
     const std::uint64_t key_len = std::uint64_t{shared} + stored;
@@ -221,7 +154,7 @@ bool LoadTree(const std::string& path, Tree& out) {
     Key key(key_len);
     std::copy_n(prev.begin(), shared, key.begin());
     Value value = 0;
-    if (!in.Read(key.data() + shared, stored) || !in.ReadPod(value)) {
+    if (!in.Bytes(key.data() + shared, stored) || !in.Pod(value)) {
       return false;
     }
     // The stream came from an in-order scan of a prefix-free key set.
@@ -231,6 +164,36 @@ bool LoadTree(const std::string& path, Tree& out) {
   if (in.remaining() != 0) return false;  // bytes no entry accounts for
   out.BulkLoadSorted(items);
   return true;
+}
+
+bool SaveTree(const Tree& tree, const std::string& path) {
+  return WriteFile(path, [&tree](const ByteSink& sink) {
+    return EncodeTree(tree, sink);
+  });
+}
+
+bool LoadTree(const std::string& path, Tree& out) {
+  std::vector<std::uint8_t> image;
+  return out.empty() && ReadFile(path, image) && DecodeTree(image, out);
+}
+
+bool WriteFile(const std::string& path,
+               const std::function<bool(const ByteSink&)>& encode) {
+  File f(std::fopen(path.c_str(), "wb"));
+  if (!f) return false;
+  const ByteSink sink = [&f](std::span<const std::uint8_t> piece) {
+    return WriteBytes(f.get(), piece.data(), piece.size());
+  };
+  return encode(sink) && std::fflush(f.get()) == 0;
+}
+
+bool ReadFile(const std::string& path, std::vector<std::uint8_t>& bytes) {
+  File f(std::fopen(path.c_str(), "rb"));
+  if (!f) return false;
+  const long size = RemainingBytes(f.get());
+  if (size < 0) return false;
+  bytes.resize(static_cast<std::size_t>(size));
+  return ReadBytes(f.get(), bytes.data(), bytes.size());
 }
 
 }  // namespace dcart::art

@@ -411,36 +411,36 @@ NodeRef BuildSorted(std::span<const std::pair<Key, Value>> items,
   const std::size_t lcp =
       CommonPrefixLength(first.subspan(depth), last.subspan(depth));
   assert(depth + lcp < first.size() && "keys must be prefix-free");
+  const std::size_t at = depth + lcp;  // the discriminating byte
 
-  // Partition by the discriminating byte and build children recursively.
-  std::vector<std::pair<std::uint8_t, NodeRef>> children;
-  std::size_t begin = 0;
-  while (begin < items.size()) {
-    const std::uint8_t byte = items[begin].first[depth + lcp];
-    std::size_t end = begin + 1;
-    while (end < items.size() && items[end].first[depth + lcp] == byte) {
-      ++end;
-    }
-    children.emplace_back(
-        byte, BuildSorted(items.subspan(begin, end - begin),
-                          depth + lcp + 1, count));
-    begin = end;
+  // Count the children first, so the node is allocated in its final size
+  // before its subtree: nodes and leaves then lie in key order, as sorted
+  // inserts leave them, which is what an in-order scan reads.
+  std::size_t children = 1;
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    children += items[i].first[at] != items[i - 1].first[at];
   }
-
   Node* node;
-  if (children.size() <= 4) {
+  if (children <= 4) {
     node = new Node4;
-  } else if (children.size() <= 16) {
+  } else if (children <= 16) {
     node = new Node16;
-  } else if (children.size() <= 32) {
+  } else if (children <= 32) {
     node = new Node32;
-  } else if (children.size() <= 48) {
+  } else if (children <= 48) {
     node = new Node48;
   } else {
     node = new Node256;
   }
   SetPrefixFromKey(node, first, depth, static_cast<std::uint32_t>(lcp));
-  for (const auto& [byte, child] : children) AddChild(node, byte, child);
+  for (std::size_t begin = 0; begin < items.size();) {
+    const std::uint8_t byte = items[begin].first[at];
+    std::size_t end = begin + 1;
+    while (end < items.size() && items[end].first[at] == byte) ++end;
+    AddChild(node, byte,
+             BuildSorted(items.subspan(begin, end - begin), at + 1, count));
+    begin = end;
+  }
   return NodeRef::FromNode(node);
 }
 

@@ -238,11 +238,9 @@ ExecutionResult CuartEngine::Run(std::span<const Operation> ops,
     const double device_seconds =
         (mem_cycles + compute_cycles + batch_serial_cycles) /
         model_.frequency_hz;
-    // Double buffering hides the transfer of batch k+1 behind the kernel of
-    // batch k; the longer of the two bounds the steady-state rate.
-    const double transfer_and_exec =
-        config.gpu.overlap_transfer ? std::max(pcie_seconds, device_seconds)
-                                    : pcie_seconds + device_seconds;
+    // Transfers are synchronous, as the paper's CuART numbers model them:
+    // each batch's PCIe copy and kernel run back to back.
+    const double transfer_and_exec = pcie_seconds + device_seconds;
     const double batch_seconds = model_.batch_launch_seconds +
                                  model_.batch_host_sync_seconds +
                                  sort_seconds + transfer_and_exec;

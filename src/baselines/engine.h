@@ -38,19 +38,6 @@ struct CpuRunOptions {
   std::size_t wall_threads = 0;
 };
 
-struct GpuRunOptions {
-  /// Overlap the PCIe batch transfer with device execution (double
-  /// buffering).  Off by default: the paper's CuART numbers are modeled
-  /// with synchronous transfers.
-  bool overlap_transfer = false;
-};
-
-struct FpgaRunOptions {
-  /// Run-time override of DcartConfig::overlap_pcu_sou (Fig. 6 batch
-  /// pipelining); unset inherits the engine's construction-time setting.
-  std::optional<bool> overlap_pcu_sou;
-};
-
 struct RunConfig {
   /// Operations concurrently in flight (the concurrency level the paper
   /// sweeps in Fig. 2(d) and Fig. 12(a)); also the conflict-window size.
@@ -62,8 +49,6 @@ struct RunConfig {
   bool collect_latency = false;
 
   CpuRunOptions cpu;
-  GpuRunOptions gpu;
-  FpgaRunOptions fpga;
 
   /// Fault-injection plan for this run.  Engines that host injection sites
   /// arm the global injector with it when it is enabled; the default plan

@@ -141,7 +141,11 @@ ExecutionResult ClusterEngine::RunOnShard(std::size_t i,
                                           std::span<const Operation> sub,
                                           const RunConfig& inner) {
   ExecutionResult result = shards_[i].pair->Run(sub, inner);
-  if (result.status.ok()) return result;
+  // A refused request is the caller's to fix; the shard is healthy.
+  if (result.status.ok() ||
+      result.status.code() == StatusCode::kInvalidArgument) {
+    return result;
+  }
   if (!shards_[i].pair->promoted()) {
     // The primary crashed (or its link wedged) mid-sub-batch.  Fail over and
     // retry the whole sub-batch once: the acked prefix is replica-durable

@@ -18,13 +18,14 @@ namespace dcart {
 /// Machine-checkable failure class.  Most errors are kUnknown (the message
 /// carries the diagnosis); the cluster/failover paths use the typed codes so
 /// callers can branch on *why* — retry after failover (kUnavailable), refuse
-/// a stale owner (kFenced), ignore a duplicate failover (kAlreadyPromoted) —
-/// instead of string-matching messages.
+/// a stale owner (kFenced), ignore a duplicate failover (kAlreadyPromoted),
+/// fix the request (kInvalidArgument) — instead of string-matching messages.
 enum class StatusCode : std::uint8_t {
   kUnknown = 0,      // generic failure; see message()
   kUnavailable,      // the serving member(s) for the target are down
   kFenced,           // rejected by epoch/term fencing (stale owner)
   kAlreadyPromoted,  // duplicate failover: this member already serves
+  kInvalidArgument,  // the request itself is bad; nothing failed, no retry
 };
 
 class [[nodiscard]] Status {

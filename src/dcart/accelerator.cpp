@@ -80,8 +80,7 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
 
   const std::size_t batch_size =
       std::max<std::size_t>(1, run_config.batch_size);
-  const bool overlap_pcu_sou =
-      run_config.fpga.overlap_pcu_sou.value_or(config_.overlap_pcu_sou);
+  const bool overlap_pcu_sou = config_.overlap_pcu_sou;
   const std::size_t buckets_n = std::max<std::size_t>(1, config_.num_buckets);
   const unsigned prefix_shift =
       config_.prefix_bits >= 8 ? 0 : (8 - config_.prefix_bits);

@@ -2,8 +2,8 @@
 // Combine-Traverse-Trigger (CTT) processing model, running on the CPU.
 //
 // Per batch of operations:
-//   Combine  — scan the batch, take the first `prefix_bits` of each key and
-//              append the operation to one of 16 bucket tables, so all
+//   Combine  — scan the batch and append each operation to one of
+//              `num_buckets` bucket tables by its key's first byte, so all
 //              operations that can share tree nodes land in one bucket.
 //   Traverse — per bucket (buckets are processed by disjoint workers),
 //              group operations by key; each distinct key needs ONE
@@ -30,7 +30,6 @@ namespace dcart::dcartc {
 
 struct DcartCConfig {
   std::size_t num_buckets = 16;  // paper: sixteen Bucket_Tables
-  unsigned prefix_bits = 8;      // paper default: first 8 bits of the key
   bool use_shortcuts = true;     // ablation knob
 };
 

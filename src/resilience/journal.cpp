@@ -5,35 +5,18 @@
 
 #include "common/crc32.h"
 #include "resilience/fault_injector.h"
+#include "workload/trace_io.h"
 
 namespace dcart::resilience {
 
 namespace {
 
 constexpr char kMagic[8] = {'D', 'C', 'J', 'R', 'N', 'L', '0', '1'};
-// The smallest encoded op: type, key_len, value and scan_count, empty key.
-constexpr std::size_t kMinOpBytes = 1 + 4 + 8 + 4;
-
-template <typename T>
-void AppendPod(std::vector<std::uint8_t>& buffer, T value) {
-  const std::size_t pos = buffer.size();
-  buffer.resize(pos + sizeof value);
-  std::memcpy(buffer.data() + pos, &value, sizeof value);
-}
 
 /// Replay needs only the ops that change the tree: reads and scans are
 /// answered at execution time and leave nothing to redo.
 bool ChangesState(OpType type) {
   return type == OpType::kWrite || type == OpType::kRemove;
-}
-
-template <typename T>
-bool ParsePod(std::span<const std::uint8_t> buffer, std::size_t& pos,
-              T& value) {
-  if (buffer.size() - pos < sizeof value) return false;
-  std::memcpy(&value, buffer.data() + pos, sizeof value);
-  pos += sizeof value;
-  return true;
 }
 
 }  // namespace
@@ -42,53 +25,37 @@ std::uint32_t EncodeRecordPayload(std::uint64_t sequence,
                                   std::span<const Operation> ops,
                                   std::vector<std::uint8_t>& payload) {
   payload.clear();
-  AppendPod(payload, sequence);
+  ByteWriter out(payload);
+  out.Pod(sequence);
   std::uint32_t op_count = 0;
-  AppendPod(payload, op_count);  // patched once the ops are counted
+  out.Pod(op_count);  // patched once the ops are counted
   for (const Operation& op : ops) {
     if (!ChangesState(op.type)) continue;
-    AppendPod(payload, static_cast<std::uint8_t>(op.type));
-    AppendPod(payload, static_cast<std::uint32_t>(op.key.size()));
-    payload.insert(payload.end(), op.key.begin(), op.key.end());
-    AppendPod(payload, op.value);
-    AppendPod(payload, op.scan_count);
+    EncodeOp(op, out);
     ++op_count;
   }
-  std::memcpy(payload.data() + sizeof sequence, &op_count, sizeof op_count);
+  out.PodAt(sizeof sequence, op_count);
   return Crc32(payload.data(), payload.size());
 }
 
 Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
                            std::uint64_t& sequence,
                            std::vector<Operation>& out) {
-  std::size_t pos = 0;
+  ByteReader in(payload);
   std::uint32_t op_count = 0;
-  if (!ParsePod(payload, pos, sequence) || !ParsePod(payload, pos, op_count)) {
+  if (!in.Pod(sequence) || !in.Pod(op_count)) {
     return Status::Error("record payload truncated in header");
   }
   // Bound the count by the bytes that follow before reserving for it.
-  if (op_count > (payload.size() - pos) / kMinOpBytes) {
+  if (op_count > in.remaining() / kMinOpBytes) {
     return Status::Error("record payload op_count exceeds its length");
   }
   std::vector<Operation> ops;
   ops.reserve(op_count);
   for (std::uint32_t i = 0; i < op_count; ++i) {
-    std::uint8_t type = 0;
-    std::uint32_t key_len = 0;
     Operation op;
-    if (!ParsePod(payload, pos, type) || type > 3 ||
-        !ParsePod(payload, pos, key_len) || payload.size() - pos < key_len) {
+    if (!DecodeOp(in, op)) {
       return Status::Error("record payload malformed at op " +
-                           std::to_string(i));
-    }
-    op.type = static_cast<OpType>(type);
-    op.key.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                  payload.begin() + static_cast<std::ptrdiff_t>(pos) +
-                      key_len);
-    pos += key_len;
-    if (!ParsePod(payload, pos, op.value) ||
-        !ParsePod(payload, pos, op.scan_count)) {
-      return Status::Error("record payload truncated at op " +
                            std::to_string(i));
     }
     if (!ChangesState(op.type)) continue;
@@ -101,7 +68,7 @@ Status DecodeRecordPayload(std::span<const std::uint8_t> payload,
     }
     ops.push_back(std::move(op));
   }
-  if (pos != payload.size()) {
+  if (in.remaining() != 0) {
     return Status::Error("record payload has trailing bytes");
   }
   out.insert(out.end(), std::make_move_iterator(ops.begin()),

@@ -10,8 +10,8 @@
 // makes a torn or bit-flipped tail record detectable, so it is truncated
 // rather than trusted.
 //
-// Format (little-endian; per-op encoding shared with the DCWTRC02 trace
-// format in workload/trace_io):
+// Format (little-endian; the per-op encoding is the DCWTRC02 trace's, one
+// EncodeOp/DecodeOp pair in workload/trace_io.h):
 //   magic "DCJRNL01"
 //   record:  u32 payload_len, u32 crc32(payload), payload
 //   payload: u64 sequence, u32 op_count,
@@ -32,9 +32,10 @@
 
 namespace dcart::resilience {
 
-/// A record payload longer than this cannot be real (records hold one batch,
-/// or one bootstrap image); a length field above it is corruption.  The
-/// replication wire framing uses the same bound.
+/// A record payload longer than this cannot be real (a record holds one
+/// batch); a length field above it is corruption.  The replication wire
+/// framing bounds every frame payload by it, the SN3 tree image of a
+/// kSnapshot frame included.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 
 // ------------------------------------------------------ record streaming --
@@ -44,6 +45,9 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 // second wire format.  A record payload is:
 //   u64 sequence, u32 op_count,
 //   per op: u8 type, u32 key_len, key bytes, u64 value, u32 scan_count
+// and the per-op part is EncodeOp/DecodeOp's (workload/trace_io.h).  Unlike
+// a trace, a record bounds no key length: whatever the engine acknowledged
+// must replay.
 
 /// Serialize `sequence` and the writes and removes of `ops`, in order, into
 /// `payload` (cleared first); op_count counts the ops encoded.  Returns the

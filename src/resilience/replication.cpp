@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <limits>
 #include <utility>
 
+#include "art/serialize.h"
 #include "common/crc32.h"
 #include "obs/metrics.h"
 #include "resilience/fault_injector.h"
@@ -75,41 +75,25 @@ void Release(std::vector<std::uint8_t>& bytes) {
   std::vector<std::uint8_t>().swap(bytes);
 }
 
-template <typename T>
-void Put(std::uint8_t*& out, T value) {
-  std::memcpy(out, &value, sizeof value);
-  out += sizeof value;
-}
-
-template <typename T>
-T Get(const std::uint8_t* in) {
-  T value;
-  std::memcpy(&value, in, sizeof value);
-  return value;
-}
-
 /// The wire image of `frame` carrying the first `payload_len` payload bytes,
 /// built in one buffer straight from the frame.
 std::vector<std::uint8_t> EncodeWire(const Frame& frame,
                                      std::size_t payload_len) {
-  std::uint8_t header[kWireHeaderBytes + kFrameHeaderBytes] = {};
-  std::uint8_t* out = header + kWireHeaderBytes;
-  Put(out, static_cast<std::uint8_t>(frame.type));
-  Put(out, static_cast<std::uint8_t>(frame.has_checksum ? 2u : 0u));
-  Put(out, frame.sequence);
-  Put(out, frame.payload_crc);
-  Put(out, frame.tree_checksum);
-  Put(out, static_cast<std::uint32_t>(payload_len));
-  std::vector<std::uint8_t> wire;
-  wire.reserve(sizeof header + payload_len);
-  wire.insert(wire.end(), header, header + sizeof header);
-  wire.insert(wire.end(), frame.payload.begin(),
-              frame.payload.begin() + static_cast<std::ptrdiff_t>(payload_len));
   const auto block_len =
       static_cast<std::uint32_t>(kFrameHeaderBytes + payload_len);
-  out = wire.data();
-  Put(out, block_len);
-  Put(out, Crc32(wire.data() + kWireHeaderBytes, block_len));
+  std::vector<std::uint8_t> wire;
+  wire.reserve(kWireHeaderBytes + block_len);
+  ByteWriter out(wire);
+  out.Pod(block_len);
+  out.Pod(std::uint32_t{0});  // wire_crc, patched once the block is down
+  out.Pod(static_cast<std::uint8_t>(frame.type));
+  out.Pod(static_cast<std::uint8_t>(frame.has_checksum ? 2u : 0u));
+  out.Pod(frame.sequence);
+  out.Pod(frame.payload_crc);
+  out.Pod(frame.tree_checksum);
+  out.Pod(static_cast<std::uint32_t>(payload_len));
+  out.Bytes(frame.payload.data(), payload_len);
+  out.PodAt(sizeof block_len, Crc32(wire.data() + kWireHeaderBytes, block_len));
   return wire;
 }
 
@@ -305,27 +289,31 @@ bool ReplicationLink::Receive(Way& way, Frame& out) {
   }
   // Parse one frame per call (the pump loops until false).
   std::vector<std::uint8_t>& rx = way.rx;
-  if (rx.size() < kWireHeaderBytes) return false;
-  const auto wire_len = Get<std::uint32_t>(rx.data());
+  ByteReader in(rx);
+  std::uint32_t wire_len = 0;
+  std::uint32_t wire_crc = 0;
+  if (!in.Pod(wire_len) || !in.Pod(wire_crc)) return false;
   if (wire_len > kMaxWireLen) {
     Tear();  // desynchronized framing: nothing downstream is trustworthy
     return false;
   }
+  if (in.remaining() < wire_len) return false;
   const std::size_t total = kWireHeaderBytes + wire_len;
-  if (rx.size() < total) return false;
-  const std::uint8_t* block = rx.data() + kWireHeaderBytes;
+  std::uint8_t type = 0;
+  std::uint8_t flags = 0;
+  std::uint32_t payload_len = 0;
   if (wire_len < kFrameHeaderBytes ||
-      Crc32(block, wire_len) != Get<std::uint32_t>(rx.data() + 4) ||
-      block[0] > static_cast<std::uint8_t>(FrameType::kHeartbeat) ||
-      kFrameHeaderBytes + Get<std::uint32_t>(block + 22) != wire_len) {
+      Crc32(rx.data() + kWireHeaderBytes, wire_len) != wire_crc ||
+      !in.Pod(type) || !in.Pod(flags) || !in.Pod(out.sequence) ||
+      !in.Pod(out.payload_crc) || !in.Pod(out.tree_checksum) ||
+      !in.Pod(payload_len) ||
+      type > static_cast<std::uint8_t>(FrameType::kHeartbeat) ||
+      kFrameHeaderBytes + payload_len != wire_len) {
     Tear();  // torn mid-frame: drop the connection, retransmission recovers
     return false;
   }
-  out.type = static_cast<FrameType>(block[0]);
-  out.has_checksum = (block[1] & 2u) != 0;
-  out.sequence = Get<std::uint64_t>(block + 2);
-  out.payload_crc = Get<std::uint32_t>(block + 10);
-  out.tree_checksum = Get<std::uint64_t>(block + 14);
+  out.type = static_cast<FrameType>(type);
+  out.has_checksum = (flags & 2u) != 0;
   const std::size_t payload_at = kWireHeaderBytes + kFrameHeaderBytes;
   if (rx.size() == total) {
     // The buffer holds exactly this frame: the payload moves out in place.
@@ -453,18 +441,18 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
 
 void ReplicaEngine::HandleSnapshot(ReplicationLink& link, const Frame& frame) {
   // A snapshot supersedes everything local: bootstrap, divergence resync,
-  // and beyond-window catch-up all land here.
-  std::uint64_t sequence = 0;
-  std::vector<Operation> ops;
-  const Status decoded = DecodeRecordPayload(frame.payload, sequence, ops);
-  if (!decoded.ok() || sequence != frame.sequence) {
+  // and beyond-window catch-up all land here.  The payload is the primary
+  // tree's SN3 image, held to every check LoadTree makes before anything
+  // local is touched.
+  art::Tree image;
+  if (!art::DecodeTree(frame.payload, image)) {
     Metrics().crc_rejects->Increment();
     RequestCatchUp(link);
     return;
   }
   Reset();
-  ApplyToTree(tree_, ops);
-  applied_ops_ = ops.size();
+  tree_ = std::move(image);
+  applied_ops_ = tree_.size();
   next_sequence_ = frame.sequence;  // the record floor the image represents
   // Roll a generation so the snapshot itself is replica-durable before the
   // ack goes out (Reset() opened generation 1 from an empty tree).
@@ -867,28 +855,23 @@ Status ReplicatedEngine::VerifyChecksum() {
                        "converge");
 }
 
-Frame ReplicatedEngine::BuildSnapshotFrame() const {
-  // The image is the primary tree rendered as one record of writes; the
-  // record codec gives it the same CRC-verified envelope as everything else.
-  std::vector<Operation> image;
-  image.reserve(primary_->tree().size());
-  primary_->tree().ScanFrom({}, [&image](KeyView key, art::Value value) {
-    Operation op;
-    op.type = OpType::kWrite;
-    op.key.assign(key.begin(), key.end());
-    op.value = value;
-    image.push_back(std::move(op));
-    return true;
-  });
-  Frame frame;
+Status ReplicatedEngine::BuildSnapshotFrame(Frame& frame) const {
+  // The image is the primary tree's SN3 snapshot, the bytes SaveTree
+  // writes; the wire CRC covers `sequence`, the record floor it represents.
   frame.type = FrameType::kSnapshot;
-  frame.sequence = next_sequence_;  // the record floor this image represents
-  frame.payload_crc = EncodeRecordPayload(next_sequence_, image, frame.payload);
-  return frame;
+  frame.sequence = next_sequence_;
+  if (!art::EncodeTree(primary_->tree(), AppendTo(frame.payload))) {
+    return Status::Error(
+        "snapshot resync: the primary tree holds a key no snapshot can hold");
+  }
+  frame.payload_crc = FrameCrc(frame);
+  return Status::Ok();
 }
 
 Status ReplicatedEngine::SyncSnapshot() {
-  const Frame frame = BuildSnapshotFrame();
+  Frame frame;
+  const Status built = BuildSnapshotFrame(frame);
+  if (!built.ok()) return built;
   const std::uint64_t expected = TreeChecksum(primary_->tree());
   // The snapshot covers every in-flight record's effects; retiring them
   // here keeps the acked-ops ledger exact (their ops arrive via the image).

@@ -23,7 +23,10 @@
 //   Catch-up         — on any gap, CRC reject, or truncation the replica
 //                      requests retransmission from its applied floor; a
 //                      replica too far behind (or freshly bootstrapped, or
-//                      diverged) is resynced with a snapshot frame.
+//                      diverged) is resynced with a snapshot frame: the
+//                      primary tree's SN3 image (art/serialize.h), the
+//                      bytes SaveTree writes, which the replica decodes
+//                      with every check LoadTree makes.
 //   Divergence       — tree checksums (CRC32 over the canonical sorted
 //                      stream) are exchanged on the probe every Drain()
 //                      sends and on the ack of each snapshot; a mismatch
@@ -55,6 +58,11 @@
 //     u8  type, u8 flags (bit1 has_checksum; bit0 is unused)
 //     u64 sequence, u32 payload_crc, u64 tree_checksum
 //     u32 payload_len, payload bytes
+//
+// Both ends encode and parse the header through common/bytes.h's
+// ByteWriter and ByteReader.  A kRecord payload is a journal record
+// payload (journal.h); a kSnapshot payload is an SN3 image, and the
+// frame's `sequence` is the record floor the image stands for.
 //
 // The wire CRC only guards framing: a mismatch means the stream is torn
 // and the link drops the connection.  Content integrity stays end-to-end:
@@ -88,7 +96,7 @@ namespace dcart::resilience {
 
 enum class FrameType : std::uint8_t {
   kRecord,         // one sealed journal record (payload = record encoding)
-  kSnapshot,       // bootstrap/resync image (payload = record of kWrite ops)
+  kSnapshot,       // bootstrap/resync image (payload = SN3 tree image)
   kChecksumProbe,  // primary asks for the replica's tree checksum
   kAck,            // replica -> primary: cumulative applied floor
   kCatchUpRequest,  // replica -> primary: resend records from `sequence`
@@ -400,7 +408,8 @@ class ReplicatedEngine : public IndexEngine {
   Status VerifyChecksum();
   /// Ship a full snapshot and pump until the replica acks it checksummed.
   Status SyncSnapshot();
-  Frame BuildSnapshotFrame() const;
+  /// The primary tree's SN3 image (art/serialize.h) as a kSnapshot frame.
+  Status BuildSnapshotFrame(Frame& frame) const;
   void HandleAck(const Frame& frame);
   void HandleCatchUp(const Frame& frame);
   /// Send with disconnect handling: a failed send leaves the record

@@ -54,6 +54,24 @@ std::optional<std::uint64_t> ParseGeneration(const std::string& filename,
   return value;
 }
 
+/// Every write key must be one the tree, its snapshots and its journal can
+/// all hold: not empty (tree keys are prefix-free, and the journal refuses
+/// to replay an empty-key write) and at most art::kMaxKeyBytes (the SN3
+/// bound).  A prefix conflict with a stored key needs a tree probe and is
+/// not checked here.
+Status CheckWriteKeys(std::span<const Operation> batch) {
+  for (const Operation& op : batch) {
+    if (op.type == OpType::kWrite &&
+        (op.key.empty() || op.key.size() > art::kMaxKeyBytes)) {
+      return Status::TypedError(
+          StatusCode::kInvalidArgument,
+          "batch refused: a write key is empty or longer than " +
+              std::to_string(art::kMaxKeyBytes) + " bytes");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 void ApplyToTree(art::Tree& tree, std::span<const Operation> ops) {
@@ -208,6 +226,13 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
     const std::size_t end = std::min(ops.size(), begin + batch_size);
     const std::span<const Operation> batch = ops.subspan(begin, end - begin);
 
+    const Status valid = CheckWriteKeys(batch);
+    if (!valid.ok()) {
+      // Refused, not crashed: the batch is neither journaled nor executed,
+      // and the next Run() proceeds.
+      result.status.Update(valid);
+      break;
+    }
     if (FaultCheck(FaultSite::kCrashAtBatchBoundary)) {
       crashed_ = true;
       dir_.Close();  // the dying process takes its descriptor with it

@@ -1,183 +1,148 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <memory>
+#include <utility>
+#include <vector>
 
-#include "resilience/fault_injector.h"
+#include "art/serialize.h"
 
 namespace dcart {
 
 namespace {
 
 constexpr char kMagic[8] = {'D', 'C', 'W', 'T', 'R', 'C', '0', '2'};
-// Smallest possible load item (u32 key_len + u64 value) and operation
-// (u8 type + u32 key_len + u64 value + u32 scan_count) on disk.
+// Smallest possible load item on disk: u32 key_len + u64 value.
 constexpr std::uint64_t kMinItemBytes = 4 + 8;
-constexpr std::uint64_t kMinOpBytes = 1 + 4 + 8 + 4;
+constexpr std::uint32_t kMaxNameBytes = 4096;
+// EncodeWorkload hands its sink chunks of about this size.
+constexpr std::size_t kChunkBytes = 64 << 10;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-/// The injected short write/read models a crash or full disk mid-transfer:
-/// half the bytes move, then the call fails — producing exactly the torn
-/// files the loader bounds checks must survive.
-bool WriteBytes(std::FILE* f, const void* data, std::size_t n) {
-  if (resilience::FaultCheck(resilience::FaultSite::kFileShortWrite)) {
-    if (n > 1) std::fwrite(data, 1, n / 2, f);
-    return false;
-  }
-  return std::fwrite(data, 1, n, f) == n;
-}
-
-bool ReadBytes(std::FILE* f, void* data, std::size_t n) {
-  if (resilience::FaultCheck(resilience::FaultSite::kFileShortRead)) {
-    if (n > 1) std::fread(data, 1, n / 2, f);
-    return false;
-  }
-  return std::fread(data, 1, n, f) == n;
-}
-
-/// Bytes from the current position to EOF, or -1 when unknowable.
-long RemainingBytes(std::FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
-  const long end = std::ftell(f);
-  if (std::fseek(f, pos, SEEK_SET) != 0) return -1;
-  return end >= pos ? end - pos : -1;
-}
-
-template <typename T>
-bool WritePod(std::FILE* f, T value) {
-  return WriteBytes(f, &value, sizeof value);
-}
-
-template <typename T>
-bool ReadPod(std::FILE* f, T& value) {
-  return ReadBytes(f, &value, sizeof value);
-}
-
-bool WriteKey(std::FILE* f, const Key& key) {
-  return WritePod(f, static_cast<std::uint32_t>(key.size())) &&
-         WriteBytes(f, key.data(), key.size());
-}
-
-bool ReadKey(std::FILE* f, Key& key) {
-  std::uint32_t len = 0;
-  if (!ReadPod(f, len)) return false;
-  // Keys beyond 1 MiB indicate a corrupt file, not a real key; so does a
-  // length the file's remaining bytes cannot possibly cover.
-  if (len > (1u << 20)) return false;
-  if (len > 0) {
-    const long remaining = RemainingBytes(f);
-    if (remaining < 0 || len > static_cast<std::uint64_t>(remaining)) {
-      return false;
-    }
-  }
-  key.resize(len);
-  return len == 0 || ReadBytes(f, key.data(), len);
-}
-
-}  // namespace
-
-bool SaveWorkload(const Workload& workload, const std::string& path) {
-  File f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
-  if (!WriteBytes(f.get(), kMagic, sizeof kMagic)) return false;
-  if (!WritePod(f.get(), static_cast<std::uint32_t>(workload.name.size())) ||
-      !WriteBytes(f.get(), workload.name.data(), workload.name.size())) {
-    return false;
-  }
-  if (!WritePod(f.get(),
-                static_cast<std::uint64_t>(workload.load_items.size()))) {
-    return false;
-  }
-  for (const auto& [key, value] : workload.load_items) {
-    if (!WriteKey(f.get(), key) || !WritePod(f.get(), value)) return false;
-  }
-  if (!WritePod(f.get(), static_cast<std::uint64_t>(workload.ops.size()))) {
-    return false;
-  }
-  for (const Operation& op : workload.ops) {
-    if (!WritePod(f.get(), static_cast<std::uint8_t>(op.type)) ||
-        !WriteKey(f.get(), op.key) || !WritePod(f.get(), op.value) ||
-        !WritePod(f.get(), op.scan_count)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-/// The body of LoadWorkload: parse the open file into `out`, which is left
+/// The body of DecodeWorkload: parse `bytes` into `out`, which is left
 /// partly filled on failure.
-bool ReadWorkload(std::FILE* f, Workload& out) {
+bool ParseWorkload(std::span<const std::uint8_t> bytes, Workload& out) {
+  ByteReader in(bytes);
   char magic[sizeof kMagic];
-  if (!ReadBytes(f, magic, sizeof magic) ||
-      std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    return false;
-  }
   std::uint32_t name_len = 0;
-  if (!ReadPod(f, name_len) || name_len > 4096) return false;
-  out.name.resize(name_len);
-  if (name_len > 0 && !ReadBytes(f, out.name.data(), name_len)) {
+  if (!in.Bytes(magic, sizeof magic) ||
+      std::memcmp(magic, kMagic, sizeof kMagic) != 0 || !in.Pod(name_len) ||
+      name_len > kMaxNameBytes) {
     return false;
   }
+  out.name.resize(name_len);
   std::uint64_t load_count = 0;
-  if (!ReadPod(f, load_count)) return false;
-  // Corrupt counts must not drive allocations the file cannot back: cap
+  // Corrupt counts must not drive allocations the bytes cannot back: cap
   // every count by what the remaining bytes could physically encode.
-  long remaining = RemainingBytes(f);
-  if (remaining < 0 ||
-      load_count > static_cast<std::uint64_t>(remaining) / kMinItemBytes) {
+  if (!in.Bytes(out.name.data(), name_len) || !in.Pod(load_count) ||
+      load_count > in.remaining() / kMinItemBytes) {
     return false;
   }
   // Tree keys are never empty (art::Tree::Insert), so an empty load or
   // write key is corruption, not a workload an engine could run.  Reads
   // and removes of an empty key are misses every engine answers.
-  out.load_items.reserve(load_count);
-  for (std::uint64_t i = 0; i < load_count; ++i) {
-    Key key;
-    art::Value value = 0;
-    if (!ReadKey(f, key) || key.empty() || !ReadPod(f, value)) return false;
-    out.load_items.emplace_back(std::move(key), value);
-  }
-  std::uint64_t op_count = 0;
-  if (!ReadPod(f, op_count)) return false;
-  remaining = RemainingBytes(f);
-  if (remaining < 0 ||
-      op_count > static_cast<std::uint64_t>(remaining) / kMinOpBytes) {
-    return false;
-  }
-  out.ops.reserve(op_count);
-  for (std::uint64_t i = 0; i < op_count; ++i) {
-    std::uint8_t type = 0;
-    Operation op;
-    // kRemove encodes as 3 — `type > 3` (not > 2) or removes in a saved
-    // trace would be rejected as corruption on the way back in.
-    if (!ReadPod(f, type) || type > 3 || !ReadKey(f, op.key) ||
-        !ReadPod(f, op.value) || !ReadPod(f, op.scan_count)) {
+  out.load_items.resize(load_count);
+  for (auto& [key, value] : out.load_items) {
+    if (!in.Blob(key) || key.empty() || key.size() > art::kMaxKeyBytes ||
+        !in.Pod(value)) {
       return false;
     }
-    op.type = static_cast<OpType>(type);
-    if (op.type == OpType::kWrite && op.key.empty()) return false;
-    out.ops.push_back(std::move(op));
+  }
+  std::uint64_t op_count = 0;
+  if (!in.Pod(op_count) || op_count > in.remaining() / kMinOpBytes) {
+    return false;
+  }
+  out.ops.resize(op_count);
+  for (Operation& op : out.ops) {
+    if (!DecodeOp(in, op) || op.key.size() > art::kMaxKeyBytes ||
+        (op.type == OpType::kWrite && op.key.empty())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Load and write keys become tree keys, which must be prefix-free: sorted
+/// and deduplicated, no key may extend its predecessor.
+bool TreeKeysPrefixFree(const Workload& workload) {
+  std::vector<KeyView> keys;
+  keys.reserve(workload.load_items.size() + workload.ops.size());
+  for (const auto& item : workload.load_items) keys.emplace_back(item.first);
+  for (const Operation& op : workload.ops) {
+    if (op.type == OpType::kWrite) keys.emplace_back(op.key);
+  }
+  std::sort(keys.begin(), keys.end(), [](KeyView a, KeyView b) {
+    return CompareKeys(a, b) < 0;
+  });
+  keys.erase(std::unique(keys.begin(), keys.end(), KeysEqual), keys.end());
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    if (!FollowsInOrder(keys[i - 1], keys[i])) return false;
   }
   return true;
 }
 
 }  // namespace
 
-bool LoadWorkload(const std::string& path, Workload& out) {
+void EncodeOp(const Operation& op, ByteWriter& out) {
+  out.Pod(static_cast<std::uint8_t>(op.type));
+  out.Blob(op.key);
+  out.Pod(op.value);
+  out.Pod(op.scan_count);
+}
+
+bool DecodeOp(ByteReader& in, Operation& op) {
+  // kRemove encodes as 3 — `type > 3` (not > 2) or removes would be
+  // rejected as corruption on the way back in.
+  std::uint8_t type = 0;
+  if (!in.Pod(type) || type > 3 || !in.Blob(op.key) || !in.Pod(op.value) ||
+      !in.Pod(op.scan_count)) {
+    return false;
+  }
+  op.type = static_cast<OpType>(type);
+  return true;
+}
+
+bool EncodeWorkload(const Workload& workload, const ByteSink& sink) {
+  std::vector<std::uint8_t> chunk;
+  ByteWriter out(chunk);
+  const auto flush = [&] {
+    const bool written = sink(chunk);
+    chunk.clear();
+    return written;
+  };
+  out.Bytes(kMagic, sizeof kMagic);
+  out.Pod(static_cast<std::uint32_t>(workload.name.size()));
+  out.Bytes(workload.name.data(), workload.name.size());
+  out.Pod(static_cast<std::uint64_t>(workload.load_items.size()));
+  for (const auto& [key, value] : workload.load_items) {
+    out.Blob(key);
+    out.Pod(value);
+    if (chunk.size() >= kChunkBytes && !flush()) return false;
+  }
+  out.Pod(static_cast<std::uint64_t>(workload.ops.size()));
+  for (const Operation& op : workload.ops) {
+    EncodeOp(op, out);
+    if (chunk.size() >= kChunkBytes && !flush()) return false;
+  }
+  return flush();
+}
+
+bool DecodeWorkload(std::span<const std::uint8_t> bytes, Workload& out) {
   out = Workload{};
-  File f(std::fopen(path.c_str(), "rb"));
-  if (f && ReadWorkload(f.get(), out)) return true;
+  if (ParseWorkload(bytes, out) && TreeKeysPrefixFree(out)) return true;
+  out = Workload{};
+  return false;
+}
+
+bool SaveWorkload(const Workload& workload, const std::string& path) {
+  return art::WriteFile(path, [&workload](const ByteSink& sink) {
+    return EncodeWorkload(workload, sink);
+  });
+}
+
+bool LoadWorkload(const std::string& path, Workload& out) {
+  std::vector<std::uint8_t> bytes;
+  if (art::ReadFile(path, bytes)) return DecodeWorkload(bytes, out);
   out = Workload{};
   return false;
 }

@@ -370,6 +370,25 @@ TEST_F(ClusterTest, DuplicateFailOverDoesNotBumpTheTerm) {
   EXPECT_EQ(engine.failovers(), 1u);
 }
 
+TEST_F(ClusterTest, RefusedWriteIsTypedAndFailsNothingOver) {
+  // A shard's pair refuses an empty-key write with kInvalidArgument.  The
+  // shard is healthy, so the cluster passes the status on and neither
+  // fails over nor marks the range down.
+  ClusterOptions options;
+  options.shards = 2;
+  ClusterEngine engine(options);
+  engine.Load(OneKeyPerByte());
+  const std::vector<Operation> ops = {{OpType::kWrite, Key{}, 1}};
+  const ExecutionResult r = engine.Run(ops, ClusterRun());
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+      << r.status.message();
+  EXPECT_EQ(engine.failovers(), 0u);
+  EXPECT_FALSE(r.partial);
+  const std::vector<Operation> write = {{OpType::kWrite, Key{0x10}, 7}};
+  ASSERT_TRUE(engine.Run(write, ClusterRun()).status.ok());
+  EXPECT_EQ(engine.Lookup(Key{0x10}), 7u);
+}
+
 TEST_F(ClusterTest, RejoinRebuildsShardInFreshEpoch) {
   const Workload w = ClusterWorkload(512);
   ClusterOptions options;

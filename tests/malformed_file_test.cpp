@@ -1,6 +1,7 @@
 // Malformed-file corpus for every format the repo reads back: DCARTSN1-3
 // tree snapshots, DCWTRC02 workload traces, DCJRNL01 journals and their
-// record payloads, and replication wire frames.  Truncations at every
+// record payloads, and replication wire frames.  Snapshots and traces also
+// get seeded mutation loops.  Truncations at every
 // offset, flipped magics and bits, oversized length and count fields, and
 // CRC mismatches must all be rejected cleanly — no crash, no hang, no leak
 // (the CI fault-injection job runs this suite under AddressSanitizer) —
@@ -8,6 +9,7 @@
 // are exercised here too, since they produce exactly these files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -470,6 +472,105 @@ TEST_F(MalformedFileTest, WorkloadBadMagicCountsAndOpTypeAreRejected) {
     Workload forged = w;
     forged.ops[1].key.clear();  // the kWrite
     expect_rejected(saved_bytes(forged), "empty write key");
+  }
+  // Load and write keys all become tree keys, which must be prefix-free.
+  {
+    Workload forged = w;
+    forged.load_items.emplace_back(Key{'a'}, 1);
+    forged.load_items.emplace_back(Key{'a', 'b'}, 2);
+    expect_rejected(saved_bytes(forged), "load keys a and ab");
+  }
+  {
+    Workload forged = w;
+    Key longer = w.load_items[5].first;
+    longer.push_back(0x01);
+    forged.ops.push_back({OpType::kWrite, longer, 3});
+    expect_rejected(saved_bytes(forged), "a write extending a load key");
+  }
+  {
+    Workload forged = w;
+    forged.ops.push_back({OpType::kWrite, Key{0x7f}, 3});
+    forged.load_items.emplace_back(Key{0x7f, 0x01}, 4);
+    expect_rejected(saved_bytes(forged), "a load key extending a write key");
+  }
+}
+
+/// Offsets and widths of every length and count field of `w`'s trace.
+std::vector<std::pair<std::size_t, std::size_t>> TraceLengthFields(
+    const Workload& w) {
+  std::vector<std::pair<std::size_t, std::size_t>> fields = {{8, 4}};
+  std::size_t pos = 8 + 4 + w.name.size();
+  fields.emplace_back(pos, 8);  // load_count
+  pos += 8;
+  for (const auto& [key, value] : w.load_items) {
+    fields.emplace_back(pos, 4);
+    pos += 4 + key.size() + 8;
+  }
+  fields.emplace_back(pos, 8);  // op_count
+  pos += 8;
+  for (const Operation& op : w.ops) {
+    fields.emplace_back(pos + 1, 4);
+    pos += 1 + 4 + op.key.size() + 8 + 4;
+  }
+  return fields;
+}
+
+TEST_F(MalformedFileTest, WorkloadSeededMutationsAreRejectedOrDecodeClean) {
+  const Workload w = SmallWorkload();
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(EncodeWorkload(w, AppendTo(bytes)));
+  SplitMix64 rng(EnvSeed());
+
+  // A mutant is rejected with `out` empty, or it is a workload an engine
+  // can run that re-encodes and decodes to itself.
+  const auto check = [](const std::vector<std::uint8_t>& mutated,
+                        const std::string& what) {
+    Workload out;
+    if (!DecodeWorkload(mutated, out)) {
+      EXPECT_TRUE(out.name.empty()) << what;
+      EXPECT_TRUE(out.load_items.empty()) << what;
+      EXPECT_TRUE(out.ops.empty()) << what;
+      return;
+    }
+    std::vector<Key> stored;
+    for (const auto& [key, value] : out.load_items) stored.push_back(key);
+    for (const Operation& op : out.ops) {
+      EXPECT_LE(static_cast<int>(op.type), 3) << what;
+      if (op.type == OpType::kWrite) stored.push_back(op.key);
+    }
+    std::sort(stored.begin(), stored.end());
+    stored.erase(std::unique(stored.begin(), stored.end()), stored.end());
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_FALSE(stored[i].empty()) << what;
+      if (i > 0) {
+        EXPECT_TRUE(FollowsInOrder(stored[i - 1], stored[i])) << what;
+      }
+    }
+    std::vector<std::uint8_t> again;
+    ASSERT_TRUE(EncodeWorkload(out, AppendTo(again))) << what;
+    Workload back;
+    ASSERT_TRUE(DecodeWorkload(again, back)) << what;
+    EXPECT_EQ(back.name, out.name) << what;
+    EXPECT_EQ(back.load_items, out.load_items) << what;
+    ASSERT_EQ(back.ops.size(), out.ops.size()) << what;
+    for (std::size_t i = 0; i < out.ops.size(); ++i) {
+      EXPECT_EQ(back.ops[i].type, out.ops[i].type) << what;
+      EXPECT_EQ(back.ops[i].key, out.ops[i].key) << what;
+      EXPECT_EQ(back.ops[i].value, out.ops[i].value) << what;
+      EXPECT_EQ(back.ops[i].scan_count, out.ops[i].scan_count) << what;
+    }
+  };
+
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> mutated = bytes;
+    mutated[i] ^= static_cast<std::uint8_t>(1 + rng.NextBounded(255));
+    check(mutated, "flip at " + std::to_string(i));
+  }
+  for (const auto& [at, width] : TraceLengthFields(w)) {
+    std::vector<std::uint8_t> mutated = bytes;
+    std::fill_n(mutated.begin() + static_cast<std::ptrdiff_t>(at), width,
+                0xff);
+    check(mutated, "field at " + std::to_string(at) + " inflated");
   }
 }
 

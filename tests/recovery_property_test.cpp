@@ -478,6 +478,93 @@ TEST_F(RecoveryTest, EmptyKeyRemoveReplaysAsNoOp) {
   fs::remove_all(dir);
 }
 
+TEST_F(RecoveryTest, EmptyWriteKeyBatchIsRefusedAndLaterWritesRecover) {
+  // An empty-key write on an empty tree would be acknowledged, then stop
+  // replay at its record and lose every write after it.  The engine
+  // refuses the batch instead, and stays up.
+  const std::string dir = FreshDir("empty_write_key");
+  ResilienceOptions options;
+  options.dir = dir;
+  RunConfig run = DurableRun();
+  run.batch_size = 1;
+  {
+    ResilientEngine engine(options);
+    engine.Load({});
+    const std::vector<Operation> bad = {{OpType::kWrite, Key{}, 1}};
+    const ExecutionResult refused = engine.Run(bad, run);
+    EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+        << refused.status.message();
+    EXPECT_EQ(refused.ops_acknowledged, 0u);
+    EXPECT_FALSE(engine.crashed());
+    EXPECT_TRUE(engine.tree().empty());
+    for (std::uint64_t k : {7, 8}) {
+      const std::vector<Operation> good = {{OpType::kWrite, EncodeU64(k), k}};
+      const ExecutionResult r = engine.Run(good, run);
+      ASSERT_TRUE(r.status.ok()) << r.status.message();
+      EXPECT_EQ(r.ops_acknowledged, 1u);
+    }
+  }
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover()) << restarted.last_recover_error().message();
+  EXPECT_EQ(restarted.recovered_ops(), 2u);
+  EXPECT_EQ(restarted.Lookup(EncodeU64(7)), 7u);
+  EXPECT_EQ(restarted.Lookup(EncodeU64(8)), 8u);
+  EXPECT_EQ(restarted.tree().size(), 2u);
+  fs::remove_all(dir);
+}
+
+TEST_F(RecoveryTest, OversizedWriteKeyIsRefusedAndEverySnapshotStaysLoadable) {
+  // A key over art::kMaxKeyBytes would reach a snapshot LoadTree rejects;
+  // with a snapshot per batch, pruning would then remove every loadable
+  // generation.  The engine refuses the batch, and the call stops there.
+  const std::string dir = FreshDir("oversized_key");
+  ResilienceOptions options;
+  options.dir = dir;
+  options.snapshot_every_batches = 1;
+  std::vector<std::pair<Key, art::Value>> items;
+  for (std::uint64_t i = 0; i < 100; ++i) items.emplace_back(EncodeU64(i), i);
+  std::vector<Operation> ops = {
+      {OpType::kWrite, Key(art::kMaxKeyBytes + 1, 0xff), 1}};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ops.push_back({OpType::kWrite, EncodeU64(1000 + i), i});
+  }
+  RunConfig run = DurableRun();
+  run.batch_size = 1;
+  {
+    ResilientEngine engine(options);
+    engine.Load(items);
+    const ExecutionResult refused = engine.Run(ops, run);
+    EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+        << refused.status.message();
+    EXPECT_EQ(refused.ops_acknowledged, 0u);
+    EXPECT_EQ(engine.tree().size(), items.size());
+    const ExecutionResult r =
+        engine.Run(std::span<const Operation>(ops).subspan(1), run);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.ops_acknowledged, 4u);
+  }
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover()) << restarted.last_recover_error().message();
+  EXPECT_EQ(restarted.tree().size(), items.size() + 4);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(restarted.Lookup(EncodeU64(1000 + i)), i);
+  }
+
+  // Load() has no write to refuse: its checkpoint fails instead, and the
+  // error is parked for the next Run() rather than an unloadable
+  // generation written.
+  const std::string load_dir = FreshDir("oversized_load");
+  options.dir = load_dir;
+  items.emplace_back(ops[0].key, 1);
+  ResilientEngine loaded(options);
+  loaded.Load(items);
+  EXPECT_FALSE(loaded.Run({}, run).status.ok());
+  std::error_code ec;
+  EXPECT_TRUE(fs::is_empty(load_dir, ec));
+  fs::remove_all(dir);
+  fs::remove_all(load_dir);
+}
+
 TEST_F(RecoveryTest, RecoverWithoutDurabilityDirReportsFailure) {
   ResilientEngine ephemeral;  // no dir: durability off
   EXPECT_FALSE(ephemeral.Recover());

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -256,6 +257,89 @@ TEST_F(ReplicationTest, DivergenceIsDetectedAndResynced) {
   EXPECT_GT(CounterValue("replication.divergence_detected"), diverged_before);
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
                            "diverge");
+}
+
+/// A kSnapshot frame carrying `image` as the record floor `sequence`.
+Frame SnapshotFrame(std::vector<std::uint8_t> image, std::uint64_t sequence) {
+  Frame frame;
+  frame.type = resilience::FrameType::kSnapshot;
+  frame.sequence = sequence;
+  frame.payload = std::move(image);
+  frame.payload_crc = Crc32(frame.payload.data(), frame.payload.size());
+  return frame;
+}
+
+/// Every frame waiting at the primary's end of `link`.
+std::vector<Frame> FramesAtPrimary(ReplicationLink& link) {
+  std::vector<Frame> frames;
+  Frame frame;
+  while (link.ReceiveAtPrimary(frame)) frames.push_back(frame);
+  return frames;
+}
+
+TEST_F(ReplicationTest, ReplicaAppliesTheSn3ImageOfASnapshotFrame) {
+  art::Tree source;
+  for (std::uint64_t i = 0; i < 300; ++i) source.Insert(EncodeU64(i * 13), i);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(art::EncodeTree(source, AppendTo(image)));
+
+  ReplicationLink link(LinkKind::kInProcess);
+  ASSERT_TRUE(link.Connect().ok());
+  resilience::ReplicaEngine replica(ReplicationOptions{});
+  ASSERT_TRUE(link.SendToReplica(SnapshotFrame(image, 5)).ok());
+  replica.Pump(link);
+  EXPECT_EQ(replica.applied_records(), 5u);
+  EXPECT_EQ(replica.applied_ops(), source.size());
+  ExpectTreesByteIdentical(replica.tree(), source, "sn3_frame");
+  const std::vector<Frame> replies = FramesAtPrimary(link);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, resilience::FrameType::kAck);
+  EXPECT_EQ(replies[0].sequence, 5u);
+  EXPECT_TRUE(replies[0].has_checksum);
+  EXPECT_EQ(replies[0].tree_checksum, resilience::TreeChecksum(source));
+}
+
+TEST_F(ReplicationTest, ReplicaRejectsAResealedImageWithABadKeyOrder) {
+  // Keys {10 20} and {10 30}.  SN3 lays the second entry out at offset 28
+  // (magic, count, then 00 02 10 20 and a u64 value) as 01 01 30 ...
+  art::Tree source;
+  source.Insert(Key{0x10, 0x20}, 1);
+  source.Insert(Key{0x10, 0x30}, 2);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(art::EncodeTree(source, AppendTo(image)));
+  ASSERT_EQ(image.size(), 16u + 12 + 11 + 4);
+  constexpr std::size_t kSecond = 28;
+  const auto resealed = [&image](std::size_t at, std::uint8_t byte) {
+    std::vector<std::uint8_t> forged = image;
+    forged[at] = byte;
+    const std::uint32_t crc = Crc32(forged.data(), forged.size() - 4);
+    std::memcpy(forged.data() + forged.size() - 4, &crc, sizeof crc);
+    return forged;
+  };
+  const std::vector<std::pair<std::vector<std::uint8_t>, const char*>>
+      forgeries = {{resealed(kSecond + 2, 0x05), "10 05 after 10 20"},
+                   {resealed(kSecond, 0x02), "10 20 30 extends 10 20"}};
+  for (const auto& [forged, what] : forgeries) {
+    SCOPED_TRACE(what);
+    ReplicationLink link(LinkKind::kInProcess);
+    ASSERT_TRUE(link.Connect().ok());
+    resilience::ReplicaEngine replica(ReplicationOptions{});
+    ASSERT_TRUE(link.SendToReplica(SnapshotFrame(image, 3)).ok());
+    replica.Pump(link);
+    ASSERT_EQ(FramesAtPrimary(link).size(), 1u);  // the snapshot's ack
+
+    const std::uint64_t rejects_before =
+        CounterValue("replication.crc_rejects");
+    ASSERT_TRUE(link.SendToReplica(SnapshotFrame(forged, 9)).ok());
+    replica.Pump(link);
+    EXPECT_EQ(CounterValue("replication.crc_rejects") - rejects_before, 1u);
+    const std::vector<Frame> replies = FramesAtPrimary(link);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].type, resilience::FrameType::kCatchUpRequest);
+    EXPECT_EQ(replies[0].sequence, 3u);  // the floor the good image set
+    EXPECT_EQ(replica.applied_records(), 3u);
+    ExpectTreesByteIdentical(replica.tree(), source, "resealed");
+  }
 }
 
 TEST_F(ReplicationTest, KillPrimaryThenPromoteServesReplicaState) {

@@ -261,5 +261,45 @@ TEST(Serialize, SnapshotBytesArePinned) {
   std::remove(path.c_str());
 }
 
+TEST(Serialize, InMemoryImageIsTheFileSaveTreeWrites) {
+  // Large enough that EncodeTree hands its sink several chunks.
+  Tree tree;
+  SplitMix64 rng(11);
+  for (int i = 0; i < 20000; ++i) tree.Insert(EncodeU64(rng.Next()), i);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(EncodeTree(tree, AppendTo(image)));
+  const std::string path = TempPath("art_snapshot_image.bin");
+  ASSERT_TRUE(SaveTree(tree, path));
+  std::vector<std::uint8_t> file;
+  ASSERT_TRUE(ReadFile(path, file));
+  std::remove(path.c_str());
+  EXPECT_GT(image.size(), 2u * (64 << 10));
+  EXPECT_TRUE(image == file) << image.size() << " vs " << file.size();
+
+  Tree decoded;
+  ASSERT_TRUE(DecodeTree(image, decoded));
+  EXPECT_EQ(decoded.size(), tree.size());
+}
+
+TEST(Serialize, EncoderRefusesAKeyTheDecoderWouldReject) {
+  // Tree::Insert takes a key longer than kMaxKeyBytes; no snapshot may
+  // hold one, so the encoder refuses the tree instead of writing an image
+  // LoadTree would reject.
+  Tree tree;
+  tree.Insert(Key{0x01}, 1);
+  tree.Insert(Key(kMaxKeyBytes + 1, 0x02), 2);
+  std::vector<std::uint8_t> image;
+  EXPECT_FALSE(EncodeTree(tree, AppendTo(image)));
+  EXPECT_FALSE(SaveTree(tree, TempPath("art_snapshot_oversized.bin")));
+  std::remove(TempPath("art_snapshot_oversized.bin").c_str());
+
+  Tree at_bound;
+  at_bound.Insert(Key(kMaxKeyBytes, 0x02), 2);
+  image.clear();
+  ASSERT_TRUE(EncodeTree(at_bound, AppendTo(image)));
+  Tree decoded;
+  EXPECT_TRUE(DecodeTree(image, decoded));
+}
+
 }  // namespace
 }  // namespace dcart::art

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "art/serialize.h"
 #include "common/key_codec.h"
 #include "workload/generators.h"
 #include "workload/trace_io.h"
@@ -196,6 +197,40 @@ TEST(TraceIo, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded.ops[i].value, original.ops[i].value);
   }
   std::remove(path.c_str());
+}
+
+TEST(TraceIo, TraceBytesArePinned) {
+  // magic, u32 name_len + name, u64 load_count + (u32 key_len, key, u64
+  // value) per item, u64 op_count + (u8 type, u32 key_len, key, u64 value,
+  // u32 scan_count) per op; little-endian.
+  Workload w;
+  w.name = "pin";
+  w.load_items.emplace_back(Key{0x01}, 0x11);
+  w.load_items.emplace_back(Key{0x02, 0xaa}, 0x2222);
+  w.ops.push_back({OpType::kRead, Key{0x01}, 0});
+  w.ops.push_back({OpType::kWrite, Key{0x03, 0x04}, 0x33});
+  w.ops.push_back({OpType::kScan, Key{0x02}, 0, 7});
+  w.ops.push_back({OpType::kRemove, Key{0x01}, 0});
+  const std::string hex =
+      "4443575452433032"  // "DCWTRC02"
+      "03000000" "70696e"
+      "0200000000000000"
+      "01000000" "01" "1100000000000000"
+      "02000000" "02aa" "2222000000000000"
+      "0400000000000000"
+      "00" "01000000" "01" "0000000000000000" "00000000"
+      "01" "02000000" "0304" "3300000000000000" "00000000"
+      "02" "01000000" "02" "0000000000000000" "07000000"
+      "03" "01000000" "01" "0000000000000000" "00000000";
+  const std::string path = ::testing::TempDir() + "/trace_pinned.bin";
+  ASSERT_TRUE(SaveWorkload(w, path));
+  std::vector<std::uint8_t> file;
+  ASSERT_TRUE(art::ReadFile(path, file));
+  std::remove(path.c_str());
+  EXPECT_EQ(ToHex(file, file.size()), "0x" + hex);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(EncodeWorkload(w, AppendTo(image)));
+  EXPECT_TRUE(image == file);
 }
 
 TEST(TraceIo, EmptyWorkloadRoundTrips) {
