@@ -603,8 +603,26 @@ sync::CLeaf* OlcTree::FindLeafTraced(KeyView key, OpTracer* tracer,
                                      bool compact_layout,
                                      const sync::CNode** last_internal_out)
     const {
-  CRef ref = root();
-  std::size_t depth = 0;
+  return DescendTraced(root(), 0, key, tracer, hint_out, hint_depth,
+                       compact_layout, last_internal_out);
+}
+
+sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
+                                         OpTracer* tracer,
+                                         bool compact_layout) const {
+  assert(hint.node != nullptr);
+  return DescendTraced(CRef::FromNode(const_cast<CNode*>(hint.node)),
+                       hint.depth, key, tracer, /*hint_out=*/nullptr,
+                       /*hint_depth=*/0, compact_layout,
+                       /*last_internal_out=*/nullptr);
+}
+
+sync::CLeaf* OlcTree::DescendTraced(CRef ref, std::size_t depth, KeyView key,
+                                    OpTracer* tracer, PathHint* hint_out,
+                                    std::size_t hint_depth,
+                                    bool compact_layout,
+                                    const sync::CNode** last_internal_out)
+    const {
   while (!ref.IsNull()) {
     if (ref.IsLeaf()) {
       CLeaf* leaf = ref.AsLeaf();
@@ -687,36 +705,6 @@ std::size_t OlcTree::ScanTraced(
   const CRef r = root();
   if (!r.IsNull()) walk(r, 0, true);
   return emitted;
-}
-
-sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
-                                         OpTracer* tracer,
-                                         bool compact_layout) const {
-  assert(hint.node != nullptr);
-  CRef ref = CRef::FromNode(const_cast<CNode*>(hint.node));
-  std::size_t depth = hint.depth;
-  while (!ref.IsNull()) {
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      if (tracer) tracer->VisitLeaf(leaf);
-      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
-    }
-    const CNode* node = ref.AsNode();
-    if (tracer) tracer->VisitInternal(node, ScanCost(node),
-                                      compact_layout);
-    const std::uint8_t stored = node->stored_prefix_len;
-    const std::uint32_t prefix_len = node->prefix_len;
-    const std::size_t cmp = std::min<std::size_t>(stored, key.size() - depth);
-    for (std::size_t i = 0; i < cmp; ++i) {
-      if (node->prefix[i] != key[depth + i]) return nullptr;
-    }
-    if (key.size() - depth < prefix_len) return nullptr;
-    depth += prefix_len;
-    if (depth >= key.size()) return nullptr;
-    ref = FindChild(node, key[depth]);
-    ++depth;
-  }
-  return nullptr;
 }
 
 }  // namespace dcart::baselines

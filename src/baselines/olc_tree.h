@@ -128,6 +128,12 @@ class OlcTree {
   std::optional<art::Value> TryLookup(KeyView key, sync::SyncStats& stats,
                                       OpTracer* tracer,
                                       bool& need_restart) const;
+  /// The traced descent both FindLeafTraced* entry points run, from `ref`
+  /// with `depth` key bytes consumed.
+  sync::CLeaf* DescendTraced(sync::CRef ref, std::size_t depth, KeyView key,
+                             OpTracer* tracer, PathHint* hint_out,
+                             std::size_t hint_depth, bool compact_layout,
+                             const sync::CNode** last_internal_out) const;
 
   void Retire(std::size_t tid, sync::CNode* node);
 

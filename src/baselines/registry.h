@@ -48,8 +48,7 @@ struct EngineOptions {
   /// Default (empty dir) runs without durability.
   resilience::ResilienceOptions resilient;
   /// Replication options for "DCART-CP-HA" (durability home, link kind,
-  /// window, drain mode, cadence).  Default (empty dir) runs the pair in
-  /// memory.
+  /// cadence).  Default (empty dir) runs the pair in memory.
   resilience::ReplicationOptions replication;
   /// Sharding options for "DCART-CLUSTER" (shard count, durability home,
   /// per-pair replication).  Default: 4 in-memory shards.

@@ -75,7 +75,7 @@ struct ClusterOptions {
   /// fenced old epoch's files can never shadow the new owner's.  Empty:
   /// every pair runs in memory.
   std::string dir;
-  /// Per-pair replication options (window, sync mode, link kind...).  The
+  /// Per-pair replication options (link kind, snapshot cadence).  The
   /// `dir` field inside is ignored — the cluster assigns per-shard homes.
   resilience::ReplicationOptions replication;
 };

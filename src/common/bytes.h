@@ -7,7 +7,8 @@
 //
 // ByteWriter and ByteReader are the one writer and the one reader every
 // durable and wire format goes through: SN1-SN3 snapshots, DCWTRC02
-// traces, DCJRNL01 record payloads and the replication wire header.
+// traces, DCJRNL01 journals and their record payloads, and the
+// replication wire header.
 #pragma once
 
 #include <cstddef>
@@ -158,6 +159,14 @@ class ByteReader {
   template <typename T>
   bool Pod(T& value) {
     return Bytes(&value, sizeof value);
+  }
+
+  /// The next `n` bytes in place, without a copy.
+  bool Span(std::size_t n, std::span<const std::uint8_t>& out) {
+    if (remaining() < n) return false;
+    out = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return true;
   }
 
   /// u32 length, then that many bytes into `out`.

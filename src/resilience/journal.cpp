@@ -1,8 +1,10 @@
 #include "resilience/journal.h"
 
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 
+#include "art/serialize.h"
 #include "common/crc32.h"
 #include "resilience/fault_injector.h"
 #include "workload/trace_io.h"
@@ -127,48 +129,49 @@ void OpJournal::Close() {
   }
 }
 
-std::uint64_t ReplayJournal(const std::string& path,
+std::uint64_t DecodeJournal(std::span<const std::uint8_t> image,
                             std::vector<Operation>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-
-  std::uint64_t records = 0;
+  ByteReader in(image);
   char magic[sizeof kMagic];
-  if (std::fread(magic, 1, sizeof magic, f) != sizeof magic ||
+  if (!in.Bytes(magic, sizeof magic) ||
       std::memcmp(magic, kMagic, sizeof magic) != 0) {
-    std::fclose(f);
     return 0;
   }
-
-  const std::size_t checkpoint = out.size();
-  std::vector<std::uint8_t> payload;
+  std::uint64_t records = 0;
   for (;;) {
-    std::uint32_t len = 0;
-    std::uint32_t expected_crc = 0;
-    if (std::fread(&len, sizeof len, 1, f) != 1 ||
-        std::fread(&expected_crc, sizeof expected_crc, 1, f) != 1) {
-      break;  // clean EOF or torn header
-    }
-    if (len > kMaxPayloadBytes) break;  // corrupt length field
-    payload.resize(len);
-    if (len > 0 && std::fread(payload.data(), 1, len, f) != len) break;
-    if (Crc32(payload.data(), payload.size()) != expected_crc) break;
-
-    // Decode the payload.  A record that passed its CRC but does not parse
-    // (or carries the wrong sequence) is treated like corruption: stop,
-    // replaying nothing from it.
-    std::uint64_t sequence = 0;
+    // Stop at the end, a torn record (a length past the bytes left), a CRC
+    // mismatch, or a record that passed its CRC but does not parse or
+    // carries the wrong sequence; that record contributes nothing.
     const std::size_t record_start = out.size();
-    const Status decoded = DecodeRecordPayload(payload, sequence, out);
-    if (!decoded.ok() || sequence != records) {
+    std::uint32_t len = 0;
+    std::uint32_t crc = 0;
+    std::span<const std::uint8_t> payload;
+    std::uint64_t sequence = 0;
+    if (!in.Pod(len) || !in.Pod(crc) || !in.Span(len, payload) ||
+        Crc32(payload.data(), payload.size()) != crc ||
+        !DecodeRecordPayload(payload, sequence, out).ok() ||
+        sequence != records) {
       out.resize(record_start);
-      break;
+      return records;
     }
     ++records;
   }
-  std::fclose(f);
-  if (records == 0) out.resize(checkpoint);
-  return records;
+}
+
+Status ReplayJournal(const std::string& path, std::vector<Operation>& out,
+                     std::uint64_t* records) {
+  std::vector<std::uint8_t> image;
+  std::uint64_t decoded = 0;
+  if (art::ReadFile(path, image)) {
+    decoded = DecodeJournal(image, out);
+  } else {
+    std::error_code missing;
+    if (std::filesystem::exists(path, missing) || missing) {
+      return Status::Error("journal " + path + " exists but is unreadable");
+    }
+  }
+  if (records != nullptr) *records = decoded;
+  return Status::Ok();
 }
 
 }  // namespace dcart::resilience

@@ -8,7 +8,9 @@
 // keeps its own sequence number.  After a crash, recovery loads the latest
 // valid SaveTree snapshot and replays the journal tail — the CRC framing
 // makes a torn or bit-flipped tail record detectable, so it is truncated
-// rather than trusted.
+// rather than trusted.  Replay reads a journal whole and decodes the bytes
+// in memory (DecodeJournal), so a forged length can never size a read or
+// an allocation beyond the file.
 //
 // Format (little-endian; the per-op encoding is the DCWTRC02 trace's, one
 // EncodeOp/DecodeOp pair in workload/trace_io.h):
@@ -32,10 +34,9 @@
 
 namespace dcart::resilience {
 
-/// A record payload longer than this cannot be real (a record holds one
-/// batch); a length field above it is corruption.  The replication wire
-/// framing bounds every frame payload by it, the SN3 tree image of a
-/// kSnapshot frame included.
+/// The longest frame payload the replication wire framing accepts: a
+/// record holds one batch, and a kSnapshot frame one SN3 tree image.  A
+/// length field above it is corruption.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 
 // ------------------------------------------------------ record streaming --
@@ -96,13 +97,23 @@ class OpJournal {
   std::vector<std::uint8_t> scratch_;  // payload build buffer, reused
 };
 
-/// Replay the valid prefix of the journal at `path`: append the writes and
-/// removes of its records to `out`, in order.  Stops at EOF, the first torn
-/// record, a CRC mismatch, or a malformed
-/// payload — everything before the stop point is intact by construction.
-/// Returns the number of complete records consumed (0 for a missing or
-/// unrecognizable file).
-std::uint64_t ReplayJournal(const std::string& path,
+/// Decode the valid prefix of a journal image: append the writes and
+/// removes of its records to `out`, in order.  Parses the bytes through
+/// one ByteReader, so every length is checked against the bytes present
+/// before it drives a read or an allocation.  Stops at the end, the first
+/// torn record, a CRC mismatch, a malformed payload or an out-of-order
+/// sequence — everything before the stop point is intact by construction,
+/// and nothing of the record it stops at is kept.  Returns the number of
+/// complete records consumed (0 for an image without the magic).
+std::uint64_t DecodeJournal(std::span<const std::uint8_t> image,
                             std::vector<Operation>& out);
+
+/// DecodeJournal over the file at `path`, read whole through art::ReadFile
+/// (the file-short-read fault site); the record count goes to `*records`
+/// when it is given.  A missing journal holds no records.  One that exists
+/// but cannot be read is an error naming it: replaying without it would
+/// drop acknowledged batches.
+Status ReplayJournal(const std::string& path, std::vector<Operation>& out,
+                     std::uint64_t* records = nullptr);
 
 }  // namespace dcart::resilience

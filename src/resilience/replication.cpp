@@ -19,9 +19,9 @@ constexpr std::size_t kWireHeaderBytes = 8;    // u32 wire_len + u32 wire_crc
 constexpr std::size_t kFrameHeaderBytes = 26;  // frame block before payload
 constexpr std::size_t kMaxWireLen = kFrameHeaderBytes + kMaxPayloadBytes;
 constexpr std::size_t kPartialReadBytes = 3;   // kNetPartialRead haul cap
-// Pumps without an ack before a record is retransmitted; doubles per attempt
-// up to the cap (1 tick ~ 1 ms for the gauge).  The reconnect backoff starts
-// and stops at the same two values.
+// Pumps without an answer before the pending frame is resent; doubles per
+// attempt up to the cap (1 tick ~ 1 ms for the gauge).  The reconnect
+// backoff starts and stops at the same two values.
 constexpr std::uint64_t kRetryTimeoutTicks = 4;
 constexpr std::uint64_t kBackoffCapTicks = 64;
 // Livelock safety valve: a drain that pumps this many ticks without
@@ -405,7 +405,7 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
   if (wedged_) return;  // local disk failed: stop acking, let the stall show
   if (frame.sequence < next_sequence_) {
     // Duplicate delivery (injected, or a retransmit racing its own ack):
-    // never re-apply, but re-ack so the primary's window can advance.
+    // never re-apply, but re-ack so a lost ack cannot stall the primary.
     Metrics().duplicates_dropped->Increment();
     SendAck(link, /*with_checksum=*/false);
     return;
@@ -440,10 +440,18 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
 }
 
 void ReplicaEngine::HandleSnapshot(ReplicationLink& link, const Frame& frame) {
+  if (frame.sequence < next_sequence_) {
+    // A late copy of an image this replica has since moved past (resends
+    // and delays leave them on the link): applying it would roll back
+    // records the primary counts as acknowledged.
+    Metrics().duplicates_dropped->Increment();
+    SendAck(link, /*with_checksum=*/false);
+    return;
+  }
   // A snapshot supersedes everything local: bootstrap, divergence resync,
-  // and beyond-window catch-up all land here.  The payload is the primary
-  // tree's SN3 image, held to every check LoadTree makes before anything
-  // local is touched.
+  // and the catch-up of a replica missing a record the primary no longer
+  // holds all land here.  The payload is the primary tree's SN3 image,
+  // held to every check LoadTree makes before anything local is touched.
   art::Tree image;
   if (!art::DecodeTree(frame.payload, image)) {
     Metrics().crc_rejects->Increment();
@@ -539,10 +547,6 @@ ReplicatedEngine::~ReplicatedEngine() = default;
 void ReplicatedEngine::Load(
     const std::vector<std::pair<Key, art::Value>>& items) {
   primary_->Load(items);
-  inflight_.clear();
-  next_sequence_ = 0;
-  acked_floor_ = 0;
-  acked_ops_ = 0;
   // Bootstrap the replica from a snapshot frame — the same resync path a
   // diverged or far-behind replica takes, so bootstrap exercises it too.
   // Load() has no error channel; a failed sync is parked for the next Run().
@@ -593,6 +597,9 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
     return result;
   }
 
+  // A Run() counts only the ops it ships.  Those of an earlier Run() whose
+  // delivery gave up were reported unacknowledged, and their clients retry.
+  unacked_ops_ = 0;
   const std::uint64_t acked_ops_before = acked_ops_;
   const std::size_t batch_size = std::max<std::size_t>(1, config.batch_size);
   for (std::size_t begin = 0; begin < ops.size(); begin += batch_size) {
@@ -602,15 +609,10 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
     result.Merge(primary_->Run(batch, inner));
     if (!result.status.ok()) break;  // primary crashed: stop shipping
 
+    // The batch is not HA-acknowledged until its record is replica-durable,
+    // so a primary loss at any boundary loses nothing acknowledged.
     result.status.Update(ShipRecord(batch));
     if (!result.status.ok()) break;
-    if (options_.drain_every_batch) {
-      // Synchronous mode: the batch is not HA-acknowledged until the record
-      // is replica-durable, so a primary loss at any boundary loses nothing
-      // that was acknowledged.
-      result.status.Update(DrainInflight());
-      if (!result.status.ok()) break;
-    }
   }
   if (primary_alive_ && !primary_->crashed()) {
     result.status.Update(Drain());
@@ -618,53 +620,32 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
   // HA acknowledgement = replica-durable (strictly stronger than the
   // primary-journaled acknowledgement the inner engine counts).
   result.ops_acknowledged = acked_ops_ - acked_ops_before;
-  Metrics().replica_lag_records->Set(
-      static_cast<double>(next_sequence_ - acked_floor_));
   return result;
 }
 
 Status ReplicatedEngine::ShipRecord(std::span<const Operation> ops) {
-  // Respect the bounded window before admitting a new record.
-  if (inflight_.size() >= std::max<std::size_t>(1, options_.window)) {
-    Status drained = PumpUntil(
-        [this] {
-          return inflight_.size() < std::max<std::size_t>(1, options_.window);
-        },
-        "in-flight window");
-    if (!drained.ok() && resync_needed_) {
-      // The window stalled because the replica fell behind it; a snapshot
-      // resync clears the window and the ship can proceed.
-      drained = SyncSnapshot();
-    }
-    if (!drained.ok()) return drained;
-  }
-  InFlight entry;
-  entry.sequence = next_sequence_;
-  entry.op_count = ops.size();
-  entry.frame.type = FrameType::kRecord;
-  entry.frame.sequence = next_sequence_;
-  entry.frame.payload_crc =
-      EncodeRecordPayload(next_sequence_, ops, entry.frame.payload);
-  entry.last_sent = link_.now();
-  entry.attempts = 1;
-  ++next_sequence_;
+  unacked_ops_ += ops.size();
+  // A delivery gave up, so the replica may lack a record this primary no
+  // longer holds: resync it instead, and the image carries this batch.
+  if (acked_floor_ < next_sequence_) return SyncSnapshot();
+  Frame frame;
+  frame.type = FrameType::kRecord;
+  frame.sequence = next_sequence_++;
+  frame.payload_crc = EncodeRecordPayload(frame.sequence, ops, frame.payload);
   Metrics().records_shipped->Increment();
-  inflight_.push_back(std::move(entry));
-  SendFrame(inflight_.back().frame);
-  Metrics().replica_lag_records->Set(
-      static_cast<double>(next_sequence_ - acked_floor_));
-  return Status::Ok();
+  Metrics().replica_lag_records->Set(1);
+  return Deliver(frame,
+                 [this, &frame] { return acked_floor_ > frame.sequence; });
 }
 
 void ReplicatedEngine::SendFrame(const Frame& frame) {
   const Status sent = link_.SendToReplica(frame);
   if (!sent.ok() && link_.now() >= next_reconnect_) {
     // Link refused (disconnected, or the send itself tore it down).  The
-    // record stays in flight; schedule the next reconnect attempt with
+    // frame stays pending; schedule the next reconnect attempt with
     // exponential backoff (1 tick ~ 1 ms for the gauge).  Only schedule
     // when none is pending: pushing next_reconnect_ forward on every failed
-    // send would postpone the reconnect indefinitely while several overdue
-    // frames keep retrying.
+    // send would postpone the reconnect indefinitely.
     reconnect_backoff_ = reconnect_backoff_ == 0
                              ? kRetryTimeoutTicks
                              : std::min(reconnect_backoff_ * 2, kBackoffCapTicks);
@@ -701,37 +682,18 @@ void ReplicatedEngine::PumpOnce() {
         break;  // wrong direction; ignore
     }
   }
-  // Retransmit every in-flight record whose ack is overdue, with per-record
-  // exponential backoff so a struggling link is not hammered.  A dead link
-  // fails every send anyway: hold retransmissions until the reconnect, so
-  // the outage does not inflate per-record attempt counts.
-  if (!link_.connected()) return;
-  for (InFlight& entry : inflight_) {
-    const std::uint64_t base = std::min(
-        kRetryTimeoutTicks << std::min<std::uint32_t>(entry.attempts - 1, 16),
-        kBackoffCapTicks);
-    // Jitter per (sequence, attempt): records stalled by the same fault
-    // spread their retransmissions instead of re-bursting in lockstep.
-    const std::uint64_t wait = JitteredBackoff(
-        base, entry.sequence * 0x100000001b3ull + entry.attempts);
-    if (link_.now() - entry.last_sent >= wait) {
-      entry.last_sent = link_.now();
-      ++entry.attempts;
-      Metrics().retries->Increment();
-      Metrics().backoff_ms->Set(static_cast<double>(wait));
-      SendFrame(entry.frame);
-    }
-  }
 }
 
 void ReplicatedEngine::HandleAck(const Frame& frame) {
   if (frame.sequence > acked_floor_) {
-    while (!inflight_.empty() && inflight_.front().sequence < frame.sequence) {
-      acked_ops_ += inflight_.front().op_count;
-      Metrics().records_acked->Increment();
-      inflight_.pop_front();
-    }
+    Metrics().records_acked->Add(frame.sequence - acked_floor_);
     acked_floor_ = frame.sequence;
+    if (acked_floor_ == next_sequence_) {
+      // Everything shipped is replica-durable, the ops of any record a
+      // snapshot carried across included.
+      acked_ops_ += unacked_ops_;
+      unacked_ops_ = 0;
+    }
     Metrics().replica_lag_records->Set(
         static_cast<double>(next_sequence_ - acked_floor_));
   }
@@ -743,96 +705,75 @@ void ReplicatedEngine::HandleAck(const Frame& frame) {
 }
 
 void ReplicatedEngine::HandleCatchUp(const Frame& frame) {
-  if (frame.sequence >= next_sequence_) {
-    // The replica's floor already covers everything shipped; the rejected
-    // frame was a probe or a stale duplicate, and its own resend handles it.
-    return;
-  }
-  if (inflight_.empty() || frame.sequence < inflight_.front().sequence) {
-    // The replica's floor is behind our window (it was reset, or the gap
-    // outlived retention): only a snapshot can resync it.  Flagged here,
-    // shipped by the drain loop — resyncing inside the pump would recurse.
-    resync_needed_ = true;
-    return;
-  }
-  for (InFlight& entry : inflight_) {
-    if (entry.sequence >= frame.sequence) {
-      entry.last_sent = link_.now();
-      ++entry.attempts;
-      Metrics().retries->Increment();
-      SendFrame(entry.frame);
-    }
+  // The replica rejected a copy of the pending frame (a truncated one, say):
+  // resend it now rather than at its backoff.  Any other request is stale,
+  // as the replica's floor never moves back and only one frame is pending.
+  if (pending_ != nullptr && frame.sequence == pending_->sequence) {
+    resend_at_ = link_.now();
   }
 }
 
 template <typename Predicate>
-Status ReplicatedEngine::PumpUntil(Predicate done, const char* what) {
-  std::uint64_t ticks = 0;
-  while (!done()) {
-    if (resync_needed_) {
-      return Status::Error("replication stalled: replica needs a snapshot "
-                           "resync");
-    }
+Status ReplicatedEngine::Deliver(const Frame& frame, Predicate done) {
+  pending_ = &frame;
+  resend_at_ = link_.now();
+  std::uint32_t attempts = 0;
+  Status status;
+  for (std::uint64_t ticks = 0; !done(); PumpOnce()) {
     if (replica_->wedged()) {
-      return Status::Error(
+      status = Status::Error(
           "replication stalled: replica wedged (local journal/snapshot "
           "failure), acks will not resume");
+      break;
     }
     if (++ticks > kMaxDrainTicks) {
       // The stuck state matters more than the fact of the timeout: an
       // operator (or a failing chaos test) needs to see which side stalled.
-      return Status::Error(
+      const char* what = frame.type == FrameType::kRecord     ? "record "
+                         : frame.type == FrameType::kSnapshot ? "snapshot "
+                                                              : "probe ";
+      status = Status::Error(
           std::string("replication drain timed out: ") + what +
-          " (inflight=" + std::to_string(inflight_.size()) +
-          ", shipped=" + std::to_string(next_sequence_) +
+          std::to_string(frame.sequence) +
+          " (shipped=" + std::to_string(next_sequence_) +
           ", acked_floor=" + std::to_string(acked_floor_) +
           ", replica_applied=" + std::to_string(replica_->applied_records()) +
           ", link=" + (link_.connected() ? "up" : "down") + ")");
+      break;
     }
-    PumpOnce();
-  }
-  return Status::Ok();
-}
-
-template <typename Predicate>
-Status ReplicatedEngine::SendUntil(const Frame& frame, Predicate done,
-                                   const std::string& what) {
-  SendFrame(frame);
-  // The frame is not window-tracked, so resend it here on timeout.
-  std::uint64_t ticks = 0;
-  std::uint64_t last_sent = link_.now();
-  while (!done()) {
-    if (replica_->wedged()) {
-      return Status::Error(what + " stalled: replica wedged");
+    // A dead link fails every send anyway: hold resends until the
+    // reconnect, so the outage does not inflate the backoff.
+    if (link_.now() < resend_at_ || (attempts > 0 && !link_.connected())) {
+      continue;
     }
-    if (++ticks > kMaxDrainTicks) {
-      return Status::Error(what + " timed out");
-    }
-    if (link_.now() - last_sent >= kRetryTimeoutTicks) {
-      last_sent = link_.now();
+    const bool resend = attempts++ > 0;
+    // Exponential backoff per attempt, jittered per (sequence, attempt):
+    // frames stalled by the same fault spread their resends instead of
+    // re-bursting in lockstep.
+    const std::uint64_t base = std::min(
+        kRetryTimeoutTicks << std::min<std::uint32_t>(attempts - 1, 16),
+        kBackoffCapTicks);
+    const std::uint64_t wait =
+        JitteredBackoff(base, frame.sequence * 0x100000001b3ull + attempts);
+    resend_at_ = link_.now() + wait;
+    if (resend) {
       Metrics().retries->Increment();
-      SendFrame(frame);
+      Metrics().backoff_ms->Set(static_cast<double>(wait));
     }
-    PumpOnce();
+    SendFrame(frame);
   }
-  return Status::Ok();
-}
-
-Status ReplicatedEngine::DrainInflight() {
-  Status drained =
-      PumpUntil([this] { return inflight_.empty(); }, "in-flight records");
-  if (resync_needed_) {
-    resync_needed_ = false;
-    drained = SyncSnapshot();
-  }
-  return drained;
+  pending_ = nullptr;
+  return status;
 }
 
 Status ReplicatedEngine::Drain() {
   if (!link_error_.ok()) return link_error_;
   if (!primary_alive_) return Status::Ok();  // fenced: nothing to ship
-  Status status = DrainInflight();
-  if (!status.ok()) return status;
+  if (acked_floor_ < next_sequence_) {
+    // A delivery gave up: only a snapshot brings the replica level.
+    const Status synced = SyncSnapshot();
+    if (!synced.ok()) return synced;
+  }
   return VerifyChecksum();
 }
 
@@ -840,9 +781,9 @@ Status ReplicatedEngine::VerifyChecksum() {
   const std::uint64_t expected = TreeChecksum(primary_->tree());
   for (int round = 0; round < 2; ++round) {
     replica_checksum_.reset();
-    const Status probed = SendUntil(
-        ControlFrame(FrameType::kChecksumProbe, next_sequence_),
-        [this] { return replica_checksum_.has_value(); }, "checksum probe");
+    const Status probed =
+        Deliver(ControlFrame(FrameType::kChecksumProbe, next_sequence_),
+                [this] { return replica_checksum_.has_value(); });
     if (!probed.ok()) return probed;
     if (*replica_checksum_ == expected) return Status::Ok();
     // Divergence: the replica's tree is not ours.  Resync it wholesale and
@@ -869,35 +810,22 @@ Status ReplicatedEngine::BuildSnapshotFrame(Frame& frame) const {
 }
 
 Status ReplicatedEngine::SyncSnapshot() {
+  // Every image takes a floor of its own, so a late copy of any earlier
+  // one is below the replica's floor and dropped, and a sync that gives up
+  // leaves the acked floor behind: the next ShipRecord() or Drain() retries.
+  ++next_sequence_;
   Frame frame;
   const Status built = BuildSnapshotFrame(frame);
   if (!built.ok()) return built;
   const std::uint64_t expected = TreeChecksum(primary_->tree());
-  // The snapshot covers every in-flight record's effects; retiring them
-  // here keeps the acked-ops ledger exact (their ops arrive via the image).
-  while (!inflight_.empty()) {
-    acked_ops_ += inflight_.front().op_count;
-    inflight_.pop_front();
-  }
-  acked_floor_ = next_sequence_;
-  resync_needed_ = false;
   Metrics().snapshots_shipped->Increment();
   replica_checksum_.reset();
   // Wait for a checksummed ack proving the replica applied *this* image
   // (a stale ack cannot match: the checksum pins the exact tree content).
-  const Status synced = SendUntil(
-      frame,
-      [this, expected] {
-        return replica_checksum_.has_value() && *replica_checksum_ == expected;
-      },
-      "snapshot resync");
-  if (!synced.ok()) return synced;
-  // Catch-up requests raced by the resync (e.g. the replica rejecting a
-  // truncated copy of this very image) are answered by it; don't let a
-  // stale flag trigger a second resync.
-  resync_needed_ = false;
-  Metrics().replica_lag_records->Set(0.0);
-  return Status::Ok();
+  // That ack's floor is next_sequence_, so HandleAck has counted every
+  // shipped op acknowledged by the time it matches.
+  return Deliver(frame,
+                 [this, expected] { return replica_checksum_ == expected; });
 }
 
 void ReplicatedEngine::KillPrimary() { primary_alive_ = false; }

@@ -21,12 +21,13 @@
 //                      recovers from) and replays it serially, staying
 //                      byte-identical with the primary.
 //   Catch-up         — on any gap, CRC reject, or truncation the replica
-//                      requests retransmission from its applied floor; a
-//                      replica too far behind (or freshly bootstrapped, or
-//                      diverged) is resynced with a snapshot frame: the
-//                      primary tree's SN3 image (art/serialize.h), the
-//                      bytes SaveTree writes, which the replica decodes
-//                      with every check LoadTree makes.
+//                      requests retransmission from its applied floor, and
+//                      the primary resends the frame it is delivering; a
+//                      replica that may lack a record (a delivery gave up),
+//                      a fresh one and a diverged one are resynced with a
+//                      snapshot frame: the primary tree's SN3 image
+//                      (art/serialize.h), the bytes SaveTree writes, which
+//                      the replica decodes with every check LoadTree makes.
 //   Divergence       — tree checksums (CRC32 over the canonical sorted
 //                      stream) are exchanged on the probe every Drain()
 //                      sends and on the ack of each snapshot; a mismatch
@@ -44,9 +45,11 @@
 // fixed order — disconnect, drop, truncate, delay, duplicate, reorder —
 // and three net-* sites model a byte stream: a write that lands half a
 // frame and tears the stream, a read that returns a few bytes, a redial
-// that times out.  The primary's shipping state machine answers them with
-// sequence-numbered cumulative acks, a bounded in-flight window,
-// retransmit timeouts with exponential backoff, and automatic reconnect.
+// that times out.  The primary answers them stop-and-wait: it sends one
+// frame (a record, a snapshot or a checksum probe) and resends it on a
+// jittered exponential backoff until the answer that proves delivery
+// arrives — a sequence-numbered cumulative ack, or a checksummed one —
+// reconnecting when the link drops.
 //
 // Wire format (per frame, little-endian host order — both ends live in one
 // process, and a cross-host deployment would pin the encoding anyway):
@@ -246,14 +249,6 @@ struct ReplicationOptions {
   /// catch-up, and divergence machinery still operate, but promotion can
   /// only serve the live tree.
   std::string dir;
-  /// Max unacked records in flight before shipping blocks on the window.
-  std::size_t window = 8;
-  /// Synchronous mode (default): every batch drains its record to the
-  /// replica before the next begins, so an acknowledged operation is
-  /// durable on BOTH sides — killing the primary at any record boundary
-  /// loses nothing.  Async mode lets the window pipeline across batches
-  /// (replication.replica_lag_records tracks the exposure).
-  bool drain_every_batch = true;
   /// Forwarded to both sides' generation cadence.
   std::size_t snapshot_every_batches = 8;
 };
@@ -328,10 +323,12 @@ class ReplicaEngine {
 
 /// "DCART-CP-HA" in the registry: a primary ResilientEngine plus a
 /// log-shipped ReplicaEngine behind one IndexEngine surface.  Run()
-/// executes batches on the primary (journaled locally first — the
-/// acknowledgement rule is unchanged), ships each acknowledged batch's
-/// sealed record, and drains the link per the options' mode.  After
-/// KillPrimary() + Promote(), Run()/Lookup() route to the promoted replica.
+/// executes batches on the primary (journaled locally first), ships each
+/// batch's sealed record and waits for the replica's ack before the next
+/// batch: an operation is HA-acknowledged only once its record is
+/// replica-durable, so killing the primary at any record boundary loses
+/// nothing acknowledged.  After KillPrimary() + Promote(), Run()/Lookup()
+/// route to the promoted replica.
 class ReplicatedEngine : public IndexEngine {
  public:
   explicit ReplicatedEngine(ReplicationOptions options = {});
@@ -343,9 +340,10 @@ class ReplicatedEngine : public IndexEngine {
                       const RunConfig& config) override;
   std::optional<art::Value> Lookup(KeyView key) const override;
 
-  /// Pump until every in-flight record is acked, then run one checksum
-  /// probe exchange; a mismatch triggers a snapshot resync.  Run() calls
-  /// this at its end; tests call it to assert convergence under faults.
+  /// Resync the replica with a snapshot if a delivery gave up, then run
+  /// one checksum probe exchange; a mismatch triggers a snapshot resync.
+  /// Run() calls this at its end; tests call it to assert convergence
+  /// under faults.
   Status Drain();
 
   /// Simulated loss of the primary box: the primary stops serving,
@@ -355,9 +353,9 @@ class ReplicatedEngine : public IndexEngine {
 
   /// Failover: promote the replica (see ReplicaEngine::Promote) and route
   /// all subsequent traffic to it.  Also fences the old primary.  Before
-  /// promoting, every frame already deliverable on the link is drained into
-  /// the replica, so a promote that lands mid-catch-up replays the
-  /// remaining window instead of abandoning it.  A duplicate Promote()
+  /// promoting, every frame already on the link, delayed ones included, is
+  /// drained into the replica, so a record the primary sent but never saw
+  /// acked is replayed instead of abandoned.  A duplicate Promote()
   /// returns StatusCode::kAlreadyPromoted without touching the replica.
   Status Promote();
   bool promoted() const { return replica_->promoted(); }
@@ -378,6 +376,9 @@ class ReplicatedEngine : public IndexEngine {
   /// replica's after).
   const art::Tree& tree() const;
 
+  /// Sequences handed out: one per record shipped and one per snapshot
+  /// image, which stands for every record before it.  They count on
+  /// across Load()s.
   std::uint64_t records_shipped() const { return next_sequence_; }
   std::uint64_t acked_records() const { return acked_floor_; }
   std::uint64_t acked_ops() const { return acked_ops_; }
@@ -389,59 +390,47 @@ class ReplicatedEngine : public IndexEngine {
  private:
   bool durable() const { return !options_.dir.empty(); }
 
-  /// Encode `ops` as the next sealed record, enter it into the in-flight
-  /// window (blocking on the window first), and send it.
+  /// Encode `ops` as the next sealed record and deliver it; after a
+  /// delivery gave up, resync with a snapshot that carries the batch.
   Status ShipRecord(std::span<const Operation> ops);
-  /// One pump: tick, deliver, replica turn, process acks/catch-ups,
-  /// retransmit timeouts, reconnect backoff.
+  /// Make `frame` the one pending frame, send it, and pump until `done()`,
+  /// resending on a jittered exponential backoff while the link is up.
+  /// Gives up on a wedged replica or after the drain tick budget.
+  template <typename Predicate>
+  Status Deliver(const Frame& frame, Predicate done);
+  /// One pump: tick, reconnect backoff, replica turn, acks/catch-ups.
   void PumpOnce();
-  /// Pump until `done()` or the drain tick budget runs out.
-  template <typename Predicate>
-  Status PumpUntil(Predicate done, const char* what);
-  /// Send `frame`, resending it on timeout, and pump until `done()`.
-  template <typename Predicate>
-  Status SendUntil(const Frame& frame, Predicate done,
-                   const std::string& what);
-  /// Pump until the in-flight window is empty.
-  Status DrainInflight();
   /// One checksum probe exchange; on mismatch, snapshot resync + re-probe.
   Status VerifyChecksum();
-  /// Ship a full snapshot and pump until the replica acks it checksummed.
+  /// Deliver a full snapshot, at a floor of its own, until the replica
+  /// acks it checksummed.
   Status SyncSnapshot();
   /// The primary tree's SN3 image (art/serialize.h) as a kSnapshot frame.
   Status BuildSnapshotFrame(Frame& frame) const;
   void HandleAck(const Frame& frame);
   void HandleCatchUp(const Frame& frame);
-  /// Send with disconnect handling: a failed send leaves the record
-  /// in-flight for the retransmit path; schedules the reconnect backoff.
+  /// Send with disconnect handling: a refused send schedules the reconnect
+  /// backoff, and Deliver() resends once the link is back.
   void SendFrame(const Frame& frame);
-
-  struct InFlight {
-    std::uint64_t sequence = 0;
-    Frame frame;                     // retained verbatim for retransmit
-    std::uint64_t op_count = 0;
-    std::uint64_t last_sent = 0;     // tick of the most recent send
-    std::uint32_t attempts = 0;      // sends so far (drives backoff)
-  };
 
   ReplicationOptions options_;
   std::unique_ptr<ResilientEngine> primary_;
   std::unique_ptr<ReplicaEngine> replica_;
   ReplicationLink link_;
 
-  std::deque<InFlight> inflight_;
-  std::uint64_t next_sequence_ = 0;  // next record sequence to assign
+  // The frame Deliver() is waiting on (null between deliveries) and the
+  // tick its next resend is due.
+  const Frame* pending_ = nullptr;
+  std::uint64_t resend_at_ = 0;
+  std::uint64_t next_sequence_ = 0;  // next record or image sequence
   std::uint64_t acked_floor_ = 0;    // records below this are replica-durable
   std::uint64_t acked_ops_ = 0;      // ops covered by acked records
+  std::uint64_t unacked_ops_ = 0;    // ops this Run() shipped, not yet acked
   std::uint64_t next_reconnect_ = 0;  // earliest tick to try Reconnect()
   std::uint64_t reconnect_backoff_ = 0;
   // Latest comparable replica tree checksum (only stored when the replica's
   // ack floor equals next_sequence_, i.e. it has applied everything).
   std::optional<std::uint64_t> replica_checksum_;
-  // Set when a catch-up request falls behind the in-flight window; the
-  // drain loop answers it with a snapshot resync (resyncing from inside the
-  // pump would recurse).
-  bool resync_needed_ = false;
   // Bootstrap-sync failure parked by Load() (void signature), surfaced by
   // the next Run().
   Status load_status_;

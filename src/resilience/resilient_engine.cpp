@@ -301,11 +301,18 @@ bool ResilientEngine::Recover() {
     // Replay every journal from this generation forward, in order.  Each
     // journal's CRC framing truncates a torn tail; a missing journal for
     // the snapshot's own generation means no batch was acknowledged after
-    // the checkpoint, which is fine.
+    // the checkpoint, which is fine.  A journal that is there but cannot
+    // be read fails the recovery: going on without it would drop
+    // acknowledged batches.
     const std::uint64_t newest = generations.front();
     std::vector<Operation> tail;
     for (std::uint64_t g = gen; g <= newest + 1; ++g) {
-      ReplayJournal(dir_.JournalPath(g), tail);
+      const Status replayed = ReplayJournal(dir_.JournalPath(g), tail);
+      if (!replayed.ok()) {
+        recover_error_ = replayed;
+        Metrics().recover_failures->Increment();
+        return false;
+      }
     }
     ApplyToTree(tree, tail);
     recovered_ops_ = tail.size();

@@ -1,23 +1,26 @@
 // Malformed-file corpus for every format the repo reads back: DCARTSN1-3
 // tree snapshots, DCWTRC02 workload traces, DCJRNL01 journals and their
-// record payloads, and replication wire frames.  Snapshots and traces also
-// get seeded mutation loops.  Truncations at every
+// record payloads, and replication wire frames.  Snapshots, traces and
+// journals also get seeded mutation loops.  Truncations at every
 // offset, flipped magics and bits, oversized length and count fields, and
 // CRC mismatches must all be rejected cleanly — no crash, no hang, no leak
 // (the CI fault-injection job runs this suite under AddressSanitizer) —
 // with the output left empty.  The injected short-read/short-write sites
 // are exercised here too, since they produce exactly these files.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <vector>
 
 #include "art/serialize.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
@@ -25,6 +28,7 @@
 #include "resilience/fault_injector.h"
 #include "resilience/journal.h"
 #include "resilience/replication.h"
+#include "resilience/resilient_engine.h"
 #include "workload/trace_io.h"
 
 namespace dcart {
@@ -576,6 +580,15 @@ TEST_F(MalformedFileTest, WorkloadSeededMutationsAreRejectedOrDecodeClean) {
 
 // ------------------------------------------------------------- journals
 
+/// Replay the journal at `path`, which must be readable, and return the
+/// number of records it held.
+std::uint64_t ReplayRecords(const std::string& path,
+                            std::vector<Operation>& out) {
+  std::uint64_t records = 0;
+  EXPECT_TRUE(resilience::ReplayJournal(path, out, &records).ok()) << path;
+  return records;
+}
+
 TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
   const std::string good = Temp("journal_good.log");
   std::vector<Operation> ops;
@@ -596,7 +609,7 @@ TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     WriteFile(cut, {bytes.begin(), bytes.begin() + len});
     std::vector<Operation> replayed;
-    const std::uint64_t records = resilience::ReplayJournal(cut, replayed);
+    const std::uint64_t records = ReplayRecords(cut, replayed);
     EXPECT_LE(records, 3u);
     EXPECT_EQ(replayed.size(), records * 10);  // whole records only
   }
@@ -609,7 +622,7 @@ TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
     mutated[mutated.size() - 5] ^= 0x01;  // inside the last record
     WriteFile(bad, mutated);
     std::vector<Operation> replayed;
-    EXPECT_EQ(resilience::ReplayJournal(bad, replayed), 2u);
+    EXPECT_EQ(ReplayRecords(bad, replayed), 2u);
     EXPECT_EQ(replayed.size(), 20u);
   }
   // A flipped magic byte rejects the whole file.
@@ -618,7 +631,7 @@ TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
     mutated[3] ^= 0xff;
     WriteFile(bad, mutated);
     std::vector<Operation> replayed;
-    EXPECT_EQ(resilience::ReplayJournal(bad, replayed), 0u);
+    EXPECT_EQ(ReplayRecords(bad, replayed), 0u);
     EXPECT_TRUE(replayed.empty());
   }
   // An absurd length field is treated as corruption, not an allocation.
@@ -630,7 +643,7 @@ TEST_F(MalformedFileTest, JournalCorruptionsTruncateNeverCrash) {
     mutated.insert(mutated.end(), {1, 2, 3, 4});
     WriteFile(bad, mutated);
     std::vector<Operation> replayed;
-    EXPECT_EQ(resilience::ReplayJournal(bad, replayed), 0u);
+    EXPECT_EQ(ReplayRecords(bad, replayed), 0u);
     EXPECT_TRUE(replayed.empty());
   }
 }
@@ -722,13 +735,146 @@ TEST_F(MalformedFileTest, JournalWithForgedOpCountReplaysOnlyTheGoodRecord) {
 
     std::vector<Operation> replayed;
     std::uint64_t records = 0;
-    EXPECT_NO_THROW(records = resilience::ReplayJournal(path, replayed));
+    EXPECT_NO_THROW(records = ReplayRecords(path, replayed));
     EXPECT_EQ(records, 1u);
     ASSERT_EQ(replayed.size(), 2u);
     EXPECT_EQ(replayed[0].key, EncodeU64(1));
     EXPECT_EQ(replayed[0].value, 11u);
     EXPECT_EQ(replayed[1].type, OpType::kRemove);
   }
+}
+
+TEST_F(MalformedFileTest, JournalLengthPastItsFileAllocatesNothing) {
+  // A record header claiming a 256 MiB payload in a 36-byte file.  Replay
+  // must size nothing by the claim; this process's peak RSS is the witness
+  // (zero-filling the claimed buffer would touch all of it).
+  const std::string path = Temp("journal_forged_len.log");
+  std::vector<std::uint8_t> bytes = {'D', 'C', 'J', 'R', 'N', 'L', '0', '1'};
+  ByteWriter header(bytes);
+  header.Pod(std::uint32_t{256u << 20});
+  header.Pod(std::uint32_t{0});
+  bytes.resize(36, 0xab);
+  WriteFile(path, bytes);
+
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::vector<Operation> replayed;
+  EXPECT_EQ(ReplayRecords(path, replayed), 0u);
+  EXPECT_TRUE(replayed.empty());
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)  // KiB
+      << "replay allocated by the forged length";
+}
+
+TEST_F(MalformedFileTest, JournalSeededMutationsDecodeToAPrefixOfTheRecords) {
+  // Three records laid out as OpJournal writes them, in memory.
+  std::vector<std::vector<Operation>> records(3);
+  std::vector<std::uint8_t> image = {'D', 'C', 'J', 'R', 'N', 'L', '0', '1'};
+  std::vector<std::size_t> len_fields;
+  for (std::uint64_t r = 0; r < records.size(); ++r) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      records[r].push_back({OpType::kWrite, EncodeU64(r * 10 + i), r + i});
+    }
+    records[r].push_back({OpType::kRemove, EncodeU64(r * 10), 0});
+    std::vector<std::uint8_t> payload;
+    const std::uint32_t crc =
+        resilience::EncodeRecordPayload(r, records[r], payload);
+    len_fields.push_back(image.size());
+    ByteWriter out(image);
+    out.Pod(static_cast<std::uint32_t>(payload.size()));
+    out.Pod(crc);
+    out.Bytes(payload.data(), payload.size());
+  }
+
+  // Every mutant decodes to the ops of its first k records, k included.
+  const auto check = [&records](const std::vector<std::uint8_t>& mutated,
+                                const std::string& what) {
+    std::vector<Operation> out;
+    const std::uint64_t k = resilience::DecodeJournal(mutated, out);
+    ASSERT_LE(k, records.size()) << what;
+    std::vector<Operation> want;
+    for (std::uint64_t r = 0; r < k; ++r) {
+      want.insert(want.end(), records[r].begin(), records[r].end());
+    }
+    ASSERT_EQ(out.size(), want.size()) << what;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].type, want[i].type) << what;
+      EXPECT_EQ(out[i].key, want[i].key) << what;
+      EXPECT_EQ(out[i].value, want[i].value) << what;
+    }
+  };
+  {
+    std::vector<Operation> all;
+    ASSERT_EQ(resilience::DecodeJournal(image, all), records.size());
+  }
+  SplitMix64 rng(EnvSeed());
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    std::vector<std::uint8_t> mutated = image;
+    mutated[i] ^= static_cast<std::uint8_t>(1 + rng.NextBounded(255));
+    check(mutated, "flip at " + std::to_string(i));
+  }
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    check({image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len)},
+          "cut at " + std::to_string(len));
+  }
+  for (const std::size_t at : len_fields) {
+    for (const std::uint32_t len : {~0u, resilience::kMaxPayloadBytes}) {
+      std::vector<std::uint8_t> mutated = image;
+      std::memcpy(mutated.data() + at, &len, sizeof len);
+      check(mutated, "len at " + std::to_string(at) + " inflated");
+    }
+  }
+}
+
+TEST_F(MalformedFileTest, JournalShortReadFailsRecoveryNamingTheJournal) {
+  // Recovery reads the newest snapshot, then its journal.  A short read of
+  // that journal must fail the recovery and name the file; recovering a
+  // shorter tail than the file holds would drop acknowledged batches.
+  namespace fs = std::filesystem;
+  resilience::ResilienceOptions options;
+  options.dir = ::testing::TempDir() + "/malformed_recover_short_read";
+  options.snapshot_every_batches = 3;
+  fs::remove_all(options.dir);
+  std::vector<std::pair<Key, art::Value>> items;
+  for (std::uint64_t i = 0; i < 100; ++i) items.emplace_back(EncodeU64(i), i);
+  std::vector<Operation> ops;
+  for (std::uint64_t i = 0; i < 128; ++i) {
+    ops.push_back({OpType::kWrite, EncodeU64(50 + i), 1000 + i});
+  }
+  RunConfig run;
+  run.batch_size = 32;  // rolls after batch 3: batch 4 is the newest journal
+  {
+    resilience::ResilientEngine engine(options);
+    engine.Load(items);
+    ASSERT_TRUE(engine.Run(ops, run).status.ok());
+  }
+  const resilience::GenerationDir dir(options.dir, 1);
+  std::error_code ec;
+  const std::vector<std::uint64_t> generations = dir.Scan(ec);
+  ASSERT_FALSE(generations.empty());
+  const std::string newest_journal = dir.JournalPath(generations.front());
+
+  FaultPlan plan;
+  plan.seed = EnvSeed();
+  plan.TriggerAt(FaultSite::kFileShortRead) = 2;  // snapshot 1st, journal 2nd
+  FaultInjector::Global().Arm(plan);
+  resilience::ResilientEngine restarted(options);
+  const bool recovered = restarted.Recover();
+  EXPECT_EQ(FaultInjector::Global().fires(FaultSite::kFileShortRead), 1u);
+  FaultInjector::Global().Disarm();
+  if (recovered) {
+    art::Tree want;
+    for (const auto& [key, value] : items) want.Insert(key, value);
+    resilience::ApplyToTree(want, ops);
+    EXPECT_EQ(resilience::TreeItems(restarted.tree()),
+              resilience::TreeItems(want));
+  } else {
+    EXPECT_NE(restarted.last_recover_error().message().find(newest_journal),
+              std::string::npos)
+        << restarted.last_recover_error().message();
+  }
+  fs::remove_all(options.dir);
 }
 
 // ------------------------------------------------- replication wire frames

@@ -134,13 +134,6 @@ RunConfig HaRun(const FaultPlan& plan = {}) {
   return run;
 }
 
-ReplicationOptions AsyncOptions() {
-  ReplicationOptions options;
-  options.drain_every_batch = false;  // pipeline: real reordering pressure
-  options.window = 4;
-  return options;
-}
-
 struct ChaosSite {
   FaultSite site;
   double probability;   // 0 = use trigger_at instead
@@ -161,7 +154,7 @@ TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
   const Workload w = ChaosWorkload(1024);
   for (const ChaosSite& chaos : kChaosSites) {
     SCOPED_TRACE(resilience::FaultSiteName(chaos.site));
-    ReplicatedEngine engine(WithLink(AsyncOptions()));
+    ReplicatedEngine engine(WithLink());
     engine.Load(w.load_items);
     FaultPlan plan;
     plan.seed = EnvSeed();
@@ -184,7 +177,7 @@ TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
 
 TEST_P(ReplicationPropertyTest, AllLinkFaultsTogetherConverge) {
   const Workload w = ChaosWorkload(1024);
-  ReplicatedEngine engine(WithLink(AsyncOptions()));
+  ReplicatedEngine engine(WithLink());
   engine.Load(w.load_items);
   FaultPlan plan;
   plan.seed = EnvSeed();
@@ -206,7 +199,7 @@ TEST_P(ReplicationPropertyTest, ChaosRunSurvivesFailover) {
   // promote, and verify the promoted tree equals the serial replay.
   const Workload w = ChaosWorkload(1024);
   const std::string dir = FreshDir("lifecycle");
-  ReplicationOptions options = WithLink(AsyncOptions());
+  ReplicationOptions options = WithLink();
   options.dir = dir;
   ReplicatedEngine engine(options);
   engine.Load(w.load_items);
@@ -350,6 +343,72 @@ TEST_P(ReplicationPropertyTest,
   }
 }
 
+TEST_P(ReplicationPropertyTest,
+       LateSnapshotCopiesNeverLoseAnAcknowledgedBatch) {
+  // Delays and reorders armed from Load() on leave late copies of the
+  // bootstrap image on the link, and one may arrive after the batch's
+  // record.  Whatever Run() acknowledges must survive a failover.  The
+  // seeds are fixed, so every run sweeps the same schedules.
+  const Workload w = ChaosWorkload(kBatch);
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::string dir = FreshDir("late_snapshot");
+    ReplicationOptions options = WithLink();
+    options.dir = dir;
+    ReplicatedEngine engine(options);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.Probability(FaultSite::kReplDelay) = 0.5;
+    plan.Probability(FaultSite::kReplReorder) = 0.5;
+    FaultInjector::Global().Arm(plan);
+    engine.Load(w.load_items);
+    const ExecutionResult r = engine.Run(w.ops, HaRun());
+    FaultInjector::Global().Disarm();
+    EXPECT_TRUE(r.status.ok()) << r.status.message();
+
+    engine.KillPrimary();
+    const Status promoted = engine.Promote();
+    ASSERT_TRUE(promoted.ok()) << promoted.message();
+    ExpectTreesByteIdentical(engine.tree(), ReplayPrefix(w, r.ops_acknowledged),
+                             "late_snapshot");
+    fs::remove_all(dir);
+  }
+
+  // Load;Load;Run: a late copy of the first load's image may land after
+  // the second's.  The primary crashes before the second batch, so no
+  // Drain() repairs the replica before the failover.
+  const Workload two = ChaosWorkload(2 * kBatch);
+  std::vector<std::pair<Key, art::Value>> first = two.load_items;
+  for (auto& item : first) ++item.second;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("Load;Load;Run seed " + std::to_string(seed));
+    const std::string dir = FreshDir("late_snapshot_reload");
+    ReplicationOptions options = WithLink();
+    options.dir = dir;
+    ReplicatedEngine engine(options);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.Probability(FaultSite::kReplDelay) = 0.5;
+    plan.Probability(FaultSite::kReplReorder) = 0.5;
+    plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
+    FaultInjector::Global().Arm(plan);
+    engine.Load(first);
+    engine.Load(two.load_items);
+    const ExecutionResult r = engine.Run(two.ops, HaRun());
+    FaultInjector::Global().Disarm();
+    ASSERT_FALSE(r.status.ok());  // the crash fired
+    EXPECT_EQ(r.ops_acknowledged, kBatch) << r.status.message();
+
+    engine.KillPrimary();
+    const Status promoted = engine.Promote();
+    ASSERT_TRUE(promoted.ok()) << promoted.message();
+    ExpectTreesByteIdentical(engine.tree(),
+                             ReplayPrefix(two, r.ops_acknowledged),
+                             "late_snapshot_reload");
+    fs::remove_all(dir);
+  }
+}
+
 TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
   // The net-* sites model a byte stream: partial send, dribbling recv,
   // refused redial.  The link checks them over either pipe.  Alone and
@@ -363,7 +422,7 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
   const Workload w = ChaosWorkload(1024);
   for (const ChaosSite& chaos : kNetSites) {
     SCOPED_TRACE(resilience::FaultSiteName(chaos.site));
-    ReplicatedEngine engine(WithLink(AsyncOptions()));
+    ReplicatedEngine engine(WithLink());
     engine.Load(w.load_items);
     FaultPlan plan;
     plan.seed = EnvSeed();
@@ -387,7 +446,7 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
   }
 
   // Everything at once: wire faults on top of the full repl-* chaos matrix.
-  ReplicatedEngine engine(WithLink(AsyncOptions()));
+  ReplicatedEngine engine(WithLink());
   engine.Load(w.load_items);
   FaultPlan plan;
   plan.seed = EnvSeed();

@@ -223,12 +223,7 @@ TEST_F(ReplicationTest, DisconnectBacksOffAndReconnects) {
 
 TEST_F(ReplicationTest, ReorderedWindowConvergesThroughCatchUp) {
   const Workload w = ReplicationWorkload(1024);
-  ReplicatedEngine engine([] {
-    ReplicationOptions o;
-    o.drain_every_batch = false;  // async: several records genuinely in flight
-    o.window = 8;
-    return o;
-  }());
+  ReplicatedEngine engine;
   engine.Load(w.load_items);
   FaultPlan plan;
   plan.seed = EnvSeed();
@@ -266,6 +261,17 @@ Frame SnapshotFrame(std::vector<std::uint8_t> image, std::uint64_t sequence) {
   frame.sequence = sequence;
   frame.payload = std::move(image);
   frame.payload_crc = Crc32(frame.payload.data(), frame.payload.size());
+  return frame;
+}
+
+/// A kRecord frame whose one op writes EncodeU64(sequence) -> sequence.
+Frame RecordFrame(std::uint64_t sequence) {
+  const std::vector<Operation> ops = {
+      {OpType::kWrite, EncodeU64(sequence), sequence}};
+  Frame frame;
+  frame.sequence = sequence;
+  frame.payload_crc =
+      resilience::EncodeRecordPayload(sequence, ops, frame.payload);
   return frame;
 }
 
@@ -340,6 +346,172 @@ TEST_F(ReplicationTest, ReplicaRejectsAResealedImageWithABadKeyOrder) {
     EXPECT_EQ(replica.applied_records(), 3u);
     ExpectTreesByteIdentical(replica.tree(), source, "resealed");
   }
+}
+
+TEST_F(ReplicationTest, ReplicaDropsALateSnapshotCopyBelowItsFloor) {
+  // A resent image can still be on the link when the record after it
+  // arrives (a delay, a reorder).  Applying that late copy would roll the
+  // replica back past a record the primary counts as acknowledged.
+  const auto source = [] {
+    art::Tree tree;
+    for (std::uint64_t i = 1; i <= 100; ++i) tree.Insert(EncodeU64(i), i);
+    return tree;
+  };
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(art::EncodeTree(source(), AppendTo(image)));
+  const Frame snapshot = SnapshotFrame(image, 0);
+
+  ReplicationLink link(LinkKind::kInProcess);
+  ASSERT_TRUE(link.Connect().ok());
+  resilience::ReplicaEngine replica(ReplicationOptions{});
+  for (const Frame& frame : {snapshot, RecordFrame(0)}) {
+    ASSERT_TRUE(link.SendToReplica(frame).ok());
+    replica.Pump(link);
+  }
+  ASSERT_EQ(replica.applied_records(), 1u);
+  ASSERT_EQ(FramesAtPrimary(link).size(), 2u);  // one ack each
+
+  const std::uint64_t dropped_before =
+      CounterValue("replication.duplicates_dropped");
+  ASSERT_TRUE(link.SendToReplica(snapshot).ok());  // the late copy
+  replica.Pump(link);
+  EXPECT_EQ(CounterValue("replication.duplicates_dropped") - dropped_before,
+            1u);
+  EXPECT_EQ(replica.applied_records(), 1u);
+  art::Tree want = source();
+  want.Insert(EncodeU64(0), 0);
+  ExpectTreesByteIdentical(replica.tree(), want, "late_snapshot");
+  const std::vector<Frame> replies = FramesAtPrimary(link);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, resilience::FrameType::kAck);
+  EXPECT_EQ(replies[0].sequence, 1u);
+  EXPECT_FALSE(replies[0].has_checksum);
+}
+
+TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
+  // Sequences count on across Load(): the second bootstrap image takes a
+  // floor above the one the replica reached, so the replica takes it, and
+  // the second run's records follow it.
+  WorkloadConfig cfg;
+  cfg.num_keys = 700;
+  cfg.num_ops = 384;
+  cfg.write_ratio = 0.4;
+  cfg.remove_ratio = 0.15;
+  cfg.seed = 7;
+  const Workload workloads[] = {ReplicationWorkload(512),
+                                MakeWorkload(WorkloadKind::kRS, cfg)};
+  const std::string dir = FreshDir("reload");
+  ReplicationOptions options;
+  options.dir = dir;
+  options.snapshot_every_batches = 3;
+  ReplicatedEngine engine(options);
+  for (const Workload& w : workloads) {
+    engine.Load(w.load_items);
+    const ExecutionResult r = engine.Run(w.ops, HaRun());
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.ops_acknowledged, w.ops.size());
+    EXPECT_EQ(engine.records_shipped(), engine.acked_records());
+    ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
+                             "reload");
+  }
+  fs::remove_all(dir);
+}
+
+TEST_F(ReplicationTest, FailedBootstrapIsRetriedBeforeTheNextRecord) {
+  // A Load() whose image never arrives leaves the replica without the
+  // loaded tree.  The sync stays owed, so the next batch resyncs the
+  // replica before it is acknowledged, and a failover right after that
+  // batch serves the loaded tree plus the batch.
+  const Workload w = ReplicationWorkload(256);  // exactly 2 batches of 128
+  const std::string dir = FreshDir("failed_bootstrap");
+  ReplicationOptions options;
+  options.dir = dir;
+  ReplicatedEngine engine(options);
+  FaultPlan drop_all;
+  drop_all.Probability(FaultSite::kReplDrop) = 1.0;
+  FaultInjector::Global().Arm(drop_all);
+  engine.Load(w.load_items);  // gives up after the drain tick budget
+  FaultInjector::Global().Disarm();
+  EXPECT_FALSE(engine.Run({}, HaRun()).status.ok());  // the parked failure
+
+  FaultPlan crash;
+  crash.seed = EnvSeed();
+  crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
+  const ExecutionResult r = engine.Run(w.ops, HaRun(crash));
+  FaultInjector::Global().Disarm();
+  ASSERT_FALSE(r.status.ok());
+  ASSERT_EQ(r.ops_acknowledged, kBatch);
+  engine.KillPrimary();
+  const Status promoted = engine.Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.message();
+  art::Tree want;
+  for (const auto& [key, value] : w.load_items) want.Insert(key, value);
+  resilience::ApplyToTree(want, std::span(w.ops).first(kBatch));
+  ExpectTreesByteIdentical(engine.tree(), want, "failed_bootstrap");
+  fs::remove_all(dir);
+}
+
+TEST_F(ReplicationTest, RunAcknowledgesOnlyTheOpsItShipped) {
+  // A Run() whose record and resync both give up acknowledges nothing, and
+  // its clients retry those ops.  The next Run() resyncs the replica with
+  // an image that carries them, yet must count only its own ops: a larger
+  // count would tell clients to skip requests that were never delivered.
+  const Workload w = ReplicationWorkload(384);  // exactly 3 batches of 128
+  const std::span<const Operation> ops(w.ops);
+  ReplicatedEngine engine;
+  engine.Load(w.load_items);
+  FaultPlan drop_all;
+  drop_all.Probability(FaultSite::kReplDrop) = 1.0;
+  const ExecutionResult gave_up =
+      engine.Run(ops.first(kBatch), HaRun(drop_all));
+  FaultInjector::Global().Disarm();
+  ASSERT_FALSE(gave_up.status.ok());
+  EXPECT_EQ(gave_up.ops_acknowledged, 0u);
+
+  FaultPlan crash;
+  crash.seed = EnvSeed();
+  crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
+  const ExecutionResult partial =
+      engine.Run(ops.subspan(kBatch), HaRun(crash));
+  FaultInjector::Global().Disarm();
+  ASSERT_FALSE(partial.status.ok());  // the crash fired before batch 2
+  EXPECT_EQ(partial.ops_acknowledged, kBatch);
+}
+
+TEST_F(ReplicationTest, DroppedBootstrapSnapshotIsResent) {
+  const Workload w = ReplicationWorkload(256);
+  const std::uint64_t retries_before = CounterValue("replication.retries");
+  ReplicatedEngine engine;
+  FaultPlan plan;
+  plan.seed = EnvSeed();
+  plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the bootstrap image vanishes
+  FaultInjector::Global().Arm(plan);
+  engine.Load(w.load_items);
+  EXPECT_EQ(FaultInjector::Global().fires(FaultSite::kReplDrop), 1u);
+  FaultInjector::Global().Disarm();
+  EXPECT_GT(CounterValue("replication.retries"), retries_before);
+  ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
+                           "boot_drop");
+  const ExecutionResult r = engine.Run(w.ops, HaRun());  // nothing parked
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  EXPECT_EQ(r.ops_acknowledged, w.ops.size());
+}
+
+TEST_F(ReplicationTest, DroppedChecksumProbeIsResent) {
+  const Workload w = ReplicationWorkload(256);
+  ReplicatedEngine engine;
+  engine.Load(w.load_items);
+  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  const std::uint64_t retries_before = CounterValue("replication.retries");
+  FaultPlan plan;
+  plan.seed = EnvSeed();
+  plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the probe is Drain()'s 1st frame
+  FaultInjector::Global().Arm(plan);
+  const Status drained = engine.Drain();
+  EXPECT_EQ(FaultInjector::Global().fires(FaultSite::kReplDrop), 1u);
+  FaultInjector::Global().Disarm();
+  ASSERT_TRUE(drained.ok()) << drained.message();
+  EXPECT_GT(CounterValue("replication.retries"), retries_before);
 }
 
 TEST_F(ReplicationTest, KillPrimaryThenPromoteServesReplicaState) {
@@ -513,35 +685,39 @@ TEST_F(ReplicationTest, DoublePromoteReturnsTypedStatus) {
 }
 
 TEST_F(ReplicationTest, PromoteDuringCatchUpReplaysRemainingWindow) {
-  // Async shipping + a primary crash right at a batch boundary leaves a
-  // shipped-but-undelivered record in the link when Promote() is called.
-  // Promotion must drain that catch-up window before serving, or the
-  // promoted replica silently forgets the shipped tail.
+  // A primary that sends a record and dies before the ack comes back
+  // leaves that record on the link when Promote() is called, here held
+  // back by an injected delay.  Promotion must drain the link before
+  // serving, or the promoted replica silently forgets the shipped tail.
   const Workload w = ReplicationWorkload(256);  // exactly 2 batches of 128
-  ReplicationOptions options;
-  options.drain_every_batch = false;
-  options.window = 4;
-  ReplicatedEngine engine(options);
+  const std::span<const Operation> ops(w.ops);
+  ReplicatedEngine engine;
   engine.Load(w.load_items);
+  ASSERT_TRUE(engine.Run(ops.first(kBatch), HaRun()).status.ok());
 
+  // The second batch's record, sent the way the primary sends it, delayed
+  // on the link; then the primary dies.
+  Frame record;
+  record.sequence = engine.records_shipped();
+  record.payload_crc = resilience::EncodeRecordPayload(
+      record.sequence, ops.subspan(kBatch), record.payload);
   FaultPlan plan;
   plan.seed = EnvSeed();
-  plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
-  const ExecutionResult crashed = engine.Run(w.ops, HaRun(plan));
-  ASSERT_FALSE(crashed.status.ok());  // the crash fired
+  plan.TriggerAt(FaultSite::kReplDelay) = 1;
+  FaultInjector::Global().Arm(plan);
+  ASSERT_TRUE(engine.link().SendToReplica(record).ok());
   FaultInjector::Global().Disarm();
-
-  // Mid-catch-up: batch 1's record is shipped but still in flight (the
-  // async path does not pump, and the crashed Run never drained).
-  ASSERT_EQ(engine.records_shipped(), 1u);
-  ASSERT_LT(engine.replica().applied_records(), engine.records_shipped());
+  engine.KillPrimary();
+  ASSERT_EQ(engine.replica().applied_records(), record.sequence);
 
   const Status promoted = engine.Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.message();
-  EXPECT_EQ(engine.replica().applied_records(), engine.records_shipped());
-  // The promoted tree carries batch 1: byte-identical to what the primary
-  // had applied before dying.
-  ExpectTreesByteIdentical(engine.tree(), engine.primary().tree(), "catchup");
+  EXPECT_EQ(engine.replica().applied_records(), record.sequence + 1);
+  // The promoted tree carries both batches: the serial replay of the stream.
+  art::Tree want;
+  for (const auto& [key, value] : w.load_items) want.Insert(key, value);
+  resilience::ApplyToTree(want, ops);
+  ExpectTreesByteIdentical(engine.tree(), want, "catchup");
 }
 
 // --- socket link (resilience/socket_link.h) --------------------------------
@@ -642,16 +818,6 @@ struct LinkLog {
   std::vector<bool> up;                // link state at the end of each tick
   bool operator==(const LinkLog&) const = default;
 };
-
-Frame RecordFrame(std::uint64_t sequence) {
-  const std::vector<Operation> ops = {
-      {OpType::kWrite, EncodeU64(sequence), sequence}};
-  Frame frame;
-  frame.sequence = sequence;
-  frame.payload_crc =
-      resilience::EncodeRecordPayload(sequence, ops, frame.payload);
-  return frame;
-}
 
 /// Run the script over a fresh link of `kind` with `plan` armed.
 LinkLog DriveLink(LinkKind kind, const FaultPlan& plan) {
