@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
 
   resilience::ResilienceOptions durability;
   durability.dir = state_dir;
-  durability.snapshot_every_batches = 8;
 
   RunConfig ft_run;
   ft_run.batch_size = 4096;

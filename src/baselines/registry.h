@@ -44,11 +44,13 @@ struct EngineOptions {
   simhw::FpgaModel fpga_model;  // DCART
   dcartc::DcartCConfig dcartc;  // DCART-C ablations
   accel::DcartConfig dcart;     // DCART ablations
-  /// Durability options for "DCART-CP-FT" (journal/snapshot dir, cadence).
-  /// Default (empty dir) runs without durability.
+  /// Durability options for "DCART-CP-FT" (journal/snapshot dir, the
+  /// journal-to-snapshot ratio that rolls a generation).  Default (empty
+  /// dir) runs without durability.
   resilience::ResilienceOptions resilient;
   /// Replication options for "DCART-CP-HA" (durability home, link kind,
-  /// cadence).  Default (empty dir) runs the pair in memory.
+  /// journal-to-snapshot ratio).  Default (empty dir) runs the pair in
+  /// memory.
   resilience::ReplicationOptions replication;
   /// Sharding options for "DCART-CLUSTER" (shard count, durability home,
   /// per-pair replication).  Default: 4 in-memory shards.

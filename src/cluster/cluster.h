@@ -75,8 +75,9 @@ struct ClusterOptions {
   /// fenced old epoch's files can never shadow the new owner's.  Empty:
   /// every pair runs in memory.
   std::string dir;
-  /// Per-pair replication options (link kind, snapshot cadence).  The
-  /// `dir` field inside is ignored — the cluster assigns per-shard homes.
+  /// Per-pair replication options (link kind, journal-to-snapshot ratio).
+  /// The `dir` field inside is ignored — the cluster assigns per-shard
+  /// homes.
   resilience::ReplicationOptions replication;
 };
 

@@ -107,8 +107,9 @@ class ByteWriter {
 
   void Bytes(const void* data, std::size_t n) {
     if (n == 0) return;
-    const auto* from = static_cast<const std::uint8_t*>(data);
-    out_.insert(out_.end(), from, from + n);
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, data, n);
   }
 
   template <typename T>

@@ -127,6 +127,9 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  /// Replace the argument's value, for one known only as the scope ends.
+  void set_arg_value(std::uint64_t value) { arg_value_ = value; }
+
  private:
   const char* name_;
   const char* category_;

@@ -90,6 +90,7 @@ bool OpJournal::Open(const std::string& path) {
     return false;
   }
   std::fflush(file_);
+  bytes_ = sizeof kMagic;
   return true;
 }
 
@@ -119,6 +120,7 @@ Status OpJournal::Append(std::span<const Operation> ops) {
     return Status::Error("journal payload write failed");
   }
   ++sequence_;
+  bytes_ += sizeof len + sizeof crc + payload.size();
   return Status::Ok();
 }
 

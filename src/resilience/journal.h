@@ -90,10 +90,14 @@ class OpJournal {
 
   bool is_open() const { return file_ != nullptr; }
   std::uint64_t records() const { return sequence_; }
+  /// The journal file's size: the magic plus every framed record appended
+  /// since Open().
+  std::uint64_t bytes() const { return bytes_; }
 
  private:
   std::FILE* file_ = nullptr;
   std::uint64_t sequence_ = 0;
+  std::uint64_t bytes_ = 0;
   std::vector<std::uint8_t> scratch_;  // payload build buffer, reused
 };
 

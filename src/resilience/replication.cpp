@@ -347,7 +347,7 @@ std::uint64_t TreeChecksum(const art::Tree& tree) {
 ReplicaEngine::ReplicaEngine(ReplicationOptions options)
     : options_(std::move(options)),
       dir_(durable() ? options_.dir + "/replica" : "",
-           options_.snapshot_every_batches) {
+           options_.journal_to_snapshot_ratio) {
   Reset();
 }
 
@@ -494,7 +494,8 @@ Status ReplicaEngine::Promote() {
   }
   dir_.Close();  // flush descriptor state before recovery scans the dir
   // An in-memory pair has no durable path: promotion serves the live tree.
-  const ResilienceOptions home{dir_.path(), options_.snapshot_every_batches};
+  const ResilienceOptions home{dir_.path(),
+                               options_.journal_to_snapshot_ratio};
   Status status;
   if (durable()) {
     auto engine = std::make_unique<ResilientEngine>(home);
@@ -536,7 +537,7 @@ ReplicatedEngine::ReplicatedEngine(ReplicationOptions options)
     : options_(std::move(options)), link_(options_.link) {
   ResilienceOptions primary;
   if (!options_.dir.empty()) primary.dir = options_.dir + "/primary";
-  primary.snapshot_every_batches = options_.snapshot_every_batches;
+  primary.journal_to_snapshot_ratio = options_.journal_to_snapshot_ratio;
   primary_ = std::make_unique<ResilientEngine>(primary);
   replica_ = std::make_unique<ReplicaEngine>(options_);
   link_error_ = link_.Connect();

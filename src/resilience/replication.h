@@ -249,8 +249,8 @@ struct ReplicationOptions {
   /// catch-up, and divergence machinery still operate, but promotion can
   /// only serve the live tree.
   std::string dir;
-  /// Forwarded to both sides' generation cadence.
-  std::size_t snapshot_every_batches = 8;
+  /// Both sides' generation roll rule (ResilienceOptions).
+  double journal_to_snapshot_ratio = 1.0;
 };
 
 // ----------------------------------------------------------------- replica --

@@ -7,6 +7,7 @@
 
 #include "art/serialize.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "resilience/fault_injector.h"
 
 namespace dcart::resilience {
@@ -94,8 +95,8 @@ std::vector<std::pair<Key, art::Value>> TreeItems(const art::Tree& tree) {
 // ---------------------------------------------------------- generation dir --
 
 GenerationDir::GenerationDir(std::string path,
-                             std::size_t snapshot_every_batches)
-    : path_(std::move(path)), every_(snapshot_every_batches) {}
+                             double journal_to_snapshot_ratio)
+    : path_(std::move(path)), ratio_(journal_to_snapshot_ratio) {}
 
 std::string GenerationDir::SnapshotPath(std::uint64_t generation) const {
   return path_ + "/snapshot-" + std::to_string(generation) + ".tree";
@@ -128,13 +129,14 @@ Status GenerationDir::Roll(const art::Tree& tree) {
     std::remove(tmp.c_str());
     return Status::Error("snapshot write failed: " + tmp);
   }
-  fs::rename(tmp, SnapshotPath(next), ec);
+  const std::uintmax_t image_bytes = fs::file_size(tmp, ec);
+  if (!ec) fs::rename(tmp, SnapshotPath(next), ec);
   if (ec) return Status::Error("snapshot rename failed: " + tmp);
   if (!journal_.Open(JournalPath(next))) {
     return Status::Error("journal rollover failed: " + JournalPath(next));
   }
   generation_ = next;
-  batches_since_roll_ = 0;
+  snapshot_bytes_ = image_bytes;
   // Prune generations that recovery can no longer need: keeping the last K
   // snapshots requires journals from the oldest kept generation forward.
   if (generation_ > kKeepGenerations) {
@@ -151,7 +153,6 @@ Status GenerationDir::Roll(const art::Tree& tree) {
 void GenerationDir::Resume(std::uint64_t generation) {
   journal_.Close();
   generation_ = generation;
-  batches_since_roll_ = 0;
 }
 
 void GenerationDir::Wipe() {
@@ -165,13 +166,17 @@ void GenerationDir::Wipe() {
 ResilientEngine::ResilientEngine(ResilienceOptions options)
     : options_(std::move(options)),
       engine_(std::make_unique<dcartc::DcartCpEngine>()),
-      dir_(options_.dir, options_.snapshot_every_batches) {}
+      dir_(options_.dir, options_.journal_to_snapshot_ratio) {}
 
 ResilientEngine::~ResilientEngine() = default;
 
 Status ResilientEngine::Checkpoint() {
+  obs::ScopedSpan span("ft.checkpoint", "resilience", "image_bytes");
   const Status rolled = dir_.Roll(engine_->tree());
-  if (rolled.ok()) Metrics().checkpoints->Increment();
+  if (rolled.ok()) {
+    Metrics().checkpoints->Increment();
+    span.set_arg_value(dir_.snapshot_bytes());
+  }
   return rolled;
 }
 
@@ -242,7 +247,10 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
       break;
     }
     if (durable()) {
-      const Status journaled = dir_.Append(batch);
+      const Status journaled = [&] {
+        obs::ScopedSpan span("ft.journal", "resilience");
+        return dir_.Append(batch);
+      }();
       if (!journaled.ok()) {
         // Torn record (crash mid-append) or real I/O failure: the batch is
         // not acknowledged and must not execute — recovery would lose it.

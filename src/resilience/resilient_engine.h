@@ -6,11 +6,14 @@
 //   Durability   — every batch's writes and removes are appended as one
 //                  record to a CRC-framed write-ahead journal (flushed
 //                  before execution = the batch is *acknowledged*; a
-//                  read-only batch appends an empty record), and every
-//                  `snapshot_every_batches` batches the tree is
-//                  checkpointed with SaveTree into a new numbered
-//                  generation (written to a temp name and renamed, so a
-//                  torn snapshot never bears a real name).
+//                  read-only batch appends an empty record), and once the
+//                  journal has grown to `journal_to_snapshot_ratio` times
+//                  the last snapshot's size the tree is checkpointed with
+//                  SaveTree into a new numbered generation (written to a
+//                  temp name and renamed, so a torn snapshot never bears a
+//                  real name).  Replay after a crash then stays under r
+//                  snapshots' worth of records plus one, and the bytes
+//                  written per journaled byte tend to 1 + 1/r.
 //   Recovery     — Recover() loads the newest loadable snapshot generation
 //                  and replays every journal from that generation forward;
 //                  torn/corrupt journal tails are truncated by the CRC
@@ -31,7 +34,6 @@
 // generation G replays journals G, G+1, ... in order.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -48,7 +50,9 @@ struct ResilienceOptions {
   /// Durability home.  Empty disables journaling/snapshots entirely — the
   /// engine is then just DCART-CP plus crash-site checks.
   std::string dir;
-  std::size_t snapshot_every_batches = 8;
+  /// Roll a generation once the journal's bytes reach this multiple of the
+  /// last snapshot's; 0 rolls after every batch.
+  double journal_to_snapshot_ratio = 1.0;
 };
 
 /// Apply the writes and removes of `ops` to `tree` in order, serially (the
@@ -68,28 +72,32 @@ class GenerationDir {
   /// is unloadable.
   static constexpr std::size_t kKeepGenerations = 2;
 
-  GenerationDir(std::string path, std::size_t snapshot_every_batches);
+  GenerationDir(std::string path, double journal_to_snapshot_ratio);
 
   const std::string& path() const { return path_; }
   /// Newest generation rolled (or resumed); 0 = none yet.
   std::uint64_t generation() const { return generation_; }
+  /// Size of the snapshot the last Roll() wrote.
+  std::uintmax_t snapshot_bytes() const { return snapshot_bytes_; }
   std::string SnapshotPath(std::uint64_t generation) const;
   std::string JournalPath(std::uint64_t generation) const;
   /// Snapshot generations present on disk, newest first.
   std::vector<std::uint64_t> Scan(std::error_code& ec) const;
 
   /// Write `tree` as generation `generation() + 1` (to a temp name, then
-  /// renamed, so a torn snapshot never bears a real name), roll the
-  /// journal over to it, and prune generations older than the last
-  /// kKeepGenerations.
+  /// renamed, so a torn snapshot never bears a real name), keep its size,
+  /// roll the journal over to it, and prune generations older than the
+  /// last kKeepGenerations.
   Status Roll(const art::Tree& tree);
   /// Journal one batch into the current generation.
   Status Append(std::span<const Operation> ops) {
     return journal_.Append(ops);
   }
-  /// Count one journaled batch; true when the snapshot cadence is due.
-  bool BatchDone() {
-    return ++batches_since_roll_ >= std::max<std::size_t>(1, every_);
+  /// True once the journal has grown to the ratio times the snapshot it
+  /// follows: the next Roll() is due.
+  bool BatchDone() const {
+    return static_cast<double>(journal_.bytes()) >=
+           ratio_ * static_cast<double>(snapshot_bytes_);
   }
   /// Close the journal; the next Roll() writes generation `generation` + 1.
   void Resume(std::uint64_t generation);
@@ -99,10 +107,10 @@ class GenerationDir {
 
  private:
   std::string path_;
-  std::size_t every_;
+  double ratio_;
   OpJournal journal_;
   std::uint64_t generation_ = 0;
-  std::size_t batches_since_roll_ = 0;
+  std::uintmax_t snapshot_bytes_ = 0;  // the last Roll()'s image
 };
 
 // Thread-safety contract: the engine is thread-compatible, not thread-safe —

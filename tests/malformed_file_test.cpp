@@ -834,7 +834,7 @@ TEST_F(MalformedFileTest, JournalShortReadFailsRecoveryNamingTheJournal) {
   namespace fs = std::filesystem;
   resilience::ResilienceOptions options;
   options.dir = ::testing::TempDir() + "/malformed_recover_short_read";
-  options.snapshot_every_batches = 3;
+  options.journal_to_snapshot_ratio = 2;
   fs::remove_all(options.dir);
   std::vector<std::pair<Key, art::Value>> items;
   for (std::uint64_t i = 0; i < 100; ++i) items.emplace_back(EncodeU64(i), i);
@@ -843,13 +843,16 @@ TEST_F(MalformedFileTest, JournalShortReadFailsRecoveryNamingTheJournal) {
     ops.push_back({OpType::kWrite, EncodeU64(50 + i), 1000 + i});
   }
   RunConfig run;
-  run.batch_size = 32;  // rolls after batch 3: batch 4 is the newest journal
+  // Each record is about 0.7 of the 100-key snapshot, so generation 1
+  // rolls after batch 3 and batch 4 is the newest journal.
+  run.batch_size = 32;
   {
     resilience::ResilientEngine engine(options);
     engine.Load(items);
     ASSERT_TRUE(engine.Run(ops, run).status.ok());
   }
-  const resilience::GenerationDir dir(options.dir, 1);
+  const resilience::GenerationDir dir(options.dir,
+                                     options.journal_to_snapshot_ratio);
   std::error_code ec;
   const std::vector<std::uint64_t> generations = dir.Scan(ec);
   ASSERT_FALSE(generations.empty());

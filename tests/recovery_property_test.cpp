@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "art/serialize.h"
@@ -126,13 +128,78 @@ RunConfig DurableRun(const FaultPlan& plan = {}) {
   return run;
 }
 
+/// Size of the SN3 image EncodeTree writes for `tree`: the snapshot file's
+/// size (Serialize.InMemoryImageIsTheFileSaveTreeWrites pins the two).
+std::uint64_t ImageBytes(const art::Tree& tree) {
+  std::uint64_t bytes = 0;
+  EXPECT_TRUE(art::EncodeTree(
+      tree, [&bytes](std::span<const std::uint8_t> piece) {
+        bytes += piece.size();
+        return true;
+      }));
+  return bytes;
+}
+
+/// Bytes one batch's record adds to a journal: u32 length and u32 CRC
+/// framing, then the payload EncodeRecordPayload builds.
+std::uint64_t RecordBytes(std::span<const Operation> batch) {
+  std::vector<std::uint8_t> payload;
+  resilience::EncodeRecordPayload(0, batch, payload);
+  return 8 + payload.size();
+}
+
+/// The roll rule, modelled outside the engine: each generation's journal
+/// starts with its 8-byte magic, and the batch whose record brings it to
+/// `ratio` times the generation's snapshot rolls the next generation.
+class RollModel {
+ public:
+  RollModel(double ratio, const art::Tree& loaded)
+      : ratio_(ratio), snapshot_bytes_(ImageBytes(loaded)) {}
+
+  /// Journal `batch`; `after` is the tree once it has run.  True when the
+  /// batch rolls a generation.
+  bool Batch(std::span<const Operation> batch, const art::Tree& after) {
+    journal_bytes_ += RecordBytes(batch);
+    if (static_cast<double>(journal_bytes_) <
+        ratio_ * static_cast<double>(snapshot_bytes_)) {
+      return false;
+    }
+    snapshot_bytes_ = ImageBytes(after);
+    journal_bytes_ = kMagicBytes;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kMagicBytes = 8;
+  double ratio_;
+  std::uint64_t snapshot_bytes_;
+  std::uint64_t journal_bytes_ = kMagicBytes;
+};
+
+/// For each count of acknowledged batches of `w` (run kBatch ops at a time
+/// after Load()), the batches the newest snapshot holds under `ratio`.
+std::vector<std::size_t> SnapshottedBatches(const Workload& w, double ratio) {
+  art::Tree tree;
+  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
+  RollModel model(ratio, tree);
+  std::vector<std::size_t> snapshotted = {0};
+  for (std::size_t begin = 0; begin < w.ops.size(); begin += kBatch) {
+    const std::span<const Operation> batch(
+        w.ops.data() + begin, std::min(kBatch, w.ops.size() - begin));
+    resilience::ApplyToTree(tree, batch);
+    snapshotted.push_back(model.Batch(batch, tree) ? snapshotted.size()
+                                                   : snapshotted.back());
+  }
+  return snapshotted;
+}
+
 TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
   const Workload w = RecoveryWorkload(4096);
   const std::string dir = FreshDir("clean");
 
   ResilienceOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 4;
+  options.journal_to_snapshot_ratio = 0.3;  // a roll every few batches
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
@@ -151,14 +218,25 @@ TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
 TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
   const Workload w = RecoveryWorkload(2048);  // 8 batches of 256
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
+  ResilienceOptions options;
+  options.journal_to_snapshot_ratio = 0.25;
+  const std::vector<std::size_t> snapshotted =
+      SnapshottedBatches(w, options.journal_to_snapshot_ratio);
+  // The ratio puts rolls between crash points: some crash points recover
+  // from a snapshot rolled during the run, and some replay records past it.
+  std::size_t rolled = 0;
+  std::size_t replaying = 0;
+  for (std::size_t acked = 1; acked < batches; ++acked) {
+    rolled += snapshotted[acked] == acked;
+    replaying += snapshotted[acked] > 0 && snapshotted[acked] < acked;
+  }
+  ASSERT_GE(rolled, 2u);
+  ASSERT_GE(replaying, 2u);
 
   for (std::size_t crash_at = 1; crash_at <= batches; ++crash_at) {
     SCOPED_TRACE(crash_at);
     const std::string dir = FreshDir("boundary");
-
-    ResilienceOptions options;
     options.dir = dir;
-    options.snapshot_every_batches = 3;  // not a divisor of the crash points
     FaultPlan plan;
     plan.seed = EnvSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;
@@ -181,11 +259,9 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
     ASSERT_TRUE(restarted.Recover());
     // Recovery replays the whole records after the newest snapshot: the
     // writes and removes of the acknowledged batches since it.
-    const std::size_t acked_batches = crash_at - 1;
-    const std::size_t snapshotted =
-        acked_batches - acked_batches % options.snapshot_every_batches;
     EXPECT_EQ(restarted.recovered_ops(),
-              StateChangesIn(w, snapshotted * kBatch, r.ops_acknowledged));
+              StateChangesIn(w, snapshotted[crash_at - 1] * kBatch,
+                             r.ops_acknowledged));
     ExpectTreesByteIdentical(restarted.tree(),
                              ReplayPrefix(w, r.ops_acknowledged), "boundary");
 
@@ -215,7 +291,7 @@ TEST_F(RecoveryTest, TornJournalRecordRecoversAcknowledgedPrefix) {
 
     ResilienceOptions options;
     options.dir = dir;
-    options.snapshot_every_batches = 3;
+    options.journal_to_snapshot_ratio = 0.25;
     FaultPlan plan;
     plan.seed = EnvSeed();
     plan.TriggerAt(FaultSite::kCrashMidBatch) = tear_at;
@@ -259,7 +335,7 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
 
   ResilienceOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 2;  // force several generations
+  options.journal_to_snapshot_ratio = 0.2;  // force several generations
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
@@ -288,7 +364,7 @@ TEST_F(RecoveryTest, FlippedValueByteInNewestSnapshotFallsBackAGeneration) {
 
   ResilienceOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 2;
+  options.journal_to_snapshot_ratio = 0.2;
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
@@ -451,12 +527,115 @@ TEST_F(RecoveryTest, Sn3SnapshotOfIpgeoTreeIsAtMostFourFifthsOfSn2) {
   EXPECT_LE(sn3 * 5, sn2 * 4) << sn3 << " vs " << sn2 << " bytes";
 }
 
+/// What the roll rule keeps on disk under `dir` after a Run(): the newest
+/// journal is under `ratio` times its snapshot until `last_record` crosses
+/// that, and the directory's kKeepGenerations = 2 generations each hold at
+/// most (1 + ratio) snapshots plus one record of the largest,
+/// `largest_record`.
+void ExpectRollBounds(const std::string& dir, double ratio,
+                      std::uint64_t last_record,
+                      std::uint64_t largest_record) {
+  std::uint64_t newest = 0;
+  std::uintmax_t larger_snapshot = 0;
+  std::uintmax_t total = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    total += entry.file_size();
+    if (name.starts_with("snapshot-")) {
+      newest = std::max<std::uint64_t>(
+          newest, std::strtoull(name.c_str() + 9, nullptr, 10));
+      larger_snapshot = std::max(larger_snapshot, entry.file_size());
+    }
+  }
+  const std::string g = std::to_string(newest);
+  const auto journal = static_cast<double>(
+      fs::file_size(dir + "/journal-" + g + ".log"));
+  const auto snapshot = static_cast<double>(
+      fs::file_size(dir + "/snapshot-" + g + ".tree"));
+  EXPECT_LE(journal, ratio * snapshot + static_cast<double>(last_record))
+      << "generation " << g;
+  EXPECT_LE(static_cast<double>(total),
+            2 * ((1 + ratio) * static_cast<double>(larger_snapshot) +
+                 static_cast<double>(largest_record)));
+}
+
+TEST_F(RecoveryTest, GenerationsRollOnJournalBytesNotBatchCount) {
+  WorkloadConfig cfg;
+  cfg.num_keys = 20000;
+  cfg.num_ops = 0;
+  cfg.load_fraction = 1.0;
+  const Workload w = MakeWorkload(WorkloadKind::kRS, cfg);
+  const std::string dir = FreshDir("roll_ratio");
+  ResilienceOptions options;  // the default ratio
+  options.dir = dir;
+  const double ratio = options.journal_to_snapshot_ratio;
+  const resilience::GenerationDir layout(dir, ratio);
+  const auto generations = [&layout] {
+    std::error_code ec;
+    return layout.Scan(ec);
+  };
+  obs::Counter* const checkpoints =
+      obs::MetricsRegistry::Global().GetCounter("resilience.checkpoints");
+
+  ResilientEngine engine(options);
+  engine.Load(w.load_items);  // generation 1
+  const std::uint64_t checkpoints_at_load = checkpoints->Value();
+  art::Tree tree;
+  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
+  RollModel model(ratio, tree);
+
+  SplitMix64 rng(EnvSeed());
+  std::uint64_t rolls = 0;
+  std::uint64_t largest_record = 0;
+  // Runs one batch of `writes` new keys; true when the model rolled on it.
+  const auto run_batch = [&](std::size_t writes) {
+    std::vector<Operation> batch;
+    for (std::size_t i = 0; i < writes; ++i) {
+      batch.push_back({OpType::kWrite, EncodeU64(rng.Next()), i});
+    }
+    resilience::ApplyToTree(tree, batch);
+    const bool due = model.Batch(batch, tree);
+    rolls += due;
+    const std::uint64_t record = RecordBytes(batch);
+    largest_record = std::max(largest_record, record);
+    RunConfig run = DurableRun();
+    run.batch_size = writes;
+    const ExecutionResult r = engine.Run(batch, run);
+    EXPECT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(checkpoints->Value() - checkpoints_at_load, rolls);
+    ExpectRollBounds(dir, ratio, record, largest_record);
+    return due;
+  };
+
+  // 64 small batches journal far less than the 20k-key snapshot: they stay
+  // in generation 1, where a batch count of 8 would have rolled 8 times.
+  for (int b = 0; b < 64; ++b) EXPECT_FALSE(run_batch(4)) << "batch " << b;
+  EXPECT_EQ(generations(), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(checkpoints->Value(), checkpoints_at_load);
+
+  // Larger batches reach the ratio: each roll lands on exactly the batch
+  // the model says crossed it.  Three rolls also prune generation 1.
+  for (int b = 0; b < 200 && rolls < 3; ++b) {
+    run_batch(1024);
+    ASSERT_EQ(generations().front(), 1 + rolls) << "batch " << b;
+  }
+  EXPECT_EQ(rolls, 3u);
+  EXPECT_EQ(generations(), (std::vector<std::uint64_t>{4, 3}));
+
+  ResilientEngine restarted(options);
+  ASSERT_TRUE(restarted.Recover());
+  ExpectTreesByteIdentical(restarted.tree(), tree, "roll_ratio");
+  fs::remove_all(dir);
+}
+
 TEST_F(RecoveryTest, EmptyKeyRemoveReplaysAsNoOp) {
   // The engine acknowledges a remove of the empty key as a miss, so
   // recovery must replay its record and every record after it.
   const std::string dir = FreshDir("empty_key_remove");
   ResilienceOptions options;
   options.dir = dir;
+  // One generation: each record is larger than the one-key snapshot.
+  options.journal_to_snapshot_ratio = 100;
   const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
                                       {OpType::kRemove, Key{}, 0},
                                       {OpType::kWrite, EncodeU64(2), 22}};
@@ -485,6 +664,8 @@ TEST_F(RecoveryTest, EmptyWriteKeyBatchIsRefusedAndLaterWritesRecover) {
   const std::string dir = FreshDir("empty_write_key");
   ResilienceOptions options;
   options.dir = dir;
+  // One generation: each record is larger than the empty tree's snapshot.
+  options.journal_to_snapshot_ratio = 100;
   RunConfig run = DurableRun();
   run.batch_size = 1;
   {
@@ -520,7 +701,7 @@ TEST_F(RecoveryTest, OversizedWriteKeyIsRefusedAndEverySnapshotStaysLoadable) {
   const std::string dir = FreshDir("oversized_key");
   ResilienceOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 1;
+  options.journal_to_snapshot_ratio = 0;  // a roll after every batch
   std::vector<std::pair<Key, art::Value>> items;
   for (std::uint64_t i = 0; i < 100; ++i) items.emplace_back(EncodeU64(i), i);
   std::vector<Operation> ops = {

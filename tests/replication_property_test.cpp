@@ -233,7 +233,7 @@ TEST_P(ReplicationPropertyTest,
 
     ReplicationOptions options = WithLink();
     options.dir = dir;
-    options.snapshot_every_batches = 3;  // not a divisor of the crash points
+    options.journal_to_snapshot_ratio = 0.25;  // rolls after batches 3, 6
     FaultPlan plan;
     plan.seed = EnvSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;

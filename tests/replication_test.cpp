@@ -107,7 +107,7 @@ TEST_F(ReplicationTest, CleanDurablePairConvergesByteIdentical) {
 
   ReplicationOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 3;
+  options.journal_to_snapshot_ratio = 0.25;  // a roll every 2-3 batches
   ReplicatedEngine engine(options);
   engine.Load(w.load_items);
   const ExecutionResult r = engine.Run(w.ops, HaRun());
@@ -403,7 +403,7 @@ TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
   const std::string dir = FreshDir("reload");
   ReplicationOptions options;
   options.dir = dir;
-  options.snapshot_every_batches = 3;
+  options.journal_to_snapshot_ratio = 0.25;  // a roll every 2-3 batches
   ReplicatedEngine engine(options);
   for (const Workload& w : workloads) {
     engine.Load(w.load_items);
@@ -592,7 +592,7 @@ TEST_F(ReplicationTest, RecoverNamesEveryRejectedGeneration) {
   const Workload w = ReplicationWorkload(512);
   ResilienceOptions options;
   options.dir = FreshDir("rejected");
-  options.snapshot_every_batches = 2;
+  options.journal_to_snapshot_ratio = 0.2;  // a roll every 2 batches
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
