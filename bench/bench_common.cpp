@@ -6,7 +6,6 @@
 
 #include "baselines/registry.h"
 #include "obs/trace.h"
-#include "resilience/fault_cli.h"
 
 namespace dcart::bench {
 
@@ -48,18 +47,14 @@ ExecutionResult LoadAndRun(IndexEngine& engine, const Workload& workload,
 }
 
 int RequireValidFlags(const CliFlags& flags) {
-  if (flags.Has("fault-list")) {
-    // Introspection short-circuit: print the registry (with whatever modes
-    // the other --fault-* flags configured) and exit successfully without
-    // running the experiment.
-    std::fputs(
-        resilience::FaultListReport(resilience::FaultPlanFromFlags(flags))
-            .c_str(),
-        stdout);
-    std::exit(0);
-  }
   Status status = flags.status();
-  status.Update(resilience::ValidateFaultFlags(flags));
+  for (const std::string& name : flags.FlagNames()) {
+    if (name.starts_with("fault-")) {
+      status.Update(Status::Error(
+          "--" + name + " is not accepted: no binary arms fault sites from "
+          "the command line (tests set RunConfig::faults)"));
+    }
+  }
   status.Update(obs::ValidateObsFlags(flags));
   if (status.ok()) return 0;
   std::fprintf(stderr, "invalid flags: %s\n", status.message().c_str());
@@ -86,9 +81,6 @@ obs::RunMetrics MetricsFromResult(const std::string& workload,
   run.other_seconds = result.phase_breakdown.other_seconds;
   run.status_ok = result.status.ok();
   run.status_message = result.status.message();
-  run.demoted_to_serial = result.demoted_to_serial;
-  run.parallel_failures = result.parallel_failures;
-  run.bucket_retries = result.bucket_retries;
   run.invariant_breaches = result.invariant_breaches;
   run.ops_acknowledged = result.ops_acknowledged;
   return run;

@@ -52,9 +52,10 @@ ExecutionResult LoadAndRun(IndexEngine& engine, const Workload& workload,
 
 // ---------------------------------------------------------- observability --
 
-/// Validate the full flag surface (parse status, `--fault-*` site names,
-/// `--metrics-*`/`--trace-*` names).  Returns 0 when valid, else prints the
-/// error to stderr and returns a nonzero exit code for main() to return.
+/// Validate the full flag surface (parse status, `--metrics-*`/`--trace-*`
+/// names) and refuse every `--fault-*` flag: fault sites are armed through
+/// RunConfig::faults, never from argv.  Returns 0 when valid, else prints
+/// the error to stderr and returns 2 for main() to return.
 int RequireValidFlags(const CliFlags& flags);
 
 /// Flatten an ExecutionResult into the obs layer's plain-data run record.

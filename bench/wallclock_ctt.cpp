@@ -2,14 +2,7 @@
 //
 //   build/bench/wallclock_ctt [--keys=N --ops=N --threads=T --write-ratio=X
 //                              --remove-ratio=X --theta=X --batch=N
-//                              --workload=RS --seed=N --fault-seed=N
-//                              --fault-<site>=P --fault-<site>-at=N]
-//
-// The --fault-* flags (see resilience/fault_cli.h for site names) arm the
-// fault injector for the DCART-CP rows only — e.g.
-// --fault-bucket-claim-fail=0.1 exercises the re-dispatch path under load,
-// and the end-of-run report shows per-site check/fire counts plus any
-// degradation the engine recorded.
+//                              --workload=RS --seed=N --reps=N]
 //
 // Unlike the fig*_ benches (which report MODELED time on the paper's
 // platforms), every row here is measured wall clock on this host:
@@ -36,7 +29,6 @@
 #include "baselines/registry.h"
 #include "baselines/rowex_engine.h"
 #include "bench/bench_common.h"
-#include "resilience/fault_cli.h"
 
 namespace dcart {
 namespace {
@@ -107,8 +99,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("batch", 32'768));
   const int reps = std::max(1, static_cast<int>(flags.GetInt("reps", 5)));
   const double ops = static_cast<double>(cfg.num_ops);
-  const resilience::FaultPlan fault_plan =
-      resilience::FaultPlanFromFlags(flags);
 
   bench::BenchObservability observability("wallclock_ctt", flags);
   observability.SetConfig("keys", static_cast<std::int64_t>(cfg.num_keys));
@@ -167,7 +157,6 @@ int main(int argc, char** argv) {
       RunConfig run;
       run.batch_size = batch;
       run.cpu.wall_threads = t;
-      run.faults = fault_plan;
       ExecutionResult result = engine->Run(w.ops, run);
       if (result.seconds < best.seconds) best = std::move(result);
     }
@@ -189,22 +178,5 @@ int main(int argc, char** argv) {
       threads, ph.combine_seconds * 1e3, ph.traverse_seconds * 1e3,
       ph.trigger_seconds * 1e3,
       probes > 0 ? cp_result.stats.shortcut_hits / probes * 100 : 0.0);
-
-  const auto& injector = resilience::FaultInjector::Global();
-  if (injector.armed()) {
-    std::printf("\nfault injection (seed %llu):\n%s",
-                static_cast<unsigned long long>(fault_plan.seed),
-                resilience::FaultReport(injector).c_str());
-    if (cp_result.bucket_retries > 0 || cp_result.parallel_failures > 0 ||
-        cp_result.demoted_to_serial) {
-      std::printf(
-          "  degradation: %u bucket retries, %u failed parallel phases%s\n",
-          cp_result.bucket_retries, cp_result.parallel_failures,
-          cp_result.demoted_to_serial ? ", DEMOTED TO SERIAL" : "");
-    }
-    if (!cp_result.status.ok()) {
-      std::printf("  status: %s\n", cp_result.status.message().c_str());
-    }
-  }
   return observability.Finish();
 }

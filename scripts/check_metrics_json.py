@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a --metrics-json snapshot against the v1 schema.
+"""Validate a --metrics-json snapshot against the v2 schema.
 
 Usage: check_metrics_json.py <metrics.json> [--min-runs=N]
 
@@ -10,7 +10,7 @@ with obs/export.cpp (kMetricsSchemaVersion); bump both together.
 import json
 import sys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Field name -> accepted python types.  Bool is checked before int (bool is
 # a subclass of int in python).
@@ -42,8 +42,7 @@ EVENT_FIELDS = [
 PHASE_FIELDS = ["combine", "traverse", "trigger", "other"]
 LATENCY_FIELDS = ["count", "mean", "min", "p50", "p90", "p99", "max"]
 FAULT_FIELDS = [
-    "status_ok", "status_message", "demoted_to_serial", "parallel_failures",
-    "bucket_retries", "invariant_breaches", "ops_acknowledged",
+    "status_ok", "status_message", "invariant_breaches", "ops_acknowledged",
 ]
 
 

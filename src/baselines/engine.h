@@ -90,12 +90,11 @@ struct ExecutionResult {
 
   // -- Fault tolerance (filled by the resilient runtimes) -------------------
   /// Not-ok when the run crashed (simulated or real) or hit an invariant
-  /// breach.  A run that degraded but completed correctly stays ok; the
-  /// fields below record the degradation.
+  /// breach.
   Status status;
-  bool demoted_to_serial = false;    // parallel phase gave up for this engine
-  std::uint32_t parallel_failures = 0;  // batches whose parallel phase failed
-  std::uint32_t bucket_retries = 0;     // bucket re-dispatch attempts
+  // Set by no engine; kept because bench/e2e/dcart_bench.cpp reads them.
+  bool demoted_to_serial = false;
+  std::uint32_t bucket_retries = 0;
   std::uint64_t invariant_breaches = 0; // mis-classified ops recovered serially
   /// Operations covered by a fully-written journal record (ResilientEngine
   /// only); after a crash, recovery restores exactly this prefix.
@@ -130,7 +129,6 @@ struct ExecutionResult {
     reads_hit += part.reads_hit;
     status.Update(part.status);
     demoted_to_serial |= part.demoted_to_serial;
-    parallel_failures += part.parallel_failures;
     bucket_retries += part.bucket_retries;
     invariant_breaches += part.invariant_breaches;
     ops_acknowledged += part.ops_acknowledged;

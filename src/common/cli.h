@@ -2,11 +2,11 @@
 //
 // Supports `--name=value`, `--name value`, and bare boolean `--name`.
 // Malformed input (duplicate flag definitions) is reported through
-// status(); unknown-flag rejection for the `--fault-*` / `--metrics-*` /
-// `--trace-*` families lives next to their registries
-// (resilience/fault_cli.h, obs/export.h) and is composed by
-// bench_common's RequireValidFlags so experiment scripts fail loudly
-// instead of silently running an un-instrumented configuration.
+// status(); unknown-flag rejection for the `--metrics-*` / `--trace-*`
+// families lives next to their registry (obs/export.h) and is composed by
+// bench_common's RequireValidFlags, which also refuses every `--fault-*`
+// flag, so experiment scripts fail loudly instead of silently running an
+// un-instrumented configuration.
 #pragma once
 
 #include <cstdint>

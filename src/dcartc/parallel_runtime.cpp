@@ -32,7 +32,6 @@ struct RuntimeMetrics {
   obs::Counter* shortcut_misses =
       DCART_METRIC_COUNTER("dcartc.shortcut_misses");
   obs::Counter* deferred_ops = DCART_METRIC_COUNTER("dcartc.deferred_ops");
-  obs::Counter* bucket_retries = DCART_METRIC_COUNTER("dcartc.bucket_retries");
   obs::Counter* invariant_breaches =
       DCART_METRIC_COUNTER("dcartc.invariant_breaches");
   obs::Counter* batches = DCART_METRIC_COUNTER("dcartc.batches");
@@ -43,16 +42,19 @@ RuntimeMetrics& Metrics() {
   return metrics;
 }
 
-// Degradation policy.  A bucket that fails at claim time (an injected fault
-// today; a wedged worker or poisoned subtree in production) is re-dispatched
-// with capped exponential backoff.  If retries run out, the batch's failed
-// buckets are applied serially, and after kDemoteAfterFailures CONSECUTIVE
-// batches end that way, the engine demotes itself to the serial path until
-// the next Load() (ExecutionResult::demoted_to_serial reports it).
-constexpr std::size_t kMaxBucketRetries = 3;
-constexpr std::size_t kDemoteAfterFailures = 3;
-constexpr std::uint32_t kRetryBackoffUs = 50;     // doubles per attempt
-constexpr std::uint32_t kRetryBackoffCapUs = 800;  // backoff ceiling
+/// Record every leaf under `ref` in `table`.
+void InstallLeaves(art::NodeRef ref, ShortcutTable& table) {
+  if (ref.IsLeaf()) {
+    art::Leaf* leaf = ref.AsLeaf();
+    table.Insert(HashKey(leaf->key()), leaf);
+    return;
+  }
+  art::EnumerateChildren(ref.AsNode(), [&table](std::uint8_t,
+                                                art::NodeRef child) {
+    InstallLeaves(child, table);
+    return true;
+  });
+}
 
 }  // namespace
 
@@ -175,7 +177,6 @@ struct DcartCpEngine::WorkerResult {
   std::uint64_t shortcut_misses = 0;
   std::uint64_t invariant_breaches = 0;  // mis-classified ops bounced serial
   std::vector<std::uint32_t> deferred;  // ops bounced to the serial phase
-  std::vector<std::size_t> failed_buckets;  // claim-failed, ops untouched
   std::vector<std::uint64_t> hashes;    // per-bucket scratch (reused)
 };
 
@@ -184,24 +185,30 @@ DcartCpEngine::DcartCpEngine() = default;
 DcartCpEngine::~DcartCpEngine() = default;
 
 void DcartCpEngine::Load(const std::vector<std::pair<Key, art::Value>>& items) {
-  // A fresh load is a fresh life: forget any earlier demotion.
-  demoted_ = false;
-  consecutive_parallel_failures_ = 0;
-  for (const auto& [key, value] : items) {
-    tree_.Insert(key, value);
-  }
+  art::Tree tree;
+  for (const auto& [key, value] : items) tree.Insert(key, value);
+  Load(std::move(tree));
+}
+
+void DcartCpEngine::Load(art::Tree tree) {
+  tree_ = std::move(tree);
+  // The new root can reuse the address of an old root freed since the last
+  // batch, which RefreshPartition would take for an unchanged partition:
+  // drop every table and the signature so no entry outlives its leaf.
+  shortcut_tables_.clear();
+  partition_root_ = 0;
+  partition_offset_ = 0;
   // Pre-warm the shortcut tables with every loaded key (the paper loads the
   // Shortcut_Table alongside the tree image).  This is off the measured
   // clock: without it the first touch of each key during Run() pays a full
   // descent just to install the entry.
   Key root_path;
-  if (RefreshPartition(root_path) == nullptr) return;
-  for (const auto& [key, value] : items) {
-    if (key.size() <= partition_offset_) continue;
-    if (art::Leaf* leaf = tree_.FindLeaf(key)) {
-      shortcut_tables_[key[partition_offset_]].Insert(HashKey(key), leaf);
-    }
-  }
+  art::Node* root = RefreshPartition(root_path);
+  if (root == nullptr) return;
+  art::EnumerateChildren(root, [this](std::uint8_t byte, art::NodeRef child) {
+    InstallLeaves(child, shortcut_tables_[byte]);
+    return true;
+  });
 }
 
 art::Node* DcartCpEngine::RefreshPartition(Key& root_path) {
@@ -276,20 +283,6 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
                              std::size_t end, std::size_t workers,
                              ExecutionResult& result,
                              PhaseBreakdown& phases) {
-  // Degraded mode: the parallel phase failed too many consecutive batches
-  // (see the demotion bookkeeping below), so the rest of this engine's life
-  // runs the plain serial DCART-C path — slower, but unconditionally sound.
-  if (demoted_) {
-    DCART_TRACE_SPAN("trigger-serial", "trigger");
-    const auto serial_start = std::chrono::steady_clock::now();
-    for (std::size_t i = begin; i < end; ++i) ApplySerial(ops[i], result);
-    phases.trigger_seconds += SecondsSince(serial_start);
-    return;
-  }
-
-  resilience::FaultInjector& injector = resilience::FaultInjector::Global();
-  const bool faults_armed = injector.armed();
-
   // One relaxed load per batch decides every tracing branch below; with
   // tracing off the added cost in the per-bucket loops is a dead branch.
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -351,8 +344,8 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
     bool defer = op.type == OpType::kScan || !shardable;
     // Injected mis-classification: let a scan leak into a bucket so the
     // parallel Trigger's invariant-breach recovery can be exercised.
-    if (defer && op.type == OpType::kScan && shardable && faults_armed &&
-        injector.ShouldFire(resilience::FaultSite::kScanDeferLeak)) {
+    if (defer && op.type == OpType::kScan && shardable &&
+        resilience::FaultCheck(resilience::FaultSite::kScanDeferLeak)) {
       defer = false;
     }
     if (defer) {
@@ -413,30 +406,13 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   workers = std::max<std::size_t>(1, std::min(workers, active));
   std::vector<WorkerResult> worker_results(workers);
 
-  // The parallel pass runs once over `order` and again over any
-  // re-dispatched buckets (`pass_order` is re-pointed between passes).  A
-  // bucket that fails does so at claim time, before any of its operations
-  // applied, so re-dispatching it is exact — no op runs twice.
-  const std::vector<std::size_t>* pass_order = &order;
   const auto worker_body = [&](std::size_t w) {
     WorkerResult& wr = worker_results[w];
     for (;;) {
       const std::size_t claim =
           cursor.fetch_add(1, std::memory_order_relaxed);
-      if (claim >= pass_order->size()) break;
-      const std::size_t bucket_index = (*pass_order)[claim];
-      if (faults_armed) {
-        if (injector.ShouldFire(resilience::FaultSite::kWorkerStall)) {
-          // A wedged worker: LPT self-scheduling drains around it, the
-          // stall only shows up as wall-clock latency.
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        if (injector.ShouldFire(resilience::FaultSite::kBucketClaimFail)) {
-          wr.failed_buckets.push_back(bucket_index);
-          continue;
-        }
-      }
-      Bucket& bucket = buckets[bucket_index];
+      if (claim >= order.size()) break;
+      Bucket& bucket = buckets[order[claim]];
       ShortcutTable& table = *bucket.table;
       const std::vector<std::uint32_t>& idxs = bucket.op_indices;
       const std::size_t n = idxs.size();
@@ -605,34 +581,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   };
   pool_->RunParallel(workers, worker_body);
 
-  // Re-dispatch claim-failed buckets with capped exponential backoff.  Ops
-  // of a failed bucket are untouched, so a retry pass is a plain re-run.
-  std::vector<std::size_t> failed;
-  const auto gather_failed = [&] {
-    for (WorkerResult& wr : worker_results) {
-      failed.insert(failed.end(), wr.failed_buckets.begin(),
-                    wr.failed_buckets.end());
-      wr.failed_buckets.clear();
-    }
-  };
-  gather_failed();
-  std::vector<std::size_t> retry_order;
   RuntimeMetrics& metrics = Metrics();
-  for (std::size_t attempt = 0;
-       !failed.empty() && attempt < kMaxBucketRetries; ++attempt) {
-    result.bucket_retries += static_cast<std::uint32_t>(failed.size());
-    metrics.bucket_retries->Add(failed.size());
-    const std::uint32_t backoff_us =
-        std::min(kRetryBackoffUs << attempt, kRetryBackoffCapUs);
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    retry_order.swap(failed);
-    failed.clear();
-    pass_order = &retry_order;
-    cursor.store(0, std::memory_order_relaxed);
-    pool_->RunParallel(workers, worker_body);
-    gather_failed();
-  }
-
   std::ptrdiff_t net_size = 0;
   for (const WorkerResult& wr : worker_results) {
     net_size += wr.net_size;
@@ -652,17 +601,11 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   phases.traverse_seconds += SecondsSince(parallel_start);
 
   // ------------------------------------------------- Serial catch-up -----
-  // Buckets that exhausted their retries fall back to the serial full-tree
-  // path (correct, just not parallel), then combine-deferred operations,
-  // then each worker's bounces.  The three classes never share a key, and
-  // each list is in arrival order, so per-key order holds globally.
+  // Combine-deferred operations, then each worker's bounces.  The two
+  // classes never share a key, and each list is in arrival order, so
+  // per-key order holds globally.
   const auto trigger_start = std::chrono::steady_clock::now();
   const double serial_ts = tracing ? tracer.NowUs() : 0.0;
-  for (std::size_t bucket_index : failed) {
-    for (std::uint32_t idx : bucket_pool_[bucket_index].op_indices) {
-      ApplySerial(ops[idx], result);
-    }
-  }
   for (std::uint32_t idx : deferred) ApplySerial(ops[idx], result);
   for (const WorkerResult& wr : worker_results) {
     for (std::uint32_t idx : wr.deferred) ApplySerial(ops[idx], result);
@@ -672,20 +615,6 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
                       tracer.NowUs() - serial_ts);
   }
   phases.trigger_seconds += SecondsSince(trigger_start);
-
-  // Demotion bookkeeping: a batch whose parallel phase could not complete
-  // even with retries counts against the engine; enough consecutive
-  // failures and it stops trying (the paper's lock-free Trigger guarantees
-  // hold only when every bucket completes, so a persistently failing
-  // parallel phase is not worth its coordination cost).
-  if (!failed.empty()) {
-    ++result.parallel_failures;
-    if (++consecutive_parallel_failures_ >= kDemoteAfterFailures) {
-      demoted_ = true;
-    }
-  } else {
-    consecutive_parallel_failures_ = 0;
-  }
 }
 
 ExecutionResult DcartCpEngine::Run(std::span<const Operation> ops,
@@ -724,7 +653,6 @@ ExecutionResult DcartCpEngine::Run(std::span<const Operation> ops,
   }
 
   result.seconds = total_seconds;
-  result.demoted_to_serial = demoted_;
   if (result.invariant_breaches > 0) {
     result.status.Update(Status::Error(
         "scan reached the parallel trigger phase (mis-classified at "

@@ -106,16 +106,14 @@ class DcartCpEngine : public IndexEngine {
 
   std::string name() const override { return "DCART-CP"; }
   void Load(const std::vector<std::pair<Key, art::Value>>& items) override;
+  /// Serve `tree` as it stands (a recovered image needs no rebuild).
+  void Load(art::Tree tree);
   ExecutionResult Run(std::span<const Operation> ops,
                       const RunConfig& config) override;
   std::optional<art::Value> Lookup(KeyView key) const override;
 
   /// Post-run state inspection (property tests replay serially and diff).
   const art::Tree& tree() const { return tree_; }
-
-  /// True once the engine has given up on the parallel phase (see the
-  /// degradation policy in parallel_runtime.cpp).  Sticky until Load().
-  bool demoted_to_serial() const { return demoted_; }
 
  private:
   // Thread-safety contract.  The engine itself is externally synchronized
@@ -158,10 +156,6 @@ class DcartCpEngine : public IndexEngine {
   std::array<std::int32_t, 256> byte_to_bucket_{};
   std::vector<std::uint32_t> deferred_;
   std::vector<std::size_t> order_;
-
-  // Degradation state (sticky across Run() calls; reset by Load()).
-  std::size_t consecutive_parallel_failures_ = 0;
-  bool demoted_ = false;
 };
 
 }  // namespace dcart::dcartc

@@ -108,10 +108,6 @@ std::string MetricsExporter::ToJson(bool include_registry) const {
         .BeginObject()
         .KV("status_ok", run.status_ok)
         .KV("status_message", run.status_message)
-        .KV("demoted_to_serial", run.demoted_to_serial)
-        .KV("parallel_failures",
-            static_cast<std::uint64_t>(run.parallel_failures))
-        .KV("bucket_retries", static_cast<std::uint64_t>(run.bucket_retries))
         .KV("invariant_breaches", run.invariant_breaches)
         .KV("ops_acknowledged", run.ops_acknowledged)
         .EndObject();

@@ -5,7 +5,7 @@
 // name, the workload/engine configuration, one record per (workload,
 // engine) run — throughput, p50/p90/p99, the Combine/Traverse/Trigger phase
 // breakdown, every OpStats event counter (Fig. 2/7/8), and the
-// fault/degradation outcome — plus a dump of the global metrics registry.
+// fault outcome — plus a dump of the global metrics registry.
 // scripts/check_metrics_json.py validates the schema in CI; bump
 // kMetricsSchemaVersion on any breaking field change.
 #pragma once
@@ -22,7 +22,7 @@
 
 namespace dcart::obs {
 
-inline constexpr int kMetricsSchemaVersion = 1;
+inline constexpr int kMetricsSchemaVersion = 2;
 
 /// One engine run's exportable results.  A plain-data mirror of
 /// ExecutionResult (which lives above this layer); bench_common converts.
@@ -47,9 +47,6 @@ struct RunMetrics {
 
   bool status_ok = true;
   std::string status_message;
-  bool demoted_to_serial = false;
-  std::uint32_t parallel_failures = 0;
-  std::uint32_t bucket_retries = 0;
   std::uint64_t invariant_breaches = 0;
   std::uint64_t ops_acknowledged = 0;
 };

@@ -22,8 +22,6 @@ const char* FaultSiteName(FaultSite site) {
     case FaultSite::kHbmReadCorrupt: return "hbm-read-corrupt";
     case FaultSite::kHbmLatencySpike: return "hbm-latency-spike";
     case FaultSite::kNodeBufferEcc: return "node-buffer-ecc";
-    case FaultSite::kWorkerStall: return "worker-stall";
-    case FaultSite::kBucketClaimFail: return "bucket-claim-fail";
     case FaultSite::kScanDeferLeak: return "scan-defer-leak";
     case FaultSite::kCrashAtBatchBoundary: return "crash-at-batch-boundary";
     case FaultSite::kCrashMidBatch: return "crash-mid-batch";

@@ -2,7 +2,7 @@
 //
 // Layers that can fail in production register a *site* here and ask
 // ShouldFire() at the moment the fault would strike; what firing means is
-// defined by the call site (an HBM burst re-read, a worker stall, a torn
+// defined by the call site (an HBM burst re-read, a leaked scan, a torn
 // journal record, a simulated process crash).  Two trigger modes per site:
 //
 //   probability  — every check draws from a counter-indexed SplitMix64
@@ -18,8 +18,8 @@
 // file I/O layer sit below the engine layer and cannot be handed a pointer
 // without widening every constructor.  When disarmed (the default) a check
 // is one relaxed atomic load and a predicted branch — cheap enough for the
-// paths it guards (bucket claims, HBM accesses, file writes), and the
-// wall-clock hot loop never checks per operation.
+// paths it guards (HBM accesses, file writes, link frames), and the
+// parallel workers never check at all.
 #pragma once
 
 #include <array>
@@ -34,8 +34,6 @@ enum class FaultSite : unsigned {
   kHbmLatencySpike,  // refresh/thermal stall on top of the access latency
   kNodeBufferEcc,    // on-chip buffer ECC event: the line must be refetched
   // dcartc: the parallel CTT runtime.
-  kWorkerStall,      // a worker sleeps at bucket-claim time
-  kBucketClaimFail,  // a claimed bucket fails before any of its ops applied
   kScanDeferLeak,    // combine mis-classifies a scan into a bucket
   // resilience: the durable execution loop.
   kCrashAtBatchBoundary,  // simulated process death between batches

@@ -325,10 +325,10 @@ bool ResilientEngine::Recover() {
     ApplyToTree(tree, tail);
     recovered_ops_ = tail.size();
 
-    // Rebuild the runtime from the recovered image (Load() also pre-warms
-    // the shortcut tables, exactly as a restarted service would).
+    // Serve the recovered tree itself (Load() also pre-warms the shortcut
+    // tables, exactly as a restarted service would).
     engine_ = std::make_unique<dcartc::DcartCpEngine>();
-    engine_->Load(TreeItems(tree));
+    engine_->Load(std::move(tree));
     crashed_ = false;
     load_status_ = Status::Ok();  // recovery supersedes any parked failure
     dir_.Resume(newest);  // the checkpoint below bumps past every old file

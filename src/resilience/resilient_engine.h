@@ -1,7 +1,7 @@
 // DCART-CP-FT: the fault-tolerant execution layer around the real-threads
 // CTT runtime.
 //
-// Wraps a DcartCpEngine with the three cooperating resilience layers:
+// Wraps a DcartCpEngine with two cooperating resilience layers:
 //
 //   Durability   — every batch's writes and removes are appended as one
 //                  record to a CRC-framed write-ahead journal (flushed
@@ -19,8 +19,6 @@
 //                  torn/corrupt journal tails are truncated by the CRC
 //                  framing, so the restored tree is exactly the serial
 //                  replay of the acknowledged operation prefix.
-//   Degradation  — inherited from the inner engine (bucket re-dispatch with
-//                  backoff, demote-to-serial) and surfaced unchanged.
 //
 // Crash injection (kCrashAtBatchBoundary / kCrashMidBatch) simulates
 // process death inside Run(): the engine stops issuing writes, reports a

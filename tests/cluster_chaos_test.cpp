@@ -14,23 +14,19 @@
 //
 // Seeds come from DCART_FAULT_SEED (the CI chaos matrix sweeps several).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "art/serialize.h"
 #include "cluster/cluster.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "workload/generators.h"
 
 namespace dcart {
 namespace {
 
-namespace fs = std::filesystem;
 using cluster::ClusterEngine;
 using cluster::ClusterOptions;
 using resilience::FaultInjector;
@@ -54,44 +50,6 @@ class ClusterChaosTest : public ::testing::TestWithParam<LinkKind> {
     return options;
   }
 };
-
-std::vector<std::uint8_t> FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void ExpectTreesByteIdentical(const art::Tree& got, const art::Tree& want,
-                              const std::string& tag) {
-  // ctest runs each (test, link-kind) variant as its own parallel process,
-  // so scratch paths must be per-process to avoid cross-variant clobbering.
-  const std::string pid = std::to_string(::getpid());
-  const std::string got_path =
-      ::testing::TempDir() + "/clchaos_got_" + tag + "_" + pid;
-  const std::string want_path =
-      ::testing::TempDir() + "/clchaos_want_" + tag + "_" + pid;
-  ASSERT_TRUE(art::SaveTree(got, got_path));
-  ASSERT_TRUE(art::SaveTree(want, want_path));
-  const auto got_bytes = FileBytes(got_path);
-  const auto want_bytes = FileBytes(want_path);
-  std::remove(got_path.c_str());
-  std::remove(want_path.c_str());
-  ASSERT_FALSE(want_bytes.empty());
-  EXPECT_TRUE(got_bytes == want_bytes)
-      << tag << ": cluster contents differ from the oracle ("
-      << got_bytes.size() << " vs " << want_bytes.size() << " bytes)";
-}
-
-/// Serial ground truth: the whole workload applied to one tree.
-art::Tree Replay(const Workload& w) {
-  art::Tree tree;
-  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
-  for (const Operation& op : w.ops) {
-    if (op.type == OpType::kWrite) tree.Insert(op.key, op.value);
-    if (op.type == OpType::kRemove) tree.Remove(op.key);
-  }
-  return tree;
-}
 
 Workload ChaosWorkload(std::size_t num_ops) {
   WorkloadConfig cfg;
@@ -117,7 +75,7 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
   // Each death must be absorbed by a mid-run failover with zero
   // acknowledged-op loss and byte-identical convergence.
   const Workload w = ChaosWorkload(1024);
-  const art::Tree oracle = Replay(w);
+  const art::Tree oracle = ReplayPrefix(w, w.ops.size());
 
   // Measure the number of crash checks a run performs, with a trigger far
   // beyond the run so the armed injector counts but never fires.
@@ -185,7 +143,8 @@ TEST_P(ClusterChaosTest, EveryShardLinkPartitionedStillConverges) {
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_FALSE(r.partial);
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w), "partition");
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
+                           "partition");
 }
 
 TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
@@ -214,12 +173,14 @@ TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
   }
   ASSERT_EQ(engine.failovers(), 1u) << "watchdog never promoted";
   EXPECT_EQ(engine.ShardTerm(1), 2u);
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w), "hard_cut");
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
+                           "hard_cut");
 
   // Post-failover the cluster still serves the whole keyspace.
   const ExecutionResult after = engine.Run(w.ops, ChaosRun());
   EXPECT_TRUE(after.status.ok()) << after.status.message();
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w), "hard_cut2");
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
+                           "hard_cut2");
 }
 
 TEST_P(ClusterChaosTest, CrashInSplitCopyPhaseAbortsWithDirectoryUntouched) {
@@ -289,7 +250,8 @@ TEST_P(ClusterChaosTest, CrashInSplitRetirePhaseFailsOverAndKeepsAllKeys) {
   // The post-split cluster serves the whole keyspace on the new topology.
   const ExecutionResult after = engine.Run(w.ops, ChaosRun());
   EXPECT_TRUE(after.status.ok()) << after.status.message();
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w), "retire_after");
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
+                           "retire_after");
 }
 
 INSTANTIATE_TEST_SUITE_P(

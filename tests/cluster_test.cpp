@@ -5,22 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "art/serialize.h"
 #include "cluster/cluster.h"
 #include "cluster/watchdog.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "workload/generators.h"
 
 namespace dcart {
 namespace {
 
-namespace fs = std::filesystem;
 using cluster::ClusterEngine;
 using cluster::ClusterOptions;
 using cluster::Watchdog;
@@ -33,40 +30,6 @@ class ClusterTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
 };
-
-std::vector<std::uint8_t> FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void ExpectTreesByteIdentical(const art::Tree& got, const art::Tree& want,
-                              const std::string& tag) {
-  const std::string got_path = ::testing::TempDir() + "/cluster_got_" + tag;
-  const std::string want_path = ::testing::TempDir() + "/cluster_want_" + tag;
-  ASSERT_TRUE(art::SaveTree(got, got_path));
-  ASSERT_TRUE(art::SaveTree(want, want_path));
-  const auto got_bytes = FileBytes(got_path);
-  const auto want_bytes = FileBytes(want_path);
-  std::remove(got_path.c_str());
-  std::remove(want_path.c_str());
-  ASSERT_FALSE(want_bytes.empty());
-  EXPECT_TRUE(got_bytes == want_bytes)
-      << tag << ": cluster contents differ from the oracle ("
-      << got_bytes.size() << " vs " << want_bytes.size() << " bytes)";
-}
-
-/// Serial ground truth: the whole workload applied to one tree.
-art::Tree Replay(const Workload& w, std::size_t op_count) {
-  art::Tree tree;
-  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const Operation& op = w.ops[i];
-    if (op.type == OpType::kWrite) tree.Insert(op.key, op.value);
-    if (op.type == OpType::kRemove) tree.Remove(op.key);
-  }
-  return tree;
-}
 
 Workload ClusterWorkload(std::size_t num_ops) {
   WorkloadConfig cfg;
@@ -222,7 +185,7 @@ TEST_F(ClusterTest, ClusterRunMatchesSerialOracle) {
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_FALSE(r.partial);
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w, w.ops.size()),
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "oracle");
 }
 
@@ -350,7 +313,7 @@ TEST_F(ClusterTest, WatchdogPromotesDeadPrimaryAndTermFencesTheOldOne) {
   // The cluster still matches the serial oracle after the failover.
   const ExecutionResult after = engine.Run(w.ops, ClusterRun());
   EXPECT_TRUE(after.status.ok()) << after.status.message();
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w, w.ops.size()),
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "post_failover");
 }
 
@@ -441,7 +404,7 @@ TEST_F(ClusterTest, SplitShardPreservesContentsAndRetilesDirectory) {
 
   const ExecutionResult after = engine.Run(w.ops, ClusterRun());
   EXPECT_TRUE(after.status.ok()) << after.status.message();
-  ExpectTreesByteIdentical(engine.ContentsTree(), Replay(w, w.ops.size()),
+  ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "split_serving");
 }
 

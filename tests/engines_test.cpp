@@ -74,8 +74,6 @@ TEST(ExecutionResult, MergeFoldsEveryField) {
   part.reads_hit = 61;
   part.status = Status::Error("part failed");
   part.demoted_to_serial = true;
-  total.parallel_failures = 67;
-  part.parallel_failures = 71;
   total.bucket_retries = 73;
   part.bucket_retries = 79;
   total.invariant_breaches = 83;
@@ -100,7 +98,6 @@ TEST(ExecutionResult, MergeFoldsEveryField) {
   EXPECT_FALSE(total.status.ok());
   EXPECT_EQ(total.status.message(), "part failed");
   EXPECT_TRUE(total.demoted_to_serial);
-  EXPECT_EQ(total.parallel_failures, 138u);
   EXPECT_EQ(total.bucket_retries, 152u);
   EXPECT_EQ(total.invariant_breaches, 172u);
   EXPECT_EQ(total.ops_acknowledged, 198u);

@@ -47,7 +47,6 @@ TEST(DcartLint, BadCorpusEveryRuleFiresAtTheExpectedLine) {
       {kTriggerPhaseRegistryMetrics, "src/dcartc/parallel_runtime.cpp", 4},
       {kTriggerPhaseRegistryMetrics, "src/dcartc/parallel_runtime.cpp", 5},
       {kAtomicsManifest, "src/dcartc/relaxed_misuse.cpp", 4},
-      {kFaultSiteRegistry, "src/resilience/fault_cli.cpp", 0},
       {kFaultSiteRegistry, "src/resilience/fault_injector.cpp", 0},
       {kFaultSiteRegistry, "src/resilience/fault_injector.h", 4},
       {kFaultSiteRegistry, "src/resilience/fault_injector.h", 5},
@@ -193,8 +192,9 @@ TEST(DcartLint, SarifOutputCarriesRulesAndLocations) {
   EXPECT_NE(sarif.find("\"uri\": \"src/art/layer_breaker.cpp\""),
             std::string::npos);
   // ...and whole-file findings (line 0) are pinned to line 1 for SARIF.
-  const std::string cli_result = "\"uri\": \"src/resilience/fault_cli.cpp\"";
-  const std::size_t at = sarif.find(cli_result);
+  const std::string registry_result =
+      "\"uri\": \"src/resilience/fault_injector.cpp\"";
+  const std::size_t at = sarif.find(registry_result);
   ASSERT_NE(at, std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 1", at), std::string::npos);
 }

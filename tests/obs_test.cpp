@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs): metrics registry semantics,
 // tracer span capture + JSON shape, the bench metrics exporter, and the
-// flag-family validators that guard --metrics-* / --trace-* / --fault-*.
+// flag-family validators that guard --metrics-* / --trace-* and refuse
+// every --fault-*.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,11 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/cli.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "resilience/fault_cli.h"
 
 namespace dcart::obs {
 namespace {
@@ -191,14 +192,14 @@ TEST(Exporter, ValidateObsFlagsAcceptsKnownRejectsUnknown) {
   EXPECT_FALSE(ValidateObsFlags(MakeFlags({"--trace-format=proto"})).ok());
 }
 
-TEST(FlagFamilies, ValidateFaultFlagsAcceptsKnownRejectsUnknown) {
-  EXPECT_TRUE(resilience::ValidateFaultFlags(
-                  MakeFlags({"--fault-seed=7", "--keys=10"}))
-                  .ok());
-  const Status bad = resilience::ValidateFaultFlags(
-      MakeFlags({"--fault-does-not-exist=1"}));
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.message().find("fault-does-not-exist"), std::string::npos);
+TEST(FlagFamilies, RequireValidFlagsRefusesEveryFaultFlag) {
+  // No binary arms fault sites from argv, so a registered site's flag is
+  // refused as loudly as a misspelt one.
+  EXPECT_EQ(bench::RequireValidFlags(MakeFlags({"--fault-seed=7"})), 2);
+  EXPECT_EQ(
+      bench::RequireValidFlags(MakeFlags({"--fault-hbm-read-corrupt=0.5"})),
+      2);
+  EXPECT_EQ(bench::RequireValidFlags(MakeFlags({"--keys=10"})), 0);
 }
 
 TEST(FlagFamilies, DuplicateFlagDefinitionIsAParseError) {

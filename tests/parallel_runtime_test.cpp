@@ -12,60 +12,11 @@
 #include "common/key_codec.h"
 #include "common/rng.h"
 #include "dcartc/parallel_runtime.h"
+#include "oracle.h"
 #include "workload/generators.h"
 
 namespace dcart {
 namespace {
-
-/// Serial ground truth: the same stream applied to a plain art::Tree.
-struct SerialReplay {
-  art::Tree tree;
-  std::uint64_t reads_hit = 0;
-
-  void Load(const std::vector<std::pair<Key, art::Value>>& items) {
-    for (const auto& [key, value] : items) tree.Insert(key, value);
-  }
-  void Apply(const std::vector<Operation>& ops) {
-    for (const Operation& op : ops) {
-      switch (op.type) {
-        case OpType::kRead:
-          if (tree.Get(op.key).has_value()) ++reads_hit;
-          break;
-        case OpType::kWrite:
-          tree.Insert(op.key, op.value);
-          break;
-        case OpType::kRemove:
-          tree.Remove(op.key);
-          break;
-        case OpType::kScan: {
-          std::size_t entries = 0;
-          tree.ScanFrom(op.key, [&entries, &op](KeyView, art::Value) {
-            return ++entries < op.scan_count;
-          });
-          break;
-        }
-      }
-    }
-  }
-};
-
-/// Full-state diff: every key in the reference is present with the same
-/// value, and the sizes match (so no extra keys either).
-void ExpectSameState(const dcartc::DcartCpEngine& engine,
-                     const art::Tree& reference) {
-  ASSERT_EQ(engine.tree().size(), reference.size());
-  std::size_t checked = 0;
-  reference.ScanFrom({}, [&](KeyView key, art::Value value) {
-    const auto got = engine.Lookup(key);
-    EXPECT_TRUE(got.has_value()) << "missing key after parallel run";
-    if (got.has_value()) {
-      EXPECT_EQ(*got, value);
-    }
-    ++checked;
-    return true;
-  });
-  EXPECT_EQ(checked, reference.size());
-}
 
 RunConfig CpRun(std::size_t threads, std::size_t batch) {
   RunConfig run;

@@ -2,8 +2,8 @@
 // fault-tolerance layer): for a crash at EVERY batch boundary and at random
 // mid-batch (torn journal record) points, Recover() must restore EXACTLY
 // the serial replay of the acknowledged operation prefix — verified by
-// byte-identical SaveTree snapshots, which is a meaningful comparison
-// because SaveTree streams the tree's canonical sorted form.
+// byte-identical EncodeTree images (tests/oracle.h), which is a meaningful
+// comparison because EncodeTree writes the tree's canonical sorted form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "legacy_snapshot.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "resilience/resilient_engine.h"
 #include "workload/generators.h"
@@ -57,45 +58,6 @@ std::vector<std::uint8_t> FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
-}
-
-/// Byte-identical snapshot compare: both trees serialized with SaveTree
-/// must produce the same file.
-void ExpectTreesByteIdentical(const art::Tree& got, const art::Tree& want,
-                              const std::string& tag) {
-  const std::string got_path = ::testing::TempDir() + "/cmp_got_" + tag;
-  const std::string want_path = ::testing::TempDir() + "/cmp_want_" + tag;
-  ASSERT_TRUE(art::SaveTree(got, got_path));
-  ASSERT_TRUE(art::SaveTree(want, want_path));
-  const auto got_bytes = FileBytes(got_path);
-  const auto want_bytes = FileBytes(want_path);
-  std::remove(got_path.c_str());
-  std::remove(want_path.c_str());
-  ASSERT_FALSE(want_bytes.empty());
-  EXPECT_TRUE(got_bytes == want_bytes)
-      << tag << ": recovered tree differs from serial replay ("
-      << got_bytes.size() << " vs " << want_bytes.size() << " bytes)";
-}
-
-/// Serial ground truth over a prefix of the op stream.
-art::Tree ReplayPrefix(const Workload& w, std::size_t op_count) {
-  art::Tree tree;
-  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const Operation& op = w.ops[i];
-    switch (op.type) {
-      case OpType::kWrite:
-        tree.Insert(op.key, op.value);
-        break;
-      case OpType::kRemove:
-        tree.Remove(op.key);
-        break;
-      case OpType::kRead:
-      case OpType::kScan:
-        break;
-    }
-  }
-  return tree;
 }
 
 /// Writes and removes among ops [begin, end) — what the journal holds.

@@ -19,14 +19,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "art/serialize.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "resilience/replication.h"
 #include "workload/generators.h"
@@ -70,52 +68,6 @@ class ReplicationPropertyTest : public ::testing::TestWithParam<LinkKind> {
     return options;
   }
 };
-
-std::vector<std::uint8_t> FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void ExpectTreesByteIdentical(const art::Tree& got, const art::Tree& want,
-                              const std::string& tag) {
-  const std::string pid = std::to_string(::getpid());
-  const std::string got_path =
-      ::testing::TempDir() + "/replprop_got_" + tag + "_" + pid;
-  const std::string want_path =
-      ::testing::TempDir() + "/replprop_want_" + tag + "_" + pid;
-  ASSERT_TRUE(art::SaveTree(got, got_path));
-  ASSERT_TRUE(art::SaveTree(want, want_path));
-  const auto got_bytes = FileBytes(got_path);
-  const auto want_bytes = FileBytes(want_path);
-  std::remove(got_path.c_str());
-  std::remove(want_path.c_str());
-  ASSERT_FALSE(want_bytes.empty());
-  EXPECT_TRUE(got_bytes == want_bytes)
-      << tag << ": trees differ (" << got_bytes.size() << " vs "
-      << want_bytes.size() << " bytes)";
-}
-
-/// Serial ground truth over a prefix of the op stream.
-art::Tree ReplayPrefix(const Workload& w, std::size_t op_count) {
-  art::Tree tree;
-  for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const Operation& op = w.ops[i];
-    switch (op.type) {
-      case OpType::kWrite:
-        tree.Insert(op.key, op.value);
-        break;
-      case OpType::kRemove:
-        tree.Remove(op.key);
-        break;
-      case OpType::kRead:
-      case OpType::kScan:
-        break;
-    }
-  }
-  return tree;
-}
 
 Workload ChaosWorkload(std::size_t num_ops) {
   WorkloadConfig cfg;

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <string>
@@ -19,6 +18,7 @@
 #include "common/crc32.h"
 #include "common/key_codec.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "resilience/replication.h"
 #include "resilience/resilient_engine.h"
@@ -57,28 +57,6 @@ class ReplicationTest : public ::testing::Test {
     return dir;
   }
 };
-
-std::vector<std::uint8_t> FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void ExpectTreesByteIdentical(const art::Tree& got, const art::Tree& want,
-                              const std::string& tag) {
-  const std::string got_path = ::testing::TempDir() + "/repl_got_" + tag;
-  const std::string want_path = ::testing::TempDir() + "/repl_want_" + tag;
-  ASSERT_TRUE(art::SaveTree(got, got_path));
-  ASSERT_TRUE(art::SaveTree(want, want_path));
-  const auto got_bytes = FileBytes(got_path);
-  const auto want_bytes = FileBytes(want_path);
-  std::remove(got_path.c_str());
-  std::remove(want_path.c_str());
-  ASSERT_FALSE(want_bytes.empty());
-  EXPECT_TRUE(got_bytes == want_bytes)
-      << tag << ": replica tree differs from primary ("
-      << got_bytes.size() << " vs " << want_bytes.size() << " bytes)";
-}
 
 Workload ReplicationWorkload(std::size_t num_ops) {
   WorkloadConfig cfg;

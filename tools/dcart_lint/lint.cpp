@@ -154,14 +154,12 @@ void CheckSuppressionHygiene(const SourceFile& file,
 
 // ------------------------------------------------------------------ DL001 --
 // Fault-site registry: every FaultSite enumerator must have exactly one
-// FaultSiteName entry, a unique flag name, at least one injection point
-// (a FaultSite::kX reference outside the registry itself), and the CLI must
-// derive its --fault-* flags from the registry.
+// FaultSiteName entry, a unique name, and at least one injection point
+// (a FaultSite::kX reference outside the registry itself).
 void CheckFaultSiteRegistry(const RepoModel& model,
                             std::vector<Finding>& findings) {
   const std::string header_rel = "src/resilience/fault_injector.h";
   const std::string impl_rel = "src/resilience/fault_injector.cpp";
-  const std::string cli_rel = "src/resilience/fault_cli.cpp";
   const SourceFile* header = model.Find(header_rel);
   const SourceFile* impl = model.Find(impl_rel);
   if (header == nullptr || impl == nullptr) return;  // not in this corpus
@@ -235,24 +233,7 @@ void CheckFaultSiteRegistry(const RepoModel& model,
           {kFaultSiteRegistry, impl_rel, 0,
            "fault-site name \"" + name + "\" is claimed by " +
                std::to_string(owners.size()) +
-               " enumerators; --fault-* flags would collide"});
-    }
-  }
-  // The CLI must derive flags from the registry, not hand-list them.
-  if (const SourceFile* cli = model.Find(cli_rel)) {
-    bool derives = false;
-    for (const std::string& line : cli->code) {
-      if (line.find("FaultSiteName") != std::string::npos &&
-          line.find("\"fault-\"") != std::string::npos) {
-        derives = true;
-        break;
-      }
-    }
-    if (!derives) {
-      findings.push_back(
-          {kFaultSiteRegistry, cli_rel, 0,
-           "fault CLI does not derive --fault-* flags from FaultSiteName; "
-           "a new site would silently get no flag"});
+               " enumerators; a name must identify one site"});
     }
   }
 }
