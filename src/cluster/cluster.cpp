@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "resilience/fault_injector.h"
 #include "workload/generators.h"
 
@@ -203,15 +204,23 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
   std::set<std::size_t> reported;  // shards already reported degraded
   const std::size_t batch_size = std::max<std::size_t>(1, config.batch_size);
   std::vector<std::vector<Operation>> sub(shards_.size());
+  std::vector<std::size_t> scans;
   for (std::size_t begin = 0; begin < ops.size(); begin += batch_size) {
     const std::size_t end = std::min(ops.size(), begin + batch_size);
 
     // Partition the batch.  Per-shard order is preserved; reordering across
     // shards is invisible because the directory makes their ranges disjoint.
-    for (auto& bucket : sub) bucket.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      if (ops[k].type == OpType::kScan) continue;  // gathered below
-      sub[RouteShard(ops[k].key)].push_back(ops[k]);
+    {
+      obs::ScopedSpan span("cluster.route", "cluster", "ops", end - begin);
+      for (auto& bucket : sub) bucket.clear();
+      scans.clear();
+      for (std::size_t k = begin; k < end; ++k) {
+        if (ops[k].type == OpType::kScan) {
+          scans.push_back(k);  // gathered below
+          continue;
+        }
+        sub[RouteShard(ops[k].key)].push_back(ops[k]);
+      }
     }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (sub[i].empty()) continue;
@@ -223,8 +232,9 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
     }
     // Scans after the batch's point ops (a scan in a batch observes the
     // batch's writes — the same read-your-batch order the pairs provide).
-    for (std::size_t k = begin; k < end; ++k) {
-      if (ops[k].type == OpType::kScan) {
+    if (!scans.empty()) {
+      obs::ScopedSpan span("cluster.gather", "cluster", "scans", scans.size());
+      for (const std::size_t k : scans) {
         RunScan(ops[k], result, reported);
         ++result.ops_acknowledged;  // pure read; nothing to make durable
       }

@@ -9,8 +9,6 @@
 //   FindKeyByte16    16-lane search (SSE2, the x86-64 baseline ISA)
 //   FindKeyByte32    32-lane search (AVX2 when the CPU has it, otherwise
 //                    two SSE2 halves)
-//   MatchHash4       4-lane u64 equality for the shortcut-table probe
-//                    (AVX2-only; callers keep a scalar path)
 //
 // Selection is two-level: the DCART_SIMD CMake option gates compilation
 // (plus hard gates for non-x86 targets and TSan — see below), and a
@@ -114,27 +112,6 @@ inline int FindKeyByte32(const std::uint8_t* keys, int count, std::uint8_t b) {
   if (lo >= 0 || count <= 16) return lo;
   const int hi = FindKeyByte16(keys + 16, count - 16, b);
   return hi >= 0 ? hi + 16 : -1;
-}
-
-/// Lane masks for 4 consecutive u64 slots: bit i of `eq` is set iff
-/// hashes[i] == target, bit i of `zero` iff hashes[i] == 0.  AVX2-only
-/// (_mm256_cmpeq_epi64); callers must check HasAvx2() first and keep a
-/// scalar probe for the SSE2 tier.
-struct HashLanes4 {
-  unsigned eq;
-  unsigned zero;
-};
-
-__attribute__((target("avx2"))) inline HashLanes4 MatchHash4(
-    const std::uint64_t* hashes, std::uint64_t target) {
-  const __m256i lanes =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes));
-  const __m256i eq = _mm256_cmpeq_epi64(
-      lanes, _mm256_set1_epi64x(static_cast<long long>(target)));
-  const __m256i zero = _mm256_cmpeq_epi64(lanes, _mm256_setzero_si256());
-  return HashLanes4{
-      static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq))),
-      static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(zero)))};
 }
 
 #else  // !DCART_SIMD_X86

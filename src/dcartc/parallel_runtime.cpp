@@ -7,7 +7,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "common/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/fault_injector.h"
@@ -42,16 +41,15 @@ RuntimeMetrics& Metrics() {
   return metrics;
 }
 
-/// Record every leaf under `ref` in `table`.
-void InstallLeaves(art::NodeRef ref, ShortcutTable& table) {
+/// Append every leaf under `ref` to `out`.
+void CollectLeaves(art::NodeRef ref, std::vector<art::Leaf*>& out) {
   if (ref.IsLeaf()) {
-    art::Leaf* leaf = ref.AsLeaf();
-    table.Insert(HashKey(leaf->key()), leaf);
+    out.push_back(ref.AsLeaf());
     return;
   }
-  art::EnumerateChildren(ref.AsNode(), [&table](std::uint8_t,
-                                                art::NodeRef child) {
-    InstallLeaves(child, table);
+  art::EnumerateChildren(ref.AsNode(), [&out](std::uint8_t,
+                                              art::NodeRef child) {
+    CollectLeaves(child, out);
     return true;
   });
 }
@@ -60,97 +58,77 @@ void InstallLeaves(art::NodeRef ref, ShortcutTable& table) {
 
 // --------------------------------------------------------- ShortcutTable --
 
-art::Leaf* ShortcutTable::Find(std::uint64_t hash) const {
-  if (size_ == 0) return nullptr;
-  hash = Normalize(hash);
-#if DCART_SIMD_X86
-  if (simd::HasAvx2()) {
-    // Four-lane probe.  Correctness leans on two linear-probing facts:
-    //   1. A live entry never sits past a truly-empty slot on its home
-    //      chain (inserts fill a tombstone or the chain's first empty
-    //      slot, and Erase never re-empties — it only tombstones), so the
-    //      first zero lane terminates the probe.
-    //   2. The live entry for `hash` precedes any same-hash tombstone that
-    //      a probe could otherwise mistake for a miss, because Insert
-    //      reuses the FIRST tombstone on the chain.  Equal lanes are
-    //      therefore examined in ascending order, skipping tombstones.
-    // The load factor cap in Insert guarantees empty slots exist, so the
-    // stride-4 walk over consecutive lane groups always terminates.
-    std::size_t i = hash & mask_;
-    for (;;) {
-      const simd::HashLanes4 lanes = simd::MatchHash4(&hashes_[i], hash);
-      for (unsigned m = lanes.eq | lanes.zero; m != 0; m &= m - 1) {
-        const auto j = static_cast<unsigned>(__builtin_ctz(m));
-        if ((lanes.zero >> j) & 1u) return nullptr;
-        const std::size_t idx = (i + j) & mask_;  // mirror lane -> real slot
-        if (leaves_[idx] != nullptr) return leaves_[idx];
-      }
-      i = (i + 4) & mask_;
-    }
+std::size_t ShortcutTable::NextCandidate(std::uint64_t hash,
+                                         std::size_t i) const {
+  // The load cap in Insert keeps empty slots, so every chain ends.
+  const std::uint64_t tag = Tag(hash);
+  for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
+    if (Tag(slots_[i]) == tag && slots_[i] != kTomb) return i;
   }
-#endif
-  for (std::size_t i = hash & mask_; hashes_[i] != 0; i = (i + 1) & mask_) {
-    if (hashes_[i] == hash && leaves_[i] != nullptr) return leaves_[i];
+  return kNone;
+}
+
+std::size_t ShortcutTable::Locate(std::uint64_t hash, KeyView key) const {
+  if (slots_.empty()) return kNone;
+  for (std::size_t i = NextCandidate(hash, hash & mask_); i != kNone;
+       i = NextCandidate(hash, (i + 1) & mask_)) {
+    if (KeysEqual(LeafOf(slots_[i])->key(), key)) return i;
   }
-  return nullptr;
+  return kNone;
+}
+
+art::Leaf* ShortcutTable::Find(std::uint64_t hash, KeyView key) const {
+  const std::size_t i = Locate(hash, key);
+  return i == kNone ? nullptr : LeafOf(slots_[i]);
+}
+
+art::Leaf* ShortcutTable::Candidate(std::uint64_t hash) const {
+  if (slots_.empty()) return nullptr;
+  const std::size_t i = NextCandidate(hash, hash & mask_);
+  return i == kNone ? nullptr : LeafOf(slots_[i]);
 }
 
 void ShortcutTable::Insert(std::uint64_t hash, art::Leaf* leaf) {
-  if ((live_ + tombs_ + 1) * 4 > size_ * 3) Grow();
-  hash = Normalize(hash);
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t tomb = kNone;
+  const auto address = reinterpret_cast<std::uintptr_t>(leaf);
+  if (address > kLeafMask) return;  // no room for the tag: stay uncached
+  if ((live_ + tombs_ + 1) * 4 > slots_.size() * 3) {
+    std::size_t capacity = std::max<std::size_t>(64, slots_.size());
+    while ((live_ + 1) * 2 >= capacity) capacity *= 2;
+    Rehash(capacity);
+  }
+  // The first free slot on the chain: a tombstone or the chain's end.
   std::size_t i = hash & mask_;
-  for (; hashes_[i] != 0; i = (i + 1) & mask_) {
-    if (hashes_[i] == hash && leaves_[i] != nullptr) {
-      leaves_[i] = leaf;  // refresh in place
-      return;
-    }
-    if (leaves_[i] == nullptr && tomb == kNone) tomb = i;
-  }
-  if (tomb != kNone) {
-    SetHash(tomb, hash);
-    leaves_[tomb] = leaf;
-    --tombs_;
-  } else {
-    SetHash(i, hash);
-    leaves_[i] = leaf;
-  }
+  while (slots_[i] > kTomb) i = (i + 1) & mask_;
+  if (slots_[i] == kTomb) --tombs_;
+  slots_[i] = Tag(hash) | address;
   ++live_;
 }
 
-void ShortcutTable::Erase(std::uint64_t hash) {
-  if (size_ == 0) return;
-  hash = Normalize(hash);
-  for (std::size_t i = hash & mask_; hashes_[i] != 0; i = (i + 1) & mask_) {
-    if (hashes_[i] == hash && leaves_[i] != nullptr) {
-      leaves_[i] = nullptr;  // tombstone: probes continue past it
-      --live_;
-      ++tombs_;
-      return;
-    }
-  }
+void ShortcutTable::Erase(std::uint64_t hash, KeyView key) {
+  const std::size_t i = Locate(hash, key);
+  if (i == kNone) return;
+  slots_[i] = kTomb;  // probes continue past it
+  --live_;
+  ++tombs_;
 }
 
-void ShortcutTable::Grow() {
-  std::size_t capacity = size_ == 0 ? 64 : size_;
-  while ((live_ + 1) * 2 >= capacity) capacity *= 2;
-  std::vector<std::uint64_t> old_hashes;
-  std::vector<art::Leaf*> old_leaves;
-  old_hashes.swap(hashes_);
-  old_leaves.swap(leaves_);
-  const std::size_t old_size = size_;
-  size_ = capacity;
+void ShortcutTable::Reserve(std::size_t entries) {
+  std::size_t capacity = 64;
+  while (entries * 4 > capacity * 3) capacity *= 2;
+  if (capacity > slots_.size()) Rehash(capacity);
+}
+
+void ShortcutTable::Rehash(std::size_t capacity) {
+  // Slots keep only the tag, so each entry's home comes from its leaf's key.
+  std::vector<std::uint64_t> old(capacity, kEmpty);
+  old.swap(slots_);
   mask_ = capacity - 1;
-  hashes_.assign(capacity + kPad, 0);
-  leaves_.assign(capacity, nullptr);
   tombs_ = 0;
-  for (std::size_t k = 0; k < old_size; ++k) {
-    if (old_hashes[k] == 0 || old_leaves[k] == nullptr) continue;
-    std::size_t i = old_hashes[k] & mask_;
-    while (hashes_[i] != 0) i = (i + 1) & mask_;
-    SetHash(i, old_hashes[k]);
-    leaves_[i] = old_leaves[k];
+  for (const std::uint64_t slot : old) {
+    if (slot == kEmpty || slot == kTomb) continue;
+    std::size_t i = HashKey(LeafOf(slot)->key()) & mask_;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+    slots_[i] = slot;
   }
 }
 
@@ -201,12 +179,19 @@ void DcartCpEngine::Load(art::Tree tree) {
   // Pre-warm the shortcut tables with every loaded key (the paper loads the
   // Shortcut_Table alongside the tree image).  This is off the measured
   // clock: without it the first touch of each key during Run() pays a full
-  // descent just to install the entry.
+  // descent just to install the entry.  Each table is sized once for its
+  // subtree, because growing rehashes by reading every entry's leaf.
   Key root_path;
   art::Node* root = RefreshPartition(root_path);
   if (root == nullptr) return;
-  art::EnumerateChildren(root, [this](std::uint8_t byte, art::NodeRef child) {
-    InstallLeaves(child, shortcut_tables_[byte]);
+  std::vector<art::Leaf*> leaves;
+  art::EnumerateChildren(root, [this, &leaves](std::uint8_t byte,
+                                               art::NodeRef child) {
+    leaves.clear();
+    CollectLeaves(child, leaves);
+    ShortcutTable& table = shortcut_tables_[byte];
+    table.Reserve(leaves.size());
+    for (art::Leaf* leaf : leaves) table.Insert(HashKey(leaf->key()), leaf);
     return true;
   });
 }
@@ -249,8 +234,9 @@ std::optional<art::Value> DcartCpEngine::Lookup(KeyView key) const {
   return tree_.Get(key);
 }
 
-void DcartCpEngine::EraseShortcutEverywhere(std::uint64_t key_hash) {
-  for (auto& [byte, table] : shortcut_tables_) table.Erase(key_hash);
+void DcartCpEngine::EraseShortcutEverywhere(KeyView key) {
+  const std::uint64_t key_hash = HashKey(key);
+  for (auto& [byte, table] : shortcut_tables_) table.Erase(key_hash, key);
 }
 
 void DcartCpEngine::ApplySerial(const Operation& op, ExecutionResult& result) {
@@ -265,7 +251,7 @@ void DcartCpEngine::ApplySerial(const Operation& op, ExecutionResult& result) {
     case OpType::kRemove:
       // The key may have a shortcut entry from an earlier batch under any
       // byte table; drop it everywhere before the leaf is reclaimed.
-      EraseShortcutEverywhere(HashKey(op.key));
+      EraseShortcutEverywhere(op.key);
       tree_.Remove(op.key);
       break;
     case OpType::kScan: {
@@ -435,12 +421,10 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       // time, probe -> leaf (one block: the key follows the value) is a
       // serial dependent chain of cache misses; staged over a group the
       // misses overlap.
-      // The warming passes are pure cache hints: the execute pass re-probes
-      // the (now cached) table per operation, so in-group mutations —
-      // installs, erases, removes — are observed exactly as in a naive
-      // in-order walk.  Leaf dereferences during warming are safe because
-      // reclaims happen only in execute passes, which erase the table
-      // entry first; every pointer a warm pass reads is live at that point.
+      // The warming passes are pure cache hints: the execute pass confirms
+      // a warm candidate by its key, or re-probes the (now cached) table
+      // once the group has mutated it, so in-group mutations — installs,
+      // erases, removes — are observed exactly as in a naive in-order walk.
       std::vector<std::uint64_t>& hashes = wr.hashes;
       hashes.resize(n);
       for (std::size_t j = 0; j < n; ++j) {
@@ -465,7 +449,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
         table.PrefetchSlot(hashes[g + k]);
       }
       for (std::size_t k = 0; k < group_n; ++k) {
-        warm[k] = table.Find(hashes[g + k]);
+        warm[k] = table.Candidate(hashes[g + k]);
         if (warm[k] != nullptr) __builtin_prefetch(warm[k]);
       }
       if (tracing) {
@@ -473,12 +457,13 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
         traverse_us += now_us - mark_us;
         mark_us = now_us;
       }
-      // Until something in this group mutates the table (a miss install, a
-      // collision evict, a remove), the warm pass's answers are still the
-      // authoritative ones, so the common all-hits group never probes
-      // twice.  Any mutation flips `dirty` and the rest of the group drops
-      // back to re-probing.  Leaf reclaims also always mutate (they erase
-      // the table entry first), so a trusted warm pointer is never stale.
+      // Until something in this group mutates the table (a miss install or
+      // a remove), each warm candidate is still the first tag match on its
+      // chain, so the common all-hits group confirms it with one key
+      // compare and never probes twice; only a tag shared with another key
+      // re-probes.  Any mutation flips `dirty` and the rest of the group
+      // drops back to re-probing.  A reclaim erases its leaf's entry first,
+      // which mutates, so a trusted warm pointer is never stale.
       bool dirty = false;
       for (std::size_t j = g; j < g + group_n; ++j) {
         const std::uint32_t idx = idxs[j];
@@ -490,19 +475,12 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
         }
 
         // Probe the bucket's shortcut table.  Entries are erased before
-        // any leaf reclamation, so stored pointers never dangle; a
-        // mismatch is a hash collision and evicts the squatter.
-        art::Leaf* leaf = nullptr;
-        art::Leaf* candidate = dirty ? table.Find(key_hash) : warm[j - g];
-        if (candidate != nullptr) {
-          if (KeysEqual(candidate->key(), op.key)) {
-            leaf = candidate;
-            ++wr.shortcut_hits;
-          } else {
-            table.Erase(key_hash);
-            dirty = true;
-          }
+        // any leaf reclamation, so stored pointers never dangle.
+        art::Leaf* leaf = warm[j - g];
+        if (dirty || (leaf != nullptr && !KeysEqual(leaf->key(), op.key))) {
+          leaf = table.Find(key_hash, op.key);
         }
+        if (leaf != nullptr) ++wr.shortcut_hits;
 
         switch (op.type) {
           case OpType::kRead:
@@ -543,8 +521,10 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
               }
               break;  // absent key: no-op
             }
-            table.Erase(key_hash);
-            dirty = true;
+            if (leaf != nullptr) {
+              table.Erase(key_hash, op.key);
+              dirty = true;
+            }
             if (tree_.RemoveInSubtree(bucket.slot, depth, op.key)) {
               --wr.net_size;
             }

@@ -29,10 +29,11 @@
 //
 // Shortcut tables are per *bucket* (per root-child byte), not per worker:
 // they travel with the bucket when a different worker claims it, and a
-// worker never probes another bucket's table.  Entries are erased before a
-// leaf is reclaimed by a remove, and all tables are dropped whenever the
-// partition changes (root replaced or its compressed path re-cut), so a
-// stored Leaf* is always safe to dereference.
+// worker never probes another bucket's table.  A probe answers only with a
+// leaf whose key it compared equal.  Entries are erased before a leaf is
+// reclaimed by a remove, and all tables are dropped whenever the partition
+// changes (root replaced or its compressed path re-cut), so a stored Leaf*
+// is always safe to dereference.
 #pragma once
 
 #include <array>
@@ -48,53 +49,58 @@
 
 namespace dcart::dcartc {
 
-/// Flat open-addressing map from key hash to resolved leaf — the software
-/// analogue of the paper's SRAM Shortcut_Table.  Linear probing over a
-/// power-of-two array keeps a probe to one cache line (against the several
-/// node hops of a descent, which is the entire point of the shortcut path);
-/// deletions leave tombstones that growth purges.  Not thread-safe: each
-/// table belongs to one bucket, and one worker owns a bucket at a time.
-///
-/// The layout is struct-of-arrays so the probe loop can compare four hash
-/// slots per step with one AVX2 load (see Find); `hashes_` carries kPad
-/// mirror entries past the end, kept equal to the first kPad slots, so a
-/// 4-lane load at any home index never wraps mid-vector.
+/// Flat open-addressing map from key to resolved leaf — the software
+/// analogue of the paper's SRAM Shortcut_Table.  Each slot is one word: the
+/// leaf pointer in the low 48 bits and the top 16 bits of the key's HashKey
+/// (its tag) above it; 0 is empty and 1 a tombstone.  The low hash bits
+/// pick the home slot and linear probing walks on from there, so a probe
+/// stays on one cache line (against the several node hops of a descent,
+/// which is the entire point of the shortcut path).  A tag match is only a
+/// candidate: Find compares the candidate leaf's key, so the table never
+/// answers with another key's leaf.  Growth rehashes from the leaves' keys;
+/// Reserve sizes a table once for a known entry count.  Not thread-safe:
+/// each table belongs to one bucket, and one worker owns a bucket at a time.
 class ShortcutTable {
  public:
-  /// The leaf recorded for `hash`, or nullptr.  The caller must verify the
-  /// leaf's key (hash collisions evict via Erase + reinstall).
-  art::Leaf* Find(std::uint64_t hash) const;
+  /// The leaf recorded for `key` (whose HashKey is `hash`), or nullptr.
+  art::Leaf* Find(std::uint64_t hash, KeyView key) const;
+  /// The first recorded leaf whose tag matches `hash`, or nullptr: a cache
+  /// hint for the group warm pass, not an answer (the key is not compared).
+  art::Leaf* Candidate(std::uint64_t hash) const;
+  /// Record `leaf` under `hash`, its key's HashKey.  The key must have no
+  /// entry yet (callers insert after a Find miss).  A leaf whose address
+  /// needs more than 48 bits is not cached, and is never dereferenced.
   void Insert(std::uint64_t hash, art::Leaf* leaf);
-  void Erase(std::uint64_t hash);
+  /// Drop `key`'s entry, if it has one.
+  void Erase(std::uint64_t hash, KeyView key);
+  /// Make room for `entries` entries, so that many inserts never grow it.
+  void Reserve(std::size_t entries);
+  /// Slots allocated: 0 until the first Insert or Reserve.
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Hint the cache about `hash`'s home slot (group-prefetch pipelining).
   void PrefetchSlot(std::uint64_t hash) const {
-    if (size_ != 0) {
-      const std::size_t i = Normalize(hash) & mask_;
-      __builtin_prefetch(&hashes_[i]);
-      __builtin_prefetch(&leaves_[i]);
-    }
+    if (!slots_.empty()) __builtin_prefetch(&slots_[hash & mask_]);
   }
 
  private:
-  /// Mirror slots appended to hashes_ (vector loads read lanes i..i+3).
-  static constexpr std::size_t kPad = 3;
-  // Reserve hash 0 as the empty marker; remapping 0 to 1 only merges the
-  // two values' slots, which the caller's key check already disambiguates.
-  static std::uint64_t Normalize(std::uint64_t hash) {
-    return hash == 0 ? 1 : hash;
+  static constexpr std::uint64_t kEmpty = 0;
+  static constexpr std::uint64_t kTomb = 1;
+  static constexpr std::uint64_t kLeafMask = (std::uint64_t{1} << 48) - 1;
+  static std::uint64_t Tag(std::uint64_t hash) { return hash & ~kLeafMask; }
+  static art::Leaf* LeafOf(std::uint64_t slot) {
+    return reinterpret_cast<art::Leaf*>(slot & kLeafMask);
   }
-  void SetHash(std::size_t i, std::uint64_t hash) {
-    hashes_[i] = hash;
-    if (i < kPad) hashes_[size_ + i] = hash;
-  }
-  void Grow();
+  static constexpr std::size_t kNone = SIZE_MAX;
+  /// Index of the first live slot at or after `i` on `hash`'s probe chain
+  /// whose tag matches, or kNone once the chain ends.
+  std::size_t NextCandidate(std::uint64_t hash, std::size_t i) const;
+  /// Index of `key`'s slot, or kNone.
+  std::size_t Locate(std::uint64_t hash, KeyView key) const;
+  void Rehash(std::size_t capacity);
 
-  // hash 0 = never occupied; leaf nullptr with hash != 0 = tombstone.
-  std::vector<std::uint64_t> hashes_;  // size_ + kPad, allocated on Insert
-  std::vector<art::Leaf*> leaves_;     // size_
-  std::size_t size_ = 0;               // logical capacity, power of two
-  std::size_t mask_ = 0;               // size_ - 1 (0 while empty)
+  std::vector<std::uint64_t> slots_;  // power-of-two size, allocated lazily
+  std::size_t mask_ = 0;              // slots_.size() - 1 (0 while empty)
   std::size_t live_ = 0;
   std::size_t tombs_ = 0;
 };
@@ -136,7 +142,7 @@ class DcartCpEngine : public IndexEngine {
                 std::size_t end, std::size_t workers, ExecutionResult& result,
                 PhaseBreakdown& phases);
   void ApplySerial(const Operation& op, ExecutionResult& result);
-  void EraseShortcutEverywhere(std::uint64_t key_hash);
+  void EraseShortcutEverywhere(KeyView key);
   /// Recompute the root partition (full compressed path + offset); clears
   /// all shortcut tables if the signature moved.  Returns the root node, or
   /// nullptr while the tree is empty / a single leaf.

@@ -8,6 +8,7 @@
 #include "art/serialize.h"
 #include "common/crc32.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "resilience/fault_injector.h"
 #include "resilience/socket_link.h"
 
@@ -331,6 +332,7 @@ bool ReplicationLink::Receive(Way& way, Frame& out) {
 // --------------------------------------------------------------- checksums --
 
 std::uint64_t TreeChecksum(const art::Tree& tree) {
+  obs::ScopedSpan span("ha.checksum", "replication", "keys", tree.size());
   std::uint32_t crc = 0;
   tree.ScanFrom({}, [&crc](KeyView key, art::Value value) {
     const auto len = static_cast<std::uint32_t>(key.size());
@@ -625,6 +627,8 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
 }
 
 Status ReplicatedEngine::ShipRecord(std::span<const Operation> ops) {
+  // Stop-and-wait: the span holds the ack wait, and any resync it turns into.
+  obs::ScopedSpan span("ha.ship", "replication", "ops", ops.size());
   unacked_ops_ += ops.size();
   // A delivery gave up, so the replica may lack a record this primary no
   // longer holds: resync it instead, and the image carries this batch.

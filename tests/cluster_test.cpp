@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/watchdog.h"
+#include "obs/trace.h"
 #include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "workload/generators.h"
@@ -422,6 +426,75 @@ TEST_F(ClusterTest, SingleByteShardRefusesToSplit) {
 }
 
 // --- registry --------------------------------------------------------------
+
+// --- wrapper spans -------------------------------------------------------
+
+/// How many spans of each name `run` records with the tracer on, and the
+/// argument of the last one.
+struct SpanCounts {
+  std::map<std::string, std::size_t> count;
+  std::map<std::string, std::uint64_t> last_arg;
+};
+
+SpanCounts TracedSpans(const std::function<void()>& run) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable();
+  run();
+  tracer.Disable();
+  SpanCounts spans;
+  for (const obs::TraceEvent& event : tracer.Collect()) {
+    ++spans.count[event.name];
+    spans.last_arg[event.name] = event.arg_value;
+  }
+  tracer.Clear();
+  return spans;
+}
+
+TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
+  Workload w = ClusterWorkload(8 * kBatch);
+  for (std::size_t k = 0; k < w.ops.size(); k += kBatch / 2) {
+    w.ops[k].type = OpType::kScan;  // two scans per batch to gather
+    w.ops[k].scan_count = 10;
+  }
+  constexpr std::size_t kBatches = 8;
+
+  // FT: one journal append per batch, and (ratio 0) a roll after each.
+  const std::string dir = ::testing::TempDir() + "/cluster_spans";
+  std::filesystem::remove_all(dir);
+  resilience::ResilienceOptions ft_options;
+  ft_options.dir = dir;
+  ft_options.journal_to_snapshot_ratio = 0;
+  resilience::ResilientEngine ft(ft_options);
+  ft.Load(w.load_items);
+  const SpanCounts ft_spans = TracedSpans(
+      [&] { EXPECT_TRUE(ft.Run(w.ops, ClusterRun()).status.ok()); });
+  EXPECT_EQ(ft_spans.count.at("ft.journal"), kBatches);
+  EXPECT_EQ(ft_spans.count.at("ft.checkpoint"), kBatches);
+  EXPECT_GT(ft_spans.last_arg.at("ft.checkpoint"), 0u);  // image_bytes
+  std::filesystem::remove_all(dir);
+
+  // HA: one shipped record per batch; the drain checksums both trees.
+  resilience::ReplicatedEngine ha;
+  ha.Load(w.load_items);
+  const SpanCounts ha_spans = TracedSpans(
+      [&] { EXPECT_TRUE(ha.Run(w.ops, ClusterRun()).status.ok()); });
+  EXPECT_EQ(ha_spans.count.at("ha.ship"), kBatches);
+  EXPECT_EQ(ha_spans.last_arg.at("ha.ship"), kBatch);
+  EXPECT_GE(ha_spans.count.at("ha.checksum"), 2u);
+  EXPECT_EQ(ha_spans.last_arg.at("ha.checksum"), ha.tree().size());
+
+  // Cluster: one route and one gather per batch, around its shard pairs'.
+  ClusterEngine cluster;
+  cluster.Load(w.load_items);
+  const SpanCounts cluster_spans = TracedSpans(
+      [&] { EXPECT_TRUE(cluster.Run(w.ops, ClusterRun()).status.ok()); });
+  EXPECT_EQ(cluster_spans.count.at("cluster.route"), kBatches);
+  EXPECT_EQ(cluster_spans.last_arg.at("cluster.route"), kBatch);
+  EXPECT_EQ(cluster_spans.count.at("cluster.gather"), kBatches);
+  EXPECT_EQ(cluster_spans.last_arg.at("cluster.gather"), 2u);
+  EXPECT_GE(cluster_spans.count.at("ha.ship"), kBatches);
+  EXPECT_GE(cluster_spans.count.at("ha.checksum"), 2 * kBatches);
+}
 
 TEST_F(ClusterTest, EngineReportsClusterName) {
   ClusterEngine engine;

@@ -99,25 +99,5 @@ TEST(SimdSearch, AbsentByteAndZeroCount) {
   }
 }
 
-#if DCART_SIMD_X86
-TEST(SimdSearch, MatchHash4LanesAgreeWithScalar) {
-  if (!HasAvx2()) GTEST_SKIP() << "AVX2 unavailable on this CPU";
-  SplitMix64 rng(321);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::array<std::uint64_t, 4> lanes;
-    for (auto& h : lanes) {
-      const std::uint64_t roll = rng.NextBounded(4);
-      h = roll == 0 ? 0 : (roll == 1 ? 0x1234 : rng.Next());
-    }
-    const std::uint64_t target = rng.NextBounded(2) ? 0x1234 : rng.Next();
-    const HashLanes4 m = MatchHash4(lanes.data(), target);
-    for (unsigned i = 0; i < 4; ++i) {
-      ASSERT_EQ((m.eq >> i) & 1u, lanes[i] == target ? 1u : 0u) << i;
-      ASSERT_EQ((m.zero >> i) & 1u, lanes[i] == 0 ? 1u : 0u) << i;
-    }
-  }
-}
-#endif  // DCART_SIMD_X86
-
 }  // namespace
 }  // namespace dcart::simd
