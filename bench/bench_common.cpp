@@ -52,7 +52,7 @@ int RequireValidFlags(const CliFlags& flags) {
     if (name.starts_with("fault-")) {
       status.Update(Status::Error(
           "--" + name + " is not accepted: no binary arms fault sites from "
-          "the command line (tests set RunConfig::faults)"));
+          "the command line (tests arm them in code)"));
     }
   }
   status.Update(obs::ValidateObsFlags(flags));

@@ -53,8 +53,8 @@ ExecutionResult LoadAndRun(IndexEngine& engine, const Workload& workload,
 // ---------------------------------------------------------- observability --
 
 /// Validate the full flag surface (parse status, `--metrics-*`/`--trace-*`
-/// names) and refuse every `--fault-*` flag: fault sites are armed through
-/// RunConfig::faults, never from argv.  Returns 0 when valid, else prints
+/// names) and refuse every `--fault-*` flag: tests arm fault sites in code
+/// (FaultInjector::Arm), never from argv.  Returns 0 when valid, else prints
 /// the error to stderr and returns 2 for main() to return.
 int RequireValidFlags(const CliFlags& flags);
 

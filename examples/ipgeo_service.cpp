@@ -128,13 +128,15 @@ int main(int argc, char** argv) {
   const std::size_t batches =
       (workload.ops.size() + ft_run.batch_size - 1) / ft_run.batch_size;
   // Simulated operator incident: the process dies at the halfway batch.
-  ft_run.faults.TriggerAt(resilience::FaultSite::kCrashAtBatchBoundary) =
+  resilience::FaultPlan crash;
+  crash.TriggerAt(resilience::FaultSite::kCrashAtBatchBoundary) =
       batches / 2 + 1;
 
   std::printf("\nfault-tolerant serving (journal+snapshots in %s):\n",
               state_dir.c_str());
   resilience::ResilientEngine service(durability);
   service.Load(workload.load_items);
+  resilience::FaultInjector::Global().Arm(crash);
   const ExecutionResult before = service.Run(workload.ops, ft_run);
   observability.Record("IPGEO/ft-before-crash", "DCART-CP-FT", before);
   std::printf("  crash injected: %s\n", before.status.message().c_str());
@@ -185,8 +187,10 @@ int main(int argc, char** argv) {
     // dropped, so the retransmit path runs in plain sight.
     RunConfig ha_run;
     ha_run.batch_size = 4096;
-    ha_run.faults.TriggerAt(resilience::FaultSite::kReplDrop) = 2;
+    resilience::FaultPlan lossy;
+    lossy.TriggerAt(resilience::FaultSite::kReplDrop) = 2;
     const std::size_t half = workload.ops.size() / 2;
+    resilience::FaultInjector::Global().Arm(lossy);
     const ExecutionResult served =
         pair.Run({workload.ops.data(), half}, ha_run);
     observability.Record("IPGEO/ha-primary", "DCART-CP-HA", served);

@@ -19,7 +19,6 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "resilience/fault_injector.h"
 #include "workload/ops.h"
 
 namespace dcart {
@@ -49,11 +48,6 @@ struct RunConfig {
   bool collect_latency = false;
 
   CpuRunOptions cpu;
-
-  /// Fault-injection plan for this run.  Engines that host injection sites
-  /// arm the global injector with it when it is enabled; the default plan
-  /// is disabled and costs the hot paths nothing.
-  resilience::FaultPlan faults;
 };
 
 /// Where an engine's time went, in CTT phase terms.  For the CTT engines the

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "resilience/fault_injector.h"
 #include "workload/generators.h"
 
 namespace dcart::cluster {
@@ -140,8 +139,8 @@ void ClusterEngine::MarkDegraded(std::size_t i, std::size_t refused_ops,
 
 ExecutionResult ClusterEngine::RunOnShard(std::size_t i,
                                           std::span<const Operation> sub,
-                                          const RunConfig& inner) {
-  ExecutionResult result = shards_[i].pair->Run(sub, inner);
+                                          const RunConfig& config) {
+  ExecutionResult result = shards_[i].pair->Run(sub, config);
   // A refused request is the caller's to fix; the shard is healthy.
   if (result.status.ok() ||
       result.status.code() == StatusCode::kInvalidArgument) {
@@ -154,7 +153,7 @@ ExecutionResult ClusterEngine::RunOnShard(std::size_t i,
     // converges to exactly the state a crash-free run would have produced.
     const Status failed_over = FailOverShard(i);
     if (shards_[i].pair->promoted()) {
-      ExecutionResult retry = shards_[i].pair->Run(sub, inner);
+      ExecutionResult retry = shards_[i].pair->Run(sub, config);
       retry.status.Update(failed_over.ok() ? Status::Ok() : failed_over);
       return retry;
     }
@@ -194,13 +193,6 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
   result.platform = "cpu";
   result.wallclock = true;
 
-  resilience::FaultInjector& injector = resilience::FaultInjector::Global();
-  if (config.faults.Enabled()) injector.Arm(config.faults);
-  // The cluster armed the injector; no pair may re-arm (that would reset the
-  // check counters and break trigger_at determinism across shards).
-  RunConfig inner = config;
-  inner.faults = resilience::FaultPlan{};
-
   std::set<std::size_t> reported;  // shards already reported degraded
   const std::size_t batch_size = std::max<std::size_t>(1, config.batch_size);
   std::vector<std::vector<Operation>> sub(shards_.size());
@@ -228,10 +220,12 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
         MarkDegraded(i, sub[i].size(), result, reported);
         continue;
       }
-      result.Merge(RunOnShard(i, sub[i], inner));
+      result.Merge(RunOnShard(i, sub[i], config));
     }
-    // Scans after the batch's point ops (a scan in a batch observes the
-    // batch's writes — the same read-your-batch order the pairs provide).
+    // Scans after every point op of the batch, so a scan observes all of
+    // its batch's writes.  The pairs' DCART-CP order differs: a write that
+    // DCART-CP defers runs after the scans that arrived before it
+    // (docs/ARCHITECTURE.md, "Batch contracts").
     if (!scans.empty()) {
       obs::ScopedSpan span("cluster.gather", "cluster", "scans", scans.size());
       for (const std::size_t k : scans) {
@@ -334,9 +328,7 @@ Status ClusterEngine::ExecuteFenced(std::size_t i, std::uint64_t term,
         StatusCode::kUnavailable,
         "shard " + std::to_string(i) + " has no serving member");
   }
-  RunConfig inner = config;
-  inner.faults = resilience::FaultPlan{};
-  out = RunOnShard(i, ops, inner);
+  out = RunOnShard(i, ops, config);
   return Status::Ok();
 }
 
@@ -428,7 +420,7 @@ Status ClusterEngine::SplitShard(std::size_t i) {
   fresh.watchdog = Watchdog(shards_.size());
   fresh.pair = MakePair(shards_.size(), fresh.term);
   fresh.pair->Load({});
-  const RunConfig split_config;  // faults stay with the already-armed injector
+  const RunConfig split_config;
   ExecutionResult copy = fresh.pair->Run(moved, split_config);
   if (!copy.status.ok()) {
     Status aborted = Status::Error(

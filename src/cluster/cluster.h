@@ -17,9 +17,10 @@
 //                      (batched; per-shard op order is preserved, and
 //                      cross-shard reordering is invisible because the
 //                      ranges are disjoint).
-//   Scans            — scatter/gathered at the cluster layer: walk shards
-//                      in range order from the start key's shard, reading
-//                      each pair's serving tree, until the count is filled.
+//   Scans            — scatter/gathered at the cluster layer after every
+//                      point op of their batch: walk shards in range order
+//                      from the start key's shard, reading each pair's
+//                      serving tree, until the count is filled.
 //   Watchdog failover— between batches every pair ships a heartbeat and a
 //                      per-shard Watchdog judges the replica's heartbeat
 //                      age against the fixed thresholds in watchdog.h.
@@ -174,7 +175,7 @@ class ClusterEngine : public IndexEngine {
   /// retry the sub-batch once (safe: ops are idempotent upserts/removes,
   /// and the acked prefix is already replica-durable).
   ExecutionResult RunOnShard(std::size_t i, std::span<const Operation> sub,
-                             const RunConfig& inner);
+                             const RunConfig& config);
   /// Record shard i's range as unavailable in `result` (typed status once
   /// per shard per Run; partial flag; metrics).
   void MarkDegraded(std::size_t i, std::size_t refused_ops,

@@ -35,8 +35,6 @@ namespace dcart::cluster {
 
 /// A heartbeat older than this many ticks counts as one miss.
 inline constexpr std::uint64_t kStaleAfterTicks = 8;
-static_assert(kStaleAfterTicks > resilience::kDelayTicks,
-              "a heartbeat held by the link's delay must not count as a miss");
 /// Consecutive misses before probation begins.
 inline constexpr std::uint32_t kMissThreshold = 3;
 /// First probation window; doubles per probation round up to the cap, then

@@ -36,13 +36,6 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
   ExecutionResult result;
   result.platform = "fpga";
 
-  // Arm the memory-fault sites (HBM ECC re-reads, latency spikes, node
-  // buffer ECC) for this run.  They perturb modeled cycles/energy only;
-  // query results are computed on the host tree and stay exact.
-  if (run_config.faults.Enabled()) {
-    resilience::FaultInjector::Global().Arm(run_config.faults);
-  }
-
   simhw::NodeBuffer tree_buffer(model_.tree_buffer_bytes,
                                 config_.tree_buffer_policy);
   simhw::NodeBuffer shortcut_buffer(model_.shortcut_buffer_bytes,

@@ -603,10 +603,6 @@ ExecutionResult DcartCpEngine::Run(std::span<const Operation> ops,
   result.platform = "cpu";
   result.wallclock = true;
 
-  if (config.faults.Enabled()) {
-    resilience::FaultInjector::Global().Arm(config.faults);
-  }
-
   std::size_t workers = config.cpu.wall_threads;
   if (workers == 0) {
     workers = std::max<unsigned>(1, std::thread::hardware_concurrency());

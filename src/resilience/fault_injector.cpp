@@ -19,18 +19,12 @@ std::uint64_t Mix(std::uint64_t seed, std::uint64_t site,
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kHbmReadCorrupt: return "hbm-read-corrupt";
-    case FaultSite::kHbmLatencySpike: return "hbm-latency-spike";
-    case FaultSite::kNodeBufferEcc: return "node-buffer-ecc";
     case FaultSite::kScanDeferLeak: return "scan-defer-leak";
     case FaultSite::kCrashAtBatchBoundary: return "crash-at-batch-boundary";
     case FaultSite::kCrashMidBatch: return "crash-mid-batch";
     case FaultSite::kFileShortWrite: return "file-short-write";
     case FaultSite::kFileShortRead: return "file-short-read";
     case FaultSite::kReplDrop: return "repl-drop";
-    case FaultSite::kReplDelay: return "repl-delay";
-    case FaultSite::kReplReorder: return "repl-reorder";
-    case FaultSite::kReplDuplicate: return "repl-duplicate";
     case FaultSite::kReplTruncate: return "repl-truncate";
     case FaultSite::kReplDisconnect: return "repl-disconnect";
     case FaultSite::kNetPartialWrite: return "net-partial-write";

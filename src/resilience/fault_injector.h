@@ -1,9 +1,10 @@
 // Seeded, deterministic fault injection with named injection points.
 //
-// Layers that can fail in production register a *site* here and ask
-// ShouldFire() at the moment the fault would strike; what firing means is
-// defined by the call site (an HBM burst re-read, a leaked scan, a torn
-// journal record, a simulated process crash).  Two trigger modes per site:
+// Code that detects or recovers from a failure a deployment can have
+// registers a *site* here and asks ShouldFire() at the moment the fault
+// would strike; what firing means is defined by the call site (a leaked
+// scan, a torn journal record, a simulated process crash, a lost frame).
+// Two trigger modes per site:
 //
 //   probability  — every check draws from a counter-indexed SplitMix64
 //                  stream, so a fixed (seed, site, check#) triple always
@@ -14,12 +15,13 @@
 //                  the mode the crash-recovery property tests use to place
 //                  a crash at every batch boundary in turn.
 //
-// The injector is a process-global: the simulated memory hierarchy and the
-// file I/O layer sit below the engine layer and cannot be handed a pointer
-// without widening every constructor.  When disarmed (the default) a check
-// is one relaxed atomic load and a predicted branch — cheap enough for the
-// paths it guards (HBM accesses, file writes, link frames), and the
-// parallel workers never check at all.
+// The injector is a process-global: the file I/O layer and the link sit
+// below the engines and cannot be handed a pointer without widening every
+// constructor.  No engine arms it: a test or an example calls Arm() right
+// before the Run() a fault should land in, and Disarm() after.  When
+// disarmed (the default) a check is one relaxed atomic load and a
+// predicted branch — cheap enough for the paths it guards (file writes,
+// journal appends, link frames), and the parallel workers never check.
 #pragma once
 
 #include <array>
@@ -29,10 +31,6 @@
 namespace dcart::resilience {
 
 enum class FaultSite : unsigned {
-  // simhw: the modeled memory hierarchy (perturbs cycles/energy, never data).
-  kHbmReadCorrupt,   // ECC-corrected corrupt burst: the channel re-reads it
-  kHbmLatencySpike,  // refresh/thermal stall on top of the access latency
-  kNodeBufferEcc,    // on-chip buffer ECC event: the line must be refetched
   // dcartc: the parallel CTT runtime.
   kScanDeferLeak,    // combine mis-classifies a scan into a bucket
   // resilience: the durable execution loop.
@@ -42,11 +40,8 @@ enum class FaultSite : unsigned {
   kFileShortWrite,
   kFileShortRead,
   // replication: the primary->replica shipping link (resilience/replication.h).
-  // Each site models one way a real network link mangles a frame in flight.
+  // Each site models one way a send over a real connection goes wrong.
   kReplDrop,        // frame vanishes; sender retransmits after a timeout
-  kReplDelay,       // frame held back several pumps before delivery
-  kReplReorder,     // frame overtakes the frames queued before it
-  kReplDuplicate,   // frame delivered twice; receiver must dedupe by sequence
   kReplTruncate,    // payload cut mid-record; receiver's CRC check rejects it
   kReplDisconnect,  // link drops; sends fail until the backoff reconnect
   // byte stream: ways a stream-carrying link fails, checked by the

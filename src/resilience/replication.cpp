@@ -76,14 +76,14 @@ void Release(std::vector<std::uint8_t>& bytes) {
   std::vector<std::uint8_t>().swap(bytes);
 }
 
-/// The wire image of `frame` carrying the first `payload_len` payload bytes,
-/// built in one buffer straight from the frame.
-std::vector<std::uint8_t> EncodeWire(const Frame& frame,
-                                     std::size_t payload_len) {
+/// Append the wire image of `frame`, carrying its first `payload_len`
+/// payload bytes, to `wire`, straight from the frame.
+void EncodeWire(const Frame& frame, std::size_t payload_len,
+                std::vector<std::uint8_t>& wire) {
   const auto block_len =
       static_cast<std::uint32_t>(kFrameHeaderBytes + payload_len);
-  std::vector<std::uint8_t> wire;
-  wire.reserve(kWireHeaderBytes + block_len);
+  const std::size_t start = wire.size();
+  wire.reserve(start + kWireHeaderBytes + block_len);
   ByteWriter out(wire);
   out.Pod(block_len);
   out.Pod(std::uint32_t{0});  // wire_crc, patched once the block is down
@@ -94,8 +94,8 @@ std::vector<std::uint8_t> EncodeWire(const Frame& frame,
   out.Pod(frame.tree_checksum);
   out.Pod(static_cast<std::uint32_t>(payload_len));
   out.Bytes(frame.payload.data(), payload_len);
-  out.PodAt(sizeof block_len, Crc32(wire.data() + kWireHeaderBytes, block_len));
-  return wire;
+  out.PodAt(start + sizeof block_len,
+            Crc32(wire.data() + start + kWireHeaderBytes, block_len));
 }
 
 /// In-memory pipe.  A write into an empty direction takes the whole buffer
@@ -188,8 +188,8 @@ void ReplicationLink::Reconnect() {
 
 void ReplicationLink::Tear() {
   // One connection carries both ways: closing it loses everything in
-  // flight, pipe-buffered bytes included.  That loss is the point;
-  // retransmission and catch-up recover it.  Staged frames survive.
+  // flight, pipe-buffered bytes and the backlog included.  That loss is
+  // the point; retransmission and catch-up recover it.
   pipe_->Close();
   for (Way* way : {&to_replica_, &to_primary_}) {
     Release(way->backlog);
@@ -200,13 +200,13 @@ void ReplicationLink::Tear() {
 
 void ReplicationLink::Tick() {
   ++now_;
-  // Delayed frames that just came due go onto the pipe even if nobody
-  // receives this tick (a dead primary still drains toward the replica).
+  // What the pipe would not take goes on even if nobody receives this tick
+  // (a dead primary's last bytes still drain toward the replica).
   Flush(to_replica_);
   Flush(to_primary_);
 }
 
-Status ReplicationLink::Stage(Way& way, const Frame& frame) {
+Status ReplicationLink::Send(Way& way, const Frame& frame) {
   if (!connected_) {
     return Status::Error("replication link is disconnected");
   }
@@ -224,60 +224,32 @@ Status ReplicationLink::Stage(Way& way, const Frame& frame) {
   // frame and passes; payload_crc still covers the full payload, so only
   // the receiver's end-to-end check catches it.
   const bool truncate = FaultCheck(FaultSite::kReplTruncate);
-  Staged item;
-  item.deliver_at =
-      FaultCheck(FaultSite::kReplDelay) ? now_ + kDelayTicks : now_;
-  const bool duplicate = FaultCheck(FaultSite::kReplDuplicate);
-  const bool reorder = FaultCheck(FaultSite::kReplReorder);
-  item.wire = EncodeWire(frame, truncate ? frame.payload.size() / 2
-                                         : frame.payload.size());
-  if (duplicate) way.staging.push_back(item);
-  if (reorder) {
-    way.staging.push_front(std::move(item));
-  } else {
-    way.staging.push_back(std::move(item));
+  if (FaultCheck(FaultSite::kNetPartialWrite)) {
+    // Half the frame lands, then the stream tears mid-record.  Like a short
+    // write(), the send reports success; the tear takes the stub with every
+    // other byte in flight.
+    Tear();
+    return Status::Ok();
   }
+  EncodeWire(frame,
+             truncate ? frame.payload.size() / 2 : frame.payload.size(),
+             way.backlog);
+  Flush(way);
   return Status::Ok();
 }
 
-bool ReplicationLink::Write(Way& way, std::vector<std::uint8_t>& bytes) {
-  if (!pipe_->Write(way.direction, bytes)) {
-    Tear();  // EPIPE/ECONNRESET/...: the stream is gone
-    return false;
-  }
-  if (!bytes.empty()) return false;  // the rest waits for the next flush
-  Release(bytes);
-  return true;
-}
-
 void ReplicationLink::Flush(Way& way) {
-  if (!connected_) return;
-  // Byte order within the stream is sacred once emission starts: the
-  // backlog must fully drain before any staged frame may follow it.
-  if (!way.backlog.empty() && !Write(way, way.backlog)) return;
-  for (auto it = way.staging.begin(); it != way.staging.end();) {
-    if (it->deliver_at > now_) {
-      ++it;  // still ripening; later frames may overtake it (kReplDelay)
-      continue;
-    }
-    if (FaultCheck(FaultSite::kNetPartialWrite)) {
-      // Half the frame lands, then the stream tears mid-record; the tear
-      // takes the stub with it.
-      it->wire.resize(it->wire.size() / 2);
-      (void)pipe_->Write(way.direction, it->wire);
-      way.staging.erase(it);
-      Tear();
-      return;
-    }
-    way.backlog = std::move(it->wire);
-    it = way.staging.erase(it);
-    if (!Write(way, way.backlog)) return;
+  if (!connected_ || way.backlog.empty()) return;
+  if (!pipe_->Write(way.direction, way.backlog)) {
+    Tear();  // EPIPE/ECONNRESET/...: the stream is gone
+  } else if (way.backlog.empty()) {
+    Release(way.backlog);
   }
 }
 
 bool ReplicationLink::Receive(Way& way, Frame& out) {
-  // Sends from this very tick must be receivable this tick, so push due
-  // bytes onto the pipe before reading.
+  // Everything sent so far must be receivable now, so write what the pipe
+  // would not take at send time before reading.
   Flush(way);
   if (connected_) {
     // A stingy read: a few bytes now, the rest stays in the pipe.
@@ -406,15 +378,16 @@ void ReplicaEngine::Pump(ReplicationLink& link) {
 void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
   if (wedged_) return;  // local disk failed: stop acking, let the stall show
   if (frame.sequence < next_sequence_) {
-    // Duplicate delivery (injected, or a retransmit racing its own ack):
-    // never re-apply, but re-ack so a lost ack cannot stall the primary.
+    // Duplicate delivery (the resend after a lost ack): never re-apply, but
+    // re-ack so a lost ack cannot stall the primary.
     Metrics().duplicates_dropped->Increment();
     SendAck(link, /*with_checksum=*/false);
     return;
   }
   if (frame.sequence > next_sequence_) {
-    // Gap: a predecessor was dropped or is still delayed.  Ask for a resend
-    // from the floor instead of applying out of order.
+    // Gap: a predecessor never arrived.  The stop-and-wait primary does not
+    // send one, but the wire is input: ask for a resend from the floor
+    // instead of applying out of order.
     RequestCatchUp(link);
     return;
   }
@@ -443,9 +416,8 @@ void ReplicaEngine::HandleRecord(ReplicationLink& link, const Frame& frame) {
 
 void ReplicaEngine::HandleSnapshot(ReplicationLink& link, const Frame& frame) {
   if (frame.sequence < next_sequence_) {
-    // A late copy of an image this replica has since moved past (resends
-    // and delays leave them on the link): applying it would roll back
-    // records the primary counts as acknowledged.
+    // A copy of an image this replica has since moved past: applying it
+    // would roll back records the primary counts as acknowledged.
     Metrics().duplicates_dropped->Increment();
     SendAck(link, /*with_checksum=*/false);
     return;
@@ -587,13 +559,6 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
     return result;
   }
 
-  FaultInjector& injector = FaultInjector::Global();
-  if (config.faults.Enabled()) injector.Arm(config.faults);
-  // Neither wrapped engine may re-arm: that would reset the injector's
-  // counters and break trigger_at determinism across batches and frames.
-  RunConfig inner = config;
-  inner.faults = FaultPlan{};
-
   if (!load_status_.ok()) {
     result.status.Update(load_status_);
     load_status_ = Status::Ok();
@@ -609,7 +574,7 @@ ExecutionResult ReplicatedEngine::Run(std::span<const Operation> ops,
     const std::size_t end = std::min(ops.size(), begin + batch_size);
     const std::span<const Operation> batch = ops.subspan(begin, end - begin);
 
-    result.Merge(primary_->Run(batch, inner));
+    result.Merge(primary_->Run(batch, config));
     if (!result.status.ok()) break;  // primary crashed: stop shipping
 
     // The batch is not HA-acknowledged until its record is replica-durable,
@@ -846,7 +811,7 @@ void ReplicatedEngine::SendHeartbeat() {
 void ReplicatedEngine::PumpIdle() {
   if (!primary_alive_) {
     // The primary is dead: no retransmits, no reconnect attempts on its
-    // behalf — but frames already in flight still come due for the replica.
+    // behalf — but frames already in flight still reach the replica.
     link_.Tick();
     replica_->Pump(link_);
     return;
@@ -865,11 +830,10 @@ Status ReplicatedEngine::Promote() {
         "duplicate failover: the replica is already promoted and serving");
   }
   primary_alive_ = false;  // fence: no split-brain double-serving
-  // Promote-during-catch-up: everything already on the wire (including
-  // delayed frames still ripening) must reach the replica before it starts
-  // serving, or acknowledged records die with the link.  Pump until the
-  // replica makes no progress for several consecutive ticks — strictly more
-  // than the link's delay horizon, so a delayed frame cannot outwait us.
+  // Promote-during-catch-up: everything already on the wire must reach the
+  // replica before it starts serving, or acknowledged records die with the
+  // link.  A socket can hand a frame over across several reads, so pump
+  // until the replica makes no progress for several consecutive ticks.
   std::uint64_t idle_ticks = 0;
   while (idle_ticks < 8) {
     const std::uint64_t before = replica_->applied_records();

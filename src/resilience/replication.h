@@ -41,15 +41,16 @@
 // The link is where the robustness lives.  ReplicationLink is one class
 // over a BytePipe that only moves bytes (in memory, or over localhost TCP:
 // socket_link.h), so every fault check sits in one place and lands on the
-// same frame whatever the pipe.  Each send passes six repl-* sites in a
-// fixed order — disconnect, drop, truncate, delay, duplicate, reorder —
-// and three net-* sites model a byte stream: a write that lands half a
-// frame and tears the stream, a read that returns a few bytes, a redial
-// that times out.  The primary answers them stop-and-wait: it sends one
-// frame (a record, a snapshot or a checksum probe) and resends it on a
-// jittered exponential backoff until the answer that proves delivery
+// same frame whatever the pipe.  Both pipes are ordered byte streams, so
+// the sites model what a connection can do to a send — in a fixed order,
+// repl-disconnect, repl-drop, repl-truncate, then net-partial-write (half a
+// frame lands and the stream tears) — plus a read that returns a few bytes
+// and a redial that times out.  The primary answers them stop-and-wait: it
+// sends one frame (a record, a snapshot or a checksum probe) and resends it
+// on a jittered exponential backoff until the answer that proves delivery
 // arrives — a sequence-numbered cumulative ack, or a checksummed one —
-// reconnecting when the link drops.
+// reconnecting when the link drops.  A tear loses every byte in flight, as
+// a TCP tear does, and the resend recovers it.
 //
 // Wire format (per frame, little-endian host order — both ends live in one
 // process, and a cross-host deployment would pin the encoding anyway):
@@ -71,11 +72,12 @@
 // and the link drops the connection.  Content integrity stays end-to-end:
 // payload_crc travels inside the frame and the receiver checks it.
 //
-// Time is virtual: one Pump() is one tick, so every timeout/backoff path
-// replays deterministically under the seeded fault injector (docs:
-// one tick is nominally one millisecond for the backoff_ms gauge).  Frames
-// wait in user-space staging until their tick comes due; the pipe is the
-// delivery medium, not the clock.
+// A send writes the frame onto the pipe at once.  Bytes the pipe will not
+// take yet wait in a backlog that the next send, Tick() or receive writes
+// first, so the stream keeps its order.  Time is virtual: one Pump() is one
+// tick, so every timeout/backoff path replays deterministically under the
+// seeded fault injector (docs: one tick is nominally one millisecond for
+// the backoff_ms gauge).
 //
 // Thread-safety: like the ResilientEngine it wraps, the whole module is
 // thread-compatible, not thread-safe — Load/Run/Pump/Promote must be called
@@ -84,7 +86,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -123,9 +124,6 @@ struct Frame {
 
 // -------------------------------------------------------------------- link --
 
-/// Ticks an injected repl-delay holds a frame before it is delivered.
-inline constexpr std::uint64_t kDelayTicks = 3;
-
 /// Which pipe a ReplicatedEngine pair speaks over.
 enum class LinkKind : std::uint8_t {
   kInProcess,  // in-memory byte pipe, same address space (the default)
@@ -153,28 +151,28 @@ class BytePipe {
                     std::size_t max) = 0;
 };
 
-/// The link between a primary and one replica: the fault gauntlet, frame
-/// staging, the virtual clock and the wire framing (above), over whichever
-/// BytePipe moves the bytes.  Every send is one fault opportunity per
-/// repl-* site, in a fixed order (disconnect, drop, truncate, delay,
-/// duplicate, reorder), so trigger_at plans place a fault on exactly the
-/// Nth frame and probability plans are reproducible per seed.
+/// The link between a primary and one replica: the fault checks, the
+/// virtual clock and the wire framing (above), over whichever BytePipe
+/// moves the bytes.  Every send is one fault opportunity per site it
+/// reaches, in a fixed order (disconnect, drop, truncate, partial write),
+/// so trigger_at plans place a fault on exactly the Nth frame and
+/// probability plans are reproducible per seed.
 class ReplicationLink {
  public:
   /// A link over the pipe `kind` names; down until Connect().
   explicit ReplicationLink(LinkKind kind);
   explicit ReplicationLink(std::unique_ptr<BytePipe> pipe);
 
-  /// Open the connection.  Bytes in flight on an earlier one are gone;
-  /// staged frames survive.  A failure leaves the link down.
+  /// Open the connection.  Bytes in flight on an earlier one are gone.  A
+  /// failure leaves the link down.
   Status Connect();
 
-  Status SendToReplica(const Frame& frame) { return Stage(to_replica_, frame); }
+  Status SendToReplica(const Frame& frame) { return Send(to_replica_, frame); }
   bool ReceiveAtReplica(Frame& out) { return Receive(to_replica_, out); }
-  Status SendToPrimary(const Frame& frame) { return Stage(to_primary_, frame); }
+  Status SendToPrimary(const Frame& frame) { return Send(to_primary_, frame); }
   bool ReceiveAtPrimary(Frame& out) { return Receive(to_primary_, out); }
 
-  /// Advance virtual time one pump; frames that came due go onto the pipe.
+  /// Advance virtual time one pump, and write what the pipe would not take.
   void Tick();
   std::uint64_t now() const { return now_; }
 
@@ -185,25 +183,17 @@ class ReplicationLink {
   void Reconnect();
 
  private:
-  struct Staged {
-    std::vector<std::uint8_t> wire;  // full wire image: len + crc + block
-    std::uint64_t deliver_at = 0;    // tick the bytes go onto the pipe
-  };
   struct Way {
     Direction direction;
-    std::deque<Staged> staging;         // frames not yet written
     std::vector<std::uint8_t> backlog;  // bytes the pipe would not take yet
     std::vector<std::uint8_t> rx;       // bytes read but not yet framed
   };
 
-  /// Fault gauntlet, encode, stage.
-  Status Stage(Way& way, const Frame& frame);
-  /// Write every staged frame that has come due, oldest first, skipping
-  /// frames still ripening (that skip is how kReplDelay reorders a stream).
+  /// Fault checks, encode onto the backlog, write.
+  Status Send(Way& way, const Frame& frame);
+  /// Write the backlog onto the pipe, as much of it as the pipe takes.  A
+  /// broken connection tears the link.
   void Flush(Way& way);
-  /// Write `bytes` onto the pipe; true when all of them went.  A broken
-  /// connection tears the link.
-  bool Write(Way& way, std::vector<std::uint8_t>& bytes);
   /// Read what arrived (kNetPartialRead may cap the haul), then parse one
   /// complete frame.
   bool Receive(Way& way, Frame& out);
@@ -211,8 +201,8 @@ class ReplicationLink {
   void Tear();
 
   std::unique_ptr<BytePipe> pipe_;
-  Way to_replica_{Direction::kToReplica, {}, {}, {}};
-  Way to_primary_{Direction::kToPrimary, {}, {}, {}};
+  Way to_replica_{Direction::kToReplica, {}, {}};
+  Way to_primary_{Direction::kToPrimary, {}, {}};
   bool connected_ = false;
   std::uint64_t now_ = 0;
 };
@@ -353,9 +343,9 @@ class ReplicatedEngine : public IndexEngine {
 
   /// Failover: promote the replica (see ReplicaEngine::Promote) and route
   /// all subsequent traffic to it.  Also fences the old primary.  Before
-  /// promoting, every frame already on the link, delayed ones included, is
-  /// drained into the replica, so a record the primary sent but never saw
-  /// acked is replayed instead of abandoned.  A duplicate Promote()
+  /// promoting, every frame already on the link is drained into the
+  /// replica, so a record the primary sent but never saw acked is replayed
+  /// instead of abandoned.  A duplicate Promote()
   /// returns StatusCode::kAlreadyPromoted without touching the replica.
   Status Promote();
   bool promoted() const { return replica_->promoted(); }

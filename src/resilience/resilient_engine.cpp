@@ -199,13 +199,6 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
   result.platform = "cpu";
   result.wallclock = true;
 
-  FaultInjector& injector = FaultInjector::Global();
-  if (config.faults.Enabled()) injector.Arm(config.faults);
-  // The inner engine must not re-arm (that would reset the injector's
-  // counters every batch and break trigger_at determinism across batches).
-  RunConfig inner = config;
-  inner.faults = FaultPlan{};
-
   if (crashed_) {
     result.status =
         Status::Error("engine is crashed; call Recover() before Run()");
@@ -262,7 +255,7 @@ ExecutionResult ResilientEngine::Run(std::span<const Operation> ops,
       }
       Metrics().journal_records->Increment();
     }
-    result.Merge(engine_->Run(batch, inner));
+    result.Merge(engine_->Run(batch, config));
     result.ops_acknowledged += batch.size();
     if (durable() && dir_.BatchDone()) {
       result.status.Update(Checkpoint());

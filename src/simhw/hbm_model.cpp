@@ -4,7 +4,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "resilience/fault_injector.h"
 
 namespace dcart::simhw {
 
@@ -19,26 +18,13 @@ HbmModel::HbmModel(std::size_t channels, double latency_cycles,
 double HbmModel::Access(std::uintptr_t addr, std::size_t bytes, double now) {
   if (bytes == 0) bytes = 1;
   const std::size_t channel = (addr / burst_bytes_) % channels_;
-  auto bursts = (bytes + burst_bytes_ - 1) / burst_bytes_;
-  double extra_latency = 0.0;
-  // Injected memory faults perturb *timing and traffic only*: a corrupt
-  // burst is re-read (ECC detected it), a refresh/thermal stall delays the
-  // reply.  The data an engine sees is never wrong — DRAM ECC corrects or
-  // the controller retries, exactly like real HBM.
-  if (resilience::FaultCheck(resilience::FaultSite::kHbmReadCorrupt)) {
-    bursts *= 2;  // the channel replays every burst of the access
-    ++faults_;
-  }
-  if (resilience::FaultCheck(resilience::FaultSite::kHbmLatencySpike)) {
-    extra_latency = 4.0 * latency_cycles_;
-    ++faults_;
-  }
+  const auto bursts = (bytes + burst_bytes_ - 1) / burst_bytes_;
   const double occupancy = static_cast<double>(bursts) * cycles_per_burst_;
   const double start = std::max(now, channel_free_at_[channel]);
   channel_free_at_[channel] = start + occupancy;
   ++accesses_;
   bytes_ += bursts * burst_bytes_;
-  return start + occupancy + latency_cycles_ + extra_latency;
+  return start + occupancy + latency_cycles_;
 }
 
 double HbmModel::DrainTime() const {
@@ -53,7 +39,6 @@ void HbmModel::Reset() {
   ResetChannels();
   accesses_ = 0;
   bytes_ = 0;
-  faults_ = 0;
 }
 
 void HbmModel::PublishMetrics(std::string_view prefix) const {
@@ -61,7 +46,6 @@ void HbmModel::PublishMetrics(std::string_view prefix) const {
   const std::string base(prefix);
   registry.GetCounter(base + ".accesses")->Add(accesses_);
   registry.GetCounter(base + ".bytes")->Add(bytes_);
-  registry.GetCounter(base + ".faults")->Add(faults_);
 }
 
 }  // namespace dcart::simhw

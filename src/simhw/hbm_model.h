@@ -23,8 +23,6 @@ class HbmModel {
 
   std::uint64_t total_accesses() const { return accesses_; }
   std::uint64_t total_bytes() const { return bytes_; }
-  /// Injected memory faults absorbed (ECC re-reads + latency spikes).
-  std::uint64_t total_faults() const { return faults_; }
 
   /// Earliest time every channel is free (the drain point).
   double DrainTime() const;
@@ -36,7 +34,7 @@ class HbmModel {
   void Reset();
 
   /// Accumulate this model's traffic totals into the global metrics registry
-  /// under `<prefix>.accesses`, `.bytes`, `.faults` (one per-run object, one
+  /// under `<prefix>.accesses` and `.bytes` (one per-run object, one
   /// end-of-run publish — see NodeBuffer::PublishMetrics).
   void PublishMetrics(std::string_view prefix) const;
 
@@ -48,7 +46,6 @@ class HbmModel {
   std::vector<double> channel_free_at_;
   std::uint64_t accesses_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t faults_ = 0;
 };
 
 }  // namespace dcart::simhw

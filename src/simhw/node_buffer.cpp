@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "resilience/fault_injector.h"
 
 namespace dcart::simhw {
 
@@ -43,14 +42,6 @@ bool NodeBuffer::MakeRoom(std::size_t bytes, std::uint64_t incoming_value) {
 
 bool NodeBuffer::Access(std::uintptr_t id, std::size_t bytes,
                         std::uint64_t value) {
-  // An injected ECC event poisons the resident line: it must be dropped and
-  // refetched from memory, so the access falls through to the miss path.
-  // Correctness is untouched — only the hit/miss accounting (and therefore
-  // modeled cycles/energy) moves.
-  if (resilience::FaultCheck(resilience::FaultSite::kNodeBufferEcc)) {
-    Erase(id);
-    ++ecc_events_;
-  }
   const auto it = entries_.find(id);
   if (it != entries_.end()) {
     ++hits_;
@@ -93,7 +84,6 @@ void NodeBuffer::Reset() {
   misses_ = 0;
   evictions_ = 0;
   bypasses_ = 0;
-  ecc_events_ = 0;
 }
 
 void NodeBuffer::PublishMetrics(std::string_view prefix) const {
@@ -103,7 +93,6 @@ void NodeBuffer::PublishMetrics(std::string_view prefix) const {
   registry.GetCounter(base + ".misses")->Add(misses_);
   registry.GetCounter(base + ".evictions")->Add(evictions_);
   registry.GetCounter(base + ".bypasses")->Add(bypasses_);
-  registry.GetCounter(base + ".ecc_events")->Add(ecc_events_);
   registry.GetGauge(base + ".hit_rate")->Set(HitRate());
 }
 

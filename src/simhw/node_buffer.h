@@ -40,8 +40,6 @@ class NodeBuffer {
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t bypasses() const { return bypasses_; }
-  /// Injected ECC events that forced a line drop + refetch.
-  std::uint64_t ecc_events() const { return ecc_events_; }
   std::size_t bytes_resident() const { return bytes_resident_; }
   std::size_t capacity_bytes() const { return capacity_bytes_; }
   double HitRate() const {
@@ -53,8 +51,8 @@ class NodeBuffer {
   void Reset();
 
   /// Accumulate this buffer's totals into the global metrics registry under
-  /// `<prefix>.hits`, `.misses`, `.evictions`, `.bypasses`, `.ecc_events`
-  /// plus the `<prefix>.hit_rate` gauge.  Buffers are per-run objects, so
+  /// `<prefix>.hits`, `.misses`, `.evictions`, `.bypasses` plus the
+  /// `<prefix>.hit_rate` gauge.  Buffers are per-run objects, so
   /// one publish at end-of-run adds exactly this run's traffic.
   void PublishMetrics(std::string_view prefix) const;
 
@@ -80,7 +78,6 @@ class NodeBuffer {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t bypasses_ = 0;
-  std::uint64_t ecc_events_ = 0;
 };
 
 }  // namespace dcart::simhw

@@ -51,22 +51,7 @@ class ClusterChaosTest : public ::testing::TestWithParam<LinkKind> {
   }
 };
 
-Workload ChaosWorkload(std::size_t num_ops) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 1000;
-  cfg.num_ops = num_ops;
-  cfg.write_ratio = 0.4;
-  cfg.remove_ratio = 0.15;
-  return MakeWorkload(WorkloadKind::kRS, cfg);
-}
-
-RunConfig ChaosRun(const FaultPlan& plan = {}) {
-  RunConfig run;
-  run.batch_size = kBatch;
-  run.cpu.wall_threads = 2;
-  run.faults = plan;
-  return run;
-}
+const RunConfig kRun = BatchRun(kBatch, 2);
 
 TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
   // Sweep the crash trigger across every record boundary the run performs.
@@ -74,7 +59,7 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
   // over the sweep every shard's primary dies at every position it ships.
   // Each death must be absorbed by a mid-run failover with zero
   // acknowledged-op loss and byte-identical convergence.
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const art::Tree oracle = ReplayPrefix(w, w.ops.size());
 
   // Measure the number of crash checks a run performs, with a trigger far
@@ -88,7 +73,8 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
     FaultPlan count_plan;
     count_plan.seed = EnvSeed();
     count_plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 1'000'000;
-    ASSERT_TRUE(engine.Run(w.ops, ChaosRun(count_plan)).status.ok());
+    FaultInjector::Global().Arm(count_plan);
+    ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
     total_checks =
         FaultInjector::Global().checks(FaultSite::kCrashAtBatchBoundary);
     FaultInjector::Global().Disarm();
@@ -105,7 +91,8 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
     FaultPlan plan;
     plan.seed = EnvSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;
-    const ExecutionResult r = engine.Run(w.ops, ChaosRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     const bool fired =
         FaultInjector::Global().fires(FaultSite::kCrashAtBatchBoundary) > 0;
     FaultInjector::Global().Disarm();
@@ -120,10 +107,10 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
 }
 
 TEST_P(ClusterChaosTest, EveryShardLinkPartitionedStillConverges) {
-  // Probabilistic chaos on every shard's link at once: drops, delays,
-  // reorders, duplicates, truncations — the per-pair retransmit machinery
-  // must converge every shard with nothing lost.
-  const Workload w = ChaosWorkload(1024);
+  // Probabilistic chaos on every shard's link at once: drops, truncations,
+  // torn writes, dribbling reads — the per-pair retransmit machinery must
+  // converge every shard with nothing lost.
+  const Workload w = ChurnWorkload(1000, 1024);
   ClusterOptions options = WithLink();
   options.shards = 4;
   ClusterEngine engine(options);
@@ -132,13 +119,11 @@ TEST_P(ClusterChaosTest, EveryShardLinkPartitionedStillConverges) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.Probability(FaultSite::kReplDrop) = 0.1;
-  plan.Probability(FaultSite::kReplDelay) = 0.1;
-  plan.Probability(FaultSite::kReplReorder) = 0.1;
-  plan.Probability(FaultSite::kReplDuplicate) = 0.1;
   plan.Probability(FaultSite::kReplTruncate) = 0.1;
   plan.Probability(FaultSite::kNetPartialRead) = 0.1;
   plan.Probability(FaultSite::kNetPartialWrite) = 0.05;
-  const ExecutionResult r = engine.Run(w.ops, ChaosRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
@@ -151,7 +136,7 @@ TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
   // A deterministic full tear on one shard's link mid-run: retransmits ride
   // it out; afterwards a dead primary is detected by heartbeat silence and
   // the watchdog promotes without any operator involvement.
-  const Workload w = ChaosWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options = WithLink();
   options.shards = 3;
   ClusterEngine engine(options);
@@ -160,7 +145,8 @@ TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 3;
-  const ExecutionResult r = engine.Run(w.ops, ChaosRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
@@ -177,19 +163,19 @@ TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
                            "hard_cut");
 
   // Post-failover the cluster still serves the whole keyspace.
-  const ExecutionResult after = engine.Run(w.ops, ChaosRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
   ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "hard_cut2");
 }
 
 TEST_P(ClusterChaosTest, CrashInSplitCopyPhaseAbortsWithDirectoryUntouched) {
-  const Workload w = ChaosWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options = WithLink();
   options.shards = 2;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, ChaosRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   const art::Tree before = engine.ContentsTree();
   const std::size_t shards_before = engine.shard_count();
   const auto range_before = engine.ShardRange(0);
@@ -219,12 +205,12 @@ TEST_P(ClusterChaosTest, CrashInSplitCopyPhaseAbortsWithDirectoryUntouched) {
 }
 
 TEST_P(ClusterChaosTest, CrashInSplitRetirePhaseFailsOverAndKeepsAllKeys) {
-  const Workload w = ChaosWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options = WithLink();
   options.shards = 2;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, ChaosRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   const art::Tree before = engine.ContentsTree();
   const std::size_t shards_before = engine.shard_count();
 
@@ -248,7 +234,7 @@ TEST_P(ClusterChaosTest, CrashInSplitRetirePhaseFailsOverAndKeepsAllKeys) {
   ExpectTreesByteIdentical(engine.ContentsTree(), before, "retire_crash");
 
   // The post-split cluster serves the whole keyspace on the new topology.
-  const ExecutionResult after = engine.Run(w.ops, ChaosRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
   ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "retire_after");

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,21 +36,7 @@ class ClusterTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Global().Disarm(); }
 };
 
-Workload ClusterWorkload(std::size_t num_ops) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 1000;
-  cfg.num_ops = num_ops;
-  cfg.write_ratio = 0.4;
-  cfg.remove_ratio = 0.15;
-  return MakeWorkload(WorkloadKind::kRS, cfg);
-}
-
-RunConfig ClusterRun() {
-  RunConfig run;
-  run.batch_size = kBatch;
-  run.cpu.wall_threads = 2;
-  return run;
-}
+const RunConfig kRun = BatchRun(kBatch, 2);
 
 /// One single-byte key per byte value: every shard owns ~256/N of them.
 std::vector<std::pair<Key, art::Value>> OneKeyPerByte() {
@@ -179,13 +166,13 @@ TEST_F(ClusterTest, DirectoryTilesByteSpaceAndRoutesConsistently) {
 }
 
 TEST_F(ClusterTest, ClusterRunMatchesSerialOracle) {
-  const Workload w = ClusterWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   ClusterOptions options;
   options.shards = 4;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
 
-  const ExecutionResult r = engine.Run(w.ops, ClusterRun());
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_FALSE(r.partial);
@@ -205,7 +192,7 @@ TEST_F(ClusterTest, ScatterGatherScanCrossesShards) {
   scan.type = OpType::kScan;
   scan.key = Key{0x00};
   scan.scan_count = 300;  // > 256: drains the whole keyspace
-  const ExecutionResult r = engine.Run({&scan, 1}, ClusterRun());
+  const ExecutionResult r = engine.Run({&scan, 1}, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.stats.scan_entries, 256u);
   EXPECT_FALSE(r.partial);
@@ -215,7 +202,7 @@ TEST_F(ClusterTest, ScatterGatherScanCrossesShards) {
   tail.type = OpType::kScan;
   tail.key = Key{0xf0};
   tail.scan_count = 300;
-  const ExecutionResult rt = engine.Run({&tail, 1}, ClusterRun());
+  const ExecutionResult rt = engine.Run({&tail, 1}, kRun);
   ASSERT_TRUE(rt.status.ok()) << rt.status.message();
   EXPECT_EQ(rt.stats.scan_entries, 16u);
 }
@@ -240,7 +227,7 @@ TEST_F(ClusterTest, DeadShardDegradesOnlyItsRange) {
     op.value = b + 1000;
     ops.push_back(std::move(op));
   }
-  const ExecutionResult r = engine.Run(ops, ClusterRun());
+  const ExecutionResult r = engine.Run(ops, kRun);
   EXPECT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(r.status.message().find("no serving member"), std::string::npos)
@@ -259,7 +246,7 @@ TEST_F(ClusterTest, DeadShardDegradesOnlyItsRange) {
   scan.type = OpType::kScan;
   scan.key = Key{0x00};
   scan.scan_count = 300;
-  const ExecutionResult rs = engine.Run({&scan, 1}, ClusterRun());
+  const ExecutionResult rs = engine.Run({&scan, 1}, kRun);
   EXPECT_TRUE(rs.partial);
   EXPECT_EQ(rs.stats.scan_entries,
             256u - (std::size_t{dead_hi} - dead_lo + 1));
@@ -267,7 +254,7 @@ TEST_F(ClusterTest, DeadShardDegradesOnlyItsRange) {
   // Revival restores the range (with its pre-outage contents).
   engine.ReviveShard(1);
   EXPECT_EQ(engine.Lookup(Key{dead_lo}), dead_lo);
-  const ExecutionResult rr = engine.Run(ops, ClusterRun());
+  const ExecutionResult rr = engine.Run(ops, kRun);
   EXPECT_TRUE(rr.status.ok()) << rr.status.message();
   EXPECT_FALSE(rr.partial);
 }
@@ -275,12 +262,12 @@ TEST_F(ClusterTest, DeadShardDegradesOnlyItsRange) {
 // --- failover & fencing ----------------------------------------------------
 
 TEST_F(ClusterTest, WatchdogPromotesDeadPrimaryAndTermFencesTheOldOne) {
-  const Workload w = ClusterWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options;
   options.shards = 3;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, ClusterRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   ASSERT_EQ(engine.ShardTerm(0), 1u);
 
   engine.KillShardPrimary(0);
@@ -303,7 +290,7 @@ TEST_F(ClusterTest, WatchdogPromotesDeadPrimaryAndTermFencesTheOldOne) {
   EXPECT_EQ(stale_promote.code(), StatusCode::kFenced);
   ExecutionResult out;
   const Status stale_exec =
-      engine.ExecuteFenced(0, 1, w.ops, ClusterRun(), out);
+      engine.ExecuteFenced(0, 1, w.ops, kRun, out);
   EXPECT_FALSE(stale_exec.ok());
   EXPECT_EQ(stale_exec.code(), StatusCode::kFenced);
   EXPECT_EQ(engine.fenced_promotes(), 2u);
@@ -311,11 +298,11 @@ TEST_F(ClusterTest, WatchdogPromotesDeadPrimaryAndTermFencesTheOldOne) {
   // The current term's holder executes normally.
   ExecutionResult ok_out;
   const Status current =
-      engine.ExecuteFenced(0, 2, {w.ops.data(), 1}, ClusterRun(), ok_out);
+      engine.ExecuteFenced(0, 2, {w.ops.data(), 1}, kRun, ok_out);
   EXPECT_TRUE(current.ok()) << current.message();
 
   // The cluster still matches the serial oracle after the failover.
-  const ExecutionResult after = engine.Run(w.ops, ClusterRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
   ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "post_failover");
@@ -346,23 +333,23 @@ TEST_F(ClusterTest, RefusedWriteIsTypedAndFailsNothingOver) {
   ClusterEngine engine(options);
   engine.Load(OneKeyPerByte());
   const std::vector<Operation> ops = {{OpType::kWrite, Key{}, 1}};
-  const ExecutionResult r = engine.Run(ops, ClusterRun());
+  const ExecutionResult r = engine.Run(ops, kRun);
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
       << r.status.message();
   EXPECT_EQ(engine.failovers(), 0u);
   EXPECT_FALSE(r.partial);
   const std::vector<Operation> write = {{OpType::kWrite, Key{0x10}, 7}};
-  ASSERT_TRUE(engine.Run(write, ClusterRun()).status.ok());
+  ASSERT_TRUE(engine.Run(write, kRun).status.ok());
   EXPECT_EQ(engine.Lookup(Key{0x10}), 7u);
 }
 
 TEST_F(ClusterTest, RejoinRebuildsShardInFreshEpoch) {
-  const Workload w = ClusterWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options;
   options.shards = 3;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, ClusterRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
 
   engine.KillShardPrimary(0);
   ASSERT_TRUE(engine.FailOverShard(0).ok());
@@ -376,19 +363,19 @@ TEST_F(ClusterTest, RejoinRebuildsShardInFreshEpoch) {
   ExpectTreesByteIdentical(engine.ContentsTree(), before, "rejoin");
 
   // The fresh pair serves and replicates new work.
-  const ExecutionResult after = engine.Run(w.ops, ClusterRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
 }
 
 // --- rebalance -------------------------------------------------------------
 
 TEST_F(ClusterTest, SplitShardPreservesContentsAndRetilesDirectory) {
-  const Workload w = ClusterWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ClusterOptions options;
   options.shards = 2;
   ClusterEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, ClusterRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   const art::Tree before = engine.ContentsTree();
   const std::size_t shards_before = engine.shard_count();
 
@@ -406,7 +393,7 @@ TEST_F(ClusterTest, SplitShardPreservesContentsAndRetilesDirectory) {
   EXPECT_EQ(expected_lo, 256u);
   ExpectTreesByteIdentical(engine.ContentsTree(), before, "split");
 
-  const ExecutionResult after = engine.Run(w.ops, ClusterRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
   ExpectTreesByteIdentical(engine.ContentsTree(), ReplayPrefix(w, w.ops.size()),
                            "split_serving");
@@ -451,7 +438,7 @@ SpanCounts TracedSpans(const std::function<void()>& run) {
 }
 
 TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
-  Workload w = ClusterWorkload(8 * kBatch);
+  Workload w = ChurnWorkload(1000, 8 * kBatch);
   for (std::size_t k = 0; k < w.ops.size(); k += kBatch / 2) {
     w.ops[k].type = OpType::kScan;  // two scans per batch to gather
     w.ops[k].scan_count = 10;
@@ -467,7 +454,7 @@ TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
   resilience::ResilientEngine ft(ft_options);
   ft.Load(w.load_items);
   const SpanCounts ft_spans = TracedSpans(
-      [&] { EXPECT_TRUE(ft.Run(w.ops, ClusterRun()).status.ok()); });
+      [&] { EXPECT_TRUE(ft.Run(w.ops, kRun).status.ok()); });
   EXPECT_EQ(ft_spans.count.at("ft.journal"), kBatches);
   EXPECT_EQ(ft_spans.count.at("ft.checkpoint"), kBatches);
   EXPECT_GT(ft_spans.last_arg.at("ft.checkpoint"), 0u);  // image_bytes
@@ -477,7 +464,7 @@ TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
   resilience::ReplicatedEngine ha;
   ha.Load(w.load_items);
   const SpanCounts ha_spans = TracedSpans(
-      [&] { EXPECT_TRUE(ha.Run(w.ops, ClusterRun()).status.ok()); });
+      [&] { EXPECT_TRUE(ha.Run(w.ops, kRun).status.ok()); });
   EXPECT_EQ(ha_spans.count.at("ha.ship"), kBatches);
   EXPECT_EQ(ha_spans.last_arg.at("ha.ship"), kBatch);
   EXPECT_GE(ha_spans.count.at("ha.checksum"), 2u);
@@ -487,13 +474,72 @@ TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
   ClusterEngine cluster;
   cluster.Load(w.load_items);
   const SpanCounts cluster_spans = TracedSpans(
-      [&] { EXPECT_TRUE(cluster.Run(w.ops, ClusterRun()).status.ok()); });
+      [&] { EXPECT_TRUE(cluster.Run(w.ops, kRun).status.ok()); });
   EXPECT_EQ(cluster_spans.count.at("cluster.route"), kBatches);
   EXPECT_EQ(cluster_spans.last_arg.at("cluster.route"), kBatch);
   EXPECT_EQ(cluster_spans.count.at("cluster.gather"), kBatches);
   EXPECT_EQ(cluster_spans.last_arg.at("cluster.gather"), 2u);
   EXPECT_GE(cluster_spans.count.at("ha.ship"), kBatches);
   EXPECT_GE(cluster_spans.count.at("ha.checksum"), 2 * kBatches);
+}
+
+TEST_F(ClusterTest, ScansFollowEachRuntimeStackBatchContract) {
+  // One batch [scan from a0 (up to 100), write X] tells the two batch
+  // contracts of docs/ARCHITECTURE.md apart; a serial replay scans the 4
+  // loaded keys whatever X is.
+  //  - DCART-CP, -FT and -HA run bucket ops first, then deferred ops in
+  //    arrival order, scans included.  An X under an existing root child
+  //    is a bucket op the scan sees; an X that needs a new root child
+  //    defers and runs after the scan.
+  //  - DCART-CLUSTER runs every point op of a batch before any scan.
+  struct Probe {
+    const char* what;
+    std::vector<std::string> loaded;
+    std::string write;
+    std::uint64_t cp_entries;       // DCART-CP, -FT and -HA
+    std::uint64_t cluster_entries;  // DCART-CLUSTER
+  };
+  const Probe probes[] = {
+      {"another key in an existing bucket", {"a1", "a2", "b1", "b2"}, "b3",
+       5, 5},
+      {"a new root child", {"a1", "a2", "b1", "b2"}, "c1", 4, 5},
+      {"a key in another bucket", {"a1", "a2", "z1", "z2"}, "z3", 5, 5},
+  };
+  const auto key = [](const std::string& text) {
+    return Key(text.begin(), text.end());
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(probe.what);
+    std::vector<std::pair<Key, art::Value>> items;
+    for (const std::string& loaded : probe.loaded) {
+      items.emplace_back(key(loaded), 1);
+    }
+    const std::vector<Operation> batch = {
+        {OpType::kScan, key("a0"), 0, 100},
+        {OpType::kWrite, key(probe.write), 2}};
+    SerialReplay replay;
+    replay.Load(items);
+    replay.Apply(batch);
+    EXPECT_EQ(replay.scan_entries, 4u);
+
+    std::vector<std::pair<std::unique_ptr<IndexEngine>, std::uint64_t>> stack;
+    stack.emplace_back(std::make_unique<dcartc::DcartCpEngine>(),
+                       probe.cp_entries);
+    stack.emplace_back(std::make_unique<resilience::ResilientEngine>(),
+                       probe.cp_entries);
+    stack.emplace_back(std::make_unique<resilience::ReplicatedEngine>(),
+                       probe.cp_entries);
+    stack.emplace_back(std::make_unique<ClusterEngine>(),
+                       probe.cluster_entries);
+    for (const auto& [engine, entries] : stack) {
+      SCOPED_TRACE(engine->name());
+      engine->Load(items);
+      const ExecutionResult r = engine->Run(batch, kRun);
+      ASSERT_TRUE(r.status.ok()) << r.status.message();
+      EXPECT_EQ(r.stats.scan_entries, entries);
+      EXPECT_EQ(engine->Lookup(key(probe.write)), 2u);
+    }
+  }
 }
 
 TEST_F(ClusterTest, EngineReportsClusterName) {

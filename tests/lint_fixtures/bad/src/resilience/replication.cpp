@@ -2,6 +2,3 @@
 
 // A transport-private fault taxonomy: exactly what DL007 forbids.
 enum class LinkFault { kDrop, kDelay };
-
-// A site that was never registered in fault_injector.h: it can never fire.
-bool ShipFrame() { return FaultCheck(FaultSite::kReplGhost); }

@@ -52,7 +52,6 @@ TEST(DcartLint, BadCorpusEveryRuleFiresAtTheExpectedLine) {
       {kFaultSiteRegistry, "src/resilience/fault_injector.h", 5},
       {kFaultSiteRegistry, "src/resilience/fault_injector.h", 6},
       {kReplicationFaultRegistry, "src/resilience/replication.cpp", 4},
-      {kReplicationFaultRegistry, "src/resilience/replication.cpp", 7},
       {kBareAssert, "src/simhw/model.cpp", 4},
       {kLockContract, "src/sync/locked.cpp", 5},
       {kLockContract, "src/sync/locked.h", 8},
@@ -89,13 +88,9 @@ TEST(DcartLint, BadCorpusMessagesNameTheDefect) {
   EXPECT_NE(message_for("src/resilience/fault_injector.cpp", 0)
                 .find("claimed by 2 enumerators"),
             std::string::npos);
-  // DL007: a private fault enum and an unregistered site are different
-  // defects with different remedies.
+  // DL007: a private fault enum.
   EXPECT_NE(message_for("src/resilience/replication.cpp", 4)
                 .find("private fault enum"),
-            std::string::npos);
-  EXPECT_NE(message_for("src/resilience/replication.cpp", 7)
-                .find("kReplGhost is not declared"),
             std::string::npos);
   // DL008 names the offending layer edge.
   EXPECT_NE(message_for("src/art/layer_breaker.cpp", 2)

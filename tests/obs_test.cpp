@@ -197,7 +197,7 @@ TEST(FlagFamilies, RequireValidFlagsRefusesEveryFaultFlag) {
   // refused as loudly as a misspelt one.
   EXPECT_EQ(bench::RequireValidFlags(MakeFlags({"--fault-seed=7"})), 2);
   EXPECT_EQ(
-      bench::RequireValidFlags(MakeFlags({"--fault-hbm-read-corrupt=0.5"})),
+      bench::RequireValidFlags(MakeFlags({"--fault-repl-drop=0.5"})),
       2);
   EXPECT_EQ(bench::RequireValidFlags(MakeFlags({"--keys=10"})), 0);
 }

@@ -1,6 +1,7 @@
 // The serial oracle the engine tests share: every engine, wrapper and
 // failover path must leave exactly the state a serial op-for-op replay on a
-// plain art::Tree leaves.
+// plain art::Tree leaves.  Also the churn stream and the run config the
+// wrapper tests drive their engines with.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,11 +14,33 @@
 
 #include "art/serialize.h"
 #include "art/tree.h"
+#include "baselines/engine.h"
 #include "common/bytes.h"
 #include "dcartc/parallel_runtime.h"
+#include "workload/generators.h"
 #include "workload/ops.h"
 
 namespace dcart {
+
+/// The churn the wrapper tests share: uniform random 8-byte keys (RS),
+/// `keys` of them loaded, then `ops` requests with 40 % writes and 15 %
+/// removes.
+inline Workload ChurnWorkload(std::size_t keys, std::size_t ops) {
+  WorkloadConfig cfg;
+  cfg.num_keys = keys;
+  cfg.num_ops = ops;
+  cfg.write_ratio = 0.4;
+  cfg.remove_ratio = 0.15;
+  return MakeWorkload(WorkloadKind::kRS, cfg);
+}
+
+/// A run in batches of `batch` ops on `threads` DCART-CP workers.
+inline RunConfig BatchRun(std::size_t batch, std::size_t threads) {
+  RunConfig run;
+  run.batch_size = batch;
+  run.cpu.wall_threads = threads;
+  return run;
+}
 
 /// Serial ground truth: a stream applied op for op to a plain art::Tree,
 /// counting what reads and scans found.

@@ -23,13 +23,6 @@
 namespace dcart {
 namespace {
 
-RunConfig CpRun(std::size_t threads, std::size_t batch) {
-  RunConfig run;
-  run.cpu.wall_threads = threads;
-  run.batch_size = batch;
-  return run;
-}
-
 /// Groups of at least `min_size` of the keys EncodeU64(top << 56 | x_i),
 /// x_i = i * stride mod 2^56 for i < count, whose HashKeys agree in the top
 /// 16 bits (the tag a ShortcutTable slot keeps) and in the low `home_bits`
@@ -243,7 +236,7 @@ TEST(DcartCp, MatchesSerialReplayOnMixedStream) {
 
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, CpRun(8, 512));
+  const ExecutionResult r = engine.Run(w.ops, BatchRun(512, 8));
 
   SerialReplay ref;
   ref.Load(w.load_items);
@@ -270,7 +263,7 @@ TEST(DcartCp, MatchesSerialReplayOnDenseKeysWithScans) {
 
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, CpRun(4, 256));
+  const ExecutionResult r = engine.Run(w.ops, BatchRun(256, 4));
   EXPECT_GT(r.stats.scan_entries, 0u);
 
   SerialReplay ref;
@@ -291,7 +284,7 @@ TEST(DcartCp, MatchesSerialReplayOnVariableLengthKeys) {
 
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
-  engine.Run(w.ops, CpRun(8, 128));
+  engine.Run(w.ops, BatchRun(128, 8));
 
   SerialReplay ref;
   ref.Load(w.load_items);
@@ -310,7 +303,7 @@ TEST(DcartCp, GrowsFromEmptyTree) {
                    static_cast<art::Value>(i)});
   }
   dcartc::DcartCpEngine engine;
-  const ExecutionResult r = engine.Run(ops, CpRun(4, 512));
+  const ExecutionResult r = engine.Run(ops, BatchRun(512, 4));
 
   SerialReplay ref;
   ref.Apply(ops);
@@ -335,7 +328,7 @@ TEST(DcartCp, RemoveReinsertSameKeyWithinBatch) {
   }
   dcartc::DcartCpEngine engine;
   engine.Load(items);
-  const ExecutionResult r = engine.Run(ops, CpRun(8, ops.size()));
+  const ExecutionResult r = engine.Run(ops, BatchRun(ops.size(), 8));
 
   SerialReplay ref;
   ref.Load(items);
@@ -396,7 +389,7 @@ TEST(DcartCp, TagSharingRemovesNeverLeaveAStaleShortcut) {
   ref.Load(items);
   std::uint64_t reads_hit = 0;
   const auto run = [&](const std::vector<Operation>& batch) {
-    reads_hit += engine.Run(batch, CpRun(4, batch.size())).reads_hit;
+    reads_hit += engine.Run(batch, BatchRun(batch.size(), 4)).reads_hit;
     ref.Apply(batch);
   };
 
@@ -484,7 +477,7 @@ TEST(DcartCp, StressManyThreadsSkewedMixedBatches) {
   ref.Load(w.load_items);
 
   for (int round = 0; round < 2; ++round) {
-    engine.Run(w.ops, CpRun(12, 64));
+    engine.Run(w.ops, BatchRun(64, 12));
     ref.Apply(w.ops);
   }
   ExpectSameState(engine, ref.tree);
@@ -497,7 +490,7 @@ TEST(DcartCp, LatencyHistogramCoversEveryOp) {
   const Workload w = MakeWorkload(WorkloadKind::kRS, cfg);
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
-  RunConfig run = CpRun(4, 512);
+  RunConfig run = BatchRun(512, 4);
   run.collect_latency = true;
   const ExecutionResult r = engine.Run(w.ops, run);
   EXPECT_EQ(r.latency_ns.Count(), w.ops.size());

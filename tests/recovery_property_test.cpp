@@ -71,24 +71,8 @@ std::uint64_t StateChangesIn(const Workload& w, std::size_t begin,
   return changes;
 }
 
-Workload RecoveryWorkload(std::size_t num_ops) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 2000;
-  cfg.num_ops = num_ops;
-  cfg.write_ratio = 0.4;
-  cfg.remove_ratio = 0.15;
-  return MakeWorkload(WorkloadKind::kRS, cfg);
-}
-
 constexpr std::size_t kBatch = 256;
-
-RunConfig DurableRun(const FaultPlan& plan = {}) {
-  RunConfig run;
-  run.batch_size = kBatch;
-  run.cpu.wall_threads = 4;
-  run.faults = plan;
-  return run;
-}
+const RunConfig kRun = BatchRun(kBatch, 4);
 
 /// Size of the SN3 image EncodeTree writes for `tree`: the snapshot file's
 /// size (Serialize.InMemoryImageIsTheFileSaveTreeWrites pins the two).
@@ -156,7 +140,7 @@ std::vector<std::size_t> SnapshottedBatches(const Workload& w, double ratio) {
 }
 
 TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
-  const Workload w = RecoveryWorkload(4096);
+  const Workload w = ChurnWorkload(2000, 4096);
   const std::string dir = FreshDir("clean");
 
   ResilienceOptions options;
@@ -165,7 +149,7 @@ TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, DurableRun());
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     ASSERT_TRUE(r.status.ok()) << r.status.message();
     EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   }
@@ -178,7 +162,7 @@ TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
 }
 
 TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
-  const Workload w = RecoveryWorkload(2048);  // 8 batches of 256
+  const Workload w = ChurnWorkload(2000, 2048);  // 8 batches of 256
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
   ResilienceOptions options;
   options.journal_to_snapshot_ratio = 0.25;
@@ -205,7 +189,8 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
 
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, DurableRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
 
     // The crash fires before batch `crash_at` journals: exactly the prior
@@ -213,7 +198,7 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
     ASSERT_TRUE(engine.crashed());
     ASSERT_FALSE(r.status.ok());
     ASSERT_EQ(r.ops_acknowledged, (crash_at - 1) * kBatch);
-    EXPECT_FALSE(engine.Run(w.ops, DurableRun()).status.ok());
+    EXPECT_FALSE(engine.Run(w.ops, kRun).status.ok());
 
     // A fresh engine over the same directory recovers the acknowledged
     // prefix bit-for-bit.
@@ -232,7 +217,7 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
     const ExecutionResult resumed =
         restarted.Run({w.ops.data() + r.ops_acknowledged,
                        w.ops.size() - r.ops_acknowledged},
-                      DurableRun());
+                      kRun);
     ASSERT_TRUE(resumed.status.ok()) << resumed.status.message();
     ExpectTreesByteIdentical(restarted.tree(), ReplayPrefix(w, w.ops.size()),
                              "boundary-resume");
@@ -241,7 +226,7 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
 }
 
 TEST_F(RecoveryTest, TornJournalRecordRecoversAcknowledgedPrefix) {
-  const Workload w = RecoveryWorkload(2048);
+  const Workload w = ChurnWorkload(2000, 2048);
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
 
   // K random mid-batch crash points (the Nth journal append tears halfway).
@@ -260,7 +245,8 @@ TEST_F(RecoveryTest, TornJournalRecordRecoversAcknowledgedPrefix) {
 
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, DurableRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
 
     // The torn batch was never acknowledged and never executed.
@@ -292,7 +278,7 @@ std::string NewestSnapshot(const std::string& dir) {
 }
 
 TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
-  const Workload w = RecoveryWorkload(4096);
+  const Workload w = ChurnWorkload(2000, 4096);
   const std::string dir = FreshDir("fallback");
 
   ResilienceOptions options;
@@ -301,7 +287,7 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    ASSERT_TRUE(engine.Run(w.ops, DurableRun()).status.ok());
+    ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   }
 
   // Corrupt the newest snapshot (truncate it mid-entry).  Recovery must
@@ -321,7 +307,7 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
 }
 
 TEST_F(RecoveryTest, FlippedValueByteInNewestSnapshotFallsBackAGeneration) {
-  const Workload w = RecoveryWorkload(4096);
+  const Workload w = ChurnWorkload(2000, 4096);
   const std::string dir = FreshDir("flipped");
 
   ResilienceOptions options;
@@ -330,7 +316,7 @@ TEST_F(RecoveryTest, FlippedValueByteInNewestSnapshotFallsBackAGeneration) {
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    ASSERT_TRUE(engine.Run(w.ops, DurableRun()).status.ok());
+    ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   }
 
   // Flip one bit of the first entry's value.  The file still parses — the
@@ -441,7 +427,7 @@ TEST_F(RecoveryTest, UpgradesSn2SnapshotAndJournalWithReadsInPlace) {
 }
 
 TEST_F(RecoveryTest, ReadOnlyBatchJournalsExactlyTwentyBytes) {
-  const Workload w = RecoveryWorkload(1024);
+  const Workload w = ChurnWorkload(2000, 1024);
   const std::string dir = FreshDir("read_only");
   ResilienceOptions options;
   options.dir = dir;
@@ -453,7 +439,7 @@ TEST_F(RecoveryTest, ReadOnlyBatchJournalsExactlyTwentyBytes) {
     if (op.type == OpType::kRead) reads.push_back(op);
   }
   ASSERT_GT(reads.size(), 1u);
-  RunConfig run = DurableRun();
+  RunConfig run = kRun;
   run.batch_size = reads.size();  // one batch, one record
   const std::string journal = dir + "/journal-1.log";
   const std::uintmax_t before = fs::file_size(journal);
@@ -560,7 +546,7 @@ TEST_F(RecoveryTest, GenerationsRollOnJournalBytesNotBatchCount) {
     rolls += due;
     const std::uint64_t record = RecordBytes(batch);
     largest_record = std::max(largest_record, record);
-    RunConfig run = DurableRun();
+    RunConfig run = kRun;
     run.batch_size = writes;
     const ExecutionResult r = engine.Run(batch, run);
     EXPECT_TRUE(r.status.ok()) << r.status.message();
@@ -601,7 +587,7 @@ TEST_F(RecoveryTest, EmptyKeyRemoveReplaysAsNoOp) {
   const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
                                       {OpType::kRemove, Key{}, 0},
                                       {OpType::kWrite, EncodeU64(2), 22}};
-  RunConfig run = DurableRun();
+  RunConfig run = kRun;
   run.batch_size = 1;  // one record each
   {
     ResilientEngine engine(options);
@@ -628,7 +614,7 @@ TEST_F(RecoveryTest, EmptyWriteKeyBatchIsRefusedAndLaterWritesRecover) {
   options.dir = dir;
   // One generation: each record is larger than the empty tree's snapshot.
   options.journal_to_snapshot_ratio = 100;
-  RunConfig run = DurableRun();
+  RunConfig run = kRun;
   run.batch_size = 1;
   {
     ResilientEngine engine(options);
@@ -671,7 +657,7 @@ TEST_F(RecoveryTest, OversizedWriteKeyIsRefusedAndEverySnapshotStaysLoadable) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     ops.push_back({OpType::kWrite, EncodeU64(1000 + i), i});
   }
-  RunConfig run = DurableRun();
+  RunConfig run = kRun;
   run.batch_size = 1;
   {
     ResilientEngine engine(options);

@@ -1,10 +1,9 @@
 // Chaos and failover property tests for the replication layer, the
 // replication extension of the crash-at-every-boundary recovery suite:
 //
-//   Convergence — under every injected link fault (drop, delay, reorder,
-//     duplicate, truncate, disconnect — alone and combined), a run must end
-//     with the replica byte-identical to the primary and every operation
-//     HA-acknowledged.
+//   Convergence — under every injected link fault (drop, truncate,
+//     disconnect — alone and combined), a run must end with the replica
+//     byte-identical to the primary and every operation HA-acknowledged.
 //   Zero loss — killing the primary at every record boundary (and tearing
 //     the shipped frame at the same point) and promoting the replica must
 //     serve exactly the serial replay of the HA-acknowledged prefix: no
@@ -69,22 +68,7 @@ class ReplicationPropertyTest : public ::testing::TestWithParam<LinkKind> {
   }
 };
 
-Workload ChaosWorkload(std::size_t num_ops) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 1000;
-  cfg.num_ops = num_ops;
-  cfg.write_ratio = 0.4;
-  cfg.remove_ratio = 0.15;
-  return MakeWorkload(WorkloadKind::kRS, cfg);
-}
-
-RunConfig HaRun(const FaultPlan& plan = {}) {
-  RunConfig run;
-  run.batch_size = kBatch;
-  run.cpu.wall_threads = 2;
-  run.faults = plan;
-  return run;
-}
+const RunConfig kRun = BatchRun(kBatch, 2);
 
 struct ChaosSite {
   FaultSite site;
@@ -97,13 +81,13 @@ struct ChaosSite {
 // frame-mangling rates the run spends all its time reconnecting, and at
 // rarer rates short runs may never fire it at all.
 const ChaosSite kChaosSites[] = {
-    {FaultSite::kReplDrop, 0.25, 0},      {FaultSite::kReplDelay, 0.25, 0},
-    {FaultSite::kReplReorder, 0.25, 0},   {FaultSite::kReplDuplicate, 0.25, 0},
-    {FaultSite::kReplTruncate, 0.25, 0},  {FaultSite::kReplDisconnect, 0.0, 3},
+    {FaultSite::kReplDrop, 0.25, 0},
+    {FaultSite::kReplTruncate, 0.25, 0},
+    {FaultSite::kReplDisconnect, 0.0, 3},
 };
 
 TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   for (const ChaosSite& chaos : kChaosSites) {
     SCOPED_TRACE(resilience::FaultSiteName(chaos.site));
     ReplicatedEngine engine(WithLink());
@@ -115,7 +99,8 @@ TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
     } else {
       plan.TriggerAt(chaos.site) = chaos.trigger_at;
     }
-    const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
     ASSERT_TRUE(r.status.ok()) << r.status.message();
     // Convergence: every op HA-acknowledged, replica byte-identical.
@@ -128,7 +113,7 @@ TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
 }
 
 TEST_P(ReplicationPropertyTest, AllLinkFaultsTogetherConverge) {
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   ReplicatedEngine engine(WithLink());
   engine.Load(w.load_items);
   FaultPlan plan;
@@ -138,7 +123,8 @@ TEST_P(ReplicationPropertyTest, AllLinkFaultsTogetherConverge) {
     plan.Probability(chaos.site) =
         chaos.probability > 0.0 ? chaos.probability / 2.0 : 0.03;
   }
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
@@ -149,7 +135,7 @@ TEST_P(ReplicationPropertyTest, AllLinkFaultsTogetherConverge) {
 TEST_P(ReplicationPropertyTest, ChaosRunSurvivesFailover) {
   // A full lifecycle under combined chaos: converge, lose the primary,
   // promote, and verify the promoted tree equals the serial replay.
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const std::string dir = FreshDir("lifecycle");
   ReplicationOptions options = WithLink();
   options.dir = dir;
@@ -161,7 +147,8 @@ TEST_P(ReplicationPropertyTest, ChaosRunSurvivesFailover) {
     plan.Probability(chaos.site) =
         chaos.probability > 0.0 ? chaos.probability / 2.0 : 0.03;
   }
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   ASSERT_EQ(r.ops_acknowledged, w.ops.size());
@@ -176,7 +163,7 @@ TEST_P(ReplicationPropertyTest, ChaosRunSurvivesFailover) {
 
 TEST_P(ReplicationPropertyTest,
        KillPrimaryAtEveryBoundaryPromotedReplicaHoldsAcknowledgedPrefix) {
-  const Workload w = ChaosWorkload(1024);  // 8 batches of 128
+  const Workload w = ChurnWorkload(1000, 1024);  // 8 batches of 128
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
 
   for (std::size_t crash_at = 1; crash_at <= batches; ++crash_at) {
@@ -192,7 +179,8 @@ TEST_P(ReplicationPropertyTest,
 
     ReplicatedEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
 
     // The primary died at boundary `crash_at`: exactly the prior batches
@@ -215,7 +203,7 @@ TEST_P(ReplicationPropertyTest,
     const ExecutionResult resumed =
         engine.Run({w.ops.data() + r.ops_acknowledged,
                     w.ops.size() - r.ops_acknowledged},
-                   HaRun());
+                   kRun);
     ASSERT_TRUE(resumed.status.ok()) << resumed.status.message();
     ExpectTreesByteIdentical(engine.tree(), ReplayPrefix(w, w.ops.size()),
                              "boundary-resume");
@@ -230,7 +218,7 @@ TEST_P(ReplicationPropertyTest,
   // the truncated frame is CRC-rejected and retransmitted before its batch
   // is HA-acknowledged, so the promoted replica still holds every
   // acknowledged op for every tear point.
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
 
   for (std::size_t tear_at = 1; tear_at <= batches; ++tear_at) {
@@ -248,7 +236,8 @@ TEST_P(ReplicationPropertyTest,
 
     ReplicatedEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
 
     engine.KillPrimary();
@@ -265,7 +254,7 @@ TEST_P(ReplicationPropertyTest,
   // Same sweep with the harsher fault: the link tears down completely at
   // every record position in turn, forcing a backoff/reconnect cycle right
   // before the primary dies.
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
 
   for (std::size_t drop_at = 1; drop_at <= batches; ++drop_at) {
@@ -283,7 +272,8 @@ TEST_P(ReplicationPropertyTest,
 
     ReplicatedEngine engine(options);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
 
     engine.KillPrimary();
@@ -297,11 +287,11 @@ TEST_P(ReplicationPropertyTest,
 
 TEST_P(ReplicationPropertyTest,
        LateSnapshotCopiesNeverLoseAnAcknowledgedBatch) {
-  // Delays and reorders armed from Load() on leave late copies of the
-  // bootstrap image on the link, and one may arrive after the batch's
-  // record.  Whatever Run() acknowledges must survive a failover.  The
-  // seeds are fixed, so every run sweeps the same schedules.
-  const Workload w = ChaosWorkload(kBatch);
+  // Drops and truncations armed from Load() on make the bootstrap image
+  // and its acks go round several times.  Whatever Run() acknowledges must
+  // survive a failover.  The seeds are fixed, so every run sweeps the same
+  // schedules.
+  const Workload w = ChurnWorkload(1000, kBatch);
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE(seed);
     const std::string dir = FreshDir("late_snapshot");
@@ -310,11 +300,11 @@ TEST_P(ReplicationPropertyTest,
     ReplicatedEngine engine(options);
     FaultPlan plan;
     plan.seed = seed;
-    plan.Probability(FaultSite::kReplDelay) = 0.5;
-    plan.Probability(FaultSite::kReplReorder) = 0.5;
+    plan.Probability(FaultSite::kReplDrop) = 0.5;
+    plan.Probability(FaultSite::kReplTruncate) = 0.5;
     FaultInjector::Global().Arm(plan);
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, HaRun());
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
     EXPECT_TRUE(r.status.ok()) << r.status.message();
 
@@ -326,10 +316,10 @@ TEST_P(ReplicationPropertyTest,
     fs::remove_all(dir);
   }
 
-  // Load;Load;Run: a late copy of the first load's image may land after
-  // the second's.  The primary crashes before the second batch, so no
-  // Drain() repairs the replica before the failover.
-  const Workload two = ChaosWorkload(2 * kBatch);
+  // Load;Load;Run: two images, each resent until it lands.  The primary
+  // crashes before the second batch, so no Drain() repairs the replica
+  // before the failover.
+  const Workload two = ChurnWorkload(1000, 2 * kBatch);
   std::vector<std::pair<Key, art::Value>> first = two.load_items;
   for (auto& item : first) ++item.second;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
@@ -340,13 +330,13 @@ TEST_P(ReplicationPropertyTest,
     ReplicatedEngine engine(options);
     FaultPlan plan;
     plan.seed = seed;
-    plan.Probability(FaultSite::kReplDelay) = 0.5;
-    plan.Probability(FaultSite::kReplReorder) = 0.5;
+    plan.Probability(FaultSite::kReplDrop) = 0.5;
+    plan.Probability(FaultSite::kReplTruncate) = 0.5;
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
     FaultInjector::Global().Arm(plan);
     engine.Load(first);
     engine.Load(two.load_items);
-    const ExecutionResult r = engine.Run(two.ops, HaRun());
+    const ExecutionResult r = engine.Run(two.ops, kRun);
     FaultInjector::Global().Disarm();
     ASSERT_FALSE(r.status.ok());  // the crash fired
     EXPECT_EQ(r.ops_acknowledged, kBatch) << r.status.message();
@@ -371,7 +361,7 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
       {FaultSite::kNetPartialRead, 0.3, 0},
       {FaultSite::kNetConnectTimeout, 0.0, 0},  // armed with disconnect below
   };
-  const Workload w = ChaosWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   for (const ChaosSite& chaos : kNetSites) {
     SCOPED_TRACE(resilience::FaultSiteName(chaos.site));
     ReplicatedEngine engine(WithLink());
@@ -387,7 +377,8 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
     } else {
       plan.TriggerAt(chaos.site) = chaos.trigger_at;
     }
-    const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+    FaultInjector::Global().Arm(plan);
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     FaultInjector::Global().Disarm();
     ASSERT_TRUE(r.status.ok()) << r.status.message();
     EXPECT_EQ(r.ops_acknowledged, w.ops.size());
@@ -409,7 +400,8 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
   plan.Probability(FaultSite::kNetPartialRead) = 0.1;
   plan.Probability(FaultSite::kNetPartialWrite) = 0.05;
   plan.Probability(FaultSite::kNetConnectTimeout) = 0.1;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());

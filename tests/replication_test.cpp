@@ -58,29 +58,14 @@ class ReplicationTest : public ::testing::Test {
   }
 };
 
-Workload ReplicationWorkload(std::size_t num_ops) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 1000;
-  cfg.num_ops = num_ops;
-  cfg.write_ratio = 0.4;
-  cfg.remove_ratio = 0.15;
-  return MakeWorkload(WorkloadKind::kRS, cfg);
-}
-
-RunConfig HaRun(const FaultPlan& plan = {}) {
-  RunConfig run;
-  run.batch_size = kBatch;
-  run.cpu.wall_threads = 2;
-  run.faults = plan;
-  return run;
-}
+const RunConfig kRun = BatchRun(kBatch, 2);
 
 std::uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->Value();
 }
 
 TEST_F(ReplicationTest, CleanDurablePairConvergesByteIdentical) {
-  const Workload w = ReplicationWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const std::string dir = FreshDir("clean");
 
   ReplicationOptions options;
@@ -88,7 +73,7 @@ TEST_F(ReplicationTest, CleanDurablePairConvergesByteIdentical) {
   options.journal_to_snapshot_ratio = 0.25;  // a roll every 2-3 batches
   ReplicatedEngine engine(options);
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, HaRun());
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   // HA acknowledgement means replica-durable: all of it made it across.
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
@@ -99,10 +84,10 @@ TEST_F(ReplicationTest, CleanDurablePairConvergesByteIdentical) {
 }
 
 TEST_F(ReplicationTest, InMemoryPairConverges) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ReplicatedEngine engine;  // empty dir: link + replay without disks
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, HaRun());
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
@@ -120,7 +105,7 @@ TEST_F(ReplicationTest, EmptyKeyRemoveDrainsToTheReplica) {
   const std::vector<Operation> ops = {{OpType::kWrite, EncodeU64(1), 11},
                                       {OpType::kRemove, Key{}, 0},
                                       {OpType::kWrite, EncodeU64(2), 22}};
-  RunConfig run = HaRun();
+  RunConfig run = kRun;
   run.batch_size = 1;  // one record each
   const ExecutionResult r = engine.Run(ops, run);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
@@ -133,7 +118,7 @@ TEST_F(ReplicationTest, EmptyKeyRemoveDrainsToTheReplica) {
 }
 
 TEST_F(ReplicationTest, DroppedFrameIsRetransmitted) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t retries_before = CounterValue("replication.retries");
 
   ReplicatedEngine engine;
@@ -141,7 +126,8 @@ TEST_F(ReplicationTest, DroppedFrameIsRetransmitted) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the very first record vanishes
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_GT(CounterValue("replication.retries"), retries_before);
@@ -150,22 +136,28 @@ TEST_F(ReplicationTest, DroppedFrameIsRetransmitted) {
 }
 
 TEST_F(ReplicationTest, DuplicateDeliveryIsAppliedExactlyOnce) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ReplicatedEngine engine;
   engine.Load(w.load_items);
+  const std::uint64_t dropped_before =
+      CounterValue("replication.duplicates_dropped");
   FaultPlan plan;
   plan.seed = EnvSeed();
-  plan.Probability(FaultSite::kReplDuplicate) = 0.5;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  // The link's second frame is the replica's ack of the first record, so
+  // the primary resends a record the replica already applied.
+  plan.TriggerAt(FaultSite::kReplDrop) = 2;
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   // Sequence-number dedupe: duplicates are re-acked, never re-applied.
+  EXPECT_GT(CounterValue("replication.duplicates_dropped"), dropped_before);
   EXPECT_EQ(engine.replica().applied_records(), engine.records_shipped());
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
                            "dup");
 }
 
 TEST_F(ReplicationTest, TruncatedFrameIsRejectedByCrcAndResent) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t rejects_before = CounterValue("replication.crc_rejects");
 
   ReplicatedEngine engine;
@@ -173,7 +165,8 @@ TEST_F(ReplicationTest, TruncatedFrameIsRejectedByCrcAndResent) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kReplTruncate) = 1;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_GT(CounterValue("replication.crc_rejects"), rejects_before);
@@ -182,7 +175,7 @@ TEST_F(ReplicationTest, TruncatedFrameIsRejectedByCrcAndResent) {
 }
 
 TEST_F(ReplicationTest, DisconnectBacksOffAndReconnects) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t reconnects_before =
       CounterValue("replication.reconnects");
 
@@ -191,7 +184,8 @@ TEST_F(ReplicationTest, DisconnectBacksOffAndReconnects) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 2;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_GT(CounterValue("replication.reconnects"), reconnects_before);
@@ -199,28 +193,14 @@ TEST_F(ReplicationTest, DisconnectBacksOffAndReconnects) {
                            "disc");
 }
 
-TEST_F(ReplicationTest, ReorderedWindowConvergesThroughCatchUp) {
-  const Workload w = ReplicationWorkload(1024);
-  ReplicatedEngine engine;
-  engine.Load(w.load_items);
-  FaultPlan plan;
-  plan.seed = EnvSeed();
-  plan.Probability(FaultSite::kReplReorder) = 0.5;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
-  ASSERT_TRUE(r.status.ok()) << r.status.message();
-  EXPECT_EQ(r.ops_acknowledged, w.ops.size());
-  ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
-                           "reorder");
-}
-
 TEST_F(ReplicationTest, DivergenceIsDetectedAndResynced) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t diverged_before =
       CounterValue("replication.divergence_detected");
 
   ReplicatedEngine engine;
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
 
   // A rogue out-of-band write on the replica (simulated bit rot / operator
   // mistake): the next checksum exchange must catch it and resync.
@@ -242,15 +222,19 @@ Frame SnapshotFrame(std::vector<std::uint8_t> image, std::uint64_t sequence) {
   return frame;
 }
 
-/// A kRecord frame whose one op writes EncodeU64(sequence) -> sequence.
-Frame RecordFrame(std::uint64_t sequence) {
-  const std::vector<Operation> ops = {
-      {OpType::kWrite, EncodeU64(sequence), sequence}};
+/// A kRecord frame carrying `ops`.
+Frame RecordFrame(std::uint64_t sequence, const std::vector<Operation>& ops) {
   Frame frame;
   frame.sequence = sequence;
   frame.payload_crc =
       resilience::EncodeRecordPayload(sequence, ops, frame.payload);
   return frame;
+}
+
+/// A kRecord frame whose one op writes EncodeU64(sequence) -> sequence.
+Frame RecordFrame(std::uint64_t sequence) {
+  return RecordFrame(sequence,
+                     {{OpType::kWrite, EncodeU64(sequence), sequence}});
 }
 
 /// Every frame waiting at the primary's end of `link`.
@@ -327,9 +311,9 @@ TEST_F(ReplicationTest, ReplicaRejectsAResealedImageWithABadKeyOrder) {
 }
 
 TEST_F(ReplicationTest, ReplicaDropsALateSnapshotCopyBelowItsFloor) {
-  // A resent image can still be on the link when the record after it
-  // arrives (a delay, a reorder).  Applying that late copy would roll the
-  // replica back past a record the primary counts as acknowledged.
+  // An image copy that arrives after the record above it: the wire is
+  // input, and applying that late copy would roll the replica back past a
+  // record the primary counts as acknowledged.
   const auto source = [] {
     art::Tree tree;
     for (std::uint64_t i = 1; i <= 100; ++i) tree.Insert(EncodeU64(i), i);
@@ -366,6 +350,79 @@ TEST_F(ReplicationTest, ReplicaDropsALateSnapshotCopyBelowItsFloor) {
   EXPECT_FALSE(replies[0].has_checksum);
 }
 
+/// An in-process link and a replica that applied RecordFrame(0) (floor 1),
+/// its ack already taken off the link.
+struct ReplicaAtFloorOne {
+  ReplicationLink link{LinkKind::kInProcess};
+  resilience::ReplicaEngine replica{ReplicationOptions{}};
+
+  ReplicaAtFloorOne() {
+    EXPECT_TRUE(link.Connect().ok());
+    EXPECT_EQ(Feed(RecordFrame(0)).size(), 1u);
+  }
+  /// Send `frame` to the replica, pump it, and return its replies.
+  std::vector<Frame> Feed(const Frame& frame) {
+    EXPECT_TRUE(link.SendToReplica(frame).ok());
+    replica.Pump(link);
+    return FramesAtPrimary(link);
+  }
+};
+
+TEST_F(ReplicationTest, ReplicaReAcksADuplicateRecordAtItsFloor) {
+  ReplicaAtFloorOne pair;
+  const std::uint64_t dropped_before =
+      CounterValue("replication.duplicates_dropped");
+  const std::vector<Frame> replies = pair.Feed(RecordFrame(0));
+  EXPECT_EQ(CounterValue("replication.duplicates_dropped") - dropped_before,
+            1u);
+  EXPECT_EQ(pair.replica.applied_records(), 1u);
+  EXPECT_EQ(pair.replica.applied_ops(), 1u);  // applied once
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, resilience::FrameType::kAck);
+  EXPECT_EQ(replies[0].sequence, 1u);
+  EXPECT_FALSE(replies[0].has_checksum);
+}
+
+TEST_F(ReplicationTest, ReplicaAsksForItsFloorOnAGapAndAppliesNothing) {
+  ReplicaAtFloorOne pair;
+  const std::uint64_t requests_before =
+      CounterValue("replication.catchup_requests");
+  const std::vector<Frame> replies = pair.Feed(RecordFrame(2));  // 1 missing
+  EXPECT_EQ(CounterValue("replication.catchup_requests") - requests_before,
+            1u);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, resilience::FrameType::kCatchUpRequest);
+  EXPECT_EQ(replies[0].sequence, 1u);
+  EXPECT_EQ(pair.replica.applied_records(), 1u);
+  EXPECT_EQ(pair.replica.applied_ops(), 1u);
+  EXPECT_EQ(pair.replica.Lookup(EncodeU64(2)), std::nullopt);
+}
+
+TEST_F(ReplicationTest, ReplicaAppliesTheMissingRecordThenTheHeldOneInOrder) {
+  // Both records write `shared`, so the value left shows which applied
+  // last; record 1 also writes a key of its own.
+  const Key shared = EncodeU64(7);
+  const std::vector<Operation> one = {{OpType::kWrite, shared, 1},
+                                      {OpType::kWrite, EncodeU64(1), 1}};
+  const std::vector<Operation> two = {{OpType::kWrite, shared, 2}};
+  ReplicaAtFloorOne pair;
+  const std::vector<Frame> request = pair.Feed(RecordFrame(2, two));
+  ASSERT_EQ(request.size(), 1u);
+  ASSERT_EQ(request[0].type, resilience::FrameType::kCatchUpRequest);
+  for (const auto& [sequence, ops] : {std::pair{1u, one}, std::pair{2u, two}}) {
+    const std::vector<Frame> replies = pair.Feed(RecordFrame(sequence, ops));
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].type, resilience::FrameType::kAck);
+    EXPECT_EQ(replies[0].sequence, sequence + 1);
+  }
+  EXPECT_EQ(pair.replica.applied_records(), 3u);
+  art::Tree want;
+  want.Insert(EncodeU64(0), 0);
+  want.Insert(EncodeU64(1), 1);
+  want.Insert(shared, 2);
+  ExpectTreesByteIdentical(pair.replica.tree(), want, "gap_filled");
+}
+
 TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
   // Sequences count on across Load(): the second bootstrap image takes a
   // floor above the one the replica reached, so the replica takes it, and
@@ -376,7 +433,7 @@ TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
   cfg.write_ratio = 0.4;
   cfg.remove_ratio = 0.15;
   cfg.seed = 7;
-  const Workload workloads[] = {ReplicationWorkload(512),
+  const Workload workloads[] = {ChurnWorkload(1000, 512),
                                 MakeWorkload(WorkloadKind::kRS, cfg)};
   const std::string dir = FreshDir("reload");
   ReplicationOptions options;
@@ -385,7 +442,7 @@ TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
   ReplicatedEngine engine(options);
   for (const Workload& w : workloads) {
     engine.Load(w.load_items);
-    const ExecutionResult r = engine.Run(w.ops, HaRun());
+    const ExecutionResult r = engine.Run(w.ops, kRun);
     ASSERT_TRUE(r.status.ok()) << r.status.message();
     EXPECT_EQ(r.ops_acknowledged, w.ops.size());
     EXPECT_EQ(engine.records_shipped(), engine.acked_records());
@@ -400,7 +457,7 @@ TEST_F(ReplicationTest, FailedBootstrapIsRetriedBeforeTheNextRecord) {
   // loaded tree.  The sync stays owed, so the next batch resyncs the
   // replica before it is acknowledged, and a failover right after that
   // batch serves the loaded tree plus the batch.
-  const Workload w = ReplicationWorkload(256);  // exactly 2 batches of 128
+  const Workload w = ChurnWorkload(1000, 256);  // exactly 2 batches of 128
   const std::string dir = FreshDir("failed_bootstrap");
   ReplicationOptions options;
   options.dir = dir;
@@ -410,12 +467,13 @@ TEST_F(ReplicationTest, FailedBootstrapIsRetriedBeforeTheNextRecord) {
   FaultInjector::Global().Arm(drop_all);
   engine.Load(w.load_items);  // gives up after the drain tick budget
   FaultInjector::Global().Disarm();
-  EXPECT_FALSE(engine.Run({}, HaRun()).status.ok());  // the parked failure
+  EXPECT_FALSE(engine.Run({}, kRun).status.ok());  // the parked failure
 
   FaultPlan crash;
   crash.seed = EnvSeed();
   crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
-  const ExecutionResult r = engine.Run(w.ops, HaRun(crash));
+  FaultInjector::Global().Arm(crash);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   FaultInjector::Global().Disarm();
   ASSERT_FALSE(r.status.ok());
   ASSERT_EQ(r.ops_acknowledged, kBatch);
@@ -434,14 +492,14 @@ TEST_F(ReplicationTest, RunAcknowledgesOnlyTheOpsItShipped) {
   // its clients retry those ops.  The next Run() resyncs the replica with
   // an image that carries them, yet must count only its own ops: a larger
   // count would tell clients to skip requests that were never delivered.
-  const Workload w = ReplicationWorkload(384);  // exactly 3 batches of 128
+  const Workload w = ChurnWorkload(1000, 384);  // exactly 3 batches of 128
   const std::span<const Operation> ops(w.ops);
   ReplicatedEngine engine;
   engine.Load(w.load_items);
   FaultPlan drop_all;
   drop_all.Probability(FaultSite::kReplDrop) = 1.0;
-  const ExecutionResult gave_up =
-      engine.Run(ops.first(kBatch), HaRun(drop_all));
+  FaultInjector::Global().Arm(drop_all);
+  const ExecutionResult gave_up = engine.Run(ops.first(kBatch), kRun);
   FaultInjector::Global().Disarm();
   ASSERT_FALSE(gave_up.status.ok());
   EXPECT_EQ(gave_up.ops_acknowledged, 0u);
@@ -449,15 +507,15 @@ TEST_F(ReplicationTest, RunAcknowledgesOnlyTheOpsItShipped) {
   FaultPlan crash;
   crash.seed = EnvSeed();
   crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
-  const ExecutionResult partial =
-      engine.Run(ops.subspan(kBatch), HaRun(crash));
+  FaultInjector::Global().Arm(crash);
+  const ExecutionResult partial = engine.Run(ops.subspan(kBatch), kRun);
   FaultInjector::Global().Disarm();
   ASSERT_FALSE(partial.status.ok());  // the crash fired before batch 2
   EXPECT_EQ(partial.ops_acknowledged, kBatch);
 }
 
 TEST_F(ReplicationTest, DroppedBootstrapSnapshotIsResent) {
-  const Workload w = ReplicationWorkload(256);
+  const Workload w = ChurnWorkload(1000, 256);
   const std::uint64_t retries_before = CounterValue("replication.retries");
   ReplicatedEngine engine;
   FaultPlan plan;
@@ -470,16 +528,16 @@ TEST_F(ReplicationTest, DroppedBootstrapSnapshotIsResent) {
   EXPECT_GT(CounterValue("replication.retries"), retries_before);
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
                            "boot_drop");
-  const ExecutionResult r = engine.Run(w.ops, HaRun());  // nothing parked
+  const ExecutionResult r = engine.Run(w.ops, kRun);  // nothing parked
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
 }
 
 TEST_F(ReplicationTest, DroppedChecksumProbeIsResent) {
-  const Workload w = ReplicationWorkload(256);
+  const Workload w = ChurnWorkload(1000, 256);
   ReplicatedEngine engine;
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   const std::uint64_t retries_before = CounterValue("replication.retries");
   FaultPlan plan;
   plan.seed = EnvSeed();
@@ -493,17 +551,17 @@ TEST_F(ReplicationTest, DroppedChecksumProbeIsResent) {
 }
 
 TEST_F(ReplicationTest, KillPrimaryThenPromoteServesReplicaState) {
-  const Workload w = ReplicationWorkload(1024);
+  const Workload w = ChurnWorkload(1000, 1024);
   const std::string dir = FreshDir("failover");
 
   ReplicationOptions options;
   options.dir = dir;
   ReplicatedEngine engine(options);
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
 
   engine.KillPrimary();
-  EXPECT_FALSE(engine.Run(w.ops, HaRun()).status.ok());  // fenced
+  EXPECT_FALSE(engine.Run(w.ops, kRun).status.ok());  // fenced
   EXPECT_EQ(engine.Lookup(w.load_items.front().first), std::nullopt);
 
   const Status promoted = engine.Promote();
@@ -520,16 +578,16 @@ TEST_F(ReplicationTest, KillPrimaryThenPromoteServesReplicaState) {
   ExpectTreesByteIdentical(engine.tree(), want, "promoted");
 
   // ...and accepts new work through the same IndexEngine surface.
-  const ExecutionResult after = engine.Run(w.ops, HaRun());
+  const ExecutionResult after = engine.Run(w.ops, kRun);
   EXPECT_TRUE(after.status.ok()) << after.status.message();
   fs::remove_all(dir);
 }
 
 TEST_F(ReplicationTest, PromoteWithoutDurabilityServesLiveTree) {
-  const Workload w = ReplicationWorkload(256);
+  const Workload w = ChurnWorkload(1000, 256);
   ReplicatedEngine engine;  // in-memory pair
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   engine.KillPrimary();
   const Status promoted = engine.Promote();
   EXPECT_TRUE(promoted.ok()) << promoted.message();
@@ -567,14 +625,14 @@ TEST_F(ReplicationTest, RecoverFromEmptyDirNamesTheDirectory) {
 }
 
 TEST_F(ReplicationTest, RecoverNamesEveryRejectedGeneration) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ResilienceOptions options;
   options.dir = FreshDir("rejected");
   options.journal_to_snapshot_ratio = 0.2;  // a roll every 2 batches
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+    ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   }
   // Truncate every snapshot: recovery must try each generation, reject it
   // with a reason naming it, and report the full audit trail.
@@ -594,13 +652,13 @@ TEST_F(ReplicationTest, RecoverNamesEveryRejectedGeneration) {
 }
 
 TEST_F(ReplicationTest, SuccessfulRecoverClearsDiagnostic) {
-  const Workload w = ReplicationWorkload(256);
+  const Workload w = ChurnWorkload(1000, 256);
   ResilienceOptions options;
   options.dir = FreshDir("clears");
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
-    ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+    ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   }
   ResilientEngine restarted(options);
   EXPECT_FALSE(restarted.last_recover_error().ok() &&
@@ -645,10 +703,10 @@ TEST_F(ReplicationTest, JitteredBackoffBounds) {
 // --- failover edge cases (ISSUE satellite) ---------------------------------
 
 TEST_F(ReplicationTest, DoublePromoteReturnsTypedStatus) {
-  const Workload w = ReplicationWorkload(256);
+  const Workload w = ChurnWorkload(1000, 256);
   ReplicatedEngine engine;
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   engine.KillPrimary();
   ASSERT_TRUE(engine.Promote().ok());
 
@@ -659,32 +717,27 @@ TEST_F(ReplicationTest, DoublePromoteReturnsTypedStatus) {
       << again.message();
   // The duplicate attempt must not disturb the serving engine.
   EXPECT_TRUE(engine.promoted());
-  EXPECT_TRUE(engine.Run(w.ops, HaRun()).status.ok());
+  EXPECT_TRUE(engine.Run(w.ops, kRun).status.ok());
 }
 
 TEST_F(ReplicationTest, PromoteDuringCatchUpReplaysRemainingWindow) {
   // A primary that sends a record and dies before the ack comes back
-  // leaves that record on the link when Promote() is called, here held
-  // back by an injected delay.  Promotion must drain the link before
-  // serving, or the promoted replica silently forgets the shipped tail.
-  const Workload w = ReplicationWorkload(256);  // exactly 2 batches of 128
+  // leaves that record on the link when Promote() is called.  Promotion
+  // must drain the link before serving, or the promoted replica silently
+  // forgets the shipped tail.
+  const Workload w = ChurnWorkload(1000, 256);  // exactly 2 batches of 128
   const std::span<const Operation> ops(w.ops);
   ReplicatedEngine engine;
   engine.Load(w.load_items);
-  ASSERT_TRUE(engine.Run(ops.first(kBatch), HaRun()).status.ok());
+  ASSERT_TRUE(engine.Run(ops.first(kBatch), kRun).status.ok());
 
-  // The second batch's record, sent the way the primary sends it, delayed
-  // on the link; then the primary dies.
+  // The second batch's record, sent the way the primary sends it; then the
+  // primary dies before the replica reads it.
   Frame record;
   record.sequence = engine.records_shipped();
   record.payload_crc = resilience::EncodeRecordPayload(
       record.sequence, ops.subspan(kBatch), record.payload);
-  FaultPlan plan;
-  plan.seed = EnvSeed();
-  plan.TriggerAt(FaultSite::kReplDelay) = 1;
-  FaultInjector::Global().Arm(plan);
   ASSERT_TRUE(engine.link().SendToReplica(record).ok());
-  FaultInjector::Global().Disarm();
   engine.KillPrimary();
   ASSERT_EQ(engine.replica().applied_records(), record.sequence);
 
@@ -707,10 +760,10 @@ ReplicationOptions SocketOptions() {
 }
 
 TEST_F(ReplicationTest, SocketPairConvergesByteIdentical) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ReplicatedEngine engine(SocketOptions());
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, HaRun());
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
@@ -718,7 +771,7 @@ TEST_F(ReplicationTest, SocketPairConvergesByteIdentical) {
 }
 
 TEST_F(ReplicationTest, SocketPartialWriteTearsAndRecovers) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t reconnects_before =
       CounterValue("replication.reconnects");
   ReplicatedEngine engine(SocketOptions());
@@ -726,7 +779,8 @@ TEST_F(ReplicationTest, SocketPartialWriteTearsAndRecovers) {
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kNetPartialWrite) = 2;  // torn mid-frame on wire
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_GT(CounterValue("replication.reconnects"), reconnects_before);
@@ -735,13 +789,14 @@ TEST_F(ReplicationTest, SocketPartialWriteTearsAndRecovers) {
 }
 
 TEST_F(ReplicationTest, SocketPartialReadsReassembleFrames) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   ReplicatedEngine engine(SocketOptions());
   engine.Load(w.load_items);
   FaultPlan plan;
   plan.seed = EnvSeed();
   plan.Probability(FaultSite::kNetPartialRead) = 0.3;  // dribbling recv()s
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   ExpectTreesByteIdentical(engine.replica().tree(), engine.primary().tree(),
@@ -749,7 +804,7 @@ TEST_F(ReplicationTest, SocketPartialReadsReassembleFrames) {
 }
 
 TEST_F(ReplicationTest, SocketConnectTimeoutRetriesReconnect) {
-  const Workload w = ReplicationWorkload(512);
+  const Workload w = ChurnWorkload(1000, 512);
   const std::uint64_t reconnects_before =
       CounterValue("replication.reconnects");
   ReplicatedEngine engine(SocketOptions());
@@ -758,7 +813,8 @@ TEST_F(ReplicationTest, SocketConnectTimeoutRetriesReconnect) {
   plan.seed = EnvSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 2;   // tear the link...
   plan.TriggerAt(FaultSite::kNetConnectTimeout) = 1;  // ...1st redial fails
-  const ExecutionResult r = engine.Run(w.ops, HaRun(plan));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, kRun);
   ASSERT_TRUE(r.status.ok()) << r.status.message();
   EXPECT_EQ(r.ops_acknowledged, w.ops.size());
   EXPECT_GT(CounterValue("replication.reconnects"), reconnects_before);
@@ -768,7 +824,7 @@ TEST_F(ReplicationTest, SocketConnectTimeoutRetriesReconnect) {
 
 // --- one link contract over both pipes -------------------------------------
 //
-// ReplicationLink driven directly: three record frames staged per tick, every
+// ReplicationLink driven directly: three record frames sent per tick, every
 // delivery at the replica logged as (tick, sequence, payload CRC ok).  Each
 // fault site, fired on the 2nd frame, must have its documented effect, and
 // the TCP pipe must log exactly what the in-memory pipe logs.
@@ -877,36 +933,6 @@ TEST_P(ReplicationLinkTest, DropLosesTheFrame) {
   EXPECT_TRUE(log.refused.empty());
 }
 
-TEST_P(ReplicationLinkTest, DelayHoldsTheFrameThreeTicksBehindLaterOnes) {
-  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDelay));
-  const std::vector<std::uint64_t> seqs = Sequences(log);
-  ASSERT_EQ(seqs.size(), kSendTicks * kFramesPerTick);
-  // Frames 0, 2 and everything sent on ticks 1-2 overtake it; it lands at
-  // tick 3, ahead of what is sent on tick 3.
-  const auto it = std::find(seqs.begin(), seqs.end(), 1u);
-  ASSERT_NE(it, seqs.end());
-  const std::size_t pos = static_cast<std::size_t>(it - seqs.begin());
-  EXPECT_EQ(pos, 3 * kFramesPerTick - 1);
-  EXPECT_EQ(log.delivered[pos].tick, 3u);
-  EXPECT_EQ(seqs[pos + 1], 3 * kFramesPerTick);
-}
-
-TEST_P(ReplicationLinkTest, DuplicateDeliversTheFrameTwice) {
-  const LinkLog log = Drive(SecondFrame(FaultSite::kReplDuplicate));
-  std::vector<std::uint64_t> want = Range(0, kSendTicks * kFramesPerTick);
-  want.insert(want.begin() + 1, 1);
-  EXPECT_EQ(Sequences(log), want);
-  EXPECT_EQ(log.delivered[1].tick, 0u);
-  EXPECT_EQ(log.delivered[2].tick, 0u);
-}
-
-TEST_P(ReplicationLinkTest, ReorderPutsTheFrameAheadOfItsTick) {
-  const LinkLog log = Drive(SecondFrame(FaultSite::kReplReorder));
-  std::vector<std::uint64_t> want = Range(0, kSendTicks * kFramesPerTick);
-  std::swap(want[0], want[1]);
-  EXPECT_EQ(Sequences(log), want);
-}
-
 TEST_P(ReplicationLinkTest, TruncateFailsThePayloadCrc) {
   const LinkLog log = Drive(SecondFrame(FaultSite::kReplTruncate));
   ASSERT_EQ(Sequences(log), Range(0, kSendTicks * kFramesPerTick));
@@ -922,31 +948,26 @@ TEST_P(ReplicationLinkTest, DisconnectRefusesSendsUntilReconnect) {
   for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
     EXPECT_EQ(log.up[tick], tick >= kRedialTick) << "tick " << tick;
   }
-  // Frame 0 was still staged when the link tore: it survives and goes out
-  // after the redial, ahead of the frames sent then.
+  // Frame 0 was already on the pipe when the link tore: it dies with the
+  // tear, as over TCP.  Delivery resumes with the frames sent after the
+  // redial.
   ASSERT_FALSE(log.delivered.empty());
-  EXPECT_EQ(log.delivered.front(), (Delivery{kRedialTick, 0, true}));
-  std::vector<std::uint64_t> want = {0};
-  for (std::uint64_t s : Range(kRedialTick * kFramesPerTick,
-                               kSendTicks * kFramesPerTick)) {
-    want.push_back(s);
-  }
-  EXPECT_EQ(Sequences(log), want);
+  EXPECT_EQ(log.delivered.front(),
+            (Delivery{kRedialTick, kRedialTick * kFramesPerTick, true}));
+  EXPECT_EQ(Sequences(log), Range(kRedialTick * kFramesPerTick,
+                                  kSendTicks * kFramesPerTick));
 }
 
 TEST_P(ReplicationLinkTest, PartialWriteTearsTheStream) {
   const LinkLog log = Drive(SecondFrame(FaultSite::kNetPartialWrite));
   EXPECT_FALSE(log.up[0]);
   EXPECT_TRUE(log.up[kRedialTick]);
-  // Frame 0 was on the wire and frame 1 half on it when the stream tore:
-  // both are gone.  Frame 2 was still staged and goes out after the redial.
-  EXPECT_EQ(log.refused, Range(kFramesPerTick, kRedialTick * kFramesPerTick));
-  std::vector<std::uint64_t> want = {2};
-  for (std::uint64_t s : Range(kRedialTick * kFramesPerTick,
-                               kSendTicks * kFramesPerTick)) {
-    want.push_back(s);
-  }
-  EXPECT_EQ(Sequences(log), want);
+  // Frame 0 was on the pipe and frame 1 half on it when the stream tore:
+  // both are gone, though frame 1's send reported success, as a short
+  // write() does.  Every later send until the redial is refused.
+  EXPECT_EQ(log.refused, Range(2, kRedialTick * kFramesPerTick));
+  EXPECT_EQ(Sequences(log), Range(kRedialTick * kFramesPerTick,
+                                  kSendTicks * kFramesPerTick));
   EXPECT_EQ(log.delivered.front().tick, kRedialTick);
 }
 
@@ -972,8 +993,11 @@ TEST_P(ReplicationLinkTest, ConnectTimeoutFailsTheFirstRedial) {
   for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
     EXPECT_EQ(log.up[tick], tick > kRedialTick) << "tick " << tick;
   }
+  // Frame 0 died with the tear; delivery resumes after the second redial.
   ASSERT_FALSE(log.delivered.empty());
-  EXPECT_EQ(log.delivered.front(), (Delivery{kRedialTick + 1, 0, true}));
+  EXPECT_EQ(log.delivered.front(),
+            (Delivery{kRedialTick + 1, (kRedialTick + 1) * kFramesPerTick,
+                      true}));
   EXPECT_EQ(log.refused, Range(1, (kRedialTick + 1) * kFramesPerTick));
 }
 

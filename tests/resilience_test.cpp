@@ -1,7 +1,6 @@
 // Tests for the fault-injection half of the resilience layer: injector
-// determinism, CRC32, the journal's framing, the DCART-CP runtime's
-// recovery from a scan leaked into a bucket, and the DCART memory-fault
-// sites (which may perturb modeled time/energy but never query results).
+// determinism, CRC32, the journal's framing, and the DCART-CP runtime's
+// recovery from a scan leaked into a bucket.
 //
 // Every fault test asserts the same load-bearing property as the fault-free
 // suite: the post-run tree state and read-hit pattern equal a serial ART
@@ -15,7 +14,6 @@
 #include "common/crc32.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
-#include "dcart/accelerator.h"
 #include "dcartc/parallel_runtime.h"
 #include "oracle.h"
 #include "resilience/fault_injector.h"
@@ -41,15 +39,6 @@ class ResilienceTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
 };
-
-RunConfig FaultRun(const FaultPlan& plan, std::size_t threads,
-                   std::size_t batch) {
-  RunConfig run;
-  run.cpu.wall_threads = threads;
-  run.batch_size = batch;
-  run.faults = plan;
-  return run;
-}
 
 // ------------------------------------------------------------------ CRC32
 
@@ -103,17 +92,17 @@ TEST_F(ResilienceTest, ProbabilityEndpointsAreExact) {
   FaultInjector& injector = FaultInjector::Global();
   FaultPlan plan;
   plan.seed = EnvSeed();
-  plan.Probability(FaultSite::kHbmLatencySpike) = 1.0;
+  plan.Probability(FaultSite::kReplDrop) = 1.0;
   plan.Probability(FaultSite::kScanDeferLeak) = 0.0;
   // Arming with any active site activates checking everywhere, but a
   // probability-0 site still never fires.
-  plan.Probability(FaultSite::kNodeBufferEcc) = 0.5;
+  plan.Probability(FaultSite::kNetPartialRead) = 0.5;
   injector.Arm(plan);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(injector.ShouldFire(FaultSite::kHbmLatencySpike));
+    EXPECT_TRUE(injector.ShouldFire(FaultSite::kReplDrop));
     EXPECT_FALSE(injector.ShouldFire(FaultSite::kScanDeferLeak));
   }
-  EXPECT_EQ(injector.fires(FaultSite::kHbmLatencySpike), 200u);
+  EXPECT_EQ(injector.fires(FaultSite::kReplDrop), 200u);
   EXPECT_EQ(injector.fires(FaultSite::kScanDeferLeak), 0u);
 }
 
@@ -121,16 +110,16 @@ TEST_F(ResilienceTest, SameSeedReplaysTheSameVerdictSequence) {
   FaultInjector& injector = FaultInjector::Global();
   FaultPlan plan;
   plan.seed = EnvSeed();
-  plan.Probability(FaultSite::kHbmReadCorrupt) = 0.3;
+  plan.Probability(FaultSite::kReplTruncate) = 0.3;
 
   std::vector<bool> first;
   injector.Arm(plan);
   for (int i = 0; i < 500; ++i) {
-    first.push_back(injector.ShouldFire(FaultSite::kHbmReadCorrupt));
+    first.push_back(injector.ShouldFire(FaultSite::kReplTruncate));
   }
   injector.Arm(plan);  // re-arming resets the check counters
   for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(injector.ShouldFire(FaultSite::kHbmReadCorrupt), first[i]) << i;
+    EXPECT_EQ(injector.ShouldFire(FaultSite::kReplTruncate), first[i]) << i;
   }
 
   // A different seed gives a different sequence (with p=0.3 over 500 draws,
@@ -140,13 +129,13 @@ TEST_F(ResilienceTest, SameSeedReplaysTheSameVerdictSequence) {
   injector.Arm(other);
   std::size_t diffs = 0;
   for (int i = 0; i < 500; ++i) {
-    diffs += injector.ShouldFire(FaultSite::kHbmReadCorrupt) != first[i];
+    diffs += injector.ShouldFire(FaultSite::kReplTruncate) != first[i];
   }
   EXPECT_GT(diffs, 0u);
 
   // And the hit rate is in the right ballpark.
   const double rate =
-      static_cast<double>(injector.fires(FaultSite::kHbmReadCorrupt)) / 500.0;
+      static_cast<double>(injector.fires(FaultSite::kReplTruncate)) / 500.0;
   EXPECT_GT(rate, 0.15);
   EXPECT_LT(rate, 0.45);
 }
@@ -281,7 +270,8 @@ TEST_F(ResilienceTest, LeakedScanIsRecoveredAndReported) {
 
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
-  const ExecutionResult r = engine.Run(w.ops, FaultRun(plan, 8, 256));
+  FaultInjector::Global().Arm(plan);
+  const ExecutionResult r = engine.Run(w.ops, BatchRun(256, 8));
 
   SerialReplay ref;
   ref.Load(w.load_items);
@@ -298,44 +288,6 @@ TEST_F(ResilienceTest, LeakedScanIsRecoveredAndReported) {
   EXPECT_GT(r.stats.scan_entries, 0u);
   EXPECT_EQ(r.reads_hit, ref.reads_hit);
   ExpectSameState(engine, ref.tree);
-}
-
-// --------------------------------------------- DCART memory-fault sites
-
-TEST_F(ResilienceTest, MemoryFaultsPerturbModelNeverResults) {
-  WorkloadConfig cfg;
-  cfg.num_keys = 4000;
-  cfg.num_ops = 20000;
-  cfg.write_ratio = 0.3;
-  const Workload w = MakeWorkload(WorkloadKind::kRS, cfg);
-
-  const auto run_once = [&w](const FaultPlan& plan) {
-    accel::DcartEngine engine;
-    engine.Load(w.load_items);
-    RunConfig run;
-    run.faults = plan;
-    return std::make_pair(engine.Run(w.ops, run),
-                          engine.Lookup(w.load_items.front().first));
-  };
-
-  const auto [clean, clean_lookup] = run_once(FaultPlan{});
-  FaultInjector::Global().Disarm();
-
-  FaultPlan plan;
-  plan.seed = EnvSeed();
-  plan.Probability(FaultSite::kHbmReadCorrupt) = 0.2;
-  plan.Probability(FaultSite::kHbmLatencySpike) = 0.2;
-  plan.Probability(FaultSite::kNodeBufferEcc) = 0.2;
-  const auto [faulty, faulty_lookup] = run_once(plan);
-
-  // ECC re-reads and latency spikes cost modeled time (and the extra HBM
-  // traffic costs energy) but the executed results are bit-identical.
-  EXPECT_GT(FaultInjector::Global().TotalFires(), 0u);
-  EXPECT_GT(faulty.seconds, clean.seconds);
-  EXPECT_GE(faulty.energy_joules, clean.energy_joules);
-  EXPECT_EQ(faulty.reads_hit, clean.reads_hit);
-  EXPECT_EQ(faulty.stats.operations, clean.stats.operations);
-  EXPECT_EQ(faulty_lookup, clean_lookup);
 }
 
 }  // namespace

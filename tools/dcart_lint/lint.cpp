@@ -367,39 +367,16 @@ void CheckTriggerPhaseRegistryMetrics(const SourceFile& file,
 // ------------------------------------------------------------------ DL007 --
 // Replication faults must go through the FaultSite registry.  The
 // replication layer is the code most tempted to invent its own fault
-// taxonomy (drop/delay/reorder/... map naturally onto a private enum), but
-// a private enum bypasses everything DL001 guarantees: a stable name, a
-// derived --fault-* flag, and a provable injection point.  Two prongs:
-// a replication file must not declare its own fault enum, and every
-// FaultSite::kX it references must actually be declared in the registry
-// header — a typo'd or never-registered site compiles in the fixture
-// corpus but can never fire.
+// taxonomy (drop/truncate/... map naturally onto a private enum), but a
+// private enum bypasses everything DL001 guarantees: a stable name and a
+// provable injection point.  So a replication file must not declare its
+// own fault enum.  (A FaultSite::kX the registry does not declare needs no
+// rule: the compiler rejects it.)
 void CheckReplicationFaultRegistry(const RepoModel& model,
                                    std::vector<Finding>& findings) {
   const std::string header_rel = "src/resilience/fault_injector.h";
-  const SourceFile* header = model.Find(header_rel);
-
-  // Declared enumerators (same parse as DL001); empty if the header is not
-  // in this corpus, in which case the reference prong is skipped.
-  std::set<std::string> declared;
-  if (header != nullptr) {
-    static const std::regex enum_open(R"(enum\s+class\s+FaultSite\b)");
-    static const std::regex enumerator(R"(^\s*(k[A-Za-z0-9_]+)\s*[,}=])");
-    bool in_enum = false;
-    for (const std::string& line : header->code) {
-      if (!in_enum) {
-        if (std::regex_search(line, enum_open)) in_enum = true;
-        continue;
-      }
-      if (line.find("};") != std::string::npos) break;
-      std::smatch m;
-      if (std::regex_search(line, m, enumerator)) declared.insert(m[1]);
-    }
-  }
-
   static const std::regex private_enum(
       R"(enum\s+(class\s+|struct\s+)?\w*[Ff]ault\w*)");
-  static const std::regex site_ref(R"(FaultSite::(k[A-Za-z0-9_]+)\b)");
   for (const SourceFile& file : model.files) {
     if (file.rel.rfind("src/resilience/", 0) != 0) continue;
     if (file.rel.find("replication") == std::string::npos) continue;
@@ -411,20 +388,7 @@ void CheckReplicationFaultRegistry(const RepoModel& model,
             {kReplicationFaultRegistry, file.rel, i + 1,
              "replication code declares a private fault enum; fault sites "
              "must be FaultSite enumerators in " + header_rel +
-                 " so they get a name, a --fault-* flag, and a checked "
-                 "injection point"});
-      }
-      if (header == nullptr) continue;
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), site_ref);
-           it != std::sregex_iterator(); ++it) {
-        const std::string site = (*it)[1];
-        if (declared.count(site)) continue;
-        if (Suppressed(file, i, kReplicationFaultRegistry)) continue;
-        findings.push_back(
-            {kReplicationFaultRegistry, file.rel, i + 1,
-             "FaultSite::" + site + " is not declared in " + header_rel +
-                 "; register the site before injecting it, or the fault can "
-                 "never fire"});
+                 " so they get a name and a checked injection point"});
       }
     }
   }
