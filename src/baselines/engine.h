@@ -50,11 +50,14 @@ struct RunConfig {
   CpuRunOptions cpu;
 };
 
-/// Where an engine's time went, in CTT phase terms.  For the CTT engines the
-/// mapping is exact (Combine = PCU/bucketing, Traverse = shortcut probe +
-/// index descent, Trigger = applying ops + synchronization); the baselines
-/// report their closest equivalent (no combine stage; traverse = the
-/// parallelizable descent work, trigger = serialized synchronization).
+/// Where an engine's time went, in CTT phase terms.  For the modeled CTT
+/// engines the mapping is exact (Combine = PCU/bucketing, Traverse =
+/// shortcut probe + index descent, Trigger = applying ops +
+/// synchronization).  DCART-CP fuses probe, descent and apply in one
+/// parallel phase: Traverse holds that whole phase, and Trigger the serial
+/// catch-up (the deferred point ops, then the batch's scans).  The
+/// baselines report their closest equivalent (no combine stage; traverse =
+/// the parallelizable descent work, trigger = serialized synchronization).
 /// Values are *aggregate attributed time* (summed over units/workers), not
 /// pipelined makespan — they explain where cycles went, `seconds` says how
 /// long the run took.

@@ -19,8 +19,7 @@ std::unique_ptr<IndexEngine> MakeEngine(const std::string& name,
     return std::make_unique<baselines::CuartEngine>(options.gpu_model);
   }
   if (name == "DCART-C") {
-    return std::make_unique<dcartc::DcartCEngine>(options.dcartc,
-                                                  options.cpu_model);
+    return std::make_unique<dcartc::DcartCEngine>(options.cpu_model);
   }
   if (name == "DCART-CP") {
     return std::make_unique<dcartc::DcartCpEngine>();

@@ -42,7 +42,6 @@ struct EngineOptions {
   simhw::CpuModel cpu_model;    // CPU baselines, DCART-C
   simhw::GpuModel gpu_model;    // CuART
   simhw::FpgaModel fpga_model;  // DCART
-  dcartc::DcartCConfig dcartc;  // DCART-C ablations
   accel::DcartConfig dcart;     // DCART ablations
   /// Durability options for "DCART-CP-FT" (journal/snapshot dir, the
   /// journal-to-snapshot ratio that rolls a generation).  Default (empty

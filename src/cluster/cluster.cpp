@@ -223,9 +223,8 @@ ExecutionResult ClusterEngine::Run(std::span<const Operation> ops,
       result.Merge(RunOnShard(i, sub[i], config));
     }
     // Scans after every point op of the batch, so a scan observes all of
-    // its batch's writes.  The pairs' DCART-CP order differs: a write that
-    // DCART-CP defers runs after the scans that arrived before it
-    // (docs/ARCHITECTURE.md, "Batch contracts").
+    // its batch's writes: the batch contract DCART-CP keeps inside each
+    // pair too (docs/ARCHITECTURE.md, "The batch contract").
     if (!scans.empty()) {
       obs::ScopedSpan span("cluster.gather", "cluster", "scans", scans.size());
       for (const std::size_t k : scans) {

@@ -28,6 +28,7 @@ constexpr std::uintptr_t kShortcutTableBase = 0x7100'0000'0000ull;
 constexpr std::size_t kShortcutEntryBytes = 24;  // <key_id, target, parent>
 constexpr std::size_t kBucketEntryBytes = 24;    // op record
 constexpr std::size_t kShortcutSlots = 1 << 22;
+constexpr std::size_t kBuckets = 16;  // the paper's sixteen Bucket_Tables
 
 /// Observer feeding tree traversals into the cache model and counters.
 class CpuTraceObserver : public art::TraversalObserver {
@@ -82,8 +83,7 @@ class CpuTraceObserver : public art::TraversalObserver {
 
 }  // namespace
 
-DcartCEngine::DcartCEngine(DcartCConfig config, simhw::CpuModel model)
-    : config_(config), model_(model) {}
+DcartCEngine::DcartCEngine(simhw::CpuModel model) : model_(model) {}
 
 void DcartCEngine::Load(const std::vector<std::pair<Key, art::Value>>& items) {
   for (const auto& [key, value] : items) {
@@ -117,9 +117,7 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
       config.collect_latency ? &result.latency_ns : nullptr;
 
   const std::size_t batch_size = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t buckets_n = std::max<std::size_t>(1, config_.num_buckets);
-
-  std::vector<std::uintptr_t> bucket_fill(buckets_n, 0);
+  std::vector<std::uintptr_t> bucket_fill(kBuckets, 0);
 
   for (std::size_t begin = 0; begin < ops.size(); begin += batch_size) {
     const std::size_t end = std::min(ops.size(), begin + batch_size);
@@ -133,13 +131,13 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
     if (tree_.root().IsNode()) {
       prefix_offset = tree_.root().AsNode()->prefix_len;
     }
-    std::vector<std::vector<std::uint32_t>> buckets(buckets_n);
+    std::vector<std::vector<std::uint32_t>> buckets(kBuckets);
     double combine_cycles = static_cast<double>(n) * kCombineCyclesPerOp;
     for (std::size_t i = begin; i < end; ++i) {
       const Key& key = ops[i].key;
       const unsigned prefix =
           prefix_offset < key.size() ? key[prefix_offset] : 0;
-      const std::size_t b = prefix * buckets_n / 256;
+      const std::size_t b = prefix * kBuckets / 256;
       buckets[b].push_back(static_cast<std::uint32_t>(i));
       observer.Touch(kBucketTableBase + (b << 28) +
                          bucket_fill[b] * kBucketEntryBytes,
@@ -155,10 +153,10 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
     }
 
     // ------------------------------------------------ Traverse + Trigger --
-    std::vector<double> bucket_cycles(buckets_n, 0.0);
+    std::vector<double> bucket_cycles(kBuckets, 0.0);
     double serial_cycles = 0.0;
 
-    for (std::size_t b = 0; b < buckets_n; ++b) {
+    for (std::size_t b = 0; b < kBuckets; ++b) {
       if (buckets[b].empty()) continue;
       // Group by key, preserving arrival order inside each group.
       std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> groups;
@@ -182,26 +180,24 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
         observer.Touch(kShortcutTableBase +
                            (key_hash % kShortcutSlots) * kShortcutEntryBytes,
                        kShortcutEntryBytes);
-        if (config_.use_shortcuts) {
-          const auto it = shortcuts_.find(key_hash);
-          if (it != shortcuts_.end()) {
-            if (KeysEqual(it->second->key(), first.key)) {
-              leaf = it->second;
-              ++result.stats.shortcut_hits;
-              observer.OnNodeVisit(art::NodeRef::FromLeaf(leaf));
-            } else {
-              // Stale entry (a colliding key hash): drop it so the table
-              // never serves a mismatched leaf twice.  Entries for removed
-              // keys are erased eagerly in the kRemove path below, so the
-              // stored pointer is always safe to dereference here.
-              shortcuts_.erase(it);
-            }
+        const auto it = shortcuts_.find(key_hash);
+        if (it != shortcuts_.end()) {
+          if (KeysEqual(it->second->key(), first.key)) {
+            leaf = it->second;
+            ++result.stats.shortcut_hits;
+            observer.OnNodeVisit(art::NodeRef::FromLeaf(leaf));
+          } else {
+            // Stale entry (a colliding key hash): drop it so the table
+            // never serves a mismatched leaf twice.  Entries for removed
+            // keys are erased eagerly in the kRemove path below, so the
+            // stored pointer is always safe to dereference here.
+            shortcuts_.erase(it);
           }
         }
         if (leaf == nullptr) {
           ++result.stats.shortcut_misses;
           leaf = tree_.FindLeaf(first.key);
-          if (leaf != nullptr && config_.use_shortcuts) {
+          if (leaf != nullptr) {
             shortcuts_[key_hash] = leaf;
             observer.Touch(kShortcutTableBase +
                                (key_hash % kShortcutSlots) *
@@ -260,7 +256,7 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
               // Erase the shortcut entry *before* the leaf is reclaimed so
               // the table never holds a dangling pointer (the probe above
               // dereferences stored leaves unconditionally).
-              if (config_.use_shortcuts) shortcuts_.erase(key_hash);
+              shortcuts_.erase(key_hash);
               tree_.Remove(op.key);
               leaf = nullptr;
             }
@@ -273,9 +269,7 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
             observer.set_enabled(false);
             leaf = tree_.FindLeaf(op.key);
             observer.set_enabled(true);
-            if (config_.use_shortcuts && leaf != nullptr) {
-              shortcuts_[key_hash] = leaf;
-            }
+            if (leaf != nullptr) shortcuts_[key_hash] = leaf;
           }
         }
         trigger_cycles += static_cast<double>(members.size()) *
@@ -298,7 +292,7 @@ ExecutionResult DcartCEngine::Run(std::span<const Operation> ops,
     // bounding the makespan (CTT's load-imbalance cost on skewed data).
     combine_total += combine_cycles;
     const double workers = static_cast<double>(
-        std::min({config.cpu.threads, model_.cores, buckets_n}));
+        std::min({config.cpu.threads, model_.cores, kBuckets}));
     double sum_buckets = 0.0;
     double max_bucket = 0.0;
     for (double c : bucket_cycles) {

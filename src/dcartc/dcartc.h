@@ -2,8 +2,8 @@
 // Combine-Traverse-Trigger (CTT) processing model, running on the CPU.
 //
 // Per batch of operations:
-//   Combine  — scan the batch and append each operation to one of
-//              `num_buckets` bucket tables by its key's first byte, so all
+//   Combine  — scan the batch and append each operation to one of the
+//              paper's sixteen bucket tables by its key's first byte, so all
 //              operations that can share tree nodes land in one bucket.
 //   Traverse — per bucket (buckets are processed by disjoint workers),
 //              group operations by key; each distinct key needs ONE
@@ -28,15 +28,9 @@
 
 namespace dcart::dcartc {
 
-struct DcartCConfig {
-  std::size_t num_buckets = 16;  // paper: sixteen Bucket_Tables
-  bool use_shortcuts = true;     // ablation knob
-};
-
 class DcartCEngine : public IndexEngine {
  public:
-  explicit DcartCEngine(DcartCConfig config = {},
-                        simhw::CpuModel model = {});
+  explicit DcartCEngine(simhw::CpuModel model = {});
 
   std::string name() const override { return "DCART-C"; }
   void Load(const std::vector<std::pair<Key, art::Value>>& items) override;
@@ -47,7 +41,6 @@ class DcartCEngine : public IndexEngine {
   const art::Tree& tree() const { return tree_; }
 
  private:
-  DcartCConfig config_;
   simhw::CpuModel model_;
   art::Tree tree_;
   // Persistent shortcut table: key hash -> leaf (validated by key compare).

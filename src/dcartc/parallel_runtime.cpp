@@ -278,36 +278,16 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   const double combine_ts = tracing ? tracer.NowUs() : 0.0;
 
   // ----------------------------------------------------------- Combine ---
-  std::vector<std::uint32_t>& deferred = deferred_;  // no parallel-safe home
+  // The serial phase's lists: point ops no worker can take, and the batch's
+  // scans, which run after every point op.
+  std::vector<std::uint32_t>& deferred = deferred_;
+  std::vector<std::uint32_t>& scans = scans_;
   deferred.clear();
+  scans.clear();
   // Serial, once per batch — workers never reach across buckets for the
   // root path.
   Key root_path;
   art::Node* root_node = RefreshPartition(root_path);
-  if (root_node == nullptr) {
-    // Empty or single-key tree: nothing to shard over.  Everything runs in
-    // the serial phase below; the first inserts grow a root to shard on.
-    deferred.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      deferred.push_back(static_cast<std::uint32_t>(i));
-    }
-    phases.combine_seconds += SecondsSince(combine_start);
-    if (tracing) {
-      tracer.RecordSpan("combine", "combine", combine_ts,
-                        tracer.NowUs() - combine_ts, "ops",
-                        static_cast<std::uint64_t>(end - begin));
-    }
-    const auto trigger_start = std::chrono::steady_clock::now();
-    const double serial_ts = tracing ? tracer.NowUs() : 0.0;
-    for (std::uint32_t idx : deferred) ApplySerial(ops[idx], result);
-    if (tracing) {
-      tracer.RecordSpan("trigger-serial", "trigger", serial_ts,
-                        tracer.NowUs() - serial_ts, "ops",
-                        static_cast<std::uint64_t>(deferred.size()));
-    }
-    phases.trigger_seconds += SecondsSince(trigger_start);
-    return;
-  }
   const std::size_t prefix_offset = partition_offset_;
 
   // Byte -> pooled bucket index.  A flat array (not a map): the byte space
@@ -320,21 +300,23 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
   for (std::size_t i = begin; i < end; ++i) {
     const Operation& op = ops[i];
     const KeyView key{op.key};
-    // Scans cross bucket boundaries; keys that exhaust or diverge inside
-    // the root's compressed path need a root restructure to insert.  Both
-    // go to the serial phase — and keep per-key order, because every other
-    // operation on such a key classifies identically.
+    // Scans cross bucket boundaries.  Keys that exhaust or diverge inside
+    // the root's compressed path need a root restructure to insert, and
+    // with no root node (an empty or one-key tree) nothing is shardable.
+    // Both go to the serial phase — and keep per-key order, because every
+    // other operation on such a key classifies identically.
     const bool shardable =
-        key.size() > prefix_offset &&
+        root_node != nullptr && key.size() > prefix_offset &&
         std::equal(root_path.begin(), root_path.end(), key.begin());
-    bool defer = op.type == OpType::kScan || !shardable;
-    // Injected mis-classification: let a scan leak into a bucket so the
-    // parallel Trigger's invariant-breach recovery can be exercised.
-    if (defer && op.type == OpType::kScan && shardable &&
-        resilience::FaultCheck(resilience::FaultSite::kScanDeferLeak)) {
-      defer = false;
-    }
-    if (defer) {
+    if (op.type == OpType::kScan) {
+      // Injected mis-classification: let a scan leak into a bucket so the
+      // parallel Trigger's invariant-breach recovery can be exercised.
+      if (!shardable ||
+          !resilience::FaultCheck(resilience::FaultSite::kScanDeferLeak)) {
+        scans.push_back(static_cast<std::uint32_t>(i));
+        continue;
+      }
+    } else if (!shardable) {
       deferred.push_back(static_cast<std::uint32_t>(i));
       continue;
     }
@@ -360,7 +342,8 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       }
     }
     if (entry == kDeferredBucket) {
-      deferred.push_back(static_cast<std::uint32_t>(i));
+      (op.type == OpType::kScan ? scans : deferred)
+          .push_back(static_cast<std::uint32_t>(i));
     } else {
       bucket_pool_[static_cast<std::size_t>(entry)].op_indices.push_back(
           static_cast<std::uint32_t>(i));
@@ -532,14 +515,13 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
           }
           case OpType::kScan:
             // A scan leaked past combine classification (only possible
-            // under injected mis-classification).  This used to be
-            // assert(false) — a no-op in NDEBUG builds that then ran the
-            // scan unsynchronized across bucket boundaries.  Recover
-            // instead: bounce the op (pinning its key, so later batch ops
-            // on it follow) to the serial phase and record the breach,
-            // which Run() surfaces as a Status error.
+            // under injected mis-classification).  An assert here would
+            // vanish from release builds and run the scan across bucket
+            // boundaries unsynchronized, so bounce it instead: it rejoins
+            // the batch's scans after the join, and pins no key because
+            // no op has to follow a scan.  Run() surfaces the breach as a
+            // Status error.
             wr.deferred.push_back(idx);
-            deferred_keys.insert(key_hash);
             ++wr.invariant_breaches;
             continue;
         }
@@ -559,7 +541,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       }
     }
   };
-  pool_->RunParallel(workers, worker_body);
+  if (active > 0) pool_->RunParallel(workers, worker_body);
 
   RuntimeMetrics& metrics = Metrics();
   std::ptrdiff_t net_size = 0;
@@ -573,23 +555,25 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
     metrics.shortcut_hits->Add(wr.shortcut_hits);
     metrics.shortcut_misses->Add(wr.shortcut_misses);
     metrics.invariant_breaches->Add(wr.invariant_breaches);
-    metrics.deferred_ops->Add(wr.deferred.size());
+    // A worker's bounces follow the Combine-deferred ops (the two classes
+    // never share a key, and each list is in arrival order, so per-key
+    // order holds globally); a leaked scan rejoins the batch's scans.
+    for (std::uint32_t idx : wr.deferred) {
+      (ops[idx].type == OpType::kScan ? scans : deferred).push_back(idx);
+    }
   }
-  metrics.deferred_ops->Add(deferred.size());
+  metrics.deferred_ops->Add(deferred.size() + scans.size());
   metrics.batches->Increment();
   tree_.AdjustSize(net_size);
   phases.traverse_seconds += SecondsSince(parallel_start);
 
   // ------------------------------------------------- Serial catch-up -----
-  // Combine-deferred operations, then each worker's bounces.  The two
-  // classes never share a key, and each list is in arrival order, so
-  // per-key order holds globally.
+  // The deferred point ops, then the batch's scans over a tree that no op
+  // of the batch still changes.
   const auto trigger_start = std::chrono::steady_clock::now();
   const double serial_ts = tracing ? tracer.NowUs() : 0.0;
   for (std::uint32_t idx : deferred) ApplySerial(ops[idx], result);
-  for (const WorkerResult& wr : worker_results) {
-    for (std::uint32_t idx : wr.deferred) ApplySerial(ops[idx], result);
-  }
+  for (std::uint32_t idx : scans) ApplySerial(ops[idx], result);
   if (tracing) {
     tracer.RecordSpan("trigger-serial", "trigger", serial_ts,
                       tracer.NowUs() - serial_ts);

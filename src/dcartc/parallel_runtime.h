@@ -20,12 +20,15 @@
 // The single shared art::Tree needs no locks during the parallel phase:
 // buckets own disjoint root-child slots, the root node itself is immutable
 // while workers run, and Tree::size_ is reconciled after the join from
-// per-worker deltas (AdjustSize).  Operations that WOULD have to
+// per-worker deltas (AdjustSize).  Point operations that WOULD have to
 // restructure the root — inserting a key with no root child or one that
-// diverges inside the root's compressed path, deleting a bucket's last key,
-// and range scans (they cross buckets) — are deferred and replayed serially
-// after the join.  Once a key defers, every later batch operation on it
-// defers too, so per-key arrival order is preserved end to end.
+// diverges inside the root's compressed path (every key, while the tree has
+// no root node), deleting a bucket's last key — are deferred and replayed
+// serially after the join.  Once a key defers, every later batch operation
+// on it defers too, so per-key arrival order is preserved end to end.
+// Range scans cross buckets: they run last, after every point operation of
+// their batch, over a tree no operation of the batch still changes — the
+// runtime stack's one batch contract (docs/ARCHITECTURE.md).
 //
 // Shortcut tables are per *bucket* (per root-child byte), not per worker:
 // they travel with the bucket when a different worker claims it, and a
@@ -161,6 +164,7 @@ class DcartCpEngine : public IndexEngine {
   std::vector<Bucket> bucket_pool_;
   std::array<std::int32_t, 256> byte_to_bucket_{};
   std::vector<std::uint32_t> deferred_;
+  std::vector<std::uint32_t> scans_;
   std::vector<std::size_t> order_;
 };
 

@@ -15,7 +15,6 @@
 // Seeds come from DCART_FAULT_SEED (the CI chaos matrix sweeps several).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,11 +32,6 @@ using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
 using resilience::LinkKind;
-
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 constexpr std::size_t kBatch = 128;
 
@@ -71,7 +65,7 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
     ClusterEngine engine(options);
     engine.Load(w.load_items);
     FaultPlan count_plan;
-    count_plan.seed = EnvSeed();
+    count_plan.seed = FaultSeed();
     count_plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 1'000'000;
     FaultInjector::Global().Arm(count_plan);
     ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
@@ -89,7 +83,7 @@ TEST_P(ClusterChaosTest, KillAnyPrimaryAtAnyRecordBoundaryLosesNothing) {
     engine.Load(w.load_items);
 
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;
     FaultInjector::Global().Arm(plan);
     const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -117,7 +111,7 @@ TEST_P(ClusterChaosTest, EveryShardLinkPartitionedStillConverges) {
   engine.Load(w.load_items);
 
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.Probability(FaultSite::kReplDrop) = 0.1;
   plan.Probability(FaultSite::kReplTruncate) = 0.1;
   plan.Probability(FaultSite::kNetPartialRead) = 0.1;
@@ -143,7 +137,7 @@ TEST_P(ClusterChaosTest, HardLinkCutTriggersWatchdogFailover) {
   engine.Load(w.load_items);
 
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 3;
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -183,7 +177,7 @@ TEST_P(ClusterChaosTest, CrashInSplitCopyPhaseAbortsWithDirectoryUntouched) {
   // The split's copy phase is the fresh pair's first (and only) batch: its
   // first crash check is the split's first check overall.
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 1;
   FaultInjector::Global().Arm(plan);
   const Status aborted = engine.SplitShard(0);
@@ -217,7 +211,7 @@ TEST_P(ClusterChaosTest, CrashInSplitRetirePhaseFailsOverAndKeepsAllKeys) {
   // Check 1 is the copy phase (the fresh pair's single batch); check 2 is
   // the donor's retire batch — the crash lands after the directory flip.
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
   FaultInjector::Global().Arm(plan);
   const Status split = engine.SplitShard(0);

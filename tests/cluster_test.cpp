@@ -483,27 +483,22 @@ TEST_F(ClusterTest, TracedWrappersRecordTheirSpans) {
   EXPECT_GE(cluster_spans.count.at("ha.checksum"), 2 * kBatches);
 }
 
-TEST_F(ClusterTest, ScansFollowEachRuntimeStackBatchContract) {
-  // One batch [scan from a0 (up to 100), write X] tells the two batch
-  // contracts of docs/ARCHITECTURE.md apart; a serial replay scans the 4
-  // loaded keys whatever X is.
-  //  - DCART-CP, -FT and -HA run bucket ops first, then deferred ops in
-  //    arrival order, scans included.  An X under an existing root child
-  //    is a bucket op the scan sees; an X that needs a new root child
-  //    defers and runs after the scan.
-  //  - DCART-CLUSTER runs every point op of a batch before any scan.
+TEST_F(ClusterTest, ScansFollowTheRuntimeStackBatchContract) {
+  // One batch [scan from a0 (up to 100), write X] pins the runtime stack's
+  // batch contract (docs/ARCHITECTURE.md): every point op of a batch runs
+  // before its scans.  So DCART-CP, -FT, -HA and -CLUSTER all scan the 4
+  // loaded keys plus X, wherever X lands: in an existing bucket, under a
+  // new root child (a deferred op), or in another bucket.  The contract
+  // replay agrees; a replay in strict arrival order scans only the 4.
   struct Probe {
     const char* what;
     std::vector<std::string> loaded;
     std::string write;
-    std::uint64_t cp_entries;       // DCART-CP, -FT and -HA
-    std::uint64_t cluster_entries;  // DCART-CLUSTER
   };
   const Probe probes[] = {
-      {"another key in an existing bucket", {"a1", "a2", "b1", "b2"}, "b3",
-       5, 5},
-      {"a new root child", {"a1", "a2", "b1", "b2"}, "c1", 4, 5},
-      {"a key in another bucket", {"a1", "a2", "z1", "z2"}, "z3", 5, 5},
+      {"another key in an existing bucket", {"a1", "a2", "b1", "b2"}, "b3"},
+      {"a new root child", {"a1", "a2", "b1", "b2"}, "c1"},
+      {"a key in another bucket", {"a1", "a2", "z1", "z2"}, "z3"},
   };
   const auto key = [](const std::string& text) {
     return Key(text.begin(), text.end());
@@ -517,27 +512,66 @@ TEST_F(ClusterTest, ScansFollowEachRuntimeStackBatchContract) {
     const std::vector<Operation> batch = {
         {OpType::kScan, key("a0"), 0, 100},
         {OpType::kWrite, key(probe.write), 2}};
-    SerialReplay replay;
-    replay.Load(items);
-    replay.Apply(batch);
-    EXPECT_EQ(replay.scan_entries, 4u);
+    SerialReplay contract;
+    contract.Load(items);
+    contract.Apply(batch, batch.size());
+    EXPECT_EQ(contract.scan_entries, 5u);
+    SerialReplay arrival;
+    arrival.Load(items);
+    arrival.Apply(batch);
+    EXPECT_EQ(arrival.scan_entries, 4u);
 
-    std::vector<std::pair<std::unique_ptr<IndexEngine>, std::uint64_t>> stack;
-    stack.emplace_back(std::make_unique<dcartc::DcartCpEngine>(),
-                       probe.cp_entries);
-    stack.emplace_back(std::make_unique<resilience::ResilientEngine>(),
-                       probe.cp_entries);
-    stack.emplace_back(std::make_unique<resilience::ReplicatedEngine>(),
-                       probe.cp_entries);
-    stack.emplace_back(std::make_unique<ClusterEngine>(),
-                       probe.cluster_entries);
-    for (const auto& [engine, entries] : stack) {
+    std::unique_ptr<IndexEngine> stack[] = {
+        std::make_unique<dcartc::DcartCpEngine>(),
+        std::make_unique<resilience::ResilientEngine>(),
+        std::make_unique<resilience::ReplicatedEngine>(),
+        std::make_unique<ClusterEngine>()};
+    for (const auto& engine : stack) {
       SCOPED_TRACE(engine->name());
       engine->Load(items);
       const ExecutionResult r = engine->Run(batch, kRun);
       ASSERT_TRUE(r.status.ok()) << r.status.message();
-      EXPECT_EQ(r.stats.scan_entries, entries);
+      EXPECT_EQ(r.stats.scan_entries, 5u);
       EXPECT_EQ(engine->Lookup(key(probe.write)), 2u);
+    }
+  }
+}
+
+TEST_F(ClusterTest, RuntimeStackScansMatchTheContractReplay) {
+  // Over whole workloads, at several batch sizes, every engine of the
+  // runtime stack finds exactly what the contract replay finds: its reads
+  // (per-key order) and its scans (after their batch's point ops).
+  WorkloadConfig cfg;
+  cfg.num_keys = 3000;
+  cfg.num_ops = 20000;
+  cfg.write_ratio = 0.3;
+  cfg.remove_ratio = 0.1;
+  cfg.scan_ratio = 0.05;
+  cfg.zipf_theta = 0.99;
+  for (const WorkloadKind kind :
+       {WorkloadKind::kDICT, WorkloadKind::kDE, WorkloadKind::kIPGEO,
+        WorkloadKind::kRS, WorkloadKind::kEA}) {
+    const Workload w = MakeWorkload(kind, cfg);
+    for (const std::size_t batch : {64, 256, 1024}) {
+      SCOPED_TRACE(w.name + ", batch " + std::to_string(batch));
+      SerialReplay contract;
+      contract.Load(w.load_items);
+      contract.Apply(w.ops, batch);
+      ASSERT_GT(contract.scan_entries, 0u);
+
+      std::unique_ptr<IndexEngine> stack[] = {
+          std::make_unique<dcartc::DcartCpEngine>(),
+          std::make_unique<resilience::ResilientEngine>(),
+          std::make_unique<resilience::ReplicatedEngine>(),
+          std::make_unique<ClusterEngine>()};
+      for (const auto& engine : stack) {
+        SCOPED_TRACE(engine->name());
+        engine->Load(w.load_items);
+        const ExecutionResult r = engine->Run(w.ops, BatchRun(batch, 2));
+        ASSERT_TRUE(r.status.ok()) << r.status.message();
+        EXPECT_EQ(r.stats.scan_entries, contract.scan_entries);
+        EXPECT_EQ(r.reads_hit, contract.reads_hit);
+      }
     }
   }
 }

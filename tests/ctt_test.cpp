@@ -155,37 +155,6 @@ TEST(Combining, WiderPrefixMakesSmallerGroups) {
   EXPECT_EQ(ra.reads_hit, rb.reads_hit);
 }
 
-TEST(DcartCConfig, FewerBucketsStillCorrect) {
-  dcartc::DcartCConfig cfg;
-  cfg.num_buckets = 2;
-  dcartc::DcartCEngine engine(cfg);
-  engine.Load(DenseItems(1000));
-  std::vector<Operation> ops;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ops.push_back({OpType::kWrite, EncodeU64(i), i + 5});
-  }
-  engine.Run(ops, RunConfig{});
-  for (std::uint64_t i = 0; i < 1000; i += 111) {
-    EXPECT_EQ(engine.Lookup(EncodeU64(i)).value(), i + 5);
-  }
-}
-
-TEST(DcartCConfig, ShortcutsOffStillCorrect) {
-  dcartc::DcartCConfig cfg;
-  cfg.use_shortcuts = false;
-  dcartc::DcartCEngine engine(cfg);
-  engine.Load(DenseItems(500));
-  std::vector<Operation> ops;
-  for (int round = 0; round < 3; ++round) {
-    for (std::uint64_t i = 0; i < 500; ++i) {
-      ops.push_back({OpType::kRead, EncodeU64(i), 0});
-    }
-  }
-  const auto r = engine.Run(ops, RunConfig{});
-  EXPECT_EQ(r.reads_hit, 1500u);
-  EXPECT_EQ(r.stats.shortcut_hits, 0u);
-}
-
 // ------------------------------------------------------------------ CuART --
 
 TEST(Cuart, LastWriterWinsWithinBatch) {

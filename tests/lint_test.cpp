@@ -199,6 +199,30 @@ TEST(DcartLint, RealSourceTreeIsClean) {
   EXPECT_TRUE(findings.empty()) << FormatFindings(findings);
 }
 
+TEST(DcartLint, EngineInterfaceAndSimhwCannotReachFaultcore) {
+  // DL008 checks an include against the transitive closure of a layer's
+  // allow list, so a layer stays off faultcore only if none of the layers
+  // it may include reaches faultcore either.
+  const LayerConfig layers = LoadRepo(DCART_LINT_SOURCE_ROOT).layers;
+  ASSERT_TRUE(layers.loaded);
+  ASSERT_TRUE(layers.errors.empty());
+  const auto index = [&layers](const std::string& name) {
+    const auto it = std::find(layers.names.begin(), layers.names.end(), name);
+    return it == layers.names.end()
+               ? -1
+               : static_cast<int>(it - layers.names.begin());
+  };
+  const int faultcore = index("faultcore");
+  ASSERT_GE(faultcore, 0);
+  for (const char* layer : {"engine_iface", "simhw"}) {
+    const int l = index(layer);
+    ASSERT_GE(l, 0) << layer;
+    EXPECT_EQ(layers.allowed[static_cast<std::size_t>(l)].count(faultcore),
+              0u)
+        << layer;
+  }
+}
+
 TEST(DcartLint, MissingRootYieldsNoFindings) {
   const auto findings = RunLint("/nonexistent/path/for/dcart/lint");
   EXPECT_TRUE(findings.empty()) << FormatFindings(findings);

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +24,7 @@
 #include "common/key_codec.h"
 #include "common/rng.h"
 #include "legacy_snapshot.h"
+#include "oracle.h"
 #include "resilience/fault_injector.h"
 #include "resilience/journal.h"
 #include "resilience/replication.h"
@@ -37,12 +37,6 @@ namespace {
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
-
-/// The CI fault-injection job runs this suite with seeds 1-3.
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 class MalformedFileTest : public ::testing::Test {
  protected:
@@ -293,7 +287,7 @@ TEST_F(MalformedFileTest, TreeTornSaveAtEveryChunkIsRejected) {
   // A tree whose image spans several of SaveTree's write chunks; tearing
   // the Nth write leaves every earlier chunk on disk and half of the Nth.
   art::Tree tree;
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
   for (int i = 0; i < 40000; ++i) tree.Insert(EncodeU64(rng.Next()), i);
   const std::string path = Temp("tree_torn_chunk.bin");
   std::size_t torn = 0;
@@ -320,7 +314,7 @@ TEST_F(MalformedFileTest, TreeSeededMutationsAreRejectedOrLoadSorted) {
   ASSERT_TRUE(art::SaveTree(SmallTree(), good));
   const std::vector<std::uint8_t> bytes = ReadFile(good);
   const std::string bad = Temp("tree_mutation_bad.bin");
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
 
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     const auto flip = static_cast<std::uint8_t>(1 + rng.NextBounded(255));
@@ -523,7 +517,7 @@ TEST_F(MalformedFileTest, WorkloadSeededMutationsAreRejectedOrDecodeClean) {
   const Workload w = SmallWorkload();
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(EncodeWorkload(w, AppendTo(bytes)));
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
 
   // A mutant is rejected with `out` empty, or it is a workload an engine
   // can run that re-encodes and decodes to itself.
@@ -808,7 +802,7 @@ TEST_F(MalformedFileTest, JournalSeededMutationsDecodeToAPrefixOfTheRecords) {
     std::vector<Operation> all;
     ASSERT_EQ(resilience::DecodeJournal(image, all), records.size());
   }
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
   for (std::size_t i = 0; i < image.size(); ++i) {
     std::vector<std::uint8_t> mutated = image;
     mutated[i] ^= static_cast<std::uint8_t>(1 + rng.NextBounded(255));
@@ -859,7 +853,7 @@ TEST_F(MalformedFileTest, JournalShortReadFailsRecoveryNamingTheJournal) {
   const std::string newest_journal = dir.JournalPath(generations.front());
 
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kFileShortRead) = 2;  // snapshot 1st, journal 2nd
   FaultInjector::Global().Arm(plan);
   resilience::ResilientEngine restarted(options);

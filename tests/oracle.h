@@ -1,12 +1,17 @@
 // The serial oracle the engine tests share: every engine, wrapper and
 // failover path must leave exactly the state a serial op-for-op replay on a
 // plain art::Tree leaves.  Also the churn stream and the run config the
-// wrapper tests drive their engines with.
+// wrapper tests drive their engines with, and the fault suites' seed and
+// scratch directories.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <utility>
@@ -42,8 +47,30 @@ inline RunConfig BatchRun(std::size_t batch, std::size_t threads) {
   return run;
 }
 
-/// Serial ground truth: a stream applied op for op to a plain art::Tree,
-/// counting what reads and scans found.
+/// The seed of a fault suite's plans: DCART_FAULT_SEED, else 1.  CI runs
+/// the suites under a seed matrix; their properties must hold for every
+/// seed, only exact fire placements may move.
+inline std::uint64_t FaultSeed() {
+  const char* env = std::getenv("DCART_FAULT_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
+}
+
+/// A fresh, empty directory under the test temp root, named for `prefix`,
+/// `name` and this process: ctest runs every test, and every link variant
+/// of one, as its own process, so parallel runs never share a directory.
+inline std::string FreshDir(const std::string& prefix,
+                            const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + prefix + "_" + name +
+                          "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Serial ground truth under the runtime stack's batch contract: in each
+/// batch of `batch_size` ops, the point ops apply op for op to a plain
+/// art::Tree in arrival order, then the batch's scans run.  A batch size
+/// of 1 is strict arrival order.  Counts what reads and scans found.
 struct SerialReplay {
   art::Tree tree;
   std::uint64_t reads_hit = 0;
@@ -52,26 +79,39 @@ struct SerialReplay {
   void Load(const std::vector<std::pair<Key, art::Value>>& items) {
     for (const auto& [key, value] : items) tree.Insert(key, value);
   }
-  void Apply(std::span<const Operation> ops) {
-    for (const Operation& op : ops) {
-      switch (op.type) {
-        case OpType::kRead:
-          if (tree.Get(op.key).has_value()) ++reads_hit;
-          break;
-        case OpType::kWrite:
-          tree.Insert(op.key, op.value);
-          break;
-        case OpType::kRemove:
-          tree.Remove(op.key);
-          break;
-        case OpType::kScan: {
-          std::size_t entries = 0;
-          tree.ScanFrom(op.key, [&entries, &op](KeyView, art::Value) {
-            return ++entries < op.scan_count;
-          });
-          scan_entries += entries;
-          break;
-        }
+  void Apply(std::span<const Operation> ops, std::size_t batch_size = 1) {
+    batch_size = std::max<std::size_t>(1, batch_size);
+    for (std::size_t begin = 0; begin < ops.size(); begin += batch_size) {
+      const auto batch =
+          ops.subspan(begin, std::min(batch_size, ops.size() - begin));
+      for (const Operation& op : batch) {
+        if (op.type != OpType::kScan) ApplyOne(op);
+      }
+      for (const Operation& op : batch) {
+        if (op.type == OpType::kScan) ApplyOne(op);
+      }
+    }
+  }
+
+ private:
+  void ApplyOne(const Operation& op) {
+    switch (op.type) {
+      case OpType::kRead:
+        if (tree.Get(op.key).has_value()) ++reads_hit;
+        break;
+      case OpType::kWrite:
+        tree.Insert(op.key, op.value);
+        break;
+      case OpType::kRemove:
+        tree.Remove(op.key);
+        break;
+      case OpType::kScan: {
+        std::size_t entries = 0;
+        tree.ScanFrom(op.key, [&entries, &op](KeyView, art::Value) {
+          return ++entries < op.scan_count;
+        });
+        scan_entries += entries;
+        break;
       }
     }
   }

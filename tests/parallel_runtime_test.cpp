@@ -252,7 +252,8 @@ TEST(DcartCp, MatchesSerialReplayOnMixedStream) {
 
 TEST(DcartCp, MatchesSerialReplayOnDenseKeysWithScans) {
   // Dense keys share a long root prefix (exercises the prefix-offset
-  // bucketing); scans are always deferred and must still count entries.
+  // bucketing); scans run after their batch's point ops and must find
+  // exactly what the contract replay finds.
   WorkloadConfig cfg;
   cfg.num_keys = 5000;
   cfg.num_ops = 30000;
@@ -264,11 +265,13 @@ TEST(DcartCp, MatchesSerialReplayOnDenseKeysWithScans) {
   dcartc::DcartCpEngine engine;
   engine.Load(w.load_items);
   const ExecutionResult r = engine.Run(w.ops, BatchRun(256, 4));
-  EXPECT_GT(r.stats.scan_entries, 0u);
 
   SerialReplay ref;
   ref.Load(w.load_items);
-  ref.Apply(w.ops);
+  ref.Apply(w.ops, 256);
+  EXPECT_GT(ref.scan_entries, 0u);
+  EXPECT_EQ(r.stats.scan_entries, ref.scan_entries);
+  EXPECT_EQ(r.reads_hit, ref.reads_hit);
   ExpectSameState(engine, ref.tree);
 }
 
@@ -293,20 +296,25 @@ TEST(DcartCp, MatchesSerialReplayOnVariableLengthKeys) {
 }
 
 TEST(DcartCp, GrowsFromEmptyTree) {
-  // Nothing loaded: the first batches run fully serial until a root exists
-  // to shard on, then the engine transitions to parallel batches.
+  // Nothing loaded: the first batch has no root to shard on, so its point
+  // ops all defer, then the engine transitions to parallel batches.  Every
+  // batch, the first one too, runs its scans after its point ops.
   std::vector<Operation> ops;
   SplitMix64 rng(7);
   for (int i = 0; i < 20000; ++i) {
     const Key key = EncodeU64(rng.NextBounded(3000));
-    ops.push_back({i % 3 == 0 ? OpType::kWrite : OpType::kRead, key,
-                   static_cast<art::Value>(i)});
+    const OpType type = i % 20 == 1  ? OpType::kScan
+                        : i % 3 == 0 ? OpType::kWrite
+                                     : OpType::kRead;
+    ops.push_back({type, key, static_cast<art::Value>(i), 50});
   }
   dcartc::DcartCpEngine engine;
   const ExecutionResult r = engine.Run(ops, BatchRun(512, 4));
 
   SerialReplay ref;
-  ref.Apply(ops);
+  ref.Apply(ops, 512);
+  EXPECT_GT(ref.scan_entries, 0u);
+  EXPECT_EQ(r.stats.scan_entries, ref.scan_entries);
   EXPECT_EQ(r.reads_hit, ref.reads_hit);
   ExpectSameState(engine, ref.tree);
 }

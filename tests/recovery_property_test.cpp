@@ -36,22 +36,9 @@ using resilience::FaultSite;
 using resilience::ResilienceOptions;
 using resilience::ResilientEngine;
 
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
 class RecoveryTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
-
-  /// A fresh empty durability directory under the test temp root.
-  std::string FreshDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/recovery_" + name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 };
 
 std::vector<std::uint8_t> FileBytes(const std::string& path) {
@@ -141,7 +128,7 @@ std::vector<std::size_t> SnapshottedBatches(const Workload& w, double ratio) {
 
 TEST_F(RecoveryTest, RecoverAfterCleanRunRestoresEverything) {
   const Workload w = ChurnWorkload(2000, 4096);
-  const std::string dir = FreshDir("clean");
+  const std::string dir = FreshDir("recovery", "clean");
 
   ResilienceOptions options;
   options.dir = dir;
@@ -181,10 +168,10 @@ TEST_F(RecoveryTest, CrashAtEveryBatchBoundaryRecoversAcknowledgedPrefix) {
 
   for (std::size_t crash_at = 1; crash_at <= batches; ++crash_at) {
     SCOPED_TRACE(crash_at);
-    const std::string dir = FreshDir("boundary");
+    const std::string dir = FreshDir("recovery", "boundary");
     options.dir = dir;
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;
 
     ResilientEngine engine(options);
@@ -230,17 +217,17 @@ TEST_F(RecoveryTest, TornJournalRecordRecoversAcknowledgedPrefix) {
   const std::size_t batches = (w.ops.size() + kBatch - 1) / kBatch;
 
   // K random mid-batch crash points (the Nth journal append tears halfway).
-  SplitMix64 rng(EnvSeed() * 1000003);
+  SplitMix64 rng(FaultSeed() * 1000003);
   for (int k = 0; k < 4; ++k) {
     const std::size_t tear_at = 1 + rng.NextBounded(batches);
     SCOPED_TRACE(tear_at);
-    const std::string dir = FreshDir("torn");
+    const std::string dir = FreshDir("recovery", "torn");
 
     ResilienceOptions options;
     options.dir = dir;
     options.journal_to_snapshot_ratio = 0.25;
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kCrashMidBatch) = tear_at;
 
     ResilientEngine engine(options);
@@ -279,7 +266,7 @@ std::string NewestSnapshot(const std::string& dir) {
 
 TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
   const Workload w = ChurnWorkload(2000, 4096);
-  const std::string dir = FreshDir("fallback");
+  const std::string dir = FreshDir("recovery", "fallback");
 
   ResilienceOptions options;
   options.dir = dir;
@@ -308,7 +295,7 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackAGeneration) {
 
 TEST_F(RecoveryTest, FlippedValueByteInNewestSnapshotFallsBackAGeneration) {
   const Workload w = ChurnWorkload(2000, 4096);
-  const std::string dir = FreshDir("flipped");
+  const std::string dir = FreshDir("recovery", "flipped");
 
   ResilienceOptions options;
   options.dir = dir;
@@ -401,7 +388,7 @@ TEST_F(RecoveryTest, UpgradesSn2SnapshotAndJournalWithReadsInPlace) {
   ASSERT_GT(reads, 0u);
   ASSERT_GT(scans, 0u);
 
-  const std::string dir = FreshDir("upgrade");
+  const std::string dir = FreshDir("recovery", "upgrade");
   art::Tree loaded;
   for (const auto& [key, value] : w.load_items) loaded.Insert(key, value);
   test_util::WriteBytesToFile(dir + "/snapshot-1.tree",
@@ -428,7 +415,7 @@ TEST_F(RecoveryTest, UpgradesSn2SnapshotAndJournalWithReadsInPlace) {
 
 TEST_F(RecoveryTest, ReadOnlyBatchJournalsExactlyTwentyBytes) {
   const Workload w = ChurnWorkload(2000, 1024);
-  const std::string dir = FreshDir("read_only");
+  const std::string dir = FreshDir("recovery", "read_only");
   ResilienceOptions options;
   options.dir = dir;
   ResilientEngine engine(options);
@@ -513,7 +500,7 @@ TEST_F(RecoveryTest, GenerationsRollOnJournalBytesNotBatchCount) {
   cfg.num_ops = 0;
   cfg.load_fraction = 1.0;
   const Workload w = MakeWorkload(WorkloadKind::kRS, cfg);
-  const std::string dir = FreshDir("roll_ratio");
+  const std::string dir = FreshDir("recovery", "roll_ratio");
   ResilienceOptions options;  // the default ratio
   options.dir = dir;
   const double ratio = options.journal_to_snapshot_ratio;
@@ -532,7 +519,7 @@ TEST_F(RecoveryTest, GenerationsRollOnJournalBytesNotBatchCount) {
   for (const auto& [key, value] : w.load_items) tree.Insert(key, value);
   RollModel model(ratio, tree);
 
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
   std::uint64_t rolls = 0;
   std::uint64_t largest_record = 0;
   // Runs one batch of `writes` new keys; true when the model rolled on it.
@@ -579,7 +566,7 @@ TEST_F(RecoveryTest, GenerationsRollOnJournalBytesNotBatchCount) {
 TEST_F(RecoveryTest, EmptyKeyRemoveReplaysAsNoOp) {
   // The engine acknowledges a remove of the empty key as a miss, so
   // recovery must replay its record and every record after it.
-  const std::string dir = FreshDir("empty_key_remove");
+  const std::string dir = FreshDir("recovery", "empty_key_remove");
   ResilienceOptions options;
   options.dir = dir;
   // One generation: each record is larger than the one-key snapshot.
@@ -609,7 +596,7 @@ TEST_F(RecoveryTest, EmptyWriteKeyBatchIsRefusedAndLaterWritesRecover) {
   // An empty-key write on an empty tree would be acknowledged, then stop
   // replay at its record and lose every write after it.  The engine
   // refuses the batch instead, and stays up.
-  const std::string dir = FreshDir("empty_write_key");
+  const std::string dir = FreshDir("recovery", "empty_write_key");
   ResilienceOptions options;
   options.dir = dir;
   // One generation: each record is larger than the empty tree's snapshot.
@@ -646,7 +633,7 @@ TEST_F(RecoveryTest, OversizedWriteKeyIsRefusedAndEverySnapshotStaysLoadable) {
   // A key over art::kMaxKeyBytes would reach a snapshot LoadTree rejects;
   // with a snapshot per batch, pruning would then remove every loadable
   // generation.  The engine refuses the batch, and the call stops there.
-  const std::string dir = FreshDir("oversized_key");
+  const std::string dir = FreshDir("recovery", "oversized_key");
   ResilienceOptions options;
   options.dir = dir;
   options.journal_to_snapshot_ratio = 0;  // a roll after every batch
@@ -682,7 +669,7 @@ TEST_F(RecoveryTest, OversizedWriteKeyIsRefusedAndEverySnapshotStaysLoadable) {
   // Load() has no write to refuse: its checkpoint fails instead, and the
   // error is parked for the next Run() rather than an unloadable
   // generation written.
-  const std::string load_dir = FreshDir("oversized_load");
+  const std::string load_dir = FreshDir("recovery", "oversized_load");
   options.dir = load_dir;
   items.emplace_back(ops[0].key, 1);
   ResilientEngine loaded(options);
@@ -699,7 +686,7 @@ TEST_F(RecoveryTest, RecoverWithoutDurabilityDirReportsFailure) {
   EXPECT_FALSE(ephemeral.Recover());
 
   ResilienceOptions options;
-  options.dir = FreshDir("empty");
+  options.dir = FreshDir("recovery", "empty");
   ResilientEngine nothing_on_disk(options);
   EXPECT_FALSE(nothing_on_disk.Recover());  // no snapshot to stand on
   fs::remove_all(options.dir);

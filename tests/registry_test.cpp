@@ -70,13 +70,6 @@ TEST(Registry, EngineOptionsReachTheEngine) {
   const double t1 = a->Run(w.ops, RunConfig{}).seconds;
   const double t16 = b->Run(w.ops, RunConfig{}).seconds;
   EXPECT_LT(t16, t1);
-
-  // The ablation knob on the software CTT engine: no shortcuts, no hits.
-  EngineOptions no_shortcuts;
-  no_shortcuts.dcartc.use_shortcuts = false;
-  auto c = MakeEngine("DCART-C", no_shortcuts);
-  c->Load(w.load_items);
-  EXPECT_EQ(c->Run(w.ops, RunConfig{}).stats.shortcut_hits, 0u);
 }
 
 }  // namespace

@@ -16,9 +16,7 @@
 //
 // Seeds come from DCART_FAULT_SEED (the CI chaos matrix sweeps several).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -39,27 +37,11 @@ using resilience::LinkKind;
 using resilience::ReplicatedEngine;
 using resilience::ReplicationOptions;
 
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
 constexpr std::size_t kBatch = 128;
 
 class ReplicationPropertyTest : public ::testing::TestWithParam<LinkKind> {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
-
-  std::string FreshDir(const std::string& name) {
-    // ctest runs each (test, link-kind) variant as its own parallel
-    // process, so scratch paths must be per-process to avoid the two
-    // transports clobbering each other's journals.
-    const std::string dir = ::testing::TempDir() + "/replprop_" + name +
-                            "_" + std::to_string(::getpid());
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 
   /// Apply the transport under test to a base option set.
   ReplicationOptions WithLink(ReplicationOptions options = {}) const {
@@ -93,7 +75,7 @@ TEST_P(ReplicationPropertyTest, EverySingleLinkFaultConverges) {
     ReplicatedEngine engine(WithLink());
     engine.Load(w.load_items);
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     if (chaos.probability > 0.0) {
       plan.Probability(chaos.site) = chaos.probability;
     } else {
@@ -117,7 +99,7 @@ TEST_P(ReplicationPropertyTest, AllLinkFaultsTogetherConverge) {
   ReplicatedEngine engine(WithLink());
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   for (const ChaosSite& chaos : kChaosSites) {
     // Softer per-site rates: the faults compound on every send.
     plan.Probability(chaos.site) =
@@ -136,13 +118,13 @@ TEST_P(ReplicationPropertyTest, ChaosRunSurvivesFailover) {
   // A full lifecycle under combined chaos: converge, lose the primary,
   // promote, and verify the promoted tree equals the serial replay.
   const Workload w = ChurnWorkload(1000, 1024);
-  const std::string dir = FreshDir("lifecycle");
+  const std::string dir = FreshDir("replprop", "lifecycle");
   ReplicationOptions options = WithLink();
   options.dir = dir;
   ReplicatedEngine engine(options);
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   for (const ChaosSite& chaos : kChaosSites) {
     plan.Probability(chaos.site) =
         chaos.probability > 0.0 ? chaos.probability / 2.0 : 0.03;
@@ -168,13 +150,13 @@ TEST_P(ReplicationPropertyTest,
 
   for (std::size_t crash_at = 1; crash_at <= batches; ++crash_at) {
     SCOPED_TRACE(crash_at);
-    const std::string dir = FreshDir("boundary");
+    const std::string dir = FreshDir("replprop", "boundary");
 
     ReplicationOptions options = WithLink();
     options.dir = dir;
     options.journal_to_snapshot_ratio = 0.25;  // rolls after batches 3, 6
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = crash_at;
 
     ReplicatedEngine engine(options);
@@ -223,12 +205,12 @@ TEST_P(ReplicationPropertyTest,
 
   for (std::size_t tear_at = 1; tear_at <= batches; ++tear_at) {
     SCOPED_TRACE(tear_at);
-    const std::string dir = FreshDir("torn");
+    const std::string dir = FreshDir("replprop", "torn");
 
     ReplicationOptions options = WithLink();
     options.dir = dir;
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kReplTruncate) = tear_at;
     if (tear_at + 1 <= batches) {
       plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = tear_at + 1;
@@ -259,12 +241,12 @@ TEST_P(ReplicationPropertyTest,
 
   for (std::size_t drop_at = 1; drop_at <= batches; ++drop_at) {
     SCOPED_TRACE(drop_at);
-    const std::string dir = FreshDir("disc");
+    const std::string dir = FreshDir("replprop", "disc");
 
     ReplicationOptions options = WithLink();
     options.dir = dir;
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(FaultSite::kReplDisconnect) = drop_at;
     if (drop_at + 1 <= batches) {
       plan.TriggerAt(FaultSite::kCrashAtBatchBoundary) = drop_at + 1;
@@ -294,7 +276,7 @@ TEST_P(ReplicationPropertyTest,
   const Workload w = ChurnWorkload(1000, kBatch);
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE(seed);
-    const std::string dir = FreshDir("late_snapshot");
+    const std::string dir = FreshDir("replprop", "late_snapshot");
     ReplicationOptions options = WithLink();
     options.dir = dir;
     ReplicatedEngine engine(options);
@@ -324,7 +306,7 @@ TEST_P(ReplicationPropertyTest,
   for (auto& item : first) ++item.second;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE("Load;Load;Run seed " + std::to_string(seed));
-    const std::string dir = FreshDir("late_snapshot_reload");
+    const std::string dir = FreshDir("replprop", "late_snapshot_reload");
     ReplicationOptions options = WithLink();
     options.dir = dir;
     ReplicatedEngine engine(options);
@@ -367,7 +349,7 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
     ReplicatedEngine engine(WithLink());
     engine.Load(w.load_items);
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     if (chaos.site == FaultSite::kNetConnectTimeout) {
       // A redial only happens after a tear; pair the timeout with one.
       plan.TriggerAt(FaultSite::kReplDisconnect) = 2;
@@ -392,7 +374,7 @@ TEST_P(ReplicationPropertyTest, EveryNetFaultConverges) {
   ReplicatedEngine engine(WithLink());
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   for (const ChaosSite& chaos : kChaosSites) {
     plan.Probability(chaos.site) =
         chaos.probability > 0.0 ? chaos.probability / 2.0 : 0.03;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <ostream>
@@ -39,23 +38,11 @@ using resilience::ReplicationOptions;
 using resilience::ResilienceOptions;
 using resilience::ResilientEngine;
 
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
 constexpr std::size_t kBatch = 128;
 
 class ReplicationTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
-
-  std::string FreshDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/repl_" + name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-  }
 };
 
 const RunConfig kRun = BatchRun(kBatch, 2);
@@ -66,7 +53,7 @@ std::uint64_t CounterValue(const char* name) {
 
 TEST_F(ReplicationTest, CleanDurablePairConvergesByteIdentical) {
   const Workload w = ChurnWorkload(1000, 1024);
-  const std::string dir = FreshDir("clean");
+  const std::string dir = FreshDir("repl", "clean");
 
   ReplicationOptions options;
   options.dir = dir;
@@ -97,7 +84,7 @@ TEST_F(ReplicationTest, InMemoryPairConverges) {
 TEST_F(ReplicationTest, EmptyKeyRemoveDrainsToTheReplica) {
   // The primary acknowledges a remove of the empty key as a miss, so the
   // replica must apply its record, not ask for it until the drain gives up.
-  const std::string dir = FreshDir("empty_key_remove");
+  const std::string dir = FreshDir("repl", "empty_key_remove");
   ReplicationOptions options;
   options.dir = dir;
   ReplicatedEngine engine(options);
@@ -124,7 +111,7 @@ TEST_F(ReplicationTest, DroppedFrameIsRetransmitted) {
   ReplicatedEngine engine;
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the very first record vanishes
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -142,7 +129,7 @@ TEST_F(ReplicationTest, DuplicateDeliveryIsAppliedExactlyOnce) {
   const std::uint64_t dropped_before =
       CounterValue("replication.duplicates_dropped");
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   // The link's second frame is the replica's ack of the first record, so
   // the primary resends a record the replica already applied.
   plan.TriggerAt(FaultSite::kReplDrop) = 2;
@@ -163,7 +150,7 @@ TEST_F(ReplicationTest, TruncatedFrameIsRejectedByCrcAndResent) {
   ReplicatedEngine engine;
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplTruncate) = 1;
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -182,7 +169,7 @@ TEST_F(ReplicationTest, DisconnectBacksOffAndReconnects) {
   ReplicatedEngine engine;
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 2;
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -435,7 +422,7 @@ TEST_F(ReplicationTest, ReloadedPairConvergesByteIdentical) {
   cfg.seed = 7;
   const Workload workloads[] = {ChurnWorkload(1000, 512),
                                 MakeWorkload(WorkloadKind::kRS, cfg)};
-  const std::string dir = FreshDir("reload");
+  const std::string dir = FreshDir("repl", "reload");
   ReplicationOptions options;
   options.dir = dir;
   options.journal_to_snapshot_ratio = 0.25;  // a roll every 2-3 batches
@@ -458,7 +445,7 @@ TEST_F(ReplicationTest, FailedBootstrapIsRetriedBeforeTheNextRecord) {
   // replica before it is acknowledged, and a failover right after that
   // batch serves the loaded tree plus the batch.
   const Workload w = ChurnWorkload(1000, 256);  // exactly 2 batches of 128
-  const std::string dir = FreshDir("failed_bootstrap");
+  const std::string dir = FreshDir("repl", "failed_bootstrap");
   ReplicationOptions options;
   options.dir = dir;
   ReplicatedEngine engine(options);
@@ -470,7 +457,7 @@ TEST_F(ReplicationTest, FailedBootstrapIsRetriedBeforeTheNextRecord) {
   EXPECT_FALSE(engine.Run({}, kRun).status.ok());  // the parked failure
 
   FaultPlan crash;
-  crash.seed = EnvSeed();
+  crash.seed = FaultSeed();
   crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
   FaultInjector::Global().Arm(crash);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -505,7 +492,7 @@ TEST_F(ReplicationTest, RunAcknowledgesOnlyTheOpsItShipped) {
   EXPECT_EQ(gave_up.ops_acknowledged, 0u);
 
   FaultPlan crash;
-  crash.seed = EnvSeed();
+  crash.seed = FaultSeed();
   crash.TriggerAt(FaultSite::kCrashAtBatchBoundary) = 2;
   FaultInjector::Global().Arm(crash);
   const ExecutionResult partial = engine.Run(ops.subspan(kBatch), kRun);
@@ -519,7 +506,7 @@ TEST_F(ReplicationTest, DroppedBootstrapSnapshotIsResent) {
   const std::uint64_t retries_before = CounterValue("replication.retries");
   ReplicatedEngine engine;
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the bootstrap image vanishes
   FaultInjector::Global().Arm(plan);
   engine.Load(w.load_items);
@@ -540,7 +527,7 @@ TEST_F(ReplicationTest, DroppedChecksumProbeIsResent) {
   ASSERT_TRUE(engine.Run(w.ops, kRun).status.ok());
   const std::uint64_t retries_before = CounterValue("replication.retries");
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDrop) = 1;  // the probe is Drain()'s 1st frame
   FaultInjector::Global().Arm(plan);
   const Status drained = engine.Drain();
@@ -552,7 +539,7 @@ TEST_F(ReplicationTest, DroppedChecksumProbeIsResent) {
 
 TEST_F(ReplicationTest, KillPrimaryThenPromoteServesReplicaState) {
   const Workload w = ChurnWorkload(1000, 1024);
-  const std::string dir = FreshDir("failover");
+  const std::string dir = FreshDir("repl", "failover");
 
   ReplicationOptions options;
   options.dir = dir;
@@ -614,7 +601,7 @@ TEST_F(ReplicationTest, RecoverWithoutDurabilityExplainsWhy) {
 
 TEST_F(ReplicationTest, RecoverFromEmptyDirNamesTheDirectory) {
   ResilienceOptions options;
-  options.dir = FreshDir("empty");
+  options.dir = FreshDir("repl", "empty");
   ResilientEngine engine(options);
   EXPECT_FALSE(engine.Recover());
   const std::string& message = engine.last_recover_error().message();
@@ -627,7 +614,7 @@ TEST_F(ReplicationTest, RecoverFromEmptyDirNamesTheDirectory) {
 TEST_F(ReplicationTest, RecoverNamesEveryRejectedGeneration) {
   const Workload w = ChurnWorkload(1000, 512);
   ResilienceOptions options;
-  options.dir = FreshDir("rejected");
+  options.dir = FreshDir("repl", "rejected");
   options.journal_to_snapshot_ratio = 0.2;  // a roll every 2 batches
   {
     ResilientEngine engine(options);
@@ -654,7 +641,7 @@ TEST_F(ReplicationTest, RecoverNamesEveryRejectedGeneration) {
 TEST_F(ReplicationTest, SuccessfulRecoverClearsDiagnostic) {
   const Workload w = ChurnWorkload(1000, 256);
   ResilienceOptions options;
-  options.dir = FreshDir("clears");
+  options.dir = FreshDir("repl", "clears");
   {
     ResilientEngine engine(options);
     engine.Load(w.load_items);
@@ -777,7 +764,7 @@ TEST_F(ReplicationTest, SocketPartialWriteTearsAndRecovers) {
   ReplicatedEngine engine(SocketOptions());
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kNetPartialWrite) = 2;  // torn mid-frame on wire
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -793,7 +780,7 @@ TEST_F(ReplicationTest, SocketPartialReadsReassembleFrames) {
   ReplicatedEngine engine(SocketOptions());
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.Probability(FaultSite::kNetPartialRead) = 0.3;  // dribbling recv()s
   FaultInjector::Global().Arm(plan);
   const ExecutionResult r = engine.Run(w.ops, kRun);
@@ -810,7 +797,7 @@ TEST_F(ReplicationTest, SocketConnectTimeoutRetriesReconnect) {
   ReplicatedEngine engine(SocketOptions());
   engine.Load(w.load_items);
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kReplDisconnect) = 2;   // tear the link...
   plan.TriggerAt(FaultSite::kNetConnectTimeout) = 1;  // ...1st redial fails
   FaultInjector::Global().Arm(plan);
@@ -909,7 +896,7 @@ class ReplicationLinkTest : public ::testing::TestWithParam<LinkKind> {
 
   static FaultPlan SecondFrame(FaultSite site) {
     FaultPlan plan;
-    plan.seed = EnvSeed();
+    plan.seed = FaultSeed();
     plan.TriggerAt(site) = 2;
     return plan;
   }
@@ -973,7 +960,7 @@ TEST_P(ReplicationLinkTest, PartialWriteTearsTheStream) {
 
 TEST_P(ReplicationLinkTest, PartialReadDeliversTheFramesLater) {
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.TriggerAt(FaultSite::kNetPartialRead) = 1;
   const LinkLog log = Drive(plan);
   EXPECT_EQ(Sequences(log), Range(0, kSendTicks * kFramesPerTick));

@@ -7,7 +7,6 @@
 // replay — faults may cost time, never correctness.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -26,13 +25,6 @@ namespace {
 using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
-
-/// CI runs this suite under a seed matrix; the properties below must hold
-/// for every seed, only exact fire placements may move.
-std::uint64_t EnvSeed() {
-  const char* env = std::getenv("DCART_FAULT_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 /// The injector is process-global: leave it disarmed between tests.
 class ResilienceTest : public ::testing::Test {
@@ -64,7 +56,7 @@ TEST_F(ResilienceTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndSplit) {
     return c ^ 0xFFFFFFFFu;
   };
   std::vector<std::uint8_t> bytes(80);
-  SplitMix64 rng(EnvSeed());
+  SplitMix64 rng(FaultSeed());
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.Next());
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
@@ -91,7 +83,7 @@ TEST_F(ResilienceTest, DisarmedInjectorNeverFires) {
 TEST_F(ResilienceTest, ProbabilityEndpointsAreExact) {
   FaultInjector& injector = FaultInjector::Global();
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.Probability(FaultSite::kReplDrop) = 1.0;
   plan.Probability(FaultSite::kScanDeferLeak) = 0.0;
   // Arming with any active site activates checking everywhere, but a
@@ -109,7 +101,7 @@ TEST_F(ResilienceTest, ProbabilityEndpointsAreExact) {
 TEST_F(ResilienceTest, SameSeedReplaysTheSameVerdictSequence) {
   FaultInjector& injector = FaultInjector::Global();
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.Probability(FaultSite::kReplTruncate) = 0.3;
 
   std::vector<bool> first;
@@ -205,7 +197,7 @@ std::vector<Operation> ReadOnlyOps(std::size_t n) {
 
 TEST_F(ResilienceTest, JournalRoundTripsRecords) {
   const std::string path = ::testing::TempDir() + "/journal_roundtrip.log";
-  const std::vector<Operation> ops = SomeOps(300, EnvSeed());
+  const std::vector<Operation> ops = SomeOps(300, FaultSeed());
   const std::vector<Operation> reads = ReadOnlyOps(50);
 
   resilience::OpJournal journal;
@@ -225,7 +217,7 @@ TEST_F(ResilienceTest, JournalRoundTripsRecords) {
 
 TEST_F(ResilienceTest, JournalTornAppendIsTruncatedOnReplay) {
   const std::string path = ::testing::TempDir() + "/journal_torn.log";
-  const std::vector<Operation> ops = SomeOps(300, EnvSeed() + 1);
+  const std::vector<Operation> ops = SomeOps(300, FaultSeed() + 1);
 
   FaultPlan plan;
   plan.TriggerAt(FaultSite::kCrashMidBatch) = 4;  // fourth append tears
@@ -265,7 +257,7 @@ TEST_F(ResilienceTest, LeakedScanIsRecoveredAndReported) {
   const Workload w = MakeWorkload(WorkloadKind::kDE, cfg);
 
   FaultPlan plan;
-  plan.seed = EnvSeed();
+  plan.seed = FaultSeed();
   plan.Probability(FaultSite::kScanDeferLeak) = 1.0;  // leak every scan
 
   dcartc::DcartCpEngine engine;
@@ -275,17 +267,16 @@ TEST_F(ResilienceTest, LeakedScanIsRecoveredAndReported) {
 
   SerialReplay ref;
   ref.Load(w.load_items);
-  ref.Apply(w.ops);
+  ref.Apply(w.ops, 256);
 
   EXPECT_GT(r.invariant_breaches, 0u);
   EXPECT_FALSE(r.status.ok());
-  // The breach was contained: every op still executed, the tree and the
-  // per-key read outcomes match the serial replay.  (Scan *entry counts*
-  // are not compared exactly: a bounced scan runs in the serial catch-up
-  // after its batch's parallel phase, the same already-documented timing
-  // the regular deferral path gives scans.)
+  // The breach was contained: every op still executed, and the tree, the
+  // read outcomes and the scans' entries match the contract replay (a
+  // bounced scan rejoins its batch's scans, after every point op).
   EXPECT_EQ(r.stats.operations, w.ops.size());
-  EXPECT_GT(r.stats.scan_entries, 0u);
+  EXPECT_GT(ref.scan_entries, 0u);
+  EXPECT_EQ(r.stats.scan_entries, ref.scan_entries);
   EXPECT_EQ(r.reads_hit, ref.reads_hit);
   ExpectSameState(engine, ref.tree);
 }
