@@ -32,6 +32,8 @@
 //   Header       the fields every node starts with: `type` (set by the
 //                constructor), `count`, the policy's prefix, and
 //                CopyPrefixFrom(const Header&), which Grown/Shrunk use
+//   ReadPath     ReadPath(const Header&, depth) -> NodePath: the node's
+//                compressed path as one value, for the shared reads below
 //   Leaf         the leaf type a child reference addresses
 //   Access       PlainAccess or AtomicAccess (below): how count, key bytes,
 //                N48 index entries and child slots are read and written,
@@ -47,7 +49,9 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "art/leaf.h"
 #include "common/bytes.h"
@@ -137,6 +141,16 @@ struct AtomicAccess {
 // Layouts.
 // ---------------------------------------------------------------------------
 
+/// A node's compressed path, read once: `len` key bytes starting at key
+/// byte `level`, the first `stored` of them inline.  The rest live only in
+/// the subtree's leaves, whose keys all carry the whole path.
+struct NodePath {
+  std::size_t level = 0;
+  std::uint32_t len = 0;
+  std::uint32_t stored = 0;  // <= min(len, kMaxStoredPrefix)
+  std::array<std::uint8_t, kMaxStoredPrefix> bytes{};
+};
+
 /// Header of the serial tree's nodes; OLC puts a lock word in front of it.
 struct PrefixHeader {
   explicit PrefixHeader(NodeType t) : type(t) {}
@@ -154,6 +168,23 @@ struct PrefixHeader {
   std::uint32_t prefix_len = 0;        // full compressed-path length
   std::array<std::uint8_t, kMaxStoredPrefix> prefix{};
 };
+
+/// ReadPath of a PrefixHeader node: prefix_len, stored_prefix_len and the
+/// inline bytes through `A`.  The header keeps no level, so the path
+/// starts at the reader's running depth.  All kMaxStoredPrefix bytes are
+/// copied: a fixed-size copy compiles to a few moves where one bounded by
+/// `stored` became a `rep movs` on every node.
+template <typename A>
+NodePath ReadPrefixPath(const PrefixHeader& header, std::size_t depth) {
+  NodePath path;
+  path.level = depth;
+  path.len = A::Load(header.prefix_len);
+  path.stored = A::Load(header.stored_prefix_len);
+  for (std::size_t i = 0; i < kMaxStoredPrefix; ++i) {
+    path.bytes[i] = A::Load(header.prefix[i]);
+  }
+  return path;
+}
 
 template <typename P>
 struct BasicNode;
@@ -656,6 +687,173 @@ void DestroySubtree(BasicRef<P> ref) {
   DeleteNode(node);
 }
 
+// ---------------------------------------------------------------------------
+// Reads.  One point descent and one ordered range walk serve every tree:
+// the serial tree's lookups and scans, ROWEX's lock-free lookup, and the
+// traced walks the platform models count.  Neither locks or validates
+// anything, so OLC's version-checked reads stay its own.  The caller's
+// accounting rides in a hook, called on each touch before it is inspected:
+//
+//   hook(ref)          a leaf
+//   hook(ref, path)    an internal node, with the NodePath the read uses
+//
+// Overload{leaf_fn, node_fn} builds one from two lambdas; NoHook counts
+// nothing.
+// ---------------------------------------------------------------------------
+
+template <typename... Fns>
+struct Overload : Fns... {
+  using Fns::operator()...;
+};
+template <typename... Fns>
+Overload(Fns...) -> Overload<Fns...>;
+
+struct NoHook {
+  template <typename... Args>
+  void operator()(const Args&...) const {}
+};
+
+/// Leaf holding `key` under `ref` (`depth` key bytes consumed above it), or
+/// nullptr.  Optimistic path compression: only the inline path bytes are
+/// compared on the way down, and the leaf's full key settles the rest.
+/// Each node's path is read once, and the key's length is checked against
+/// it before any key byte is, so a lock-free reader never indexes past the
+/// key.  The next depth comes from the path's level, so a policy whose
+/// nodes record their level (ROWEX) stays anchored through a concurrent
+/// path split.
+template <typename P, typename Hook>
+typename P::Leaf* Descend(BasicRef<P> ref, std::size_t depth, KeyView key,
+                          Hook&& hook) {
+  while (!ref.IsNull()) {
+    if (ref.IsLeaf()) {
+      hook(ref);
+      typename P::Leaf* leaf = ref.AsLeaf();
+      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
+    }
+    const BasicNode<P>* node = ref.AsNode();
+    const NodePath path = P::ReadPath(*node, depth);
+    hook(ref, path);
+    if (key.size() <= path.level + path.len) return nullptr;
+    for (std::uint32_t i = 0; i < path.stored; ++i) {
+      if (path.bytes[i] != key[path.level + i]) return nullptr;
+    }
+    depth = path.level + path.len;
+    ref = FindChild(node, key[depth]);
+    ++depth;
+  }
+  return nullptr;
+}
+
+namespace detail {
+
+/// EnumerateChildren in ascending key-byte order under every policy: an
+/// append-only N4/N16/N32 is sorted on the stack first.
+template <typename P, typename Fn>
+bool EnumerateChildrenInOrder(const BasicNode<P>* node, Fn&& fn) {
+  if constexpr (P::kSortedKeys) {
+    return EnumerateChildren(node, fn);
+  } else {
+    using A = typename P::Access;
+    return Visit(node, [&fn](const auto* n) -> bool {
+      if constexpr (requires { n->keys; }) {
+        std::array<std::pair<std::uint8_t, BasicRef<P>>,
+                   std::tuple_size_v<decltype(n->keys)>>
+            sorted;
+        const std::uint16_t count = A::Load(n->count);
+        for (std::uint16_t i = 0; i < count; ++i) {
+          sorted[i] = {A::Load(n->keys[i]), A::LoadSlot(n->children[i])};
+        }
+        std::sort(sorted.begin(), sorted.begin() + count,
+                  [](const auto& a, const auto& b) {
+                    return a.first < b.first;
+                  });
+        for (std::uint16_t i = 0; i < count; ++i) {
+          if (!fn(sorted[i].first, sorted[i].second)) return false;
+        }
+        return true;
+      } else {
+        return EnumerateChildren<P>(n, fn);
+      }
+    });
+  }
+}
+
+template <typename P, typename Hook, typename Emit>
+bool WalkRange(BasicRef<P> ref, std::size_t depth, KeyView lo,
+               const std::optional<KeyView>& hi, bool lo_edge, bool hi_edge,
+               Hook& hook, Emit& emit) {
+  // `lo_edge` / `hi_edge`: the keys under `ref` agree with lo / hi on every
+  // byte above `depth`.  Off an edge, the whole subtree is inside that bound.
+  if (ref.IsLeaf()) {
+    hook(ref);
+    const typename P::Leaf* leaf = ref.AsLeaf();
+    if (hi_edge && CompareKeys(leaf->key(), *hi) > 0) return false;
+    if (lo_edge && CompareKeys(leaf->key(), lo) < 0) return true;
+    return emit(leaf);
+  }
+  const BasicNode<P>* node = ref.AsNode();
+  const NodePath path = P::ReadPath(*node, depth);
+  hook(ref, path);
+  // Walk the path byte by byte against the bounds still on an edge; bytes
+  // past the inline ones come from the subtree's minimum leaf.
+  const typename P::Leaf* min_leaf = nullptr;
+  for (std::uint32_t i = 0; i < path.len && (lo_edge || hi_edge); ++i) {
+    const std::size_t pos = path.level + i;
+    std::uint8_t p;
+    if (i < path.stored) {
+      p = path.bytes[i];
+    } else {
+      if (min_leaf == nullptr) min_leaf = Minimum(ref);
+      if (min_leaf == nullptr) return true;  // no child visible yet
+      p = min_leaf->key()[pos];
+    }
+    if (lo_edge) {
+      if (pos >= lo.size() || p > lo[pos]) {
+        lo_edge = false;  // the whole subtree is above lo
+      } else if (p < lo[pos]) {
+        return true;  // the whole subtree is below lo: skip it
+      }
+    }
+    if (hi_edge) {
+      if (pos >= hi->size() || p > (*hi)[pos]) {
+        return false;  // the whole subtree is above hi: stop the walk
+      }
+      if (p < (*hi)[pos]) hi_edge = false;
+    }
+  }
+  depth = path.level + path.len;
+  return EnumerateChildrenInOrder(node, [&](std::uint8_t b, BasicRef<P> child) {
+    bool child_lo = false;
+    bool child_hi = false;
+    if (lo_edge && depth < lo.size()) {
+      if (b < lo[depth]) return true;  // below the range: skip the child
+      child_lo = b == lo[depth];
+    }
+    if (hi_edge) {
+      if (depth >= hi->size() || b > (*hi)[depth]) {
+        return false;  // above the range: stop the walk
+      }
+      child_hi = b == (*hi)[depth];
+    }
+    return WalkRange(child, depth + 1, lo, hi, child_lo, child_hi, hook, emit);
+  });
+}
+
+}  // namespace detail
+
+/// Visit, in key order, every leaf under `ref` (`depth` key bytes consumed
+/// above it) whose key lies in [lo, hi], or is >= lo when `hi` is nullopt:
+/// `emit(leaf)` returns false to stop the walk.  Pessimistic: a subtree is
+/// skipped only when its path puts it wholly outside the range.  Returns
+/// false iff stopped.
+template <typename P, typename Hook, typename Emit>
+bool WalkRange(BasicRef<P> ref, std::size_t depth, KeyView lo,
+               const std::optional<KeyView>& hi, Hook&& hook, Emit&& emit) {
+  if (ref.IsNull()) return true;
+  return detail::WalkRange(ref, depth, lo, hi, /*lo_edge=*/true,
+                           /*hi_edge=*/hi.has_value(), hook, emit);
+}
+
 inline const char* NodeTypeName(NodeType type) {
   switch (type) {
     case NodeType::kN4:
@@ -681,6 +879,9 @@ struct ArtPolicy {
   using Leaf = art::Leaf;
   using Access = PlainAccess;
   static constexpr bool kSortedKeys = true;
+  static NodePath ReadPath(const Header& header, std::size_t depth) {
+    return ReadPrefixPath<Access>(header, depth);
+  }
 };
 
 using Node = BasicNode<ArtPolicy>;

@@ -163,30 +163,15 @@ Leaf* Tree::FindLeaf(KeyView key) const {
 
 Leaf* Tree::FindLeafInSubtree(NodeRef ref, std::size_t depth,
                               KeyView key) const {
-  while (!ref.IsNull()) {
-    NoteVisit(ref);
-    if (ref.IsLeaf()) {
-      Leaf* leaf = ref.AsLeaf();
-      if (stats_) ++stats_->leaf_accesses;
-      if (KeysEqual(leaf->key(), key)) return leaf;
-      return nullptr;
-    }
-    const Node* node = ref.AsNode();
-    if (stats_) ++stats_->partial_key_matches;
-    // Optimistic path compression: compare only the stored prefix bytes; a
-    // mismatch in the non-stored tail is caught by the final leaf check.
-    const std::size_t cmp = std::min<std::size_t>(
-        node->stored_prefix_len, key.size() - depth);
-    for (std::size_t i = 0; i < cmp; ++i) {
-      if (node->prefix[i] != key[depth + i]) return nullptr;
-    }
-    if (key.size() - depth < node->prefix_len) return nullptr;
-    depth += node->prefix_len;
-    if (depth >= key.size()) return nullptr;
-    ref = FindChild(node, key[depth]);
-    ++depth;
-  }
-  return nullptr;
+  return Descend(ref, depth, key,
+                 Overload{[this](NodeRef leaf) {
+                            NoteVisit(leaf);
+                            if (stats_) ++stats_->leaf_accesses;
+                          },
+                          [this](NodeRef node, const NodePath&) {
+                            NoteVisit(node);
+                            if (stats_) ++stats_->partial_key_matches;
+                          }});
 }
 
 bool Tree::Remove(KeyView key) {
@@ -269,84 +254,20 @@ bool Tree::RemoveInSubtree(NodeRef* slot, std::size_t depth, KeyView key) {
   }
 }
 
-bool Tree::ScanRec(NodeRef ref, std::size_t depth, KeyView lo, KeyView hi,
-                   bool lo_edge, bool hi_edge,
-                   const std::function<bool(KeyView, Value)>& callback) const {
-  if (ref.IsLeaf()) {
-    const Leaf* leaf = ref.AsLeaf();
-    const KeyView key = leaf->key();
-    // An empty hi with hi_edge off means "unbounded above" (ScanFrom).
-    if (hi_edge || !hi.empty()) {
-      if (CompareKeys(key, hi) > 0) return false;  // past the range
-    }
-    if (CompareKeys(key, lo) < 0) return true;  // before it: skip
-    return callback(key, leaf->value);
-  }
-
-  const Node* node = ref.AsNode();
-  if (lo_edge || hi_edge) {
-    // Walk the compressed path byte-by-byte against the active bounds.
-    // Bytes beyond the stored prefix are recovered from the minimum leaf.
-    const Leaf* min_leaf = nullptr;
-    std::size_t pos = depth;
-    for (std::uint32_t i = 0; i < node->prefix_len && (lo_edge || hi_edge);
-         ++i, ++pos) {
-      std::uint8_t p;
-      if (i < node->stored_prefix_len) {
-        p = node->prefix[i];
-      } else {
-        if (min_leaf == nullptr) min_leaf = Minimum(ref);
-        p = min_leaf->key()[pos];
-      }
-      if (lo_edge) {
-        if (pos >= lo.size() || p > lo[pos]) {
-          lo_edge = false;  // the whole subtree is above lo
-        } else if (p < lo[pos]) {
-          return true;  // the whole subtree is below lo: skip it
-        }
-      }
-      if (hi_edge) {
-        if (pos >= hi.size() || p > hi[pos]) {
-          return false;  // the whole subtree is above hi: stop the scan
-        }
-        if (p < hi[pos]) hi_edge = false;
-      }
-    }
-  }
-  depth += node->prefix_len;
-
-  return EnumerateChildren(
-      node, [&](std::uint8_t b, NodeRef child) {
-        bool child_lo = false;
-        bool child_hi = false;
-        if (lo_edge) {
-          if (depth < lo.size()) {
-            if (b < lo[depth]) return true;  // below the range: skip child
-            child_lo = (b == lo[depth]);
-          }
-        }
-        if (hi_edge) {
-          if (depth >= hi.size() || b > hi[depth]) {
-            return false;  // above the range: stop the scan
-          }
-          child_hi = (b == hi[depth]);
-        }
-        return ScanRec(child, depth + 1, lo, hi, child_lo, child_hi, callback);
-      });
-}
-
 void Tree::Scan(KeyView lo, KeyView hi,
                 const std::function<bool(KeyView, Value)>& callback) const {
-  if (root_.IsNull()) return;
-  ScanRec(root_, 0, lo, hi, /*lo_edge=*/true, /*hi_edge=*/true, callback);
+  WalkRange(root_, 0, lo, hi, NoHook{}, [&callback](const Leaf* leaf) {
+    return callback(leaf->key(), leaf->value);
+  });
 }
 
 void Tree::ScanFrom(KeyView lo,
                     const std::function<bool(KeyView, Value)>& callback)
     const {
-  if (root_.IsNull()) return;
-  ScanRec(root_, 0, lo, /*hi=*/{}, /*lo_edge=*/true, /*hi_edge=*/false,
-          callback);
+  WalkRange(root_, 0, lo, std::nullopt, NoHook{},
+            [&callback](const Leaf* leaf) {
+              return callback(leaf->key(), leaf->value);
+            });
 }
 
 namespace {

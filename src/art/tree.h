@@ -1,10 +1,11 @@
 // Single-threaded Adaptive Radix Tree.
 //
 // This is the core index every engine in the repository builds on: the
-// concurrent CPU baselines re-implement the descent with their own
-// synchronization, the DCART accelerator simulator walks this tree through
-// its modeled memory hierarchy, and DCART-C operates on it directly (safe
-// because the CTT model partitions operations into disjoint subtrees).
+// concurrent CPU baselines share its node ladder and its point descent and
+// range walk (art/node.h) under their own synchronization, the DCART
+// accelerator simulator walks this tree through its modeled memory
+// hierarchy, and DCART-C operates on it directly (safe because the CTT
+// model partitions operations into disjoint subtrees).
 //
 // Keys must be binary-comparable and prefix-free (see common/key_codec.h);
 // values are 64-bit (a TID or a pointer in a real system).
@@ -153,11 +154,6 @@ class Tree {
                                std::size_t depth) const;
 
   void NoteVisit(NodeRef ref) const;
-  void NoteInternal(const Node* node) const;
-
-  bool ScanRec(NodeRef ref, std::size_t depth, KeyView lo, KeyView hi,
-               bool lo_edge, bool hi_edge,
-               const std::function<bool(KeyView, Value)>& callback) const;
 
   NodeRef root_;
   std::size_t size_ = 0;

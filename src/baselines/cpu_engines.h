@@ -1,9 +1,11 @@
-// The three CPU baselines of the paper, as one engine parameterized by its
+// The OLC-backed CPU baselines, as one engine parameterized by its
 // concurrency protocol:
 //
-//   "ART"   — lock-based node write exclusion (Leis et al. 2016).  Writers
-//             lock the node they modify (update included); readers validate
-//             against the node and conflict with in-window writers.
+//   "ART-OLC" — lock-based node write exclusion over optimistic lock
+//             coupling (Leis et al. 2016).  Writers lock the node they
+//             modify (update included); readers validate against the node
+//             and conflict with in-window writers.  (The registry's "ART"
+//             is the ROWEX engine, rowex_engine.h.)
 //   "Heart" — CAS-based (Nie et al., ICCD 2023 character): updates CAS the
 //             leaf value, only inserts lock nodes; readers validate at the
 //             leaf, so only same-leaf write overlap costs restarts.

@@ -5,7 +5,6 @@
 namespace dcart::baselines {
 
 using sync::CLeaf;
-using sync::CNode;
 
 OpTracer::OpTracer(const simhw::CpuModel& model, simhw::CacheModel& cache,
                    simhw::ConflictModel& conflicts, OpStats& stats)
@@ -22,14 +21,8 @@ void OpTracer::BeginOp() {
   ++stats_.operations;
 }
 
-void OpTracer::VisitInternal(const CNode* node, unsigned keys_scanned,
-                             bool compact_layout) {
-  VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                   node->stored_prefix_len, keys_scanned, compact_layout);
-}
-
-void OpTracer::VisitInternalRaw(std::uintptr_t addr, unsigned stored_prefix,
-                                unsigned keys_scanned, bool compact_layout) {
+void OpTracer::VisitInternal(std::uintptr_t addr, unsigned stored_prefix,
+                             unsigned keys_scanned, bool compact_layout) {
   ++op_pkm_;
   ++stats_.partial_key_matches;
   ++stats_.nodes_visited;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "common/histogram.h"
 #include "common/stats.h"
@@ -28,17 +29,14 @@ class OpTracer {
   /// Reset the per-operation scratch counters.
   void BeginOp();
 
-  /// One internal node visited; `keys_scanned` is how many key-array slots
-  /// the child search examined (linear scan cost in N4/N16; 1 for N48/N256).
+  /// One internal node visited: `addr` is the node's address,
+  /// `stored_prefix` the inline prefix bytes its header carries, and
+  /// `keys_scanned` how many key-array slots the child search examined
+  /// (art::ScanCost for a descent, the whole node for a scan).
   /// `compact_layout` models SMART-style cacheline-aligned nodes whose
   /// header+keys+slot land in one line.
-  void VisitInternal(const sync::CNode* node, unsigned keys_scanned,
-                     bool compact_layout = false);
-
-  /// Layout-agnostic variant (used by the ROWEX tree): `addr` is the node's
-  /// address, `stored_prefix` the inline prefix bytes its header carries.
-  void VisitInternalRaw(std::uintptr_t addr, unsigned stored_prefix,
-                        unsigned keys_scanned, bool compact_layout);
+  void VisitInternal(std::uintptr_t addr, unsigned stored_prefix,
+                     unsigned keys_scanned, bool compact_layout = false);
 
   /// The terminal leaf (or candidate leaf) was read; charged at its
   /// modeled size (art::ModeledLeafBytes), not the host block.
@@ -85,5 +83,36 @@ class OpTracer {
 /// the worker pool, serial cycles paid in full.
 double CpuSeconds(const simhw::CpuModel& model, double parallel_cycles,
                   double serial_cycles, std::size_t threads);
+
+/// The traced ordered scan of the concurrent trees (single-threaded model
+/// runs): up to `limit` entries with key >= start from `root`, in key
+/// order, reporting every touch to `tracer` (if any) and each entry to
+/// `on_entry` (if any).  Returns the entry count.
+template <typename P>
+std::size_t TracedScan(
+    art::BasicRef<P> root, KeyView start, std::size_t limit,
+    OpTracer* tracer,
+    const std::function<void(KeyView, art::Value)>& on_entry) {
+  if (limit == 0) return 0;
+  std::size_t emitted = 0;
+  const auto hook = art::Overload{
+      [tracer](art::BasicRef<P> leaf) {
+        if (tracer) tracer->VisitLeaf(leaf.AsLeaf());
+      },
+      [tracer](art::BasicRef<P> node, const art::NodePath& path) {
+        // A scan enumerates the whole node, not one slot.
+        if (tracer) {
+          tracer->VisitInternal(node.raw(), path.stored,
+                                P::Access::Load(node.AsNode()->count));
+        }
+      }};
+  art::WalkRange(root, 0, start, std::nullopt, hook,
+                 [&](const typename P::Leaf* leaf) {
+                   ++emitted;
+                   if (on_entry) on_entry(leaf->key(), leaf->value.load());
+                   return emitted < limit;
+                 });
+  return emitted;
+}
 
 }  // namespace dcart::baselines

@@ -9,7 +9,6 @@
 
 namespace dcart::baselines {
 
-using art::FindChild;
 using sync::CLeaf;
 using sync::CNode;
 using sync::CRef;
@@ -35,51 +34,37 @@ namespace {
 CLeaf* GpuTraverse(const OlcTree& tree, KeyView key, simhw::CacheModel& l2,
                    OpStats& stats, std::uint64_t& mem_transactions,
                    std::uint64_t& l2_hits, const CNode** last_internal) {
-  CRef ref = tree.root();
-  std::size_t depth = 0;
-  while (!ref.IsNull()) {
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      const KeyView leaf_key = leaf->key();
-      ++stats.nodes_visited;
-      ++stats.leaf_accesses;
-      const auto r = l2.Access(reinterpret_cast<std::uintptr_t>(leaf),
-                               art::ModeledLeafBytes(leaf_key.size()));
-      mem_transactions += r.misses;
-      l2_hits += r.lines - r.misses;
-      stats.offchip_accesses += r.misses;
-      stats.offchip_bytes += static_cast<std::uint64_t>(r.lines) * 32;
-      stats.onchip_hits += r.lines - r.misses;
-      stats.useful_bytes += leaf_key.size() + sizeof(art::Value);
-      return KeysEqual(leaf_key, key) ? leaf : nullptr;
-    }
-    const CNode* node = ref.AsNode();
-    if (last_internal) *last_internal = node;
-    ++stats.partial_key_matches;
+  // SIMT traversal: every touch is fetched as 32-byte sectors from global
+  // memory.
+  const auto fetch = [&](std::uintptr_t addr, std::size_t bytes,
+                         std::size_t useful) {
     ++stats.nodes_visited;
-    // SIMT traversal: header + key/index structures fetched as 32-byte
-    // sectors from global memory.
-    const auto r = l2.Access(reinterpret_cast<std::uintptr_t>(node),
-                             24 + node->stored_prefix_len + 16);
+    const auto r = l2.Access(addr, bytes);
     mem_transactions += r.misses;
     l2_hits += r.lines - r.misses;
     stats.offchip_accesses += r.misses;
     stats.offchip_bytes += static_cast<std::uint64_t>(r.lines) * 32;
     stats.onchip_hits += r.lines - r.misses;
-    stats.useful_bytes += 9 + node->stored_prefix_len + 1 + sizeof(void*);
-
-    const std::size_t cmp =
-        std::min<std::size_t>(node->stored_prefix_len, key.size() - depth);
-    for (std::size_t i = 0; i < cmp; ++i) {
-      if (node->prefix[i] != key[depth + i]) return nullptr;
-    }
-    if (key.size() - depth < node->prefix_len) return nullptr;
-    depth += node->prefix_len;
-    if (depth >= key.size()) return nullptr;
-    ref = FindChild(node, key[depth]);
-    ++depth;
-  }
-  return nullptr;
+    stats.useful_bytes += useful;
+  };
+  return art::Descend(
+      tree.root(), 0, key,
+      art::Overload{
+          [&](CRef ref) {
+            const CLeaf* leaf = ref.AsLeaf();
+            const std::size_t key_len = leaf->key().size();
+            ++stats.leaf_accesses;
+            fetch(reinterpret_cast<std::uintptr_t>(leaf),
+                  art::ModeledLeafBytes(key_len),
+                  key_len + sizeof(art::Value));
+          },
+          [&](CRef ref, const art::NodePath& path) {
+            if (last_internal) *last_internal = ref.AsNode();
+            ++stats.partial_key_matches;
+            // The header plus the key/index structures.
+            fetch(ref.raw(), 24 + path.stored + 16,
+                  9 + path.stored + 1 + sizeof(void*));
+          }});
 }
 
 }  // namespace

@@ -36,6 +36,31 @@ CLeaf* CMinimumOrRestart(CRef ref, bool& need_restart) {
   return leaf;
 }
 
+/// The traced point descent's hook: the tracer's accounting, and the
+/// captures SMART's path cache and lock-based readers use.
+struct TracedDescent {
+  OpTracer* tracer;
+  bool compact_layout;
+  OlcTree::PathHint* hint_out = nullptr;
+  std::size_t hint_depth = 0;
+  const CNode** last_internal_out = nullptr;
+
+  void operator()(CRef leaf) const {
+    if (tracer) tracer->VisitLeaf(leaf.AsLeaf());
+  }
+  void operator()(CRef ref, const art::NodePath& path) const {
+    const CNode* node = ref.AsNode();
+    if (last_internal_out) *last_internal_out = node;
+    if (hint_out && hint_out->node == nullptr && path.level >= hint_depth) {
+      *hint_out = OlcTree::PathHint{node, path.level};
+    }
+    if (tracer) {
+      tracer->VisitInternal(ref.raw(), path.stored, ScanCost(node),
+                            compact_layout);
+    }
+  }
+};
+
 }  // namespace
 
 OlcTree::OlcTree(std::size_t max_threads)
@@ -220,7 +245,10 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
     const unsigned scanned = ScanCost(node);
     node->lock.CheckOrRestart(v, rs, stats);
     if (rs) return WriteOutcome::kRestart;
-    if (tracer) tracer->VisitInternal(node, scanned);
+    if (tracer) {
+      tracer->VisitInternal(reinterpret_cast<std::uintptr_t>(node), stored,
+                            scanned);
+    }
 
     if (next.IsNull()) {
       // Insert a new leaf under this node.
@@ -508,18 +536,16 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
 }
 
 std::optional<art::Value> OlcTree::Lookup(KeyView key, std::size_t tid,
-                                          SyncStats& stats,
-                                          OpTracer* tracer) const {
+                                          SyncStats& stats) const {
   sync::EpochManager::Guard guard(*epochs_, tid);
   for (;;) {
     bool rs = false;
-    auto result = TryLookup(key, stats, tracer, rs);
+    auto result = TryLookup(key, stats, rs);
     if (!rs) return result;
   }
 }
 
 std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
-                                             OpTracer* tracer,
                                              bool& need_restart) const {
   const std::uintptr_t root_raw = root_.load(std::memory_order_acquire);
   CRef ref = CRef::FromRaw(root_raw);
@@ -541,7 +567,6 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
         parent->lock.CheckOrRestart(pv, need_restart, stats);
         if (need_restart) return std::nullopt;
       }
-      if (tracer) tracer->VisitLeaf(leaf);
       if (KeysEqual(leaf->key(), key)) {
         return leaf->value.load(std::memory_order_acquire);
       }
@@ -585,10 +610,8 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
     }
 
     const CRef next = FindChild(node, key[depth]);
-    const unsigned scanned = ScanCost(node);
     node->lock.CheckOrRestart(v, need_restart, stats);
     if (need_restart) return std::nullopt;
-    if (tracer) tracer->VisitInternal(node, scanned);
 
     parent = node;
     pv = v;
@@ -603,108 +626,23 @@ sync::CLeaf* OlcTree::FindLeafTraced(KeyView key, OpTracer* tracer,
                                      bool compact_layout,
                                      const sync::CNode** last_internal_out)
     const {
-  return DescendTraced(root(), 0, key, tracer, hint_out, hint_depth,
-                       compact_layout, last_internal_out);
+  return art::Descend(root(), 0, key,
+                      TracedDescent{tracer, compact_layout, hint_out,
+                                    hint_depth, last_internal_out});
 }
 
 sync::CLeaf* OlcTree::FindLeafTracedFrom(const PathHint& hint, KeyView key,
                                          OpTracer* tracer,
                                          bool compact_layout) const {
   assert(hint.node != nullptr);
-  return DescendTraced(CRef::FromNode(const_cast<CNode*>(hint.node)),
-                       hint.depth, key, tracer, /*hint_out=*/nullptr,
-                       /*hint_depth=*/0, compact_layout,
-                       /*last_internal_out=*/nullptr);
-}
-
-sync::CLeaf* OlcTree::DescendTraced(CRef ref, std::size_t depth, KeyView key,
-                                    OpTracer* tracer, PathHint* hint_out,
-                                    std::size_t hint_depth,
-                                    bool compact_layout,
-                                    const sync::CNode** last_internal_out)
-    const {
-  while (!ref.IsNull()) {
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      if (tracer) tracer->VisitLeaf(leaf);
-      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
-    }
-    const CNode* node = ref.AsNode();
-    if (last_internal_out) *last_internal_out = node;
-    if (hint_out && hint_out->node == nullptr && depth >= hint_depth) {
-      *hint_out = PathHint{node, depth};
-    }
-    if (tracer) tracer->VisitInternal(node, ScanCost(node),
-                                      compact_layout);
-    const std::uint8_t stored = node->stored_prefix_len;
-    const std::uint32_t prefix_len = node->prefix_len;
-    const std::size_t cmp = std::min<std::size_t>(stored, key.size() - depth);
-    for (std::size_t i = 0; i < cmp; ++i) {
-      if (node->prefix[i] != key[depth + i]) return nullptr;
-    }
-    if (key.size() - depth < prefix_len) return nullptr;
-    depth += prefix_len;
-    if (depth >= key.size()) return nullptr;
-    ref = FindChild(node, key[depth]);
-    ++depth;
-  }
-  return nullptr;
+  return art::Descend(CRef::FromNode(const_cast<CNode*>(hint.node)),
+                      hint.depth, key, TracedDescent{tracer, compact_layout});
 }
 
 std::size_t OlcTree::ScanTraced(
     KeyView start, std::size_t limit, OpTracer* tracer,
     const std::function<void(KeyView, art::Value)>& on_entry) const {
-  std::size_t emitted = 0;
-  // Recursive in-order walk with lower-edge pruning; N4/N16 keys are kept
-  // sorted, so EnumerateChildren is in key order.
-  const std::function<bool(CRef, std::size_t, bool)> walk =
-      [&](CRef ref, std::size_t depth, bool lo_edge) -> bool {
-    if (emitted >= limit) return false;
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      if (tracer) tracer->VisitLeaf(leaf);
-      if (CompareKeys(leaf->key(), start) >= 0) {
-        ++emitted;
-        if (on_entry) on_entry(leaf->key(), leaf->value.load());
-      }
-      return emitted < limit;
-    }
-    const CNode* node = ref.AsNode();
-    // Scans enumerate the whole node, not one slot.
-    if (tracer) tracer->VisitInternal(node, RelaxedLoad(node->count));
-    const std::uint32_t prefix_len = RelaxedLoad(node->prefix_len);
-    if (lo_edge && prefix_len > 0) {
-      const std::uint8_t stored = RelaxedLoad(node->stored_prefix_len);
-      const CLeaf* min_leaf = nullptr;
-      std::size_t pos = depth;
-      for (std::uint32_t i = 0; i < prefix_len && lo_edge; ++i, ++pos) {
-        std::uint8_t p;
-        if (i < stored) {
-          p = RelaxedLoad(node->prefix[i]);
-        } else {
-          if (min_leaf == nullptr) min_leaf = Minimum(ref);
-          p = min_leaf->key()[pos];
-        }
-        if (pos >= start.size() || p > start[pos]) {
-          lo_edge = false;  // subtree entirely above the start key
-        } else if (p < start[pos]) {
-          return true;  // subtree entirely below: skip
-        }
-      }
-    }
-    const std::size_t child_depth = depth + prefix_len;
-    return EnumerateChildren(node, [&](std::uint8_t b, CRef child) {
-      bool child_lo = false;
-      if (lo_edge && child_depth < start.size()) {
-        if (b < start[child_depth]) return true;  // below the start: skip
-        child_lo = (b == start[child_depth]);
-      }
-      return walk(child, child_depth + 1, child_lo);
-    });
-  };
-  const CRef r = root();
-  if (!r.IsNull()) walk(r, 0, true);
-  return emitted;
+  return TracedScan(root(), start, limit, tracer, on_entry);
 }
 
 }  // namespace dcart::baselines

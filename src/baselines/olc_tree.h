@@ -1,10 +1,10 @@
 // Concurrent ART with Optimistic Lock Coupling.
 //
-// This is the repository's stand-in for the paper's "ART [9]" baseline: the
-// synchronized ART of Leis et al., "The ART of Practical Synchronization"
-// (DaMoN 2016).  That paper proposes both ROWEX and Optimistic Lock
-// Coupling; we implement OLC, which has the same node-granular write
-// exclusion and lock-contention character the DCART paper measures.
+// Leis et al., "The ART of Practical Synchronization" (DaMoN 2016), propose
+// both ROWEX and Optimistic Lock Coupling.  The paper's "ART [9]" baseline
+// is the ROWEX tree (rowex_tree.h, registered as "ART"); this OLC tree backs
+// the "ART-OLC", "Heart" and "SMART" CPU baselines (cpu_engines.h) and the
+// CuART model's device tree (cuart.h).
 //
 // Readers are lock-free: they snapshot node versions during the descent and
 // restart when a concurrent writer invalidates one.  Writers lock only the
@@ -13,7 +13,8 @@
 // epoch manager.
 //
 // The tree also exposes single-threaded *traced* walks used by the
-// deterministic platform models (see DESIGN.md): those replay node touches
+// deterministic platform models (see DESIGN.md): art::Descend and
+// art::WalkRange (art/node.h) with an OpTracer hook, replaying node touches
 // through the cache/conflict models without any synchronization.
 //
 // Supported operations are read, insert-or-update write and delete.  The
@@ -59,8 +60,7 @@ class OlcTree {
 
   /// Thread-safe lock-free lookup.
   std::optional<art::Value> Lookup(KeyView key, std::size_t tid,
-                                   sync::SyncStats& stats,
-                                   OpTracer* tracer = nullptr) const;
+                                   sync::SyncStats& stats) const;
 
   /// Thread-safe delete.  Returns true iff the key was present.  A removal
   /// that would leave an N4 with one child merges the node with its
@@ -126,14 +126,7 @@ class OlcTree {
   RemoveOutcome TryRemove(KeyView key, std::size_t tid,
                           sync::SyncStats& stats);
   std::optional<art::Value> TryLookup(KeyView key, sync::SyncStats& stats,
-                                      OpTracer* tracer,
                                       bool& need_restart) const;
-  /// The traced descent both FindLeafTraced* entry points run, from `ref`
-  /// with `depth` key bytes consumed.
-  sync::CLeaf* DescendTraced(sync::CRef ref, std::size_t depth, KeyView key,
-                             OpTracer* tracer, PathHint* hint_out,
-                             std::size_t hint_depth, bool compact_layout,
-                             const sync::CNode** last_internal_out) const;
 
   void Retire(std::size_t tid, sync::CNode* node);
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 
 namespace dcart::baselines {
 
 using namespace rowex;
 using art::DeleteNode;
 using art::DestroySubtree;
-using art::EnumerateChildren;
 using art::FindChild;
 using art::FindChildSlot;
 using art::Grown;
@@ -53,31 +51,14 @@ std::optional<art::Value> RowexTree::Lookup(KeyView key, std::size_t tid,
                                             SyncStats& stats) const {
   (void)stats;  // readers take no locks and never restart under ROWEX
   sync::EpochManager::Guard guard(*epochs_, tid);
-  RRef ref = RRef::FromRaw(root_.load(std::memory_order_acquire));
-  while (!ref.IsNull()) {
-    if (ref.IsLeaf()) {
-      const CLeaf* leaf = ref.AsLeaf();
-      if (KeysEqual(leaf->key(), key)) {
-        return leaf->value.load(std::memory_order_acquire);
-      }
-      return std::nullopt;
-    }
-    const RNode* node = ref.AsNode();
-    // The (level, prefix) pair is read in ONE atomic load; matching is
-    // anchored at the node's own level, so a concurrent split (which moves
-    // the level forward and shrinks the prefix together) is harmless.
-    const PackedPrefix pp = node->prefix();
-    const std::size_t level = pp.level();
-    const std::size_t prefix_len = pp.prefix_len();
-    if (key.size() <= level + prefix_len) return std::nullopt;
-    const unsigned stored = pp.stored();
-    for (unsigned i = 0; i < stored; ++i) {
-      if (pp.byte(i) != key[level + i]) return std::nullopt;
-    }
-    // Bytes beyond the 4 stored ones are verified by the leaf's full key.
-    ref = FindChild(node, key[level + prefix_len]);
-  }
-  return std::nullopt;
+  // RowexPolicy::ReadPath reads each node's (level, prefix) pair in ONE
+  // atomic load, and the descent matches at the node's own level, so a
+  // concurrent split (which moves the level forward and shrinks the prefix
+  // together) is harmless.  Bytes beyond the 4 stored ones are verified by
+  // the leaf's full key.
+  const CLeaf* leaf = art::Descend(root(), 0, key, art::NoHook{});
+  if (leaf == nullptr) return std::nullopt;
+  return leaf->value.load(std::memory_order_acquire);
 }
 
 bool RowexTree::Insert(KeyView key, art::Value value, std::size_t tid,
@@ -159,8 +140,8 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
     const std::size_t prefix_len = pp.prefix_len();
     assert(level + prefix_len < key.size() && "keys must be prefix-free");
     if (tracer) {
-      tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                               pp.stored(), ScanCost(node), false);
+      tracer->VisitInternal(reinterpret_cast<std::uintptr_t>(node),
+                            pp.stored(), ScanCost(node));
     }
 
     // Writer-side prefix verification must be exact: the stored 4 bytes
@@ -367,99 +348,25 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
 std::size_t RowexTree::ScanTraced(
     KeyView start, std::size_t limit, OpTracer* tracer,
     const std::function<void(KeyView, art::Value)>& on_entry) const {
-  std::size_t emitted = 0;
-  const std::function<bool(RRef, bool)> walk = [&](RRef ref,
-                                                   bool lo_edge) -> bool {
-    if (emitted >= limit) return false;
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      if (tracer) tracer->VisitLeaf(leaf);
-      if (CompareKeys(leaf->key(), start) >= 0) {
-        ++emitted;
-        if (on_entry) on_entry(leaf->key(), leaf->value.load());
-      }
-      return emitted < limit;
-    }
-    const RNode* node = ref.AsNode();
-    const PackedPrefix pp = node->prefix();
-    const std::size_t level = pp.level();
-    const std::size_t prefix_len = pp.prefix_len();
-    const std::uint16_t count = RowexAccess::Load(node->count);
-    if (tracer) {
-      tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                               pp.stored(), count, false);
-    }
-    if (lo_edge && prefix_len > 0) {
-      const CLeaf* probe = nullptr;
-      for (std::size_t i = 0; i < prefix_len && lo_edge; ++i) {
-        const std::size_t pos = level + i;
-        std::uint8_t p;
-        if (i < pp.stored()) {
-          p = pp.byte(static_cast<unsigned>(i));
-        } else {
-          if (probe == nullptr) probe = Minimum(ref);
-          if (probe == nullptr) return true;
-          p = probe->key()[pos];
-        }
-        if (pos >= start.size() || p > start[pos]) {
-          lo_edge = false;
-        } else if (p < start[pos]) {
-          return true;  // subtree entirely below the start key
-        }
-      }
-    }
-    // ROWEX nodes keep N4/N16 unsorted: order the children here.
-    std::vector<std::pair<std::uint8_t, RRef>> children;
-    children.reserve(count);
-    EnumerateChildren(node, [&children](std::uint8_t b, RRef child) {
-      children.emplace_back(b, child);
-      return true;
-    });
-    std::sort(children.begin(), children.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    const std::size_t child_depth = level + prefix_len;
-    for (const auto& [b, child] : children) {
-      bool child_lo = false;
-      if (lo_edge && child_depth < start.size()) {
-        if (b < start[child_depth]) continue;
-        child_lo = (b == start[child_depth]);
-      }
-      if (!walk(child, child_lo)) return false;
-    }
-    return true;
-  };
-  const RRef r = RRef::FromRaw(root_.load(std::memory_order_acquire));
-  if (!r.IsNull()) walk(r, true);
-  return emitted;
+  return TracedScan(root(), start, limit, tracer, on_entry);
 }
 
 sync::CLeaf* RowexTree::FindLeafTraced(
     KeyView key, OpTracer* tracer,
     const rowex::RNode** last_internal) const {
-  RRef ref = RRef::FromRaw(root_.load(std::memory_order_acquire));
-  while (!ref.IsNull()) {
-    if (ref.IsLeaf()) {
-      CLeaf* leaf = ref.AsLeaf();
-      if (tracer) tracer->VisitLeaf(leaf);
-      return KeysEqual(leaf->key(), key) ? leaf : nullptr;
-    }
-    const RNode* node = ref.AsNode();
-    if (last_internal) *last_internal = node;
-    const PackedPrefix pp = node->prefix();
-    const std::size_t level = pp.level();
-    const std::size_t prefix_len = pp.prefix_len();
-    if (tracer) {
-      tracer->VisitInternalRaw(reinterpret_cast<std::uintptr_t>(node),
-                               pp.stored(), ScanCost(node), false);
-    }
-    if (key.size() <= level + prefix_len) return nullptr;
-    const unsigned stored = pp.stored();
-    for (unsigned i = 0; i < stored; ++i) {
-      if (pp.byte(i) != key[level + i]) return nullptr;
-    }
-    ref = FindChild(node, key[level + prefix_len]);
-  }
-  return nullptr;
+  return art::Descend(
+      root(), 0, key,
+      art::Overload{[tracer](RRef leaf) {
+                      if (tracer) tracer->VisitLeaf(leaf.AsLeaf());
+                    },
+                    [tracer, last_internal](RRef ref,
+                                            const art::NodePath& path) {
+                      if (last_internal) *last_internal = ref.AsNode();
+                      if (tracer) {
+                        tracer->VisitInternal(ref.raw(), path.stored,
+                                              ScanCost(ref.AsNode()));
+                      }
+                    }});
 }
 
 }  // namespace dcart::baselines

@@ -112,6 +112,17 @@ struct RowexPolicy {
   using Access = art::AtomicAccess<std::memory_order_acquire,
                                    std::memory_order_release>;
   static constexpr bool kSortedKeys = false;
+  /// One acquire load of the packed word, anchored at the node's own level
+  /// (the reader's running depth is not used).
+  static art::NodePath ReadPath(const Header& header, std::size_t) {
+    const PackedPrefix pp = header.prefix();
+    art::NodePath path;
+    path.level = pp.level();
+    path.len = pp.prefix_len();
+    path.stored = pp.stored();
+    for (unsigned i = 0; i < path.stored; ++i) path.bytes[i] = pp.byte(i);
+    return path;
+  }
 };
 
 using RowexAccess = RowexPolicy::Access;

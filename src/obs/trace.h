@@ -12,9 +12,8 @@
 //
 // Cost discipline: recording appends to a thread-local buffer (no lock after
 // a thread's first span); when tracing is disabled the only cost is one
-// relaxed atomic load, and with -DDCART_OBS_DISABLED the DCART_TRACE_SPAN
-// macro compiles away entirely.  Span names/categories must be string
-// literals (the buffer stores the pointers).
+// relaxed atomic load.  Span names/categories must be string literals (the
+// buffer stores the pointers).
 //
 // WriteJson/Clear/Collect must not race active recording: call them after
 // the traced run has joined its workers (the bench main, not the runtime).
@@ -140,17 +139,3 @@ class ScopedSpan {
 };
 
 }  // namespace dcart::obs
-
-// Compile-time kill switch: with -DDCART_OBS_DISABLED the span macro expands
-// to nothing, for builds that must prove a zero-instruction disabled path.
-#ifndef DCART_OBS_DISABLED
-#define DCART_TRACE_CONCAT_(a, b) a##b
-#define DCART_TRACE_CONCAT(a, b) DCART_TRACE_CONCAT_(a, b)
-#define DCART_TRACE_SPAN(name, category) \
-  ::dcart::obs::ScopedSpan DCART_TRACE_CONCAT(dcart_trace_span_, \
-                                              __LINE__)(name, category)
-#else
-#define DCART_TRACE_SPAN(name, category) \
-  do {                                   \
-  } while (false)
-#endif

@@ -45,6 +45,9 @@ struct OlcPolicy {
   using Access = art::AtomicAccess<std::memory_order_relaxed,
                                    std::memory_order_relaxed>;
   static constexpr bool kSortedKeys = true;
+  static art::NodePath ReadPath(const Header& header, std::size_t depth) {
+    return art::ReadPrefixPath<Access>(header, depth);
+  }
 };
 
 using OlcAccess = OlcPolicy::Access;

@@ -13,6 +13,11 @@
 namespace dcart::baselines {
 namespace {
 
+/// A node's address, as a traced walk reports it.
+std::uintptr_t Addr(const sync::CNode& node) {
+  return reinterpret_cast<std::uintptr_t>(&node);
+}
+
 struct TracerFixture {
   simhw::CpuModel model;
   simhw::CacheModel cache{1024 * 1024, 64, 8};
@@ -26,8 +31,8 @@ TEST(OpTracer, CountsVisitsAndPkm) {
   sync::CNode4 node;
   const auto leaf = test_util::MakeLeaf<sync::CLeaf>(Key{1, 2, 3}, 42);
   f.tracer.BeginOp();
-  f.tracer.VisitInternal(&node, 2);
-  f.tracer.VisitInternal(&node, 2);
+  f.tracer.VisitInternal(Addr(node), 0, 2);
+  f.tracer.VisitInternal(Addr(node), 0, 2);
   f.tracer.VisitLeaf(leaf.get());
   f.tracer.EndOp(64, 96, nullptr);
   EXPECT_EQ(f.stats.operations, 1u);
@@ -43,10 +48,10 @@ TEST(OpTracer, ColdOpCostsMoreThanWarmOp) {
   TracerFixture f;
   sync::CNode48 node;
   f.tracer.BeginOp();
-  f.tracer.VisitInternal(&node, 1);
+  f.tracer.VisitInternal(Addr(node), 0, 1);
   const double cold = f.tracer.EndOp(64, 96, nullptr);
   f.tracer.BeginOp();
-  f.tracer.VisitInternal(&node, 1);
+  f.tracer.VisitInternal(Addr(node), 0, 1);
   const double warm = f.tracer.EndOp(64, 96, nullptr);
   EXPECT_GT(cold, warm);  // first touch misses the modeled LLC
 }
@@ -90,7 +95,7 @@ TEST(OpTracer, LatencyHistogramRecordsPerOp) {
   sync::CNode256 node;
   for (int i = 0; i < 100; ++i) {
     f.tracer.BeginOp();
-    f.tracer.VisitInternal(&node, 1);
+    f.tracer.VisitInternal(Addr(node), 0, 1);
     f.tracer.EndOp(1024, 96, &latency);
   }
   EXPECT_EQ(latency.Count(), 100u);
@@ -104,7 +109,7 @@ TEST(OpTracer, LatencyGrowsWithInflight) {
     LatencyHistogram latency;
     for (int i = 0; i < 200; ++i) {
       f.tracer.BeginOp();
-      f.tracer.VisitInternal(&node, 1);
+      f.tracer.VisitInternal(Addr(node), 0, 1);
       f.tracer.EndOp(inflight, 96, &latency);
     }
     return latency.Quantile(0.5);

@@ -248,33 +248,66 @@ TEST_F(ResilienceTest, JournalTornAppendIsTruncatedOnReplay) {
 // time")`: under NDEBUG that assert was a no-op and a leaked scan would run
 // unsynchronized inside a worker.  Now the leak is recovered serially and
 // surfaced as a Status error — in every build type.
+//
+// Each batch also holds a leaked scan and a bounced remove in one bucket:
+// the batch scans from the top bucket of a tail above the DE keys, then
+// removes that bucket's keys, and the last remove, which would empty the
+// bucket, bounces to the serial phase.  The contract runs the scan after
+// that remove and counts nothing; a join that ran a worker's bounced scan
+// among its bounced point ops would count the key the remove deletes.
 TEST_F(ResilienceTest, LeakedScanIsRecoveredAndReported) {
+  constexpr std::size_t kBatch = 256;
+  constexpr std::uint64_t kTailBuckets = 24;
+  constexpr std::uint64_t kTailKeys = 4;  // per tail bucket
+  constexpr std::size_t kDeOps = kBatch - 1 - kTailKeys;  // per batch
   WorkloadConfig cfg;
   cfg.num_keys = 5000;
-  cfg.num_ops = 20000;
+  cfg.num_ops = kTailBuckets * kDeOps;
   cfg.write_ratio = 0.2;
   cfg.scan_ratio = 0.05;
   const Workload w = MakeWorkload(WorkloadKind::kDE, cfg);
+
+  // DE keys are 0..4999: the root branches on key byte 6 (0..19), and the
+  // tail buckets sit at root bytes 0x40.. above them.
+  const auto tail_key = [](std::uint64_t bucket, std::uint64_t i) {
+    return EncodeU64((0x40 + bucket) << 8 | i);
+  };
+  std::vector<std::pair<Key, art::Value>> load = w.load_items;
+  for (std::uint64_t bucket = 0; bucket < kTailBuckets; ++bucket) {
+    for (std::uint64_t i = 0; i < kTailKeys; ++i) {
+      load.emplace_back(tail_key(bucket, i), i);
+    }
+  }
+  std::vector<Operation> ops;
+  for (std::uint64_t b = 0; b < kTailBuckets; ++b) {
+    const auto de = w.ops.begin() + static_cast<std::ptrdiff_t>(b * kDeOps);
+    ops.insert(ops.end(), de, de + static_cast<std::ptrdiff_t>(kDeOps));
+    const std::uint64_t top = kTailBuckets - 1 - b;
+    ops.push_back({OpType::kScan, tail_key(top, 0), 0, /*scan_count=*/100});
+    for (std::uint64_t i = 0; i < kTailKeys; ++i) {
+      ops.push_back({OpType::kRemove, tail_key(top, i), 0});
+    }
+  }
 
   FaultPlan plan;
   plan.seed = FaultSeed();
   plan.Probability(FaultSite::kScanDeferLeak) = 1.0;  // leak every scan
 
   dcartc::DcartCpEngine engine;
-  engine.Load(w.load_items);
+  engine.Load(load);
   FaultInjector::Global().Arm(plan);
-  const ExecutionResult r = engine.Run(w.ops, BatchRun(256, 8));
+  const ExecutionResult r = engine.Run(ops, BatchRun(kBatch, 8));
 
   SerialReplay ref;
-  ref.Load(w.load_items);
-  ref.Apply(w.ops, 256);
+  ref.Load(load);
+  ref.Apply(ops, kBatch);
 
   EXPECT_GT(r.invariant_breaches, 0u);
   EXPECT_FALSE(r.status.ok());
   // The breach was contained: every op still executed, and the tree, the
   // read outcomes and the scans' entries match the contract replay (a
   // bounced scan rejoins its batch's scans, after every point op).
-  EXPECT_EQ(r.stats.operations, w.ops.size());
+  EXPECT_EQ(r.stats.operations, ops.size());
   EXPECT_GT(ref.scan_entries, 0u);
   EXPECT_EQ(r.stats.scan_entries, ref.scan_entries);
   EXPECT_EQ(r.reads_hit, ref.reads_hit);

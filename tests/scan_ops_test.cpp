@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "baselines/cpu_engines.h"
 #include "baselines/cuart.h"
@@ -125,26 +127,107 @@ TEST(ScanOps, CoreTreeScanFromIsUnbounded) {
 }
 
 TEST(ScanOps, OlcAndRowexTracedScansAgree) {
-  baselines::OlcTree olc;
-  baselines::RowexTree rowex_tree;
-  sync::SyncStats stats;
+  // The shared descent and range walk (art/node.h) behind OLC's and ROWEX's
+  // traced reads, ROWEX's lock-free lookup, CuART's traversal and the
+  // serial tree's Scan, checked against a std::map.  Two key sets: 8-byte
+  // integers, and strings whose shared prefixes run past OLC's 12 inline
+  // path bytes (and ROWEX's 4), so the walks read path bytes from the
+  // subtree's minimum leaf and the descents settle them at the leaf.
   SplitMix64 rng(5);
+  std::vector<Key> ints;
   for (int i = 0; i < 3000; ++i) {
-    const Key k = EncodeU64(rng.NextBounded(100000));
-    olc.Insert(k, 1, 0, stats);
-    rowex_tree.Insert(k, 1, 0, stats);
+    ints.push_back(EncodeU64(rng.NextBounded(100000)));
   }
-  for (int trial = 0; trial < 50; ++trial) {
-    const Key start = EncodeU64(rng.NextBounded(100000));
-    std::vector<std::uint64_t> a, b;
-    olc.ScanTraced(start, 20, nullptr, [&a](KeyView k, art::Value) {
-      a.push_back(DecodeU64(k));
-    });
-    rowex_tree.ScanTraced(start, 20, nullptr, [&b](KeyView k, art::Value) {
-      b.push_back(DecodeU64(k));
-    });
-    ASSERT_EQ(a, b) << "start=" << DecodeU64(start);
-    ASSERT_TRUE(std::is_sorted(a.begin(), a.end()));
+  std::vector<Key> strings;
+  const std::string stems[] = {"user-profile-settings/",
+                               "user-profile-sessions/",
+                               "zz-archive-2024-quarter-"};
+  for (int i = 0; i < 1500; ++i) {
+    strings.push_back(EncodeString(stems[i % 3] +
+                                   std::to_string(rng.NextBounded(5000))));
+  }
+
+  for (const std::vector<Key>* keys : {&ints, &strings}) {
+    std::map<Key, art::Value> model;
+    for (const Key& k : *keys) model.emplace(k, model.size());
+    const std::vector<std::pair<Key, art::Value>> items(model.begin(),
+                                                        model.end());
+    baselines::OlcTree olc;
+    baselines::RowexTree rowex_tree;
+    art::Tree tree;
+    sync::SyncStats stats;
+    for (const auto& [k, v] : items) {
+      olc.Insert(k, v, 0, stats);
+      rowex_tree.Insert(k, v, 0, stats);
+      tree.Insert(k, v);
+    }
+    baselines::CuartEngine cuart;
+    cuart.Load(items);
+
+    // Probes: stored keys; absent keys between them, sharing their long
+    // prefix up to a late byte, or extending them; and keys below the
+    // minimum and above the maximum.
+    std::vector<Key> probes = {Key{}, Key{0x00}, Key(20, 0xff)};
+    for (int i = 0; i < 60; ++i) {
+      Key present = items[rng.NextBounded(items.size())].first;
+      probes.push_back(present);
+      Key extended = present;
+      extended.push_back(0x01);
+      probes.push_back(extended);
+      Key late = present;
+      late[std::min<std::size_t>(late.size() - 1, 14)] ^= 0x20;
+      probes.push_back(late);
+    }
+
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const Key& probe = probes[p];
+      SCOPED_TRACE(ToHex(probe));
+      const auto it = model.find(probe);
+      const std::optional<art::Value> want =
+          it == model.end() ? std::nullopt : std::optional(it->second);
+      const sync::CLeaf* leaf = olc.FindLeafTraced(probe, nullptr);
+      EXPECT_EQ(leaf == nullptr ? std::nullopt
+                                : std::optional(leaf->value.load()),
+                want);
+      EXPECT_EQ(rowex_tree.Lookup(probe, 0, stats), want);
+      EXPECT_EQ(cuart.Lookup(probe), want);
+      EXPECT_EQ(tree.Get(probe), want);
+
+      // Limits inside the tree and past its end.
+      for (const std::size_t limit : {std::size_t{20}, items.size() + 10}) {
+        std::vector<std::pair<Key, art::Value>> expected;
+        for (auto m = model.lower_bound(probe);
+             m != model.end() && expected.size() < limit; ++m) {
+          expected.push_back(*m);
+        }
+        std::vector<std::pair<Key, art::Value>> a, b;
+        const auto into = [](std::vector<std::pair<Key, art::Value>>& out) {
+          return [&out](KeyView k, art::Value v) {
+            out.emplace_back(Key(k.begin(), k.end()), v);
+          };
+        };
+        EXPECT_EQ(olc.ScanTraced(probe, limit, nullptr, into(a)),
+                  expected.size());
+        EXPECT_EQ(rowex_tree.ScanTraced(probe, limit, nullptr, into(b)),
+                  expected.size());
+        ASSERT_EQ(a, expected) << "limit=" << limit;
+        ASSERT_EQ(b, expected) << "limit=" << limit;
+      }
+
+      // The serial tree's bounded scan, to the next probe (an empty range
+      // when that one sorts lower).
+      const Key& hi = probes[(p + 1) % probes.size()];
+      std::vector<std::pair<Key, art::Value>> expected, got;
+      for (auto m = model.lower_bound(probe);
+           m != model.end() && CompareKeys(m->first, hi) <= 0; ++m) {
+        expected.push_back(*m);
+      }
+      tree.Scan(probe, hi, [&got](KeyView k, art::Value v) {
+        got.emplace_back(Key(k.begin(), k.end()), v);
+        return true;
+      });
+      ASSERT_EQ(got, expected) << "hi=" << ToHex(hi);
+    }
   }
 }
 
