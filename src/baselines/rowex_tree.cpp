@@ -138,7 +138,6 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
     const PackedPrefix pp = node->prefix();
     const std::size_t level = pp.level();
     const std::size_t prefix_len = pp.prefix_len();
-    assert(level + prefix_len < key.size() && "keys must be prefix-free");
     if (tracer) {
       tracer->VisitInternal(reinterpret_cast<std::uintptr_t>(node),
                             pp.stored(), ScanCost(node));
@@ -168,6 +167,8 @@ RowexTree::Outcome RowexTree::TryInsert(KeyView key, art::Value value,
         }
       }
     }
+    // A shorter key can end inside the prefix only by differing from it.
+    assert(level + mismatch < key.size() && "keys must be prefix-free");
 
     if (mismatch < prefix_len) {
       // Split the compressed path.  Lock the parent (spin) and the node

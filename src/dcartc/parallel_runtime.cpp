@@ -398,7 +398,7 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       std::unordered_set<std::uint64_t> deferred_keys;
 
       // Group-scheduled execution (AMAC-style): hash every key up front
-      // (prefetching the key buffers ahead), then process the bucket in
+      // (prefetching the ops ahead), then process the bucket in
       // groups of kGroup, warming each group's table slots and then its
       // candidate leaves in staged passes before executing.  One at a
       // time, probe -> leaf (one block: the key follows the value) is a
@@ -412,10 +412,8 @@ void DcartCpEngine::RunBatch(std::span<const Operation> ops, std::size_t begin,
       hashes.resize(n);
       for (std::size_t j = 0; j < n; ++j) {
         // Bucketing strides through the batch, so the Operation structs
-        // are as cold as the key buffers they point at: warm the struct
-        // first, its key bytes once the struct line has arrived.
+        // are cold; a short key's bytes are inside its struct.
         if (j + 16 < n) __builtin_prefetch(&ops[idxs[j + 16]]);
-        if (j + 8 < n) __builtin_prefetch(ops[idxs[j + 8]].key.data());
         hashes[j] = HashKey(ops[idxs[j]].key);
       }
       if (tracing) {
