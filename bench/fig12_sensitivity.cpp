@@ -132,7 +132,6 @@ int Main(const CliFlags& flags) {
     for (std::size_t sous : {1u, 2u, 4u, 8u, 16u, 32u}) {
       accel::DcartConfig cfg;
       cfg.num_sous = sous;
-      cfg.num_buckets = std::max<std::size_t>(16, sous);
       const double secs = DcartSeconds(w, base_run, cfg);
       if (sous == 1) one = secs;
       table.AddRow({std::to_string(sous), FormatSci(secs),

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
       EngineOptions options;
       options.fpga_model.tree_buffer_bytes = buf_kb * 1024;
       options.dcart.num_sous = sous;
-      options.dcart.num_buckets = std::max<std::size_t>(16, sous);
       auto engine = MakeEngine("DCART", options);
       engine->Load(w.load_items);
       const ExecutionResult r = engine->Run(w.ops, RunConfig{});

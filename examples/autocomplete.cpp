@@ -1,13 +1,13 @@
-// Autocomplete / dictionary demo: prefix scans, lower-bound seeks, and
+// Autocomplete / dictionary demo: prefix scans, lower-bound scans, and
 // sorted bulk-load — the affix-query APIs radix trees are built for.
 //
 //   build/examples/autocomplete [prefix...]
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "art/iterator.h"
 #include "art/tree.h"
 #include "bench/bench_common.h"
 #include "common/cli.h"
@@ -48,11 +48,14 @@ int main(int argc, char** argv) {
                     });
     if (shown == 0) {
       // No completion: show where the prefix would land (lower bound).
-      art::Iterator it(dict);
-      it.Seek(Key(prefix.begin(), prefix.end()));
-      if (it.Valid()) {
-        std::printf(" (nothing; next word is \"%s\")",
-                    DecodeString(it.key()).c_str());
+      std::optional<std::string> next;
+      dict.ScanFrom(Key(prefix.begin(), prefix.end()),
+                    [&next](KeyView key, art::Value) {
+                      next = DecodeString(key);
+                      return false;
+                    });
+      if (next) {
+        std::printf(" (nothing; next word is \"%s\")", next->c_str());
       } else {
         std::printf(" (nothing; past the last word)");
       }
@@ -60,13 +63,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Page through the dictionary from a seek point, iterator-style.
+  // Page through the dictionary from a seek point.
   std::printf("\nfive words from \"m\" onward:");
-  art::Iterator it(dict);
-  it.Seek(EncodeString("m"));
-  for (int i = 0; i < 5 && it.Valid(); ++i, it.Next()) {
-    std::printf(" %s", DecodeString(it.key()).c_str());
-  }
+  std::size_t paged = 0;
+  dict.ScanFrom(EncodeString("m"), [&paged](KeyView key, art::Value) {
+    std::printf(" %s", DecodeString(key).c_str());
+    return ++paged < 5;
+  });
   std::printf("\n");
   return 0;
 }

@@ -11,8 +11,9 @@
 # modeled fig9 numbers moved between checkpoints, and
 # scripts/check_bench_regression.py gates a fresh file against the newest
 # one.  The scale is fixed here so the files stay comparable.  Each
-# snapshot records the machine, the UTC time of the run and the commit and
-# dirty flag of the tree that produced it.  Wall-clock numbers are not
+# snapshot records the machine, the UTC time of the run, the commit and
+# dirty flag of the tree that produced it, and the build type and SIMD
+# switch (DCART_SIMD) of the build directory's CMakeCache.txt.  Wall-clock numbers are not
 # recorded here: they move with the host, and bench/e2e measures them with
 # interleaved repeats.
 #
@@ -47,7 +48,7 @@ python3 "${REPO_DIR}/scripts/check_metrics_json.py" "${TMP_DIR}/fig9.json"
 
 echo "== writing -> ${OUT_FILE} =="
 python3 - "${TMP_DIR}/fig9.json" "${OUT_FILE}" "${REPO_DIR}" \
-    "${#NO_ASLR[@]}" <<'PY'
+    "${#NO_ASLR[@]}" "${BUILD_DIR}/CMakeCache.txt" <<'PY'
 import datetime
 import json
 import platform
@@ -56,6 +57,7 @@ import sys
 
 fig9_path, out_path, repo_dir = sys.argv[1:4]
 aslr_disabled = sys.argv[4] != "0"
+cache_path = sys.argv[5]
 
 
 def load(path):
@@ -72,7 +74,22 @@ def git(*args):
         return None
 
 
+def cmake_cache(name):
+    try:
+        with open(cache_path) as f:
+            for line in f:
+                key, _, value = line.rstrip("\n").partition("=")
+                if key.split(":")[0] == name:
+                    return value
+    except OSError:
+        pass
+    return None
+
+
 snapshots = {"fig9_performance": load(fig9_path)}
+build_type = cmake_cache("CMAKE_BUILD_TYPE")
+if build_type == "":
+    build_type = "RelWithDebInfo"  # the root CMakeLists.txt default
 status = git("status", "--porcelain", "--untracked-files=no")
 merged = {
     "baseline_version": 1,
@@ -81,6 +98,8 @@ merged = {
     "commit": git("rev-parse", "HEAD") or "",
     "dirty": None if status is None else status != "",
     "aslr_disabled": aslr_disabled,
+    "build_type": build_type,
+    "dcart_simd": cmake_cache("DCART_SIMD"),
     "machine": {
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),

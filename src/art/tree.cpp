@@ -60,16 +60,18 @@ std::uint32_t Tree::PrefixMismatch(const Node* node, KeyView key,
   return i;
 }
 
-bool Tree::Insert(KeyView key, Value value) {
+bool Tree::Insert(KeyView key, Value value, Leaf** out_leaf) {
   assert(!key.empty() && "keys must be non-empty (see key_codec.h)");
   if (root_.IsNull()) {
-    root_ = NodeRef::FromLeaf(Leaf::New(key, value));
+    Leaf* leaf = Leaf::New(key, value);
+    root_ = NodeRef::FromLeaf(leaf);
     size_ = 1;
     if (stats_) ++stats_->operations;
+    if (out_leaf) *out_leaf = leaf;
     return true;
   }
   if (stats_) ++stats_->operations;
-  const bool inserted = InsertInSubtree(&root_, 0, key, value);
+  const bool inserted = InsertInSubtree(&root_, 0, key, value, out_leaf);
   if (inserted) ++size_;
   return inserted;
 }
@@ -270,49 +272,15 @@ void Tree::ScanFrom(KeyView lo,
             });
 }
 
-namespace {
-
-/// In-order emit of every leaf under `ref` whose key starts with `prefix`
-/// (the check is exact per leaf, so optimistic descent above is safe).
-bool EmitSubtree(NodeRef ref, KeyView prefix,
-                 const std::function<bool(KeyView, Value)>& callback) {
-  if (ref.IsLeaf()) {
-    const Leaf* leaf = ref.AsLeaf();
-    const KeyView key = leaf->key();
-    if (key.size() >= prefix.size() &&
-        CommonPrefixLength(key, prefix) == prefix.size()) {
-      return callback(key, leaf->value);
-    }
-    return true;
-  }
-  return EnumerateChildren(ref.AsNode(),
-                           [&prefix, &callback](std::uint8_t, NodeRef child) {
-                             return EmitSubtree(child, prefix, callback);
-                           });
-}
-
-}  // namespace
-
 void Tree::ScanPrefix(KeyView prefix,
                       const std::function<bool(KeyView, Value)>& callback)
     const {
-  NodeRef ref = root_;
-  std::size_t depth = 0;
-  // Descend until the prefix is consumed; then the whole subtree qualifies
-  // (each emitted leaf re-verifies, covering optimistic path skips).
-  while (ref.IsNode() && depth < prefix.size()) {
-    const Node* node = ref.AsNode();
-    const std::size_t cmp = std::min<std::size_t>(
-        node->stored_prefix_len, prefix.size() - depth);
-    for (std::size_t i = 0; i < cmp; ++i) {
-      if (node->prefix[i] != prefix[depth + i]) return;
-    }
-    depth += node->prefix_len;
-    if (depth >= prefix.size()) break;
-    ref = FindChild(node, prefix[depth]);
-    ++depth;
-  }
-  if (!ref.IsNull()) EmitSubtree(ref, prefix, callback);
+  // The keys that start with `prefix` follow one another from its lower
+  // bound on, so the walk stops at the first key without it.
+  ScanFrom(prefix, [&prefix, &callback](KeyView key, Value value) {
+    return CommonPrefixLength(key, prefix) == prefix.size() &&
+           callback(key, value);
+  });
 }
 
 namespace {

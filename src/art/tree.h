@@ -60,8 +60,9 @@ class Tree {
   Tree(Tree&& other) noexcept;
   Tree& operator=(Tree&& other) noexcept;
 
-  /// Insert or update.  Returns true iff the key was newly inserted.
-  bool Insert(KeyView key, Value value);
+  /// Insert or update.  Returns true iff the key was newly inserted;
+  /// `out_leaf`, if given, receives the leaf now holding `key`.
+  bool Insert(KeyView key, Value value, Leaf** out_leaf = nullptr);
 
   // --- Subtree-scoped operations -------------------------------------------
   //

@@ -1,8 +1,6 @@
 #include "baselines/cpu_engines.h"
 
-#include <chrono>
-#include <thread>
-
+#include "baselines/cpu_trace.h"
 #include "simhw/cache_model.h"
 
 namespace dcart::baselines {
@@ -119,51 +117,26 @@ ExecutionResult CpuEngine::Run(std::span<const Operation> ops,
     tree_.set_defer_reclamation(false);
   }
 
-  result.seconds = CpuSeconds(model_, tracer.parallel_cycles(),
-                              tracer.serial_cycles(), config.cpu.threads);
-  result.energy_joules = result.seconds * model_.power_watts;
-  // No combine stage: traverse = the parallelizable descent work, trigger =
-  // the serialized synchronization tail.
-  result.phase_breakdown.traverse_seconds =
-      tracer.parallel_cycles() / model_.frequency_hz;
-  result.phase_breakdown.trigger_seconds =
-      tracer.serial_cycles() / model_.frequency_hz;
+  tracer.FinishRun(config.cpu.threads, result);
   return result;
 }
 
 double CpuEngine::RunThreaded(std::span<const Operation> ops,
                               std::size_t num_threads, OpStats& stats) {
-  // Epoch slots bound the worker count (OlcTree default: 64).
-  num_threads = std::clamp<std::size_t>(num_threads, 1, 64);
-  std::vector<sync::SyncStats> per_thread(num_threads);
-  const auto start = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back([this, ops, t, num_threads, &per_thread] {
-        sync::SyncStats& local = per_thread[t];
-        for (std::size_t i = t; i < ops.size(); i += num_threads) {
-          const Operation& op = ops[i];
-          if (op.type == OpType::kWrite) {
-            tree_.Insert(op.key, op.value, t, local, nullptr,
-                         protocol_.cas_leaf_updates);
-          } else if (op.type == OpType::kRemove) {
-            tree_.Remove(op.key, t, local);
-          } else {
-            // Reads; scans degrade to a start-key probe in the real-thread
-            // mode (the traced single-thread mode measures full scans).
-            (void)tree_.Lookup(op.key, t, local);
-          }
+  return RunRoundRobin(
+      ops, num_threads, stats,
+      [this](const Operation& op, std::size_t tid, sync::SyncStats& local) {
+        if (op.type == OpType::kWrite) {
+          tree_.Insert(op.key, op.value, tid, local, nullptr,
+                       protocol_.cas_leaf_updates);
+        } else if (op.type == OpType::kRemove) {
+          tree_.Remove(op.key, tid, local);
+        } else {
+          // Reads; scans degrade to a start-key probe in the real-thread
+          // mode (the traced single-thread mode measures full scans).
+          (void)tree_.Lookup(op.key, tid, local);
         }
       });
-    }
-    for (auto& worker : workers) worker.join();
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  stats.operations += ops.size();
-  for (const sync::SyncStats& s : per_thread) s.MergeInto(stats);
-  return std::chrono::duration<double>(elapsed).count();
 }
 
 std::unique_ptr<CpuEngine> MakeArtOlcEngine(simhw::CpuModel model) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "baselines/engine.h"
+
 namespace dcart::baselines {
 
 using sync::CLeaf;
@@ -124,6 +126,15 @@ double OpTracer::EndOp(std::size_t inflight, std::size_t threads,
     latency->Record(static_cast<std::uint64_t>(ns));
   }
   return op_cycles;
+}
+
+void OpTracer::FinishRun(std::size_t threads, ExecutionResult& result) const {
+  result.seconds =
+      CpuSeconds(model_, parallel_cycles_, serial_cycles_, threads);
+  result.energy_joules = result.seconds * model_.power_watts;
+  result.phase_breakdown.traverse_seconds =
+      parallel_cycles_ / model_.frequency_hz;
+  result.phase_breakdown.trigger_seconds = serial_cycles_ / model_.frequency_hz;
 }
 
 double CpuSeconds(const simhw::CpuModel& model, double parallel_cycles,

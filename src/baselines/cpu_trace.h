@@ -9,8 +9,13 @@
 // modeled per-op latency.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/stats.h"
@@ -18,6 +23,11 @@
 #include "simhw/conflict_model.h"
 #include "simhw/timing_model.h"
 #include "sync/cnode.h"
+#include "workload/ops.h"
+
+namespace dcart {
+struct ExecutionResult;
+}  // namespace dcart
 
 namespace dcart::baselines {
 
@@ -55,8 +65,11 @@ class OpTracer {
   /// Cycles that cannot be parallelized across workers (critical sections
   /// serialized by contention).
   double serial_cycles() const { return serial_cycles_; }
-  /// All other cycles, parallelizable across workers.
-  double parallel_cycles() const { return parallel_cycles_; }
+
+  /// Fill a run's modeled seconds, energy and phase split over `threads`
+  /// workers.  No combine stage: traverse is the parallelizable descent
+  /// work, trigger the serialized synchronization tail.
+  void FinishRun(std::size_t threads, ExecutionResult& result) const;
 
  private:
   const simhw::CpuModel& model_;
@@ -75,7 +88,7 @@ class OpTracer {
 
   // Run accumulators.
   double serial_cycles_ = 0.0;
-  double parallel_cycles_ = 0.0;
+  double parallel_cycles_ = 0.0;  // all other cycles
   double cycles_ema_ = 0.0;  // smoothed per-op service time for queue model
 };
 
@@ -83,6 +96,37 @@ class OpTracer {
 /// the worker pool, serial cycles paid in full.
 double CpuSeconds(const simhw::CpuModel& model, double parallel_cycles,
                   double serial_cycles, std::size_t threads);
+
+/// The real-thread client loop of the concurrent baselines: op i goes to
+/// thread i mod n, with n clamped to the trees' 1-64 epoch slots, so
+/// per-key order holds only within a thread (the usual concurrent-client
+/// semantics).  `apply(op, tid, sync_stats)` runs one op; each thread keeps
+/// its own SyncStats, merged into `stats` after the join.  Returns the
+/// wall-clock seconds.
+template <typename Apply>
+double RunRoundRobin(std::span<const Operation> ops, std::size_t num_threads,
+                     OpStats& stats, const Apply& apply) {
+  num_threads = std::clamp<std::size_t>(num_threads, 1, 64);
+  std::vector<sync::SyncStats> per_thread(num_threads);
+  const auto start = std::chrono::steady_clock::now();
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(num_threads);
+    for (std::size_t t = 0; t < num_threads; ++t) {
+      workers.emplace_back([ops, t, num_threads, &per_thread, &apply] {
+        sync::SyncStats& local = per_thread[t];
+        for (std::size_t i = t; i < ops.size(); i += num_threads) {
+          apply(ops[i], t, local);
+        }
+      });
+    }
+    for (auto& worker : workers) worker.join();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stats.operations += ops.size();
+  for (const sync::SyncStats& s : per_thread) s.MergeInto(stats);
+  return std::chrono::duration<double>(elapsed).count();
+}
 
 /// The traced ordered scan of the concurrent trees (single-threaded model
 /// runs): up to `limit` entries with key >= start from `root`, in key

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 
+#include "dcart/sou.h"
 #include "obs/trace.h"
 #include "simhw/conflict_model.h"
+#include "simhw/hbm_model.h"
+#include "simhw/node_buffer.h"
 
 namespace dcart::accel {
 
@@ -50,23 +53,11 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
   simhw::ConflictModel conflicts(run_config.inflight_ops,
                                  simhw::SyncProtocol::kCoalesced);
   shortcut_table_.clear();
-
-  std::unordered_map<std::uintptr_t, std::uint64_t> node_values;
-  SouCycleBreakdown breakdown;
-
-  SouShared shared;
-  shared.tree = &tree_;
-  shared.node_values = &node_values;
-  shared.breakdown = &breakdown;
-  shared.tree_buffer = &tree_buffer;
-  shared.shortcut_buffer = &shortcut_buffer;
-  shared.hbm = &hbm;
-  shared.conflicts = &conflicts;
-  shared.shortcut_table = &shortcut_table_;
-  shared.model = &model_;
-  shared.config = &config_;
-  shared.stats = &result.stats;
-  shared.reads_hit = &result.reads_hit;
+  const ctt::Context ctt{tree_,
+                         config_.use_shortcuts ? &shortcut_table_ : nullptr,
+                         conflicts, result.stats, result.reads_hit};
+  Sou sou(model_, tree_buffer, shortcut_buffer, hbm, result.stats);
+  const SouCycleBreakdown& breakdown = sou.breakdown();
 
   LatencyHistogram* latency =
       run_config.collect_latency ? &result.latency_ns : nullptr;
@@ -74,17 +65,16 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
   const std::size_t batch_size =
       std::max<std::size_t>(1, run_config.batch_size);
   const bool overlap_pcu_sou = config_.overlap_pcu_sou;
-  const std::size_t buckets_n = std::max<std::size_t>(1, config_.num_buckets);
-  const unsigned prefix_shift =
-      config_.prefix_bits >= 8 ? 0 : (8 - config_.prefix_bits);
+  const std::size_t sous = std::max<std::size_t>(1, config_.num_sous);
+  const std::size_t buckets_n = config_.num_buckets();
+  const double hbm_bytes_per_cycle =
+      static_cast<double>(model_.hbm_channels * model_.hbm_burst_bytes) /
+      model_.cycles_per_burst;
 
   // Two-stage pipeline accounting (Fig. 6): PCU(i+1) overlaps SOU(i).
   double pcu_done = 0.0;
   double sou_done = 0.0;
   double total_pcu_cycles = 0.0;
-  double total_sou_cycles = 0.0;
-  double imbalance_sum = 0.0;
-  std::size_t batches = 0;
 
   // Simulated-cycle tracing: spans live on virtual tracks in *modeled* time
   // (cycles converted at the model frequency), so the exported timeline
@@ -103,8 +93,7 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
   std::vector<BucketSpan> bucket_spans;
   if (tracing) {
     tracer.SetTrackName(kPcuTrack, "pcu");
-    for (std::size_t s = 0; s < std::max<std::size_t>(1, config_.num_sous);
-         ++s) {
+    for (std::size_t s = 0; s < sous; ++s) {
       tracer.SetTrackName(SouTrack(s), "sou-" + std::to_string(s));
     }
   }
@@ -116,38 +105,16 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
     // ------------------------------------------------------------- PCU ---
     // Scan_Operation / Get_Prefix / Combine_Operation: one op per cycle,
     // plus streaming the operation records in from HBM through Scan_buffer.
-    // The prefix starts at the first discriminating key byte — the byte the
-    // root branches on — so keys with a long common head (dense integers)
-    // still spread across buckets.  In hardware this offset is a register
-    // the host sets from the root's compressed-path length.
-    std::size_t prefix_offset = 0;
-    if (tree_.root().IsNode()) {
-      prefix_offset = tree_.root().AsNode()->prefix_len;
-    }
+    const std::size_t offset = ctt::PrefixOffset(tree_);
     std::vector<std::vector<std::uint32_t>> buckets(buckets_n);
     for (std::size_t i = begin; i < end; ++i) {
-      const Key& key = ops[i].key;
-      unsigned prefix =
-          prefix_offset < key.size() ? key[prefix_offset] : 0;
-      if (config_.prefix_bits < 8) {
-        prefix >>= prefix_shift;
-        prefix <<= prefix_shift;  // coarser combining
-      } else if (config_.prefix_bits > 8 &&
-                 prefix_offset + 1 < key.size()) {
-        prefix = (prefix << (config_.prefix_bits - 8)) |
-                 (key[prefix_offset + 1] >> (16 - config_.prefix_bits));
-      }
-      const std::size_t b =
-          (static_cast<std::size_t>(prefix) * buckets_n) >>
-          std::min<unsigned>(config_.prefix_bits, 16);
-      buckets[std::min(b, buckets_n - 1)].push_back(
-          static_cast<std::uint32_t>(i));
+      buckets[ctt::BucketOf(ops[i].key, offset, config_.prefix_bits,
+                            buckets_n)]
+          .push_back(static_cast<std::uint32_t>(i));
     }
     constexpr std::size_t kOpRecordBytes = 24;
     const double stream_cycles =
-        static_cast<double>(n * kOpRecordBytes) /
-        (static_cast<double>(model_.hbm_channels * model_.hbm_burst_bytes) /
-         model_.cycles_per_burst);
+        static_cast<double>(n * kOpRecordBytes) / hbm_bytes_per_cycle;
     const double pcu_cycles =
         static_cast<double>(n) * model_.pcu_cycles_per_op + stream_cycles;
 
@@ -157,61 +124,39 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
     // SOU sees its own channel timeline (they run concurrently, not queued
     // behind one another); the aggregate bandwidth bound is applied to the
     // whole batch below.
-    std::vector<double> sou_cycles(std::max<std::size_t>(1, config_.num_sous),
-                                   0.0);
+    std::vector<double> sou_cycles(sous, 0.0);
     const std::uint64_t batch_bytes_before = hbm.total_bytes();
     for (std::size_t b = 0; b < buckets_n; ++b) {
       if (buckets[b].empty()) continue;
-      hbm.ResetChannels();
-      Sou sou(shared);
       const double trigger_before = breakdown.trigger + breakdown.contention;
-      const double bucket_cycles = sou.ProcessBucket(ops, buckets[b]);
-      sou_cycles[b % sou_cycles.size()] += bucket_cycles;
+      ctt::ExecuteBucket(ctt, ops, buckets[b], sou);
+      sou_cycles[b % sou_cycles.size()] += sou.cycles();
       if (tracing) {
         bucket_spans.push_back(
-            {b % sou_cycles.size(), bucket_cycles,
+            {b % sou_cycles.size(), sou.cycles(),
              breakdown.trigger + breakdown.contention - trigger_before,
              static_cast<std::uint64_t>(buckets[b].size())});
       }
     }
-    const double bytes_per_cycle =
-        static_cast<double>(model_.hbm_channels * model_.hbm_burst_bytes) /
-        model_.cycles_per_burst;
     const double bandwidth_cycles =
         static_cast<double>(hbm.total_bytes() - batch_bytes_before) /
-        bytes_per_cycle;
+        hbm_bytes_per_cycle;
     // The SOU stage ends when the slowest unit finishes; a batch that moves
     // more bytes than the channels can stream is bandwidth-bound instead.
     const double slowest =
         *std::max_element(sou_cycles.begin(), sou_cycles.end());
     const double sou_stage = std::max(slowest, bandwidth_cycles);
-    double sou_sum = 0.0;
-    for (double c : sou_cycles) sou_sum += c;
-    if (sou_sum > 0.0) {
-      imbalance_sum +=
-          slowest / (sou_sum / static_cast<double>(sou_cycles.size()));
-    }
     total_pcu_cycles += pcu_cycles;
-    total_sou_cycles += sou_stage;
-    ++batches;
 
     // -------------------------------------------------- pipeline timing ---
-    double batch_complete;
-    double pcu_start_cycle;
-    double sou_start_cycle;
-    if (overlap_pcu_sou) {
-      pcu_start_cycle = pcu_done;  // PCU is free after previous batch
-      pcu_done = pcu_start_cycle + pcu_cycles;
-      sou_start_cycle = std::max(pcu_done, sou_done);
-      sou_done = sou_start_cycle + sou_stage;
-      batch_complete = sou_done;
-    } else {
-      pcu_start_cycle = std::max(pcu_done, sou_done);
-      pcu_done = pcu_start_cycle + pcu_cycles;
-      sou_start_cycle = pcu_done;
-      sou_done = sou_start_cycle + sou_stage;
-      batch_complete = sou_done;
-    }
+    // With overlap the PCU is free once it finished the previous batch;
+    // without, it also waits for the SOUs.  The SOUs start when both the
+    // batch is combined and they are free.
+    const double pcu_start_cycle =
+        overlap_pcu_sou ? pcu_done : std::max(pcu_done, sou_done);
+    pcu_done = pcu_start_cycle + pcu_cycles;
+    const double sou_start_cycle = std::max(pcu_done, sou_done);
+    sou_done = sou_start_cycle + sou_stage;
 
     if (tracing) {
       tracer.RecordSpanOnTrack(kPcuTrack, "combine", "combine",
@@ -243,8 +188,7 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
       // combining + waiting for the SOU stage + processing.
       const double arrival =
           overlap_pcu_sou ? pcu_done - pcu_cycles : pcu_done;
-      const double ns =
-          (batch_complete - arrival) / model_.frequency_hz * 1e9;
+      const double ns = (sou_done - arrival) / model_.frequency_hz * 1e9;
       latency->RecordMany(static_cast<std::uint64_t>(ns), n);
     }
   }
@@ -262,14 +206,7 @@ ExecutionResult DcartEngine::Run(std::span<const Operation> ops,
       (breakdown.trigger + breakdown.contention) / model_.frequency_hz;
 
   buffer_report_.tree_buffer_hit_rate = tree_buffer.HitRate();
-  buffer_report_.shortcut_buffer_hit_rate = shortcut_buffer.HitRate();
-  buffer_report_.tree_buffer_evictions = tree_buffer.evictions();
   buffer_report_.tree_buffer_bypasses = tree_buffer.bypasses();
-  buffer_report_.total_pcu_cycles = total_pcu_cycles;
-  buffer_report_.total_sou_cycles = total_sou_cycles;
-  buffer_report_.mean_sou_imbalance =
-      batches ? imbalance_sum / static_cast<double>(batches) : 0.0;
-  buffer_report_.sou_breakdown = breakdown;
 
   tree_buffer.PublishMetrics("dcart.tree_buffer");
   shortcut_buffer.PublishMetrics("dcart.shortcut_buffer");

@@ -10,15 +10,10 @@
 // (Fig. 6), hiding the combining cost.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-
 #include "art/tree.h"
 #include "baselines/engine.h"
 #include "dcart/config.h"
-#include "dcart/sou.h"
-#include "simhw/hbm_model.h"
-#include "simhw/node_buffer.h"
+#include "dcart/ctt.h"
 #include "simhw/timing_model.h"
 
 namespace dcart::accel {
@@ -37,17 +32,11 @@ class DcartEngine : public IndexEngine {
   const DcartConfig& config() const { return config_; }
   const simhw::FpgaModel& model() const { return model_; }
 
-  /// Buffer and pipeline statistics of the last Run (ablation bench and
-  /// model diagnostics).
+  /// Tree_buffer statistics of the last Run (the buffer-policy ablation).
+  /// Every buffer's full counters go to the metrics registry as well.
   struct BufferReport {
     double tree_buffer_hit_rate = 0.0;
-    double shortcut_buffer_hit_rate = 0.0;
-    std::uint64_t tree_buffer_evictions = 0;
     std::uint64_t tree_buffer_bypasses = 0;
-    double total_pcu_cycles = 0.0;
-    double total_sou_cycles = 0.0;     // sum of per-batch slowest-SOU times
-    double mean_sou_imbalance = 0.0;   // slowest SOU / average SOU per batch
-    SouCycleBreakdown sou_breakdown;   // aggregate over all SOUs
   };
   const BufferReport& last_buffer_report() const { return buffer_report_; }
 
@@ -55,7 +44,7 @@ class DcartEngine : public IndexEngine {
   DcartConfig config_;
   simhw::FpgaModel model_;
   art::Tree tree_;
-  std::unordered_map<std::uint64_t, ShortcutEntry> shortcut_table_;
+  ctt::ShortcutTable shortcut_table_;
   BufferReport buffer_report_;
 };
 

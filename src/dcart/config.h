@@ -1,6 +1,7 @@
 // DCART accelerator configuration (paper Table I) and ablation knobs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "simhw/node_buffer.h"
@@ -10,8 +11,11 @@ namespace dcart::accel {
 struct DcartConfig {
   // Table I: 1 x PCU, 1 x Dispatcher, 16 x SOUs.
   std::size_t num_sous = 16;
-  // Sixteen bucket tables, one per prefix-defined bucket label.
-  std::size_t num_buckets = 16;
+  // The paper's sixteen bucket tables, one per prefix-defined bucket label,
+  // or one per SOU when there are more SOUs than that.
+  std::size_t num_buckets() const {
+    return std::max<std::size_t>(16, num_sous);
+  }
   // "the first 8 bits of the key are used as the specified prefix by
   // default" — ablation sweeps 4/8/12 bits.
   unsigned prefix_bits = 8;

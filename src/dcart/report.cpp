@@ -42,7 +42,7 @@ std::string RenderTableOne(const DcartConfig& config,
      << model.tree_buffer_bytes / (1024 * 1024) << " MB)\n";
   os << "  Clock          : " << model.frequency_hz / 1e6 << " MHz\n";
   os << "  Combining      : prefix = first " << config.prefix_bits
-     << " bits, " << config.num_buckets << " bucket tables\n";
+     << " bits, " << config.num_buckets() << " bucket tables\n";
   os << "  Tree_buffer    : "
      << (config.tree_buffer_policy == simhw::EvictionPolicy::kValueAware
              ? "value-aware"

@@ -1,7 +1,8 @@
 // Shortcut-based Operating Unit (SOU) — Section III-C of the paper.
 //
 // A SOU drains one bucket of combined operations.  Its four pipeline stages
-// are modeled per key-group:
+// run per key-group in the CTT executor (dcart/ctt.h); this class is the
+// executor's FPGA cost model, pricing each stage on the modeled hardware:
 //   Index_Shortcut    — probe the Shortcut_Table (through the on-chip
 //                       Shortcut_buffer; off-chip HBM on a buffer miss);
 //   Traverse_Tree     — on a shortcut hit, fetch the target leaf directly;
@@ -17,26 +18,15 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "art/tree.h"
 #include "common/stats.h"
-#include "dcart/config.h"
-#include "simhw/conflict_model.h"
 #include "simhw/hbm_model.h"
 #include "simhw/node_buffer.h"
 #include "simhw/timing_model.h"
-#include "workload/ops.h"
 
 namespace dcart::accel {
-
-/// Off-chip Shortcut_Table entry: <Key_ID, target node, parent node>.
-struct ShortcutEntry {
-  art::Leaf* leaf = nullptr;
-  std::uintptr_t parent = 0;
-};
 
 /// Where the SOUs' cycles went (model diagnostics / ablation reporting).
 struct SouCycleBreakdown {
@@ -48,50 +38,62 @@ struct SouCycleBreakdown {
   double contention = 0;
 };
 
-/// State shared by all SOUs (owned by the accelerator top).
-struct SouShared {
-  art::Tree* tree = nullptr;
-  simhw::NodeBuffer* tree_buffer = nullptr;
-  simhw::NodeBuffer* shortcut_buffer = nullptr;
-  simhw::HbmModel* hbm = nullptr;
-  simhw::ConflictModel* conflicts = nullptr;
-  std::unordered_map<std::uint64_t, ShortcutEntry>* shortcut_table = nullptr;
-  // Accumulated operation count per tree node: the value-aware buffer's
-  // priority.  The paper approximates a node's value by its bucket's
-  // operation count; accumulating the coalesced group sizes a node actually
-  // serves is the same quantity resolved per node.
-  std::unordered_map<std::uintptr_t, std::uint64_t>* node_values = nullptr;
-  const simhw::FpgaModel* model = nullptr;
-  const DcartConfig* config = nullptr;
-  OpStats* stats = nullptr;
-  std::uint64_t* reads_hit = nullptr;
-  SouCycleBreakdown* breakdown = nullptr;
-};
-
+/// The SOU draining the current bucket, over the buffers and HBM channels
+/// all SOUs share (owned by the accelerator top).  One object serves a
+/// whole run: each bucket restarts its clock.
 class Sou {
  public:
-  explicit Sou(SouShared shared) : s_(shared) {}
+  Sou(const simhw::FpgaModel& model, simhw::NodeBuffer& tree_buffer,
+      simhw::NodeBuffer& shortcut_buffer, simhw::HbmModel& hbm,
+      OpStats& stats)
+      : model_(model),
+        tree_buffer_(tree_buffer),
+        shortcut_buffer_(shortcut_buffer),
+        hbm_(hbm),
+        stats_(stats) {}
 
-  /// Process one bucket (operation indices into `ops`, arrival order).
-  /// Returns the SOU-local busy time in cycles for this bucket.
-  double ProcessBucket(std::span<const Operation> ops,
-                       const std::vector<std::uint32_t>& bucket);
+  /// SOU-local busy cycles of the bucket drained last.
+  double cycles() const { return local_cycles_; }
+  const SouCycleBreakdown& breakdown() const { return breakdown_; }
+
+  // The executor's cost-model hooks (dcart/ctt.h).
+  void OnBucketStart(std::size_t ops);
+  void OnGroupStart(std::size_t members) { group_value_ = members; }
+  void OnShortcutProbe(std::uint64_t hash) {
+    AccessShortcutSlot(hash, /*is_write=*/false);
+  }
+  void OnNodeVisit(art::NodeRef ref);
+  void OnNodeReplaced(art::NodeRef old_ref, art::NodeRef new_ref);
+  void OnTraverseEnd(std::uint64_t, bool, const art::Leaf*) {}
+  void OnContendedSync();
+  void OnScanEntries(std::size_t entries) {
+    // Results return one per cycle.
+    local_cycles_ += static_cast<double>(entries);
+  }
+  void OnTriggerEnd(std::size_t members, const art::Leaf* leaf, bool dirty);
+  void OnShortcutWrite(std::uint64_t hash) {
+    AccessShortcutSlot(hash, /*is_write=*/true);
+  }
 
  private:
-  friend class SouTreeObserver;
-
   /// Fetch a tree object (node or leaf) through Tree_buffer / HBM.
-  void AccessTreeObject(std::uintptr_t addr, std::size_t bytes,
-                        bool is_leaf);
+  void AccessTreeObject(std::uintptr_t addr, std::size_t bytes);
   /// Probe the shortcut structures for `key_hash`.
   void AccessShortcutSlot(std::uint64_t key_hash, bool is_write);
 
-  SouShared s_;
+  const simhw::FpgaModel& model_;
+  simhw::NodeBuffer& tree_buffer_;
+  simhw::NodeBuffer& shortcut_buffer_;
+  simhw::HbmModel& hbm_;
+  OpStats& stats_;
+  SouCycleBreakdown breakdown_;
   double local_cycles_ = 0.0;
   // Value-aware buffer priority of the nodes being touched.  The paper
   // approximates a node's value by the operation count of its bucket, known
-  // a priori once the PCU finishes coalescing; the per-node accumulated
-  // count refines ties inside one bucket.
+  // a priori once the PCU finishes coalescing; accumulating the coalesced
+  // group sizes a node actually serves is the same quantity resolved per
+  // node, and refines ties inside one bucket.
+  std::unordered_map<std::uintptr_t, std::uint64_t> node_values_;
   std::uint64_t group_value_ = 0;   // coalesced ops served by this fetch
   std::uint64_t bucket_value_ = 0;  // ops in the bucket being drained
 };

@@ -3,8 +3,9 @@
 //
 // Per batch of operations:
 //   Combine  — scan the batch and append each operation to one of the
-//              paper's sixteen bucket tables by its key's first byte, so all
-//              operations that can share tree nodes land in one bucket.
+//              paper's sixteen bucket tables by its key's first byte past
+//              the root's compressed path, so all operations that can share
+//              tree nodes land in one bucket.
 //   Traverse — per bucket (buckets are processed by disjoint workers),
 //              group operations by key; each distinct key needs ONE
 //              traversal, served from the persistent shortcut table when the
@@ -18,12 +19,14 @@
 // cost model reproduces exactly those overheads: per-op combine cycles,
 // per-group hash-probe memory traffic, and makespan = max(hottest bucket,
 // even split) over the worker pool.
+//
+// The CTT itself is the shared executor in dcart/ctt.h; this engine adds
+// the Xeon cost model and the batch timing.
 #pragma once
-
-#include <unordered_map>
 
 #include "art/tree.h"
 #include "baselines/engine.h"
+#include "dcart/ctt.h"
 #include "simhw/timing_model.h"
 
 namespace dcart::dcartc {
@@ -43,8 +46,7 @@ class DcartCEngine : public IndexEngine {
  private:
   simhw::CpuModel model_;
   art::Tree tree_;
-  // Persistent shortcut table: key hash -> leaf (validated by key compare).
-  std::unordered_map<std::uint64_t, art::Leaf*> shortcuts_;
+  ctt::ShortcutTable shortcuts_;  // persists across batches of one Run
 };
 
 }  // namespace dcart::dcartc

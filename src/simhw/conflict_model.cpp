@@ -9,6 +9,10 @@ ConflictModel::ConflictModel(std::size_t window_size, SyncProtocol protocol)
 
 void ConflictModel::Evict() {
   const WindowEntry& old = window_.front();
+  if (old.forgotten) {
+    window_.pop_front();
+    return;
+  }
   auto it = counts_.find(old.node);
   DCART_CHECK(it != counts_.end(),
               "window entry evicted for a node with no live count");
@@ -63,6 +67,13 @@ ConflictModel::Outcome ConflictModel::Record(std::uintptr_t node,
     ++counts.reads;
   }
   return outcome;
+}
+
+void ConflictModel::Forget(std::uintptr_t node) {
+  if (counts_.erase(node) == 0) return;
+  for (WindowEntry& entry : window_) {
+    if (entry.node == node) entry.forgotten = true;
+  }
 }
 
 void ConflictModel::Reset() {

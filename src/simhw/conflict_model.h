@@ -42,6 +42,10 @@ class ConflictModel {
   /// Record one synchronization point (a node id) and classify it.
   Outcome Record(std::uintptr_t node, bool is_write);
 
+  /// The node was freed: an object later allocated at its address is a new
+  /// node, so its in-window accesses stop counting against that address.
+  void Forget(std::uintptr_t node);
+
   std::uint64_t contentions() const { return contentions_; }
   std::uint64_t restarts() const { return restarts_; }
   std::uint64_t lock_acquisitions() const { return acquisitions_; }
@@ -52,6 +56,7 @@ class ConflictModel {
   struct WindowEntry {
     std::uintptr_t node;
     bool is_write;
+    bool forgotten = false;  // its node was freed; holds no count
   };
   struct NodeCounts {
     std::uint32_t reads = 0;

@@ -81,7 +81,6 @@ struct GpuModel {
 // Xilinx Alveo U280, DCART configuration of Table I.
 struct FpgaModel {
   double frequency_hz = 230e6;  // the paper's conservative clock
-  std::size_t num_sous = 16;
 
   // On-chip BRAM access (pipelined): 1 cycle.
   double cycles_bram_access = 1;

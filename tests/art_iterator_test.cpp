@@ -1,13 +1,15 @@
-// Tests for the pull-style iterator, prefix scans, and sorted bulk-load.
+// Tests for ordered walks from a lower bound (ScanFrom, MaxKey), prefix
+// scans, and sorted bulk-load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "art/iterator.h"
 #include "art/tree.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
@@ -21,17 +23,32 @@ Tree MakeTree(const std::vector<std::uint64_t>& keys) {
   return t;
 }
 
-// --------------------------------------------------------------- Iterator --
+/// Up to `limit` (>= 1) (key, value) entries from the first key >= `from` on.
+std::vector<std::pair<Key, Value>> EntriesFrom(
+    const Tree& t, KeyView from,
+    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
+  std::vector<std::pair<Key, Value>> out;
+  t.ScanFrom(from, [&out, limit](KeyView k, Value v) {
+    out.emplace_back(Key(k.begin(), k.end()), v);
+    return out.size() < limit;
+  });
+  return out;
+}
+
+/// The first key >= `from`, decoded as a u64 (nullopt past the last key).
+std::optional<std::uint64_t> LowerBound(const Tree& t, std::uint64_t from) {
+  const auto entries = EntriesFrom(t, EncodeU64(from), 1);
+  if (entries.empty()) return std::nullopt;
+  return DecodeU64(entries.front().first);
+}
+
+// --------------------------------- Iterator: walks over ScanFrom / MaxKey --
 
 TEST(Iterator, EmptyTree) {
   Tree t;
-  Iterator it(t);
-  it.SeekToFirst();
-  EXPECT_FALSE(it.Valid());
-  it.SeekToLast();
-  EXPECT_FALSE(it.Valid());
-  it.Seek(EncodeU64(0));
-  EXPECT_FALSE(it.Valid());
+  EXPECT_TRUE(EntriesFrom(t, Key{}).empty());
+  EXPECT_FALSE(t.MaxKey().has_value());
+  EXPECT_TRUE(EntriesFrom(t, EncodeU64(0)).empty());
 }
 
 TEST(Iterator, FullForwardWalkIsSorted) {
@@ -43,39 +60,29 @@ TEST(Iterator, FullForwardWalkIsSorted) {
     model.insert(k);
     t.Insert(EncodeU64(k), k);
   }
-  Iterator it(t);
+  const auto entries = EntriesFrom(t, Key{});
+  ASSERT_EQ(entries.size(), model.size());
   auto expected = model.begin();
-  std::size_t n = 0;
-  for (it.SeekToFirst(); it.Valid(); it.Next(), ++expected, ++n) {
-    ASSERT_NE(expected, model.end());
-    EXPECT_EQ(DecodeU64(it.key()), *expected);
-    EXPECT_EQ(it.value(), *expected);
+  for (const auto& [key, value] : entries) {
+    EXPECT_EQ(DecodeU64(key), *expected);
+    EXPECT_EQ(value, *expected);
+    ++expected;
   }
-  EXPECT_EQ(n, model.size());
 }
 
 TEST(Iterator, SeekToLast) {
   Tree t = MakeTree({5, 900, 17, 3, 12345678});
-  Iterator it(t);
-  it.SeekToLast();
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeU64(it.key()), 12345678u);
+  const auto last = t.MaxKey();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(DecodeU64(*last), 12345678u);
 }
 
 TEST(Iterator, SeekFindsLowerBound) {
   Tree t = MakeTree({10, 20, 30, 40, 50});
-  Iterator it(t);
-  it.Seek(EncodeU64(25));
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeU64(it.key()), 30u);
-  it.Seek(EncodeU64(30));  // exact hit
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeU64(it.key()), 30u);
-  it.Seek(EncodeU64(0));
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeU64(it.key()), 10u);
-  it.Seek(EncodeU64(51));
-  EXPECT_FALSE(it.Valid());
+  EXPECT_EQ(LowerBound(t, 25), 30u);
+  EXPECT_EQ(LowerBound(t, 30), 30u);  // exact hit
+  EXPECT_EQ(LowerBound(t, 0), 10u);
+  EXPECT_EQ(LowerBound(t, 51), std::nullopt);
 }
 
 TEST(Iterator, SeekThenNextContinuesInOrder) {
@@ -89,19 +96,16 @@ TEST(Iterator, SeekThenNextContinuesInOrder) {
   }
   for (int trial = 0; trial < 100; ++trial) {
     const std::uint64_t target = rng.NextBounded(1 << 20);
-    Iterator it(t);
-    it.Seek(EncodeU64(target));
-    auto expected = model.lower_bound(target);
-    for (int steps = 0; steps < 5; ++steps) {
-      if (expected == model.end()) {
-        ASSERT_FALSE(it.Valid()) << "target=" << target;
-        break;
-      }
-      ASSERT_TRUE(it.Valid()) << "target=" << target;
-      ASSERT_EQ(DecodeU64(it.key()), *expected) << "target=" << target;
-      it.Next();
-      ++expected;
+    std::vector<std::uint64_t> expected;
+    for (auto it = model.lower_bound(target);
+         it != model.end() && expected.size() < 5; ++it) {
+      expected.push_back(*it);
     }
+    std::vector<std::uint64_t> got;
+    for (const auto& entry : EntriesFrom(t, EncodeU64(target), 5)) {
+      got.push_back(DecodeU64(entry.first));
+    }
+    ASSERT_EQ(got, expected) << "target=" << target;
   }
 }
 
@@ -111,16 +115,17 @@ TEST(Iterator, SeekAcrossLongCompressedPaths) {
   t.Insert(EncodeString(base + "a"), 1);
   t.Insert(EncodeString(base + "z"), 2);
   t.Insert(EncodeString("zz"), 3);
-  Iterator it(t);
-  it.Seek(EncodeString(base + "b"));  // between the two deep keys
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeString(it.key()), base + "z");
-  it.Seek(EncodeString(base));  // inside the compressed path: first deep key
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeString(it.key()), base + "a");
-  it.Seek(EncodeString("n"));  // past the whole deep subtree
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(DecodeString(it.key()), "zz");
+  const auto first_from = [&t](const std::string& s) {
+    const auto entries = EntriesFrom(t, EncodeString(s), 1);
+    return entries.empty() ? std::string("<none>")
+                           : DecodeString(entries.front().first);
+  };
+  // Between the two deep keys.
+  EXPECT_EQ(first_from(base + "b"), base + "z");
+  // Inside the compressed path: the first deep key.
+  EXPECT_EQ(first_from(base), base + "a");
+  // Past the whole deep subtree.
+  EXPECT_EQ(first_from("n"), "zz");
 }
 
 // ------------------------------------------------------------- ScanPrefix --

@@ -4,6 +4,10 @@
 // CuART engine's batch semantics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/cuart.h"
 #include "common/key_codec.h"
 #include "common/rng.h"
@@ -41,23 +45,50 @@ TEST(PrefixOffset, DenseIntegerKeysSpreadAcrossSous) {
                             "on spread-out dense keys";
 }
 
+/// Every logical counter of one CTT run.  `atomic_ops` stays out: a
+/// software group lock is one atomic, and an SOU's is none.
+std::vector<std::pair<const char*, std::uint64_t>> LogicalCounters(
+    const ExecutionResult& r) {
+  const OpStats& s = r.stats;
+  return {{"operations", s.operations},
+          {"partial_key_matches", s.partial_key_matches},
+          {"nodes_visited", s.nodes_visited},
+          {"leaf_accesses", s.leaf_accesses},
+          {"lock_acquisitions", s.lock_acquisitions},
+          {"lock_contentions", s.lock_contentions},
+          {"combined_ops", s.combined_ops},
+          {"shortcut_hits", s.shortcut_hits},
+          {"shortcut_misses", s.shortcut_misses},
+          {"shortcut_invalidations", s.shortcut_invalidations},
+          {"scan_entries", s.scan_entries},
+          {"reads_hit", r.reads_hit}};
+}
+
 TEST(PrefixOffset, DcartCMatchesDcartEventCounts) {
-  // DCART-C and DCART implement the same CTT model; their coalescing and
-  // shortcut event counts must be identical on the same stream.
+  // DCART-C and DCART run the one CTT executor on the same stream, so every
+  // logical counter must agree: on each paper workload, and on a stream
+  // with removes and scans.
+  std::vector<std::pair<std::string, Workload>> streams;
   WorkloadConfig cfg;
   cfg.num_keys = 5000;
   cfg.num_ops = 20000;
-  const Workload w = MakeWorkload(WorkloadKind::kDE, cfg);
-  dcartc::DcartCEngine soft;
-  accel::DcartEngine hard;
-  soft.Load(w.load_items);
-  hard.Load(w.load_items);
-  const auto rs = soft.Run(w.ops, RunConfig{});
-  const auto rh = hard.Run(w.ops, RunConfig{});
-  EXPECT_EQ(rs.stats.combined_ops, rh.stats.combined_ops);
-  EXPECT_EQ(rs.stats.shortcut_hits, rh.stats.shortcut_hits);
-  EXPECT_EQ(rs.stats.shortcut_misses, rh.stats.shortcut_misses);
-  EXPECT_EQ(rs.stats.partial_key_matches, rh.stats.partial_key_matches);
+  for (WorkloadKind kind : AllWorkloads()) {
+    streams.emplace_back(WorkloadName(kind), MakeWorkload(kind, cfg));
+  }
+  cfg.remove_ratio = 0.10;
+  cfg.scan_ratio = 0.05;
+  streams.emplace_back("DE+removes+scans", MakeWorkload(WorkloadKind::kDE, cfg));
+  for (const auto& [name, w] : streams) {
+    dcartc::DcartCEngine soft;
+    accel::DcartEngine hard;
+    soft.Load(w.load_items);
+    hard.Load(w.load_items);
+    const auto rs = LogicalCounters(soft.Run(w.ops, RunConfig{}));
+    const auto rh = LogicalCounters(hard.Run(w.ops, RunConfig{}));
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      EXPECT_EQ(rs[i].second, rh[i].second) << name << " " << rs[i].first;
+    }
+  }
 }
 
 TEST(Shortcuts, ReusedAcrossBatches) {
@@ -72,6 +103,27 @@ TEST(Shortcuts, ReusedAcrossBatches) {
   const auto r = engine.Run(ops, cfg);
   EXPECT_EQ(r.stats.shortcut_misses, 1u);  // first batch traverses
   EXPECT_EQ(r.stats.shortcut_hits, 2u);    // later batches reuse
+}
+
+TEST(Shortcuts, HitReusesTheDescentsTreeBufferEntry) {
+  // A shortcut hit fetches its leaf through the same visit a descent ends
+  // in, so it hits the Tree_buffer entry the first read's descent loaded.
+  // Eight groups of eight keys: the descent reads the root, one inner node
+  // and the leaf, then the hit reads the leaf again (1 hit in 4 accesses).
+  std::vector<std::pair<Key, art::Value>> items;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    items.emplace_back(EncodeU64((i / 8) << 8 | (i % 8)), i);
+  }
+  accel::DcartEngine engine;
+  engine.Load(items);
+  const std::vector<Operation> ops = {{OpType::kRead, EncodeU64(0x203), 0},
+                                      {OpType::kRead, EncodeU64(0x203), 0}};
+  RunConfig per_op;
+  per_op.batch_size = 1;
+  const auto r = engine.Run(ops, per_op);
+  EXPECT_EQ(r.stats.shortcut_hits, 1u);
+  EXPECT_EQ(r.stats.nodes_visited, 4u);
+  EXPECT_DOUBLE_EQ(engine.last_buffer_report().tree_buffer_hit_rate, 0.25);
 }
 
 TEST(Shortcuts, StaleEntryForDifferentKeyIsAMiss) {

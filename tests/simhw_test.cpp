@@ -277,11 +277,25 @@ TEST(Conflict, QueueDepthCountsInWindowConflicters) {
   EXPECT_EQ(cm.Record(6, true).queue_depth, 0u);
 }
 
+TEST(Conflict, ForgottenNodeStartsFresh) {
+  // A freed node's address can hold a new node: after Forget, the old
+  // node's in-window accesses no longer count against it, and evicting
+  // them leaves the new node's counts alone.
+  ConflictModel cm(4, SyncProtocol::kCoalesced);
+  cm.Record(5, true);
+  cm.Forget(5);
+  EXPECT_FALSE(cm.Record(5, true).contended);
+  EXPECT_TRUE(cm.Record(5, true).contended);
+  cm.Record(100, false);
+  cm.Record(101, false);  // evicts the forgotten entry
+  // This record evicts one of the new node's writes; the other remains.
+  EXPECT_TRUE(cm.Record(5, true).contended);
+}
+
 TEST(TimingModel, HelpersAreDimensionallySane) {
   EXPECT_DOUBLE_EQ(SecondsFromCycles(230e6, 230e6), 1.0);
   EXPECT_DOUBLE_EQ(EnergyJoules(2.0, 42.0), 84.0);
   const FpgaModel fpga;
-  EXPECT_EQ(fpga.num_sous, 16u);
   EXPECT_EQ(fpga.tree_buffer_bytes, 4u * 1024 * 1024);
   const CpuModel cpu;
   EXPECT_GT(cpu.cycles_lock_contended, 10 * cpu.cycles_lock_uncontended);

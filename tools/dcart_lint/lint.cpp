@@ -245,6 +245,7 @@ void CheckFaultSiteRegistry(const RepoModel& model,
 void CheckTriggerPhaseBlockingLock(const SourceFile& file,
                                    std::vector<Finding>& findings) {
   static const std::set<std::string> scope = {
+      "src/dcart/ctt.h",
       "src/dcart/sou.h",
       "src/dcart/sou.cpp",
       "src/dcartc/parallel_runtime.cpp",
@@ -344,6 +345,7 @@ void CheckRawIoOutsideHelper(const SourceFile& file,
 void CheckTriggerPhaseRegistryMetrics(const SourceFile& file,
                                       std::vector<Finding>& findings) {
   static const std::set<std::string> scope = {
+      "src/dcart/ctt.h",
       "src/dcart/sou.h",
       "src/dcart/sou.cpp",
       "src/dcartc/parallel_runtime.cpp",
